@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
+import numpy as np
+
 from .params import WaveParams
 
 PhasePoint = Tuple[float, float]
@@ -170,41 +172,62 @@ class FirstIntegral:
     def y2_power(self) -> int:
         return self.m + 1
 
-    def eval(self, phi: float, y: float) -> float:
-        w = float(phi) - float(self.line)
-        if w == 0.0 and (self.log_coeff or self.pole_coeffs or self.y2_power < 0):
-            raise SingularLineError(phi)
+    @property
+    def singular_on_line(self) -> bool:
+        """True when H itself (log, pole or negative y^2 power) is undefined
+        on the singular line."""
+        return bool(self.log_coeff or self.pole_coeffs or self.y2_power < 0)
+
+    def eval(self, phi, y):
+        """H(phi, y) for floats or broadcasting numpy arrays.
+
+        A float phi on the line raises SingularLineError where H is undefined
+        there; array callers mask the line themselves (it yields inf or nan).
+        """
+        w = _line_offset(self, phi, self.singular_on_line)
         acc = 0.0
         for c in reversed(self.poly_shifted):
             acc = acc * w + float(c)
         if self.log_coeff:
-            acc += float(self.log_coeff) * math.log(abs(w))
+            acc = acc + float(self.log_coeff) * np.log(np.abs(w))
         for j, c in self.pole_coeffs:
-            acc += float(c) / w**j
-        return acc + float(self.y2_coeff) * w**self.y2_power * y * y
+            acc = acc + float(c) / w**j
+        return _as_float(acc + float(self.y2_coeff) * w**self.y2_power * y * y)
 
-    def partials(self, phi: float, y: float) -> PhasePoint:
-        """(dH/dphi, dH/dy), analytic."""
-        w = float(phi) - float(self.line)
-        if w == 0.0 and (self.log_coeff or self.pole_coeffs or self.y2_power < 1):
-            raise SingularLineError(phi)
+    def partials(self, phi, y):
+        """(dH/dphi, dH/dy), analytic; takes floats or arrays like `eval`."""
+        p = self.y2_power
+        w = _line_offset(self, phi, self.singular_on_line or p < 1)
         dphi = 0.0
         for i in range(len(self.poly_shifted) - 1, 0, -1):
             dphi = dphi * w + i * float(self.poly_shifted[i])
         if self.log_coeff:
-            dphi += float(self.log_coeff) / w
+            dphi = dphi + float(self.log_coeff) / w
         for j, c in self.pole_coeffs:
-            dphi -= j * float(c) / w ** (j + 1)
-        p = self.y2_power
+            dphi = dphi - j * float(c) / w ** (j + 1)
         if p != 0:
-            dphi += float(self.y2_coeff) * p * w ** (p - 1) * y * y
+            dphi = dphi + float(self.y2_coeff) * p * w ** (p - 1) * y * y
         dy = 2.0 * float(self.y2_coeff) * w**p * y
-        return (dphi, dy)
+        return (_as_float(dphi), _as_float(dy))
 
     def phi_poly_coeffs(self) -> list:
         """Polynomial part re-expanded in plain powers of phi (exact for
         Fraction inputs).  Log/pole parts are not included."""
         return _taylor_shift(list(self.poly_shifted), -self.line)
+
+
+def _line_offset(fi: FirstIntegral, phi, singular: bool):
+    """w = phi - line as float64; a scalar phi on the line raises when
+    `singular`."""
+    w = np.asarray(phi, dtype=float) - float(fi.line)
+    if singular and w.ndim == 0 and w == 0.0:
+        raise SingularLineError(phi)
+    return w
+
+
+def _as_float(v):
+    """Plain float for a scalar result, the array otherwise."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def build_first_integral(wp: WaveParams) -> FirstIntegral:
@@ -255,15 +278,16 @@ def build_first_integral(wp: WaveParams) -> FirstIntegral:
 
 def _conservation_spot_check(fi: FirstIntegral, wp: WaveParams, tol: float = 1e-9):
     s = float(fi.line)
-    worst = 0.0
+    residuals = []
     for dphi in (-1.7, -0.9, -0.3, 0.4, 1.1, 2.3):
         for y in (-1.5, -0.5, 0.8, 1.9):
             phi = s + dphi
             hphi, hy = fi.partials(phi, y)
             pdot, ydot = rhs_regular(wp, (phi, y))
             scale = max(1.0, abs(hphi * pdot), abs(hy * ydot))
-            worst = max(worst, abs(hphi * pdot + hy * ydot) / scale)
-    if worst > tol:
+            residuals.append(abs(hphi * pdot + hy * ydot) / scale)
+    worst = float(np.max(residuals))  # propagates a nan residual
+    if not worst <= tol:
         raise RuntimeError(f"first-integral self-check failed: dH/dtau relative residual {worst:.3e}")
 
 

@@ -30,8 +30,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .equilibria import EquilibriumCensus, SADDLE
-from .field import (FirstIntegral, SingularLineError, hamiltonian_partials,
-                    rhs_regular, regular_jacobian)
+from .field import FirstIntegral, regular_jacobian
 from .params import WaveParams
 
 __all__ = [
@@ -82,36 +81,17 @@ class Trajectory:
         hi = self.states.max(axis=0)
         return float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
 
-    def min_distance_to(self, point, n=2001):
-        _, xs = self.dense(n)
-        return float(np.min(np.hypot(xs[:, 0] - point[0], xs[:, 1] - point[1])))
-
-    def min_line_distance(self, n=2001):
-        s = float(self.wp.singular_line)
-        _, xs = self.dense(n)
-        return float(np.min(np.abs(xs[:, 0] - s)))
-
     def xi_of_tau(self, t_grid):
         """xi(tau) on a grid via cumulative trapezoid of theta*phi - C1."""
-        theta, C1 = float(self.wp.theta), float(self.wp.C1)
-        phis = self.sol(t_grid)[0]
-        integrand = theta * phis - C1
-        xi = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t_grid))))
-        return xi
+        return _xi_along(self.wp, t_grid, self.sol(t_grid)[0])
 
-    def line_events(self, strip):
-        """Singular-line interaction records: (tau, phi - s) at the axis
-        crossings with |phi - s| <= strip.  The line distance |phi - s| is
-        monotone in y's sign (d(phi-s)^2/dtau = 2 theta y (phi-s)^2), so
-        every closest approach to the line happens at a y = 0 crossing."""
-        s = float(self.wp.singular_line)
-        out = []
-        for t in self.axis_crossings:
-            phi = float(self.sol(t)[0])
-            if abs(phi - s) <= strip:
-                out.append((float(t), phi - s))
-        return out
+
+def _xi_along(wp: WaveParams, t_grid, phis):
+    """Cumulative trapezoid of theta*phi - C1 over t_grid, from phi samples
+    already evaluated on that grid."""
+    integrand = float(wp.theta) * phis - float(wp.C1)
+    return np.concatenate(
+        ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t_grid))))
 
 
 def _h_scale(h_values, h0):
@@ -175,23 +155,19 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
             status="ok" if res.success else (res.message or "solver failure"),
         )
         if fi is not None:
-            tg, xs = traj.dense(512)
+            _tg, xs = traj.dense(512)
+            p, y = xs[:, 0], xs[:, 1]
             h0 = fi.eval(*start)
             traj.h0 = h0
             if wp.m < 0:
                 cert = drift_limit * max(abs(h0), 1e-9)
-                kept = []
-                for p, y in xs:
-                    try:
-                        dhp, dhy = hamiltonian_partials(fi, (p, y))
-                    except SingularLineError:
-                        continue
-                    err = (abs(dhp) + abs(dhy)) * attempt_rtol * (1.0 + math.hypot(p, y))
-                    if err <= cert:
-                        kept.append(fi.eval(p, y))
-                hs = np.asarray(kept)
-            else:
-                hs = np.array([fi.eval(p, y) for p, y in xs])
+                off = p != float(fi.line)
+                p, y = p[off], y[off]
+                dhp, dhy = fi.partials(p, y)
+                err = (np.abs(dhp) + np.abs(dhy)) * attempt_rtol * (1.0 + np.hypot(p, y))
+                kept = err <= cert
+                p, y = p[kept], y[kept]
+            hs = fi.eval(p, y)
             if len(hs) == 0:
                 traj.h_drift_max = 0.0
                 return traj
@@ -206,22 +182,25 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
 
 
 def y_squared_fn(fi: FirstIntegral, h: float):
-    """phi -> y^2 on the level H = h (may be negative or infinite).
+    """phi -> y^2 on the level H = h (may be negative or infinite), for a
+    float or an array of phi.
 
     H = A(phi) y^2 + B(phi) with A = y2_coeff * (phi - line)^(m+1), so
     y^2 = (h - B)/A.  Returns +-inf at poles; raises nothing.
     """
 
+    line, a_coeff, power = float(fi.line), float(fi.y2_coeff), fi.y2_power
+
     def y2(phi):
-        try:
-            b = fi.eval(phi, 0.0)
-        except SingularLineError:
-            return math.inf
-        w = phi - float(fi.line)
-        a = float(fi.y2_coeff) * w ** fi.y2_power
-        if a == 0.0:
-            return math.inf if (h - b) >= 0 else -math.inf
-        return (h - b) / a
+        phi = np.asarray(phi, dtype=float)
+        w = phi - line
+        on_line = (w == 0.0) & fi.singular_on_line
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = fi.eval(np.where(on_line, line + 1.0, phi), 0.0)
+            a = a_coeff * w**power
+            out = np.where(a == 0.0, np.where(h - b >= 0, math.inf, -math.inf), (h - b) / a)
+        out = np.where(on_line, math.inf, out)
+        return float(out) if out.ndim == 0 else out
 
     return y2
 
@@ -257,18 +236,16 @@ def trace_level_curve(fi: FirstIntegral, h: float, phi_window, n=2001):
     if lo < s < hi:
         # make the line an explicit split point
         grid = np.unique(np.concatenate([grid, [s]]))
-    vals = np.array([y2(p) if p != s else -math.inf for p in grid])
+    vals = y2(grid)
+    vals[grid == s] = -math.inf
+    inside = np.isfinite(vals) & (vals > 0.0)
+    # runs of consecutive grid points with y^2 > 0, as [start, stop) pairs
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
 
     branches = []
-    i = 0
     N = len(grid)
-    while i < N:
-        if not (np.isfinite(vals[i]) and vals[i] > 0.0):
-            i += 1
-            continue
-        j = i
-        while j + 1 < N and np.isfinite(vals[j + 1]) and vals[j + 1] > 0.0:
-            j += 1
+    for i, stop in zip(edges[::2], edges[1::2]):
+        j = stop - 1
         # refine endpoints
         phis = list(grid[i:j + 1])
         left_closed = right_closed = False
@@ -287,7 +264,7 @@ def trace_level_curve(fi: FirstIntegral, h: float, phi_window, n=2001):
             except ValueError:
                 pass
         phi_arr = np.array(phis)
-        y_arr = np.sqrt(np.maximum([y2(p) for p in phi_arr], 0.0))
+        y_arr = np.sqrt(np.maximum(y2(phi_arr), 0.0))
         note = ""
         if not left_closed and math.isclose(phi_arr[0], s, abs_tol=2 * (hi - lo) / n):
             note = "asymptotic to the singular line"
@@ -295,7 +272,6 @@ def trace_level_curve(fi: FirstIntegral, h: float, phi_window, n=2001):
             note = "asymptotic to the singular line"
         branches.append(LevelBranch(phi=phi_arr, y=y_arr,
                                     closed=left_closed and right_closed, note=note))
-        i = j + 1
     return branches
 
 
@@ -322,16 +298,6 @@ def _line_pair(census: EquilibriumCensus):
         dn = min(pair, key=lambda e: e.y)
         return up, dn
     return None
-
-
-def _measure_jump(traj: Trajectory, t_lo, t_hi, s, strip, n=4001):
-    """y-variation across passes through the strip |phi - s| <= strip."""
-    tg = np.linspace(t_lo, t_hi, n)
-    xs = traj.sol(tg).T
-    inside = np.abs(xs[:, 0] - s) <= strip
-    if not inside.any():
-        return 0.0
-    return float(xs[inside, 1].max() - xs[inside, 1].min())
 
 
 def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, *,
@@ -373,13 +339,15 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
         if np.hypot(*(s3 - s1)) <= close_tol * scale:
             period_tau = float(t3 - t1)
             tg = np.linspace(t1, t3, 4001)
-            xi = traj.xi_of_tau(tg)
-            period_xi = float(abs(xi[-1]))
-            dense_states = traj.sol(tg).T
-            min_line = float(np.min(np.abs(dense_states[:, 0] - s)))
+            phis, ys = traj.sol(tg)
+            period_xi = float(abs(_xi_along(traj.wp, tg, phis)[-1]))
+            line_dist = np.abs(phis - s)
+            min_line = float(np.min(line_dist))
             if pair is not None and min_line <= prox_frac * max(diam, 1e-12):
-                strip = max(2.0 * min_line, 0.02 * diam)
-                jump = _measure_jump(traj, t1, t3, s, strip)
+                # y-variation across passes through the near-line strip,
+                # which holds at least the closest point
+                near_line = ys[line_dist <= max(2.0 * min_line, 0.02 * diam)]
+                jump = float(near_line.max() - near_line.min())
                 if jump >= jump_frac * amp:
                     return OrbitClass(tag=PERIODIC_PEAKON, amplitude=amp,
                                       period_tau=period_tau, period_xi=period_xi,

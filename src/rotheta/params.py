@@ -63,6 +63,12 @@ class WaveParams:
     c: Number | None = None
 
     def __post_init__(self):
+        for name in ("C1", "C2", "C3", "K", "c"):
+            v = getattr(self, name)
+            if v is None and name == "c":
+                continue
+            if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+                raise ValueError(f"{name} = {v} is not finite")
         m = _reduction_exponent(self.theta)
         object.__setattr__(self, "_m", m)
 

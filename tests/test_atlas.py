@@ -12,6 +12,7 @@ from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, classify_region,
                            sweep_singular_line)
 from rotheta.equilibria import census
 from rotheta.params import WaveParams
+from rotheta.verification import T1_BASE, T3_BASE
 
 
 D1_REGIME = WaveParams(Fraction(1, 4), 0.3, 2.0, -1.0, 3.0)
@@ -194,6 +195,45 @@ def test_sweep_scores_the_reduced_point():
     assert mid.agreement is True           # scored, not boundary-excluded
     assert {s.label.theorem for s in rep.samples} == {"T2", "T3"}
     assert rep.agreement_fraction == 1.0
+
+
+# (c1, (peakon, periodic_peakon, solitary, periodic_smooth), agreement,
+# boundary) per sample, as the per-point scalar observer reported them; the
+# array evaluation of the first integral must not change any of them.
+PINNED_SWEEPS = [
+    (T1_BASE, (0.85, -0.1), [
+        (0.85, (0, 0, 1, 1), True, False),
+        (0.7636363636363637, (0, 0, 1, 1), True, False),
+        (0.6772727272727272, (0, 0, 1, 1), True, False),
+        (0.5909090909090908, (2, 3, 0, 2), True, False),
+        (0.5045454545454545, (2, 3, 0, 2), True, False),
+        (0.41818181818181815, (2, 2, 0, 3), True, False),
+        (0.3318181818181818, (2, 2, 0, 3), True, False),
+        (0.24545454545454548, (2, 3, 0, 2), True, False),
+        (0.15909090909090906, (2, 3, 0, 2), True, False),
+        (0.07272727272727264, (2, 2, 0, 2), True, False),
+        (-0.013636363636363669, (0, 0, 1, 1), True, False),
+        (-0.1, (0, 0, 1, 1), True, False),
+    ]),
+    (T3_BASE, (0.2, -0.198), [
+        (0.2, (0, 0, 2, 8), True, False),
+        (0.12040000000000001, (0, 0, 2, 8), True, False),
+        (0.0408, (0, 0, 2, 4), True, False),
+        (-0.0388, (0, 0, 2, 8), True, False),
+        (-0.1184, (0, 0, 2, 8), True, False),
+        (-0.198, (0, 0, 2, 6), True, False),
+    ]),
+]
+
+
+@pytest.mark.parametrize("base, c1_range, expected", PINNED_SWEEPS,
+                         ids=["T1", "T3"])
+def test_sweep_observations_are_pinned(base, c1_range, expected):
+    rep = sweep_singular_line(WaveParams(C1=0.0, **base), c1_range, len(expected))
+    got = [(s.c1, (s.observed.peakon, s.observed.periodic_peakon,
+                   s.observed.solitary, s.observed.periodic_smooth),
+            s.agreement, s.boundary) for s in rep.samples]
+    assert got == expected
 
 
 def test_sweep_input_validation():

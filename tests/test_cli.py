@@ -44,6 +44,16 @@ def test_mode_conflicts_are_usage_errors(capsys):
     assert "usage error" in err
 
 
+def test_nonfinite_coefficients_are_rejected(tmp_path, capsys):
+    rest = ["--theta", "1/4", "--c2", "2", "--c3", "-1", "--k", "3"]
+    assert main(["params", "--c1", "nan"] + rest) == 2
+    assert main(["portrait", "--c1", "inf"] + rest + ["--out", str(tmp_path / "p")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert "singular line" not in captured.out
+    assert captured.err.count("invalid parameters") == 2
+
+
 def test_portrait_writes_deterministic_artifacts(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["portrait"] + D1 + ["--out", str(out)]) == 0

@@ -7,15 +7,18 @@ rounding; the published theta=1/2 and theta=1 forms must NOT.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotheta.field import (SingularLineError, build_first_integral,
-                           conservation_defect, eval_f, eval_g, eval_f_prime,
-                           published_first_integral, rhs_regular, rhs_singular)
+from rotheta.field import (SingularLineError, _conservation_spot_check,
+                           build_first_integral, conservation_defect, eval_f,
+                           eval_g, eval_f_prime, published_first_integral,
+                           rhs_regular, rhs_singular)
+from rotheta.orbits import y_squared_fn
 from rotheta.params import WaveParams
 
 T14 = Fraction(1, 4)
@@ -228,3 +231,43 @@ def test_partials_match_finite_differences(dphi, y):
     scale = 1.0 + abs(hp) + abs(hy)
     assert abs(hp - hp_fd) <= 2e-7 * scale
     assert abs(hy - hy_fd) <= 2e-7 * scale
+
+
+def test_spot_check_rejects_nan_residual():
+    wp = wp_of(T14, 0.3, 2.0, -1.0, 3.0)
+    fi = build_first_integral(wp)
+    broken = replace(fi, poly_shifted=fi.poly_shifted[:-1] + (math.nan,))
+    with pytest.raises(RuntimeError):
+        _conservation_spot_check(broken, wp)
+
+
+# --- array calls agree with the per-point scalar calls ----------------------
+
+ARRAY_THETAS = (T14, Fraction(1, 3), T12, T11)       # m = 1, 0, -1, -2
+off_line = st.tuples(st.floats(min_value=0.05, max_value=3.0),
+                     st.sampled_from((-1.0, 1.0)),
+                     st.floats(min_value=-2.0, max_value=2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ARRAY_THETAS), coeff, coeff, coeff, coeff,
+       st.lists(off_line, min_size=1, max_size=12),
+       st.floats(min_value=-5.0, max_value=5.0))
+def test_array_calls_match_scalar_calls(theta, C1, C2, C3, K, points, h):
+    fi = build_first_integral(wp_of(theta, C1, C2, C3, K))
+    s = float(fi.line)
+    phi = np.array([s + side * d for d, side, _y in points])
+    y = np.array([v for _d, _side, v in points])
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    close(list(fi.eval(phi, y)), [fi.eval(p, v) for p, v in zip(phi, y)])
+    dphi, dy = fi.partials(phi, y)
+    scalar = [fi.partials(p, v) for p, v in zip(phi, y)]
+    close(list(dphi), [d for d, _ in scalar])
+    close(list(dy), [d for _, d in scalar])
+
+    y2 = y_squared_fn(fi, h)
+    grid = np.append(phi, s)                       # the line itself too
+    close(list(y2(grid)), [y2(p) for p in grid])

@@ -106,6 +106,15 @@ def test_wave_params_rejects_nonfinite_speed():
         derive_wave_params(cor, float("inf"), "1/4")
 
 
+@given(st.sampled_from(["C1", "C2", "C3", "K", "c"]),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_wave_params_rejects_nonfinite_coefficients(name, bad):
+    fields = dict(C1=0.3, C2=2.0, C3=-1.0, K=3.0, c=1.0)
+    fields[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        WaveParams(theta=Fraction(1, 4), **fields)
+
+
 def test_wave_params_rejects_beta_zero_rotation():
     # beta = 0 at 3k^4 + 8k^2 - 1 = 0, i.e. k^2 = (-4 + sqrt(19))/3; the
     # corresponding Omega is real, so the guard must be reachable
