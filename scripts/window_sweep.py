@@ -6,7 +6,7 @@ observing numerically, and tallying agreement per line-position descriptor.
 A second sweep crosses C1 = 0 at theta = 1/2, where the single reduced
 point interrupts the smooth-waves-only band.
 
-Usage: python scripts/window_sweep.py [--samples 48] [--mode fast] [--full-range]
+Usage: python scripts/window_sweep.py [--samples 48] [--full-range]
 """
 
 import argparse
@@ -42,7 +42,6 @@ def summarize(rep):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=48)
-    ap.add_argument("--mode", choices=("fast", "full"), default="fast")
     ap.add_argument("--full-range", action="store_true",
                     help="push the left end to C1 = 0.001 (slow samples "
                     "with a nearly line-hugging window edge)")
@@ -50,14 +49,13 @@ def main():
 
     lo = 0.001 if args.full_range else 0.02
     print(f"theta = 1/4 family, C1 from 0.75 to {lo} "
-          f"({args.samples} samples, {args.mode} mode)")
-    rep = sweep_singular_line(T1_BASE, (0.75, lo), args.samples,
-                              mode=args.mode)
+          f"({args.samples} samples)")
+    rep = sweep_singular_line(T1_BASE, (0.75, lo), args.samples)
     summarize(rep)
 
     print(f"theta = 1/2 family, C1 from 0.3 to -0.3 across the reduced point")
     n = args.samples if args.samples % 2 == 1 else args.samples + 1
-    rep2 = sweep_singular_line(T2_BASE, (0.3, -0.3), n, mode=args.mode)
+    rep2 = sweep_singular_line(T2_BASE, (0.3, -0.3), n)
     summarize(rep2)
 
 

@@ -20,7 +20,11 @@ Other theta values have no theorem coverage and classification raises.
 Observation runs in the tau plane, where the singular line is invariant,
 except at the T3 point: there the line passes through an equilibrium and
 severs orbits that are perfectly smooth in the xi-profile plane, so the
-observer switches to the regular reduced system phi'' = 2 g(phi).
+observer switches to the regular reduced system phi'' = 2 g(phi).  In both
+planes saddle connections are found by shooting, and periodic families are
+read off the closed level-curve branches with no integration: a closed
+branch is the periodic orbit itself, classified from its geometry with its
+xi-period taken by quadrature.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .closedform import profile_rhs
 from .equilibria import EquilibriumCensus, SADDLE, census, find_g_roots, g_critical_points
@@ -39,8 +42,8 @@ from .field import (SingularLineError, build_first_integral, eval_f, eval_g,
                     eval_g_prime)
 from .orbits import (
     ANTI_PEAKON, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY,
-    classify_orbit, integrate, measure_axis_period, shoot_connection,
-    trace_level_curve,
+    branch_period, classify_level_branch, classify_orbit, shoot_connection,
+    trace_branches, trace_level_curve,
 )
 from .params import WaveParams
 
@@ -324,26 +327,24 @@ def _count(families, tag):
 
 
 def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
-                      fi=None, *, mode="fast", escape_radius=50.0,
-                      c1_tol=1e-9):
+                      fi=None, *, escape_radius=50.0, c1_tol=1e-9):
     """Count wave families numerically.
 
     Arches between the singular-line saddles and homoclinic loops at axis
-    saddles are found by shooting; periodic families by classifying one
-    closed level-curve branch per (level interval, branch) cell over the
-    canonical level samples.  "fast" loosens the level-orbit integration
-    tolerances; shooting always runs tight (weak saddles drift otherwise).
-    Returns (ObservedMenu, diagnostics).
+    saddles are found by shooting (tight tolerances; weak saddles drift
+    otherwise).  Periodic families come from the closed level-curve
+    branches over the canonical level samples, one (level interval, branch)
+    cell each: every closed branch that misses the singular line is a
+    periodic orbit, labelled PeriodicPeakon or PeriodicSmooth by
+    `classify_level_branch` from the branch alone, so no level orbit is
+    integrated.  Returns (ObservedMenu, diagnostics); a level-orbit entry
+    carries the quadrature period_xi (None if it did not converge).
     """
     if wp.theta == Fraction(1, 2) and abs(float(wp.C1)) <= c1_tol:
         return _observe_profile(wp, escape_radius=escape_radius)
 
     cen = cen if cen is not None else census(wp)
     fi = fi if fi is not None else build_first_integral(wp)
-    if mode == "full":
-        orb = dict(rtol=1e-10, atol=1e-12, drift_limit=1e-8, max_retries=1)
-    else:
-        orb = dict(rtol=1e-9, atol=1e-11, drift_limit=1e-6, max_retries=0)
     diag = []
 
     pair = sorted((e for e in cen.line_pair if e.kind == SADDLE),
@@ -390,16 +391,12 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
         for bi, br in enumerate(closed):
             if br.phi[-1] - br.phi[0] <= 1e-9 * (1.0 + abs(br.phi[0])):
                 continue  # point branch at a center
-            traj = integrate(wp, br.interior_point(), tau_span=3000.0, fi=fi,
-                             escape_radius=escape_radius,
-                             stop_after_crossings=3, **orb)
-            oc = classify_orbit(wp, traj, cen)
-            if oc.tag in (PERIODIC_PEAKON, PERIODIC_SMOOTH):
-                families.setdefault((interval, bi), set()).add(oc.tag)
-                diag.append({"kind": "level-orbit", "h": h, "interval": interval,
-                             "branch": bi, "tag": oc.tag,
-                             "period_xi": oc.period_xi,
-                             "jump": oc.derivative_jump})
+            oc = classify_level_branch(wp, fi, h, br, cen)
+            families.setdefault((interval, bi), set()).add(oc.tag)
+            diag.append({"kind": "level-orbit", "h": h, "interval": interval,
+                         "branch": bi, "tag": oc.tag,
+                         "period_xi": oc.period_xi,
+                         "jump": oc.derivative_jump})
 
     obs = ObservedMenu(peakon=peakon,
                        periodic_peakon=_count(families, PERIODIC_PEAKON),
@@ -463,45 +460,21 @@ def _observe_profile(wp: WaveParams, *, escape_radius=50.0):
     periodic = set()
     for h in samples:
         interval = int(np.searchsorted(crit_arr, h))
-        for bi, (lo, hi) in enumerate(_profile_branches(q_coeffs, h, window)):
-            phi0 = 0.5 * (lo + hi)
-            y0 = math.sqrt(max(np.polyval(q_coeffs, phi0) - 4.0 * h, 0.0))
-            period, _tc = measure_axis_period(rhs, (phi0, y0), span=2000.0)
-            if period is not None:
-                periodic.add((interval, bi))
-                diag.append({"kind": "level-orbit", "h": h, "interval": interval,
-                             "branch": bi, "tag": PERIODIC_SMOOTH,
-                             "period_xi": period})
+
+        def y2(phi, h=h):
+            return np.polyval(q_coeffs, phi) - 4.0 * h
+
+        closed = [b for b in trace_branches(y2, window, n=1501) if b.closed
+                  and b.phi[-1] - b.phi[0] > 1e-9 * (1.0 + abs(b.phi[0]))]
+        for bi, br in enumerate(closed):
+            periodic.add((interval, bi))
+            diag.append({"kind": "level-orbit", "h": h, "interval": interval,
+                         "branch": bi, "tag": PERIODIC_SMOOTH,
+                         "period_xi": branch_period(y2, br)})
 
     obs = ObservedMenu(peakon=0, periodic_peakon=0, solitary=solitary,
                        periodic_smooth=len(periodic))
     return obs, diag
-
-
-def _profile_branches(q_coeffs, h, window, n=1501):
-    """Closed runs of {Q(phi) - 4h > 0} as (lo, hi) turning-point pairs."""
-
-    def P(phi):
-        return np.polyval(q_coeffs, phi) - 4.0 * h
-
-    grid = np.linspace(window[0], window[1], n)
-    vals = P(grid)
-    runs = []
-    i = 0
-    while i < n:
-        if vals[i] <= 0.0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and vals[j + 1] > 0.0:
-            j += 1
-        if i > 0 and j + 1 < n:  # interior run: both ends bracketed
-            lo = brentq(P, grid[i - 1], grid[i], xtol=1e-14, rtol=1e-15)
-            hi = brentq(P, grid[j], grid[j + 1], xtol=1e-14, rtol=1e-15)
-            if hi - lo > 1e-9 * (1.0 + abs(lo)):
-                runs.append((lo, hi))
-        i = j + 1
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +522,7 @@ def _near_window_edge(wp: WaveParams, label: RegionLabel, rel=1e-3) -> bool:
     return any(abs(s - e) <= rel * (1.0 + abs(e)) for e in edges)
 
 
-def _sweep_one(base, c1, mode, escape_radius, eq_tol, boundary_tol):
+def _sweep_one(base, c1, escape_radius, eq_tol, boundary_tol):
     wp = replace(base, C1=float(c1))
     cen = census(wp)
     label = classify_region(wp, cen, eq_tol=eq_tol, boundary_tol=boundary_tol)
@@ -558,8 +531,7 @@ def _sweep_one(base, c1, mode, escape_radius, eq_tol, boundary_tol):
     structural = cen.is_boundary and label.theorem != "T3"
     boundary = label.boundary or structural or _near_window_edge(wp, label)
     predicted = None if label.boundary else predict_wave_menu(label)
-    observed, diag = observe_wave_menu(wp, cen, mode=mode,
-                                       escape_radius=escape_radius)
+    observed, diag = observe_wave_menu(wp, cen, escape_radius=escape_radius)
     agreement = None
     if not boundary and predicted is not None:
         agreement = menu_agrees(predicted, observed)
@@ -569,8 +541,7 @@ def _sweep_one(base, c1, mode, escape_radius, eq_tol, boundary_tol):
 
 
 def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
-                        mode="fast", escape_radius=50.0,
-                        eq_tol=1e-9, boundary_tol=1e-6) -> SweepReport:
+                        escape_radius=50.0, eq_tol=1e-9, boundary_tol=1e-6) -> SweepReport:
     """Classify/predict/observe across a right-to-left sweep of C1.
 
     `c1_range` = (right, left) with right > left; samples are strictly
@@ -592,6 +563,6 @@ def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
     if not hi > lo:
         raise ValueError("c1_range must be ordered right-to-left (hi > lo)")
     c1s = np.linspace(hi, lo, sample_count)
-    samples = [_sweep_one(base, c1, mode, escape_radius, eq_tol, boundary_tol)
+    samples = [_sweep_one(base, c1, escape_radius, eq_tol, boundary_tol)
                for c1 in c1s]
     return SweepReport(base=base, samples=samples)

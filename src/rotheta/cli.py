@@ -53,7 +53,6 @@ class RunConfig:
     c1_from: float | None = None
     c1_to: float | None = None
     samples: int = 200
-    mode: str = "fast"
     escape_radius: float = 50.0
     eq_tol: float = 1e-9
     boundary_tol: float = 1e-6
@@ -63,6 +62,10 @@ class RunConfig:
 
 def _fmt(v) -> str:
     return f"{float(v):.17g}"
+
+
+# allowed values of the choice-valued settings, for flags and config files
+_CHOICES = {"fmt": ("csv", "jsonl"), "wave_type": ("cn", "sn", "solitary")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c3", type=float, help="direct-mode coefficient C3")
         p.add_argument("--k", type=float, help="direct-mode coefficient K")
         p.add_argument("--out", help="output path (extensions added per format)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"),
+        p.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"],
                        help="data file format (default csv)")
         p.add_argument("--seed", type=int, help="seed for randomized suites")
 
@@ -103,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--h", type=float, action="append",
                    help="level value (repeatable; default: search canonical)")
-    p.add_argument("--type", dest="wave_type", choices=("cn", "sn", "solitary"),
+    p.add_argument("--type", dest="wave_type", choices=_CHOICES["wave_type"],
                    help="restrict to one profile family")
 
     p = sub.add_parser("sweep", help="move the singular line: classify and "
@@ -114,8 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1-to", type=float, dest="c1_to",
                    help="last C1 value (left end, smaller)")
     p.add_argument("--samples", type=int, help="sample count (default 200)")
-    p.add_argument("--mode", choices=("fast", "full"),
-                   help="observer integration tolerances")
     p.add_argument("--escape-radius", type=float, dest="escape_radius")
 
     p = sub.add_parser("verify", help="run the named verification checks")
@@ -125,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _KEY_ALIASES = {"format": "fmt", "type": "wave_type"}
+_FILE_KEYS = {v: k for k, v in _KEY_ALIASES.items()}
 
 
 def _read_config_file(path: str) -> dict:
@@ -168,11 +170,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             setattr(cfg, name, flag)
         elif name in file_cfg:
+            key = _FILE_KEYS.get(name, name)
+            choices = _CHOICES.get(name)
+            if choices is not None and file_cfg[name] not in choices:
+                raise UsageError(f"bad config value for {key}: {file_cfg[name]!r} "
+                                 f"(choose from {', '.join(choices)})")
             coerce = _FILE_COERCE.get(name, str)
             try:
                 setattr(cfg, name, coerce(file_cfg[name]))
             except ValueError as exc:
-                raise UsageError(f"bad config value for {name}: {exc}")
+                raise UsageError(f"bad config value for {key}: {exc}")
     unknown = set(file_cfg) - set(vars(cfg))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -510,7 +517,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.c1_from is None or cfg.c1_to is None:
         raise UsageError("sweep needs --c1-from and --c1-to")
     rep = sweep_singular_line(base_wp, (cfg.c1_from, cfg.c1_to), cfg.samples,
-                              mode=cfg.mode, escape_radius=cfg.escape_radius,
+                              escape_radius=cfg.escape_radius,
                               eq_tol=cfg.eq_tol, boundary_tol=cfg.boundary_tol)
 
     scored = sum(1 for s in rep.samples if s.agreement is not None)

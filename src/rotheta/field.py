@@ -57,8 +57,6 @@ __all__ = [
     "rhs_regular",
     "regular_jacobian",
     "build_first_integral",
-    "eval_H",
-    "hamiltonian_partials",
     "published_first_integral",
     "conservation_defect",
 ]
@@ -289,15 +287,6 @@ def _conservation_spot_check(fi: FirstIntegral, wp: WaveParams, tol: float = 1e-
     worst = float(np.max(residuals))  # propagates a nan residual
     if not worst <= tol:
         raise RuntimeError(f"first-integral self-check failed: dH/dtau relative residual {worst:.3e}")
-
-
-def eval_H(fi: FirstIntegral, point: PhasePoint) -> float:
-    """Level value h = H(point)."""
-    return fi.eval(point[0], point[1])
-
-
-def hamiltonian_partials(fi: FirstIntegral, point: PhasePoint) -> PhasePoint:
-    return fi.partials(point[0], point[1])
 
 
 def _validity_note(wp: WaveParams) -> str:

@@ -1,7 +1,14 @@
 """Numeric orbits of the tau-form system: integration, level curves,
 separatrix shooting and wave-type classification.
 
-The integrator wraps scipy's DOP853 with dense output and three events
+Closed orbits are read off the level curves of the first integral: a
+closed branch of {H = h} that misses the singular line is the periodic
+orbit itself, so `classify_level_branch` labels it from the traced branch
+and takes its xi-period by quadrature (`branch_period`), with no
+integration.  The integrator is for everything a level curve cannot show:
+saddle connections (`shoot_connection`), conservation checks, and the
+reference path (`integrate` + `classify_orbit`) the branch classifier is
+tested against.  It wraps scipy's DOP853 with dense output and three events
 (escape radius, singular-line crossing, axis crossing).  The first integral
 is monitored along every accepted trajectory; if the relative drift exceeds
 the limit the run is retried once at tighter tolerances.
@@ -23,11 +30,13 @@ Classification vocabulary (the `tag` of :class:`OrbitClass`):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
 from .equilibria import EquilibriumCensus, SADDLE
 from .field import FirstIntegral, regular_jacobian
@@ -39,7 +48,10 @@ __all__ = [
     "LevelBranch",
     "integrate",
     "trace_level_curve",
+    "trace_branches",
     "y_squared_fn",
+    "branch_period",
+    "classify_level_branch",
     "classify_orbit",
     "shoot_connection",
     "measure_axis_period",
@@ -64,7 +76,8 @@ class Trajectory:
     line_crossings: np.ndarray  # times where theta*phi - C1 changed sign
     axis_crossings: np.ndarray  # times where y changed sign
     h0: float | None = None
-    h_drift_max: float | None = None
+    h_drift_max: float | None = None   # None: not measured on any sample
+    drift_samples: int = 0             # dense samples the drift was measured on
     rtol_used: float = 0.0
     status: str = ""
 
@@ -113,7 +126,7 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
     being certified: there the requested drift_limit is unverifiable at the
     attempted tolerance no matter how well the solver did.  Orbits that
     collapse onto the line can end up with no measurable samples; the drift
-    then reads 0.
+    is then unverified and `h_drift_max` stays None (never 0).
     Escape beyond `escape_radius` terminates with `escaped=True`; step-size
     failure near degenerate points returns the partial orbit with a status.
     `stop_after_crossings=n` ends the run at the n-th y = 0 crossing (a
@@ -168,8 +181,8 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
                 kept = err <= cert
                 p, y = p[kept], y[kept]
             hs = fi.eval(p, y)
+            traj.drift_samples = len(hs)
             if len(hs) == 0:
-                traj.h_drift_max = 0.0
                 return traj
             traj.h_drift_max = float(np.max(np.abs(hs - h0))) / _h_scale(hs, h0)
             if traj.h_drift_max > drift_limit and attempt_rtol > 1e-13:
@@ -225,13 +238,22 @@ def trace_level_curve(fi: FirstIntegral, h: float, phi_window, n=2001):
     """Branches of {H = h} inside phi_window, each as the y >= 0 half.
 
     The grid run is split at the singular line (level curves only meet the
-    line at the critical level), turning points are refined by bisection on
-    y^2, and a branch is `closed` when both of its ends are turning points
-    strictly inside the window.
+    line at the critical level); see `trace_branches`.
+    """
+    return trace_branches(y_squared_fn(fi, h), phi_window, n, line=float(fi.line))
+
+
+def trace_branches(y2, phi_window, n=2001, line=None):
+    """Runs of {y2(phi) > 0} inside phi_window, each as the branch
+    y = sqrt(y2) >= 0 of a curve symmetric in y.
+
+    `y2` maps a phi array to y^2 on the level.  Turning points are refined
+    by bisection on y^2, and a branch is `closed` when both of its ends are
+    turning points strictly inside the window.  A `line` inside the window
+    is made a grid point that no branch may cross.
     """
     lo, hi = float(phi_window[0]), float(phi_window[1])
-    s = float(fi.line)
-    y2 = y_squared_fn(fi, h)
+    s = math.nan if line is None else float(line)
     grid = np.linspace(lo, hi, n)
     if lo < s < hi:
         # make the line an explicit split point
@@ -300,19 +322,110 @@ def _line_pair(census: EquilibriumCensus):
     return None
 
 
+PROX_FRAC = 0.05   # closest approach to the line, per unit of orbit diameter
+JUMP_FRAC = 0.1    # near-line slope jump, per unit of phi-amplitude
+
+
+def _closed_orbit_class(pair, amp, diam, min_line, strip_jump, **periods) -> OrbitClass:
+    """PeriodicPeakon or PeriodicSmooth for a closed orbit.
+
+    A peakon-like period requires (a) the singular line to carry a saddle
+    pair, (b) closest approach within PROX_FRAC of the orbit diameter, and
+    (c) a slope jump across the near-line strip of at least JUMP_FRAC times
+    the phi-amplitude (the finite jump inherited from the limiting arch).
+    `strip_jump(r)` is the y-variation over the orbit's points within r of
+    the line; it is called only when (a) and (b) hold.
+    """
+    if pair is not None and min_line <= PROX_FRAC * max(diam, 1e-12):
+        # the strip holds at least the closest point
+        jump = strip_jump(max(2.0 * min_line, 0.02 * diam))
+        if jump >= JUMP_FRAC * amp:
+            return OrbitClass(tag=PERIODIC_PEAKON, amplitude=amp,
+                              derivative_jump=jump, min_line_distance=min_line,
+                              detail="closed orbit with near-line slope jump",
+                              **periods)
+    return OrbitClass(tag=PERIODIC_SMOOTH, amplitude=amp,
+                      min_line_distance=min_line, detail="closed orbit", **periods)
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    return roots_legendre(n)
+
+
+def branch_period(y2, branch: LevelBranch) -> float | None:
+    """xi-period 2 * integral of dphi / y over a closed branch (dxi = dphi / y
+    off the singular line), or None when the quadrature does not converge.
+
+    The substitution phi = mid + half sin t removes the inverse-square-root
+    singularity at the turning points.  The t-range is cut into
+    Gauss-Legendre panels at the branch's interior local minima of y, where
+    a level near a saddle pinches the orbit and 1/y peaks; without the cuts
+    a 64-node rule is off by up to 9 % near separatrix levels.  The node count
+    per panel doubles from 32 to at most 1024 until two successive sums agree
+    to 1e-9 relative.  Tiny orbits around a center at a level just off the
+    center's can miss that: there y^2 = (h - B)/A is a difference of nearly
+    equal numbers, and its rounding moves the sums by about 1e-8.
+    """
+    a, b = branch.phi_range
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    y = branch.y
+    dips = np.flatnonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])) + 1
+    cuts = np.arcsin(np.clip((branch.phi[dips] - mid) / half, -1.0, 1.0))
+    edges = np.concatenate(([-0.5 * math.pi], cuts, [0.5 * math.pi]))
+    t0, t1 = edges[:-1, None], edges[1:, None]
+    prev = None
+    n = 32
+    while n <= 1024:
+        x, w = _gauss_legendre(n)
+        t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)       # (panels, n)
+        with np.errstate(invalid="ignore"):
+            dphi_over_y = half * np.cos(t) / np.sqrt(y2(mid + half * np.sin(t)))
+        total = float(np.sum(0.5 * (t1 - t0) * w * dphi_over_y)) * 2.0
+        if prev is not None and abs(total - prev) <= 1e-9 * abs(total):
+            return total
+        prev = total
+        n *= 2
+    return None
+
+
+def classify_level_branch(wp: WaveParams, fi: FirstIntegral, h: float,
+                          branch: LevelBranch, census: EquilibriumCensus) -> OrbitClass:
+    """Wave-type label of the periodic orbit a closed branch of {H = h} traces.
+
+    H is even in y and the branch misses the singular line, so the branch
+    and its mirror are one closed orbit.  Its phi-range [a, b] gives the
+    amplitude b - a, the diameter hypot(b - a, 2 max y) and the closest
+    approach to the line; the near-line slope jump is 2 max y over the
+    strip, on a fine sub-grid.  The PeriodicPeakon rule is the one
+    `classify_orbit` applies to integrated trajectories.  period_xi comes
+    from `branch_period`; the tag never depends on it.
+    """
+    s = float(wp.singular_line)
+    y2 = y_squared_fn(fi, h)
+    a, b = branch.phi_range
+    amp = b - a
+    diam = math.hypot(amp, 2.0 * float(np.max(branch.y)))
+    min_line = max(a - s, s - b, 0.0)
+
+    def strip_jump(r):
+        grid = np.linspace(max(a, s - r), min(b, s + r), 257)
+        return 2.0 * math.sqrt(max(float(np.max(y2(grid))), 0.0))
+
+    return _closed_orbit_class(_line_pair(census), amp, diam, min_line, strip_jump,
+                               period_xi=branch_period(y2, branch))
+
+
 def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, *,
-                   jump_frac=0.1, prox_frac=0.05, sep_tol=1e-3,
-                   close_tol=1e-5) -> OrbitClass:
+                   sep_tol=1e-3, close_tol=1e-5) -> OrbitClass:
     """Assign a wave-type label to an integrated trajectory.
 
     Closed orbits (two same-direction axis crossings returning to the same
     state within close_tol * scale) are split into PeriodicPeakon vs
-    PeriodicSmooth: a peakon-like period requires (a) the singular line to
-    carry a saddle pair, (b) closest approach within prox_frac of the orbit
-    diameter, and (c) a slope jump across the near-line strip of at least
-    jump_frac times the phi-amplitude (the finite jump inherited from the
-    limiting arch).  Non-recurrent orbits are checked for saddle-to-saddle
-    connections (arch => Peakon/AntiPeakon, loop => Solitary).
+    PeriodicSmooth by the rule of `_closed_orbit_class`, with the slope
+    jump measured on the dense trajectory.  Non-recurrent orbits are checked
+    for saddle-to-saddle connections (arch => Peakon/AntiPeakon, loop =>
+    Solitary).
     """
     s = float(wp.singular_line)
     if traj.escaped:
@@ -337,26 +450,18 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
         t1, t3 = tc[0], tc[2]
         s1, s3 = traj.sol(t1), traj.sol(t3)
         if np.hypot(*(s3 - s1)) <= close_tol * scale:
-            period_tau = float(t3 - t1)
             tg = np.linspace(t1, t3, 4001)
             phis, ys = traj.sol(tg)
-            period_xi = float(abs(_xi_along(traj.wp, tg, phis)[-1]))
             line_dist = np.abs(phis - s)
-            min_line = float(np.min(line_dist))
-            if pair is not None and min_line <= prox_frac * max(diam, 1e-12):
-                # y-variation across passes through the near-line strip,
-                # which holds at least the closest point
-                near_line = ys[line_dist <= max(2.0 * min_line, 0.02 * diam)]
-                jump = float(near_line.max() - near_line.min())
-                if jump >= jump_frac * amp:
-                    return OrbitClass(tag=PERIODIC_PEAKON, amplitude=amp,
-                                      period_tau=period_tau, period_xi=period_xi,
-                                      derivative_jump=jump, min_line_distance=min_line,
-                                      detail="closed orbit with near-line slope jump")
-            return OrbitClass(tag=PERIODIC_SMOOTH, amplitude=amp,
-                              period_tau=period_tau, period_xi=period_xi,
-                              min_line_distance=min_line,
-                              detail="closed orbit")
+
+            def strip_jump(r):
+                near_line = ys[line_dist <= r]
+                return float(near_line.max() - near_line.min())
+
+            return _closed_orbit_class(
+                pair, amp, diam, float(np.min(line_dist)), strip_jump,
+                period_tau=float(t3 - t1),
+                period_xi=float(abs(_xi_along(traj.wp, tg, phis)[-1])))
 
     # --- saddle connections ----------------------------------------------
     saddles = [e for e in census.equilibria if e.kind == SADDLE]

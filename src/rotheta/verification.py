@@ -98,12 +98,17 @@ def check_conservation(seed=DEFAULT_SEED):
     det = []
     for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(1, 1)):
         worst = 0.0
+        unverified = 0  # trials with no measurable sample (h_drift_max None)
         for _ in range(100):
             wp, start = _conservation_draw(rng, theta)
             traj = integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
-            worst = max(worst, traj.h_drift_max)
+            if traj.h_drift_max is None:
+                unverified += 1
+            else:
+                worst = max(worst, traj.h_drift_max)
         ok = ok and worst <= 1e-8
-        det.append(f"theta = {theta}: max relative H drift {worst:.3e} (<= 1e-8)")
+        det.append(f"theta = {theta}: max relative H drift {worst:.3e} (<= 1e-8) "
+                   f"({unverified} unverified)")
 
     # theta = 1/4: machine coefficients equal the published polynomial
     # exactly (Fraction arithmetic); the forms differ only by the additive

@@ -3,14 +3,20 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, classify_region,
-                           menu_agrees, observe_wave_menu, predict_wave_menu,
-                           sweep_singular_line)
+from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, canonical_levels,
+                           classify_region, menu_agrees, observe_wave_menu,
+                           predict_wave_menu, sweep_singular_line)
+from rotheta.closedform import closed_form_menu
 from rotheta.equilibria import census
+from rotheta.field import build_first_integral, rhs_singular
+from rotheta.orbits import (branch_period, classify_level_branch, classify_orbit,
+                            integrate, measure_axis_period, trace_branches,
+                            trace_level_curve)
 from rotheta.params import WaveParams
 from rotheta.verification import T1_BASE, T3_BASE
 
@@ -241,3 +247,79 @@ def test_sweep_input_validation():
         sweep_singular_line(D1_REGIME, (0.75, 0.05), 1)
     with pytest.raises(ValueError):
         sweep_singular_line(D1_REGIME, (0.05, 0.75), 5)
+
+
+# --- level-branch classification against the integrated reference ---------------
+
+# level-orbit tolerances the observer integrated with before it classified
+# closed branches by quadrature
+FAST_LEVEL_ORBIT = dict(rtol=1e-9, atol=1e-11, drift_limit=1e-6, max_retries=0)
+
+
+def _observed_branches(wp):
+    """(h, branch, first integral, census) for every closed, non-point level
+    branch the tau-plane observer classifies."""
+    cen, fi = census(wp), build_first_integral(wp)
+    _crit, samples = canonical_levels(wp, cen, fi)
+    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
+    pad = 1.0 + 0.5 * (max(phis) - min(phis))
+    window = (min(phis) - pad, max(phis) + pad)
+    for h in samples:
+        for br in trace_level_curve(fi, h, window, n=1501):
+            if br.closed and br.phi[-1] - br.phi[0] > 1e-9 * (1.0 + abs(br.phi[0])):
+                yield h, br, fi, cen
+
+
+REFERENCE_POINTS = (
+    [WaveParams(C1=c1, **base)
+     for base, c1_range, expected in PINNED_SWEEPS for c1, *_ in expected]
+    + [WaveParams(C1=0.3, **T1_BASE), WaveParams(C1=0.8, **T1_BASE)])
+
+
+def test_level_branch_tags_match_integration():
+    # the pinned sweep grids and the two peakon-detection points
+    n = 0
+    for wp in REFERENCE_POINTS:
+        for h, br, fi, cen in _observed_branches(wp):
+            traj = integrate(wp, br.interior_point(), tau_span=3000.0, fi=fi,
+                             stop_after_crossings=3, **FAST_LEVEL_ORBIT)
+            want = classify_orbit(wp, traj, cen).tag
+            got = classify_level_branch(wp, fi, h, br, cen).tag
+            assert got == want, (wp.C1, h, br.phi_range)
+            n += 1
+    assert n >= 150
+
+
+@pytest.mark.parametrize("wp", [WaveParams(C1=0.3, **T1_BASE),
+                                WaveParams(C1=0.12, **T3_BASE)],
+                         ids=["theta=1/4", "theta=1/2"])
+def test_branch_period_matches_tight_integration(wp):
+    # the xi-form's own time between the first and third axis crossing
+    n = 0
+    for h, br, fi, cen in _observed_branches(wp):
+        period = classify_level_branch(wp, fi, h, br, cen).period_xi
+        ref, _tc = measure_axis_period(lambda _t, x: rhs_singular(wp, x),
+                                       br.interior_point(), span=500.0)
+        assert period == pytest.approx(ref, rel=1e-7), (h, br.phi_range)
+        n += 1
+    assert n >= 8
+
+
+def test_branch_period_matches_closed_forms():
+    # theta = 1/2, C1 = 0: profile-plane branches of y^2 = Q(phi) - 4h
+    wp = WaveParams(C1=0.0, **T3_BASE)
+    q = (float(wp.C3), 4.0 * float(wp.C2) / 3.0, 1.0, 4.0 * float(wp.K), 0.0)
+    _crit, samples = canonical_levels(wp)
+    n = 0
+    for h in samples:
+        def y2(phi):
+            return np.polyval(q, phi) - 4.0 * h
+        branches = [b for b in trace_branches(y2, (-4.0, 4.0)) if b.closed]
+        for sol in closed_form_menu(wp, h):
+            if sol.period is None:
+                continue
+            br = next(b for b in branches
+                      if np.allclose(b.phi_range, sol.phi_range, atol=1e-8))
+            assert branch_period(y2, br) == pytest.approx(sol.period, rel=1e-9)
+            n += 1
+    assert n >= 4

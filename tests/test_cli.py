@@ -175,6 +175,22 @@ def test_config_file_validation(tmp_path, capsys):
     assert "not key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("portrait", "format = xml", "bad config value for format: 'xml'"),
+    ("wave", "type = bogus", "bad config value for type: 'bogus'"),
+    ("sweep", "mode = fast", "unknown config keys: mode"),
+])
+def test_config_file_values_are_checked(tmp_path, capsys, command, line, message):
+    # a config value is held to the same choices as the flag it stands for
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 1/2\nc1 = 0\nc2 = 0.9\nc3 = -1\nk = -0.05\n"
+                   "c1-from = 0.1\nc1-to = -0.1\nsamples = 3\n"
+                   f"out = {tmp_path / 'o'}\n{line}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 # What the setuptools console-script wrapper does.  The entry point's
 # "module:attr" value comes in as the first argument and is resolved the way
 # an installer resolves it.

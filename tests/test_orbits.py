@@ -11,12 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from rotheta.equilibria import census, linearization_determinant
 from rotheta.field import build_first_integral, rhs_regular, rhs_singular
-from rotheta.orbits import (classify_orbit, integrate, measure_axis_period,
-                            shoot_connection, trace_level_curve)
+from rotheta.orbits import (classify_level_branch, classify_orbit, integrate,
+                            measure_axis_period, shoot_connection,
+                            trace_level_curve)
 from rotheta.params import WaveParams
 
 
@@ -73,6 +76,32 @@ def test_drift_bound_random_draws(regime):
         traj = integrate(wp, tuple(start), tau_span=10.0, fi=fi)
         worst = max(worst, traj.h_drift_max)
     assert worst <= 1e-8
+
+
+def test_drift_is_unverified_when_no_sample_is_measurable():
+    # theta = 1/2 (m = -1): the orbit runs into the singular line phi = 2 C1,
+    # where grad H blows up and every dense sample is excluded
+    wp = WaveParams(Fraction(1, 2), -0.4765643203477026, 0.11186695468380914,
+                    -1.4238409023448009, 0.8541582655748021)
+    traj = integrate(wp, (-1.2456036934136288, -0.8798763700237017),
+                     tau_span=10.0, fi=build_first_integral(wp))
+    assert traj.drift_samples == 0
+    assert traj.h_drift_max is None
+
+
+@given(theta=st.sampled_from([Fraction(1, 2), Fraction(1, 1)]),
+       C1=st.floats(-1.0, 1.0), C2=st.floats(-1.0, 1.0),
+       C3=st.floats(-2.0, -0.2), K=st.floats(-1.0, 1.0),
+       start=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+@settings(max_examples=25, deadline=None)
+def test_drift_is_a_number_only_when_measured(theta, C1, C2, C3, K, start):
+    wp = WaveParams(theta, C1, C2, C3, K)
+    assume(float(theta) * start[0] != C1)  # H is undefined on the line
+    traj = integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
+    if traj.drift_samples == 0:
+        assert traj.h_drift_max is None
+    else:
+        assert isinstance(traj.h_drift_max, float)
 
 
 def test_xi_tau_reparametrization_consistency(regime):
@@ -182,6 +211,31 @@ def test_periodic_peakon_family_approaches_arch_period(regime):
         assert oc.derivative_jump >= 0.1 * oc.amplitude
         periods.append(oc.period_xi)
     # monotone decrease onto the arch's xi extent
+    assert all(a > b for a, b in zip(periods, periods[1:]))
+    assert all(p > arch_xi for p in periods)
+    assert periods[-1] - arch_xi <= 5e-3
+
+
+def test_periodic_peakon_branches_approach_arch_period(regime):
+    # quadrature twin of the integrated family above: the closed branch
+    # through (phi0, 0) around the center at 0, with phi0 -> line
+    wp, cen, fi = regime
+    pair = sorted(cen.line_pair, key=lambda e: e.y)
+    hit, arch = shoot_connection(wp, pair[1], pair[0], side="left")
+    assert hit
+    tg = np.linspace(arch.t[0], arch.t[-1], 4001)
+    arch_xi = abs(arch.xi_of_tau(tg)[-1])
+
+    periods = []
+    for phi0 in (0.9, 1.0, 1.1, 1.15, 1.19):   # h decreasing toward 0
+        h = fi.eval(phi0, 0.0)
+        br = next(b for b in trace_level_curve(fi, h, (-1.0, 1.2))
+                  if b.closed and b.phi[0] < 0.0 < b.phi[-1])
+        assert br.phi[-1] == pytest.approx(phi0, abs=1e-9)
+        oc = classify_level_branch(wp, fi, h, br, cen)
+        assert oc.tag == "PeriodicPeakon"
+        assert oc.derivative_jump >= 0.1 * oc.amplitude
+        periods.append(oc.period_xi)
     assert all(a > b for a, b in zip(periods, periods[1:]))
     assert all(p > arch_xi for p in periods)
     assert periods[-1] - arch_xi <= 5e-3
