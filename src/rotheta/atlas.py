@@ -20,30 +20,32 @@ Other theta values have no theorem coverage and classification raises.
 Observation runs in the tau plane, where the singular line is invariant,
 except at the T3 point: there the line passes through an equilibrium and
 severs orbits that are perfectly smooth in the xi-profile plane, so the
-observer switches to the regular reduced system phi'' = 2 g(phi).  In both
-planes saddle connections are found by shooting, and periodic families are
-read off the closed level-curve branches with no integration: a closed
-branch is the periodic orbit itself, classified from its geometry with its
-xi-period taken by quadrature.
+observer switches to the regular reduced system phi'' = 2 g(phi).  A
+`Plane` describes either one, and one loop serves both: saddle connections
+are shot by `saddle_connections` (which the portrait draws from too), and
+periodic families are read off the closed level-curve branches with no
+integration: a closed branch is the periodic orbit itself, classified from
+its geometry with its xi-period taken by quadrature.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .closedform import profile_rhs
-from .equilibria import EquilibriumCensus, SADDLE, census, find_g_roots, g_critical_points
+from .equilibria import (Equilibrium, EquilibriumCensus, SADDLE, census, find_g_roots,
+                         g_critical_points)
 from .field import (SingularLineError, build_first_integral, eval_f, eval_g,
                     eval_g_prime)
 from .orbits import (
-    ANTI_PEAKON, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY,
+    ANTI_PEAKON, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY, OrbitClass,
     branch_period, classify_level_branch, classify_orbit, shoot_connection,
-    trace_branches, trace_level_curve,
+    shoot_in_plane, trace_branches, trace_level_curve,
 )
 from .params import WaveParams
 
@@ -52,12 +54,15 @@ __all__ = [
     "RegionLabel",
     "WaveMenu",
     "ObservedMenu",
+    "Plane",
     "SweepSample",
     "SweepReport",
     "canonical_levels",
     "classify_region",
     "predict_wave_menu",
     "observe_wave_menu",
+    "tau_plane",
+    "saddle_connections",
     "menu_agrees",
     "sweep_singular_line",
 ]
@@ -326,36 +331,129 @@ def _count(families, tag):
     return sum(1 for tags in families.values() if tag in tags)
 
 
+@dataclass(frozen=True)
+class Plane:
+    """A phase plane wave families are counted in.  The tau plane and the
+    reduced point's profile plane share the shooting and the level loop of
+    `observe_wave_menu`; they differ only in these fields."""
+
+    shoot: Callable            # shoot_connection with the plane's RHS and Jacobian
+    classify: Callable         # Trajectory of a connection -> OrbitClass
+    pair: tuple                # saddles on the singular line, upper first
+    saddles: tuple             # saddles off the line
+    crit: list                 # critical levels, ascending
+    window: tuple              # phi range level curves are traced in
+    branches: Callable         # h -> y >= 0 branches of the level curve in the window
+    classify_branch: Callable  # (h, closed branch) -> OrbitClass
+    header: tuple = ()         # leading diagnostics entries
+
+    @property
+    def samples(self):
+        return _level_samples(self.crit)
+
+
+def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
+    """The tau plane, where H is the first integral and the singular line
+    is invariant."""
+    cen = cen if cen is not None else census(wp)
+    fi = fi if fi is not None else build_first_integral(wp)
+    crit, _samples = canonical_levels(wp, cen, fi)
+    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
+    pad = 1.0 + 0.5 * (max(phis) - min(phis))
+    window = (min(phis) - pad, max(phis) + pad)
+    return Plane(
+        shoot=partial(shoot_connection, wp),
+        classify=lambda traj: classify_orbit(wp, traj, cen),
+        pair=tuple(sorted((e for e in cen.line_pair if e.kind == SADDLE),
+                          key=lambda e: -e.y)),
+        saddles=tuple(e for e in cen.equilibria
+                      if e.kind == SADDLE and not e.on_singular_line),
+        crit=crit, window=window,
+        branches=lambda h: trace_level_curve(fi, h, window, n=1501),
+        classify_branch=lambda h, br: classify_level_branch(wp, fi, h, br, cen))
+
+
+def _profile_plane(wp: WaveParams) -> Plane:
+    """The regular profile plane phi' = y, y' = 2 g(phi) of the reduced
+    point theta = 1/2, C1 = 0, whose energy is 4h = Q(phi) - y^2 with Q the
+    antiderivative of 4g.
+
+    The tau plane is useless there: the invariant line phi = 0 passes
+    through an equilibrium and severs every orbit crossing it.  Every
+    connection in this plane is a homoclinic loop, and no line carries
+    saddles, so every closed orbit is smooth.
+    """
+    wp0 = replace(wp, C1=0.0) if float(wp.C1) != 0.0 else wp
+    rhs = profile_rhs(wp0)
+    C2, C3, K = float(wp0.C2), float(wp0.C3), float(wp0.K)
+    q_coeffs = (C3, 4.0 * C2 / 3.0, 1.0, 4.0 * K, 0.0)
+    roots = [(r, eval_g_prime(wp0, r)) for r, _ in find_g_roots(wp0)]
+
+    def y2(h):
+        return lambda phi: np.polyval(q_coeffs, phi) - 4.0 * h
+
+    def shoot(from_eq, to_eq, **kw):
+        jacobian = ((0.0, 1.0), (2.0 * eval_g_prime(wp0, from_eq.phi), 0.0))
+        return shoot_in_plane(wp0, rhs, jacobian, from_eq, to_eq, **kw)
+
+    span_phi = max((abs(r) for r, _ in roots), default=1.0)
+    window = (-span_phi - 2.0, span_phi + 2.0)
+    return Plane(
+        shoot=shoot,
+        classify=lambda traj: OrbitClass(tag=SOLITARY,
+                                         amplitude=float(np.ptp(traj.states[:, 0]))),
+        pair=(),
+        saddles=tuple(Equilibrium(phi=r, y=0.0, kind=SADDLE, J=-2.0 * gp, trace=0.0)
+                      for r, gp in roots if gp > 0.0),
+        crit=sorted({0.25 * float(np.polyval(q_coeffs, r)) for r, _ in roots}),
+        window=window,
+        branches=lambda h: trace_branches(y2(h), window, n=1501),
+        classify_branch=lambda h, br: OrbitClass(
+            tag=PERIODIC_SMOOTH, amplitude=br.phi[-1] - br.phi[0],
+            period_xi=branch_period(y2(h), br)),
+        header=({"kind": "plane", "note": "profile plane (reduced system)"},))
+
+
+def saddle_connections(plane: Plane, escape_radius):
+    """Shoot every saddle connection of `plane`: the two arches from the
+    upper to the lower line saddle (sep_tol 1e-3), then the homoclinic
+    loops at each axis saddle (sep_tol 1e-4), left ray before right.
+    Yields (kind, saddle, side, hit, Trajectory), kind "arch" or "loop"."""
+    shots = [("arch", plane.pair[0], plane.pair[1], 1e-3)] if len(plane.pair) == 2 else []
+    shots += [("loop", eq, eq, 1e-4) for eq in plane.saddles]
+    for kind, from_eq, to_eq, sep_tol in shots:
+        for side in ("left", "right"):
+            hit, traj = plane.shoot(from_eq, to_eq, side=side, sep_tol=sep_tol,
+                                    escape_radius=escape_radius)
+            yield kind, from_eq, side, hit, traj
+
+
 def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
                       fi=None, *, escape_radius=50.0, c1_tol=1e-9):
     """Count wave families numerically.
 
+    The count runs in the tau plane, except at the reduced point theta =
+    1/2, C1 = 0, where it runs in the profile plane (`_profile_plane`).
     Arches between the singular-line saddles and homoclinic loops at axis
     saddles are found by shooting (tight tolerances; weak saddles drift
     otherwise).  Periodic families come from the closed level-curve
     branches over the canonical level samples, one (level interval, branch)
     cell each: every closed branch that misses the singular line is a
-    periodic orbit, labelled PeriodicPeakon or PeriodicSmooth by
-    `classify_level_branch` from the branch alone, so no level orbit is
-    integrated.  Returns (ObservedMenu, diagnostics); a level-orbit entry
-    carries the quadrature period_xi (None if it did not converge).
+    periodic orbit, labelled PeriodicPeakon or PeriodicSmooth from the
+    branch alone, so no level orbit is integrated.  Returns (ObservedMenu,
+    diagnostics); a level-orbit entry carries the quadrature period_xi
+    (None if it did not converge).
     """
     if wp.theta == Fraction(1, 2) and abs(float(wp.C1)) <= c1_tol:
-        return _observe_profile(wp, escape_radius=escape_radius)
+        plane = _profile_plane(wp)
+    else:
+        plane = tau_plane(wp, cen, fi)
+    diag = list(plane.header)
 
-    cen = cen if cen is not None else census(wp)
-    fi = fi if fi is not None else build_first_integral(wp)
-    diag = []
-
-    pair = sorted((e for e in cen.line_pair if e.kind == SADDLE),
-                  key=lambda e: -e.y)
-    peakon = 0
-    if len(pair) == 2:
-        for side in ("left", "right"):
-            hit, traj = shoot_connection(wp, pair[0], pair[1], side=side,
-                                         sep_tol=1e-3,
-                                         escape_radius=escape_radius)
-            oc = classify_orbit(wp, traj, cen) if hit else None
+    peakon = solitary = 0
+    for kind, eq, side, hit, traj in saddle_connections(plane, escape_radius):
+        oc = plane.classify(traj) if hit else None
+        if kind == "arch":
             if oc is not None and oc.tag in (PEAKON, ANTI_PEAKON):
                 peakon += 1
                 diag.append({"kind": "arch", "side": side, "tag": oc.tag,
@@ -363,35 +461,20 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
                              "xi_extent": oc.period_xi})
             else:
                 diag.append({"kind": "arch", "side": side, "tag": None})
+        elif oc is not None and oc.tag == SOLITARY:
+            solitary += 1
+            diag.append({"kind": "loop", "phi": eq.phi, "side": side,
+                         "tag": oc.tag})
 
-    solitary = 0
-    axis_saddles = [e for e in cen.equilibria
-                    if e.kind == SADDLE and not e.on_singular_line]
-    for eq in axis_saddles:
-        for side in ("left", "right"):
-            hit, traj = shoot_connection(wp, eq, eq, side=side, sep_tol=1e-4,
-                                         escape_radius=escape_radius)
-            oc = classify_orbit(wp, traj, cen) if hit else None
-            if oc is not None and oc.tag == SOLITARY:
-                solitary += 1
-                diag.append({"kind": "loop", "phi": eq.phi, "side": side,
-                             "tag": oc.tag})
-
-    merged, samples = canonical_levels(wp, cen, fi)
-
-    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
-    pad = 1.0 + 0.5 * (max(phis) - min(phis))
-    window = (min(phis) - pad, max(phis) + pad)
-    crit_arr = np.asarray(merged)
-
+    crit_arr = np.asarray(plane.crit)
     families = {}
-    for h in samples:
+    for h in plane.samples:
         interval = int(np.searchsorted(crit_arr, h))
-        closed = [b for b in trace_level_curve(fi, h, window, n=1501) if b.closed]
+        # point branches sit at a center
+        closed = [b for b in plane.branches(h) if b.closed
+                  and b.phi[-1] - b.phi[0] > 1e-9 * (1.0 + abs(b.phi[0]))]
         for bi, br in enumerate(closed):
-            if br.phi[-1] - br.phi[0] <= 1e-9 * (1.0 + abs(br.phi[0])):
-                continue  # point branch at a center
-            oc = classify_level_branch(wp, fi, h, br, cen)
+            oc = plane.classify_branch(h, br)
             families.setdefault((interval, bi), set()).add(oc.tag)
             diag.append({"kind": "level-orbit", "h": h, "interval": interval,
                          "branch": bi, "tag": oc.tag,
@@ -402,78 +485,6 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
                        periodic_peakon=_count(families, PERIODIC_PEAKON),
                        solitary=solitary,
                        periodic_smooth=_count(families, PERIODIC_SMOOTH))
-    return obs, diag
-
-
-def _observe_profile(wp: WaveParams, *, escape_radius=50.0):
-    """Observer for the reduced point theta = 1/2, C1 = 0.
-
-    The tau plane is useless here (the invariant line phi = 0 passes
-    through an equilibrium and severs every orbit crossing it), so count
-    in the regular profile plane phi' = y, y' = 2 g(phi), whose energy is
-    4h = Q(phi) - y^2 with Q the antiderivative of 4g.
-    """
-    wp0 = replace(wp, C1=0.0) if float(wp.C1) != 0.0 else wp
-    rhs = profile_rhs(wp0)
-    diag = [{"kind": "plane", "note": "profile plane (reduced system)"}]
-
-    C2, C3, K = float(wp0.C2), float(wp0.C3), float(wp0.K)
-    q_coeffs = (C3, 4.0 * C2 / 3.0, 1.0, 4.0 * K, 0.0)
-    roots = [(r, eval_g_prime(wp0, r)) for r, _ in find_g_roots(wp0)]
-
-    solitary = 0
-    for r, gp in roots:
-        if gp <= 0.0:
-            continue  # centers; only saddles carry loops
-        lam = math.sqrt(2.0 * gp)
-        nv = math.hypot(1.0, lam)
-        v = (1.0 / nv, lam / nv)
-        tol = 1e-4 * (1.0 + abs(r))
-        span = 60.0 / min(lam, 1.0) + 60.0
-
-        def ev_arrive(_t, x, r=r, tol=tol):
-            return math.hypot(x[0] - r, x[1]) - tol
-        ev_arrive.terminal = True
-        ev_arrive.direction = -1
-
-        def ev_escape(_t, x):
-            return x[0] * x[0] + x[1] * x[1] - escape_radius ** 2
-        ev_escape.terminal = True
-
-        for sgn in (1.0, -1.0):
-            start = (r + 1e-8 * sgn * v[0], 1e-8 * sgn * v[1])
-            res = solve_ivp(rhs, (0.0, span), list(start), method="DOP853",
-                            rtol=1e-12, atol=1e-14,
-                            events=[ev_arrive, ev_escape])
-            if len(res.t_events[0]) > 0 and len(res.t_events[1]) == 0:
-                solitary += 1
-                diag.append({"kind": "loop", "phi": r,
-                             "side": "right" if sgn > 0 else "left",
-                             "tag": SOLITARY})
-
-    crit = sorted({0.25 * float(np.polyval(q_coeffs, r)) for r, _ in roots})
-    samples = _level_samples(crit)
-    crit_arr = np.asarray(crit)
-    span_phi = max((abs(r) for r, _ in roots), default=1.0)
-    window = (-span_phi - 2.0, span_phi + 2.0)
-
-    periodic = set()
-    for h in samples:
-        interval = int(np.searchsorted(crit_arr, h))
-
-        def y2(phi, h=h):
-            return np.polyval(q_coeffs, phi) - 4.0 * h
-
-        closed = [b for b in trace_branches(y2, window, n=1501) if b.closed
-                  and b.phi[-1] - b.phi[0] > 1e-9 * (1.0 + abs(b.phi[0]))]
-        for bi, br in enumerate(closed):
-            periodic.add((interval, bi))
-            diag.append({"kind": "level-orbit", "h": h, "interval": interval,
-                         "branch": bi, "tag": PERIODIC_SMOOTH,
-                         "period_xi": branch_period(y2, br)})
-
-    obs = ObservedMenu(peakon=0, periodic_peakon=0, solitary=solitary,
-                       periodic_smooth=len(periodic))
     return obs, diag
 
 

@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import canonical_levels, sweep_singular_line
+from .atlas import (canonical_levels, saddle_connections, sweep_singular_line,
+                    tau_plane)
 from .closedform import closed_form_menu, ode_residual
-from .equilibria import SADDLE, census
+from .equilibria import census
 from .field import SingularLineError, build_first_integral
-from .orbits import shoot_connection, trace_level_curve
+from .orbits import trace_level_curve
 from .params import WaveParams, derive_coriolis, derive_wave_params, parse_theta
 from .svgfig import SvgFigure, resample
 from .verification import CHECKS, DEFAULT_SEED, render_report, run_checks
@@ -308,12 +309,9 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
     """
     cen = census(wp)
     fi = build_first_integral(wp)
-    _crit, samples = canonical_levels(wp, cen, fi)
-    hs = sorted(set(levels)) if levels else sorted(set(samples))
-
-    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
-    pad = 1.0 + 0.5 * (max(phis) - min(phis))
-    window = (min(phis) - pad, max(phis) + pad)
+    plane = tau_plane(wp, cen, fi)
+    hs = sorted(set(levels)) if levels else sorted(set(plane.samples))
+    window = plane.window
 
     curves = []  # (orbit_id, branch_id, kind, h, xs, ys)
     oid = 0
@@ -335,31 +333,13 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
         if bid:
             oid += 1
 
-    pair = sorted((e for e in cen.line_pair if e.kind == SADDLE),
-                  key=lambda e: e.y)
-    if len(pair) == 2:
-        for side in ("left", "right"):
-            hit, traj = shoot_connection(wp, pair[1], pair[0], side=side,
-                                         sep_tol=1e-3,
-                                         escape_radius=escape_radius)
-            if hit:
-                _t, states = traj.dense(600)
-                xs, ys = states[:, 0], states[:, 1]
-                curves.append((oid, 0, "separatrix", _level_of(fi, xs, ys),
-                               *resample(xs, ys, 400)))
-                oid += 1
-    for eq in cen.equilibria:
-        if eq.kind != SADDLE or eq.on_singular_line:
-            continue
-        for side in ("left", "right"):
-            hit, traj = shoot_connection(wp, eq, eq, side=side, sep_tol=1e-4,
-                                         escape_radius=escape_radius)
-            if hit:
-                _t, states = traj.dense(600)
-                xs, ys = states[:, 0], states[:, 1]
-                curves.append((oid, 0, "separatrix", _level_of(fi, xs, ys),
-                               *resample(xs, ys, 400)))
-                oid += 1
+    for _kind, _eq, _side, hit, traj in saddle_connections(plane, escape_radius):
+        if hit:
+            _t, states = traj.dense(600)
+            xs, ys = states[:, 0], states[:, 1]
+            curves.append((oid, 0, "separatrix", _level_of(fi, xs, ys),
+                           *resample(xs, ys, 400)))
+            oid += 1
 
     # vertical extent: bounded structures only (escaping level branches are
     # clipped at drawing time, the CSV keeps them whole)

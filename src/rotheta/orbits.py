@@ -8,10 +8,11 @@ and takes its xi-period by quadrature (`branch_period`), with no
 integration.  The integrator is for everything a level curve cannot show:
 saddle connections (`shoot_connection`), conservation checks, and the
 reference path (`integrate` + `classify_orbit`) the branch classifier is
-tested against.  It wraps scipy's DOP853 with dense output and three events
-(escape radius, singular-line crossing, axis crossing).  The first integral
-is monitored along every accepted trajectory; if the relative drift exceeds
-the limit the run is retried once at tighter tolerances.
+tested against.  Every integration runs through `_solve`, the package's
+one scipy DOP853 call: dense output, an escape-radius event, an
+axis-crossing event, and the arrival event when shooting.  `integrate`
+monitors the first integral along the trajectory; if the relative drift
+exceeds the limit the run is retried once at tighter tolerances.
 
 Classification vocabulary (the `tag` of :class:`OrbitClass`):
 
@@ -54,6 +55,7 @@ __all__ = [
     "classify_level_branch",
     "classify_orbit",
     "shoot_connection",
+    "shoot_in_plane",
     "measure_axis_period",
 ]
 
@@ -73,16 +75,12 @@ class Trajectory:
     states: np.ndarray          # shape (n, 2)
     sol: object                 # scipy OdeSolution (dense)
     escaped: bool
-    line_crossings: np.ndarray  # times where theta*phi - C1 changed sign
     axis_crossings: np.ndarray  # times where y changed sign
     h0: float | None = None
     h_drift_max: float | None = None   # None: not measured on any sample
     drift_samples: int = 0             # dense samples the drift was measured on
     rtol_used: float = 0.0
     status: str = ""
-
-    def state(self, t):
-        return self.sol(t)
 
     def dense(self, n=2001):
         tg = np.linspace(self.t[0], self.t[-1], n)
@@ -111,6 +109,44 @@ def _h_scale(h_values, h0):
     return max(abs(h0), float(np.max(np.abs(h_values))), 1e-9)
 
 
+def _tau_rhs(wp: WaveParams):
+    """The tau-form right-hand side for solve_ivp (theta, C1 as floats, K,
+    C2, C3 as given: the arithmetic every pinned trajectory was made with)."""
+    theta, C1 = float(wp.theta), float(wp.C1)
+
+    def rhs(_t, x):
+        phi, y = x
+        return (y * (theta * phi - C1),
+                (theta - 0.5) * y * y + phi * (wp.K + phi * (0.5 + phi * (wp.C2 + phi * wp.C3))))
+    return rhs
+
+
+def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
+           axis_stop=None, events=()):
+    """Integrate `rhs` from `start` over [0, span] with dense DOP853 until
+    it leaves the disc of `escape_radius`, reaches the `axis_stop`-th y = 0
+    crossing (if given) or a terminal one of `events`.  Returns the
+    Trajectory (recording `wp`) and the times each of `events` fired."""
+    r2 = escape_radius * escape_radius
+
+    def ev_escape(_t, x):
+        return x[0] * x[0] + x[1] * x[1] - r2
+    ev_escape.terminal = True
+
+    def ev_axis(_t, x):
+        return x[1]
+    ev_axis.terminal = axis_stop
+
+    res = solve_ivp(rhs, (0.0, span), [float(start[0]), float(start[1])],
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+                    events=[ev_escape, ev_axis, *events])
+    traj = Trajectory(wp=wp, t=res.t, states=res.y.T, sol=res.sol,
+                      escaped=len(res.t_events[0]) > 0,
+                      axis_crossings=res.t_events[1], rtol_used=rtol,
+                      status="ok" if res.success else (res.message or "solver failure"))
+    return traj, res.t_events[2:]
+
+
 def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None = None,
               rtol=1e-10, atol=1e-12, escape_radius=50.0,
               drift_limit=1e-8, max_retries=1,
@@ -133,40 +169,12 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
     closed orbit needs three to exhibit one full period), saving the cost of
     integrating hundreds of redundant cycles.
     """
-    theta, C1 = float(wp.theta), float(wp.C1)
-
-    def rhs(_t, x):
-        phi, y = x
-        return (y * (theta * phi - C1),
-                (theta - 0.5) * y * y + phi * (wp.K + phi * (0.5 + phi * (wp.C2 + phi * wp.C3))))
-
-    r2 = escape_radius * escape_radius
-
-    def ev_escape(_t, x):
-        return x[0] * x[0] + x[1] * x[1] - r2
-    ev_escape.terminal = True
-
-    def ev_line(_t, x):
-        return theta * x[0] - C1
-
-    def ev_axis(_t, x):
-        return x[1]
-    if stop_after_crossings is not None:
-        ev_axis.terminal = int(stop_after_crossings)
-
+    rhs = _tau_rhs(wp)
     attempt_rtol, attempt_atol = rtol, atol
     best = None
     for _ in range(max_retries + 1):
-        res = solve_ivp(rhs, (0.0, tau_span), [float(start[0]), float(start[1])],
-                        method="DOP853", rtol=attempt_rtol, atol=attempt_atol,
-                        dense_output=True, events=[ev_escape, ev_line, ev_axis])
-        traj = Trajectory(
-            wp=wp, t=res.t, states=res.y.T, sol=res.sol,
-            escaped=len(res.t_events[0]) > 0,
-            line_crossings=res.t_events[1], axis_crossings=res.t_events[2],
-            rtol_used=attempt_rtol,
-            status="ok" if res.success else (res.message or "solver failure"),
-        )
+        traj, _ = _solve(wp, rhs, start, tau_span, attempt_rtol, attempt_atol,
+                         escape_radius=escape_radius, axis_stop=stop_after_crossings)
         if fi is not None:
             _tg, xs = traj.dense(512)
             p, y = xs[:, 0], xs[:, 1]
@@ -494,9 +502,10 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
                       detail="no recurrence or certified connection within the span")
 
 
-def _unstable_ray(wp: WaveParams, eq):
-    """Unit eigenvector of the positive eigenvalue at a saddle."""
-    (a, b), (c, d) = regular_jacobian(wp, eq.point)
+def _unstable_ray(jacobian):
+    """Unit eigenvector and eigenvalue of the positive eigenvalue of a
+    saddle's 2x2 Jacobian."""
+    (a, b), (c, d) = jacobian
     tr, det = a + d, a * d - b * c
     disc = max(tr * tr - 4.0 * det, 0.0)
     lam = 0.5 * (tr + math.sqrt(disc))
@@ -510,7 +519,20 @@ def _unstable_ray(wp: WaveParams, eq):
 def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
                      span=None, sep_tol=1e-3, escape_radius=50.0,
                      rtol=1e-12, atol=1e-14):
-    """Shoot along the unstable manifold of `from_eq`, stop near `to_eq`.
+    """Shoot along the unstable manifold of `from_eq` in the tau plane, stop
+    near `to_eq`; see `shoot_in_plane`."""
+    return shoot_in_plane(wp, _tau_rhs(wp), regular_jacobian(wp, from_eq.point),
+                          from_eq, to_eq, side=side, offset=offset, span=span,
+                          sep_tol=sep_tol, escape_radius=escape_radius,
+                          rtol=rtol, atol=atol)
+
+
+def shoot_in_plane(wp, rhs, jacobian, from_eq, to_eq, *, side=None, offset=1e-8,
+                   span=None, sep_tol=1e-3, escape_radius=50.0,
+                   rtol=1e-12, atol=1e-14):
+    """Shoot along the unstable manifold of `from_eq`, stop near `to_eq`, in
+    the plane whose solve_ivp right-hand side is `rhs` and whose Jacobian at
+    `from_eq` is `jacobian`.
 
     `side` picks the ray whose initial phi displacement has that sign
     ("left"/"right"); with side=None both rays are tried.  Returns
@@ -519,68 +541,40 @@ def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
     the ~ln(1/offset)/lambda departure and arrival transients plus one sweep
     of the loop itself.
     """
-    ray, lam = _unstable_ray(wp, from_eq)
+    ray, lam = _unstable_ray(jacobian)
     if lam <= 0:
         return False, None
     if span is None:
         span = 60.0 / min(lam, 1.0) + 60.0
-    theta, C1 = float(wp.theta), float(wp.C1)
-
-    def rhs(_t, x):
-        phi, y = x
-        return (y * (theta * phi - C1),
-                (theta - 0.5) * y * y + phi * (wp.K + phi * (0.5 + phi * (wp.C2 + phi * wp.C3))))
-
     tol = sep_tol * (1.0 + math.hypot(*to_eq.point))
-    r2 = escape_radius * escape_radius
-
-    def ev_escape(_t, x):
-        return x[0] * x[0] + x[1] * x[1] - r2
-    ev_escape.terminal = True
 
     def ev_arrive(_t, x):
         return math.hypot(x[0] - to_eq.phi, x[1] - to_eq.y) - tol
     ev_arrive.terminal = True
     ev_arrive.direction = -1
 
-    def ev_axis(_t, x):
-        return x[1]
-
     if side is None:
         rays = [ray, (-ray[0], -ray[1])]
     else:
         want = 1.0 if side == "right" else -1.0
         rays = [ray if ray[0] * want > 0 else (-ray[0], -ray[1])]
-    last = None
+    traj = None
     for v in rays:
         start = (from_eq.phi + offset * v[0], from_eq.y + offset * v[1])
-        res = solve_ivp(rhs, (0.0, span), list(start), method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True,
-                        events=[ev_escape, ev_arrive, ev_axis])
-        traj = Trajectory(
-            wp=wp, t=res.t, states=res.y.T, sol=res.sol,
-            escaped=len(res.t_events[0]) > 0,
-            line_crossings=np.array([]), axis_crossings=res.t_events[2],
-            status="ok" if res.success else (res.message or "solver failure"),
-        )
-        last = traj
-        if len(res.t_events[1]) > 0 and not traj.escaped:
+        traj, (arrivals,) = _solve(wp, rhs, start, span, rtol, atol,
+                                   escape_radius=escape_radius, events=[ev_arrive])
+        if len(arrivals) > 0 and not traj.escaped:
             return True, traj
-    return False, last
+    return False, traj
 
 
 def measure_axis_period(rhs, start, *, span=200.0, rtol=1e-12, atol=1e-14):
     """Period of a closed orbit of a generic planar `rhs`, via the time
     between the first and third y = 0 crossing starting off-axis.  Returns
     (period, crossing_times); period is None if fewer than 3 crossings."""
-
-    def ev_axis(_t, x):
-        return x[1]
-    ev_axis.terminal = 4  # two periods suffice; don't integrate the full span
-
-    res = solve_ivp(rhs, (0.0, span), list(start), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=[ev_axis])
-    tc = res.t_events[0]
+    # two periods suffice; don't integrate the full span
+    traj, _ = _solve(None, rhs, start, span, rtol, atol, axis_stop=4)
+    tc = traj.axis_crossings
     tc = tc[tc > 1e-12]
     if len(tc) < 3:
         return None, tc

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, canonical_levels,
                            classify_region, menu_agrees, observe_wave_menu,
-                           predict_wave_menu, sweep_singular_line)
+                           predict_wave_menu, sweep_singular_line, tau_plane)
 from rotheta.closedform import closed_form_menu
 from rotheta.equilibria import census
 from rotheta.field import build_first_integral, rhs_singular
 from rotheta.orbits import (branch_period, classify_level_branch, classify_orbit,
-                            integrate, measure_axis_period, trace_branches,
-                            trace_level_curve)
+                            integrate, measure_axis_period, trace_branches)
 from rotheta.params import WaveParams
 from rotheta.verification import T1_BASE, T3_BASE
 
@@ -171,6 +170,50 @@ def test_reduced_point_observation_is_exact():
     assert (obs1.solitary, obs1.periodic_smooth) == (0, 1)
 
 
+# T3 domain -> (K, observed (solitary, periodic_smooth), loop entries
+# (phi, side, tag), level-orbit entries (h, interval, branch, tag,
+# period_xi)), at theta = 1/2, C1 = 0 with T3_BASE's C2 and C3, as the
+# profile-plane observer reported them before it shared the tau plane's
+# shooting and level loop.
+PINNED_PROFILE_PLANE = {
+    "D1": (1.0, (0, 1), [], [
+        (1.8275770260735111, 0, 0, "PeriodicSmooth", 2.1396605288946944),
+    ]),
+    "D2": (-1.0, (0, 1), [], [
+        (0.7180642438304565, 0, 0, "PeriodicSmooth", 2.3641995657464885),
+    ]),
+    "D3": (T3_BASE["K"], (2, 4), [
+        (0.0875461687524971, "left", "Solitary"),
+        (0.0875461687524971, "right", "Solitary"),
+    ], [
+        (0.016631378117781096, 1, 0, "PeriodicSmooth", 5.171516347837305),
+        (0.016631378117781096, 1, 1, "PeriodicSmooth", 5.171516347841184),
+        (0.16972480807741305, 2, 0, "PeriodicSmooth", 3.5062992878292927),
+        (-0.0025808030147454293, 0, 0, "PeriodicSmooth", 17.42567580415071),
+        (-0.0019684292949069017, 1, 0, "PeriodicSmooth", 8.722901951731444),
+        (-0.0019684292949069017, 1, 1, "PeriodicSmooth", 8.722901951730357),
+        (0.0352311855304691, 1, 0, "PeriodicSmooth", 4.624730279106708),
+        (0.0352311855304691, 1, 1, "PeriodicSmooth", 4.624730279188844),
+        (0.03584355925030762, 2, 0, "PeriodicSmooth", 4.612082242607649),
+        (0.3036060569045185, 2, 0, "PeriodicSmooth", 3.1272983904760214),
+    ]),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(PINNED_PROFILE_PLANE))
+def test_profile_plane_observations_are_pinned(domain):
+    K, (solitary, periodic), loops, levels = PINNED_PROFILE_PLANE[domain]
+    wp = WaveParams(C1=0.0, **dict(T3_BASE, K=K))
+    assert classify_region(wp, census(wp)).domain == domain
+    obs, diag = observe_wave_menu(wp)
+    assert obs == ObservedMenu(solitary=solitary, periodic_smooth=periodic)
+    # the order the two rays of a saddle are shot in is not an observation
+    assert sorted((d["phi"], d["side"], d["tag"])
+                  for d in diag if d["kind"] == "loop") == loops
+    assert [(d["h"], d["interval"], d["branch"], d["tag"], d["period_xi"])
+            for d in diag if d["kind"] == "level-orbit"] == levels
+
+
 # --- sweep ---------------------------------------------------------------------
 
 
@@ -260,12 +303,9 @@ def _observed_branches(wp):
     """(h, branch, first integral, census) for every closed, non-point level
     branch the tau-plane observer classifies."""
     cen, fi = census(wp), build_first_integral(wp)
-    _crit, samples = canonical_levels(wp, cen, fi)
-    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
-    pad = 1.0 + 0.5 * (max(phis) - min(phis))
-    window = (min(phis) - pad, max(phis) + pad)
-    for h in samples:
-        for br in trace_level_curve(fi, h, window, n=1501):
+    plane = tau_plane(wp, cen, fi)
+    for h in plane.samples:
+        for br in plane.branches(h):
             if br.closed and br.phi[-1] - br.phi[0] > 1e-9 * (1.0 + abs(br.phi[0])):
                 yield h, br, fi, cen
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, file artifacts, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,11 @@ from pathlib import Path
 import pytest
 
 import rotheta
-from rotheta.cli import main
+from rotheta.atlas import observe_wave_menu
+from rotheta.cli import main, render_portrait_artifacts
+from rotheta.equilibria import SADDLE, census
+from rotheta.params import WaveParams
+from rotheta.verification import T1_BASE
 
 
 D1 = ["--theta", "1/4", "--c1", "0.3", "--c2", "2", "--c3", "-1", "--k", "3"]
@@ -72,6 +77,31 @@ def test_portrait_writes_deterministic_artifacts(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "q.svg").read_bytes() == svg
     assert (tmp_path / "q.csv").read_bytes() == csv
+
+
+@pytest.mark.parametrize("c1", [0.3, 0.85], ids=["arches", "loop"])
+def test_portrait_separatrices_are_the_observed_connections(c1):
+    # one separatrix per connection the observer counts (arches, then the
+    # loops that hit), each drawn from its saddle along the same ray
+    wp = WaveParams(C1=c1, **T1_BASE)
+    _obs, diag = observe_wave_menu(wp)
+    counted = [(d["kind"], d["side"]) for d in diag
+               if d["kind"] == "loop" or (d["kind"] == "arch" and d["tag"])]
+    assert counted
+    _svg, csv_text = render_portrait_artifacts(wp)
+    starts = {}
+    for row in csv_text.splitlines()[1:]:
+        oid, _branch, kind, _h, phi, y = row.split(",")
+        if kind == "separatrix":
+            starts.setdefault(oid, (float(phi), float(y)))
+    saddles = [e for e in census(wp).equilibria if e.kind == SADDLE]
+    drawn = []
+    for phi, y in starts.values():
+        eq = min(saddles, key=lambda e: math.hypot(phi - e.phi, y - e.y))
+        assert math.hypot(phi - eq.phi, y - eq.y) < 1e-6
+        drawn.append(("arch" if eq.on_singular_line else "loop",
+                      "left" if phi < eq.phi else "right"))
+    assert drawn == counted
 
 
 def test_portrait_with_vacant_level(tmp_path, capsys):
