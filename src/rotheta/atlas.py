@@ -21,11 +21,13 @@ Observation runs in the tau plane, where the singular line is invariant,
 except at the T3 point: there the line passes through an equilibrium and
 severs orbits that are perfectly smooth in the xi-profile plane, so the
 observer switches to the regular reduced system phi'' = 2 g(phi).  A
-`Plane` describes either one, and one loop serves both: saddle connections
-are shot by `saddle_connections` (which the portrait draws from too), and
-periodic families are read off the closed level-curve branches with no
-integration: a closed branch is the periodic orbit itself, classified from
-its geometry with its xi-period taken by quadrature.
+`Plane` describes either one, and one loop serves both, with no
+integration.  Saddle connections are walked on the saddles' own levels by
+`saddle_connections` (which the portrait draws from too): an arch or a
+loop exists on a side when the run of y^2 > 0 leaving its saddle there
+ends at a simple turning point.  Periodic families are read off the closed
+level-curve branches: a closed branch is the periodic orbit itself,
+classified from its geometry with its xi-period taken by quadrature.
 """
 
 from __future__ import annotations
@@ -33,19 +35,17 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
-from .closedform import profile_rhs
 from .equilibria import (Equilibrium, EquilibriumCensus, SADDLE, census, find_g_roots,
                          g_critical_points)
-from .field import (SingularLineError, build_first_integral, eval_f, eval_g,
-                    eval_g_prime)
+from .field import (SingularLineError, _taylor_shift, build_first_integral, eval_f,
+                    eval_g, eval_g_prime)
 from .orbits import (
-    ANTI_PEAKON, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY, OrbitClass,
-    branch_period, classify_level_branch, classify_orbit, shoot_connection,
-    shoot_in_plane, trace_branches, trace_level_curve,
+    ANTI_PEAKON, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY, TURNING_POINT,
+    LevelBranch, OrbitClass, branch_period, classify_level_branch, saddle_level_fn,
+    trace_branches, trace_level_curve, walk_separatrix,
 )
 from .params import WaveParams
 
@@ -55,6 +55,7 @@ __all__ = [
     "WaveMenu",
     "ObservedMenu",
     "Plane",
+    "Connection",
     "SweepSample",
     "SweepReport",
     "canonical_levels",
@@ -334,13 +335,14 @@ def _count(families, tag):
 @dataclass(frozen=True)
 class Plane:
     """A phase plane wave families are counted in.  The tau plane and the
-    reduced point's profile plane share the shooting and the level loop of
-    `observe_wave_menu`; they differ only in these fields."""
+    reduced point's profile plane share the connection walk and the level
+    loop of `observe_wave_menu`; they differ only in these fields."""
 
-    shoot: Callable            # shoot_connection with the plane's RHS and Jacobian
-    classify: Callable         # Trajectory of a connection -> OrbitClass
     pair: tuple                # saddles on the singular line, upper first
     saddles: tuple             # saddles off the line
+    stops: tuple               # (phi, level) of every equilibrium on the axis
+    line: float | None         # a line no orbit crosses
+    saddle_level: Callable     # saddle -> (h, phi -> y^2 on its level)
     crit: list                 # critical levels, ascending
     window: tuple              # phi range level curves are traced in
     branches: Callable         # h -> y >= 0 branches of the level curve in the window
@@ -361,13 +363,19 @@ def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
     phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
     pad = 1.0 + 0.5 * (max(phis) - min(phis))
     window = (min(phis) - pad, max(phis) + pad)
+
+    def saddle_level(eq):
+        return (float(fi.eval(eq.phi, eq.y)),
+                saddle_level_fn(fi, eq.phi, on_line=eq.on_singular_line))
+
     return Plane(
-        shoot=partial(shoot_connection, wp),
-        classify=lambda traj: classify_orbit(wp, traj, cen),
         pair=tuple(sorted((e for e in cen.line_pair if e.kind == SADDLE),
                           key=lambda e: -e.y)),
         saddles=tuple(e for e in cen.equilibria
                       if e.kind == SADDLE and not e.on_singular_line),
+        stops=tuple((e.phi, float(fi.eval(e.phi, 0.0))) for e in cen.axis
+                    if not e.on_singular_line),
+        line=float(fi.line), saddle_level=saddle_level,
         crit=crit, window=window,
         branches=lambda h: trace_level_curve(fi, h, window, n=1501),
         classify_branch=lambda h, br: classify_level_branch(wp, fi, h, br, cen))
@@ -381,10 +389,11 @@ def _profile_plane(wp: WaveParams) -> Plane:
     The tau plane is useless there: the invariant line phi = 0 passes
     through an equilibrium and severs every orbit crossing it.  Every
     connection in this plane is a homoclinic loop, and no line carries
-    saddles, so every closed orbit is smooth.
+    saddles, so every closed orbit is smooth.  y^2 is a quartic on every
+    level; on a saddle's level it is Q Taylor-shifted to the saddle, its
+    constant dropped, and its turning points are the quartic's roots.
     """
     wp0 = replace(wp, C1=0.0) if float(wp.C1) != 0.0 else wp
-    rhs = profile_rhs(wp0)
     C2, C3, K = float(wp0.C2), float(wp0.C3), float(wp0.K)
     q_coeffs = (C3, 4.0 * C2 / 3.0, 1.0, 4.0 * K, 0.0)
     roots = [(r, eval_g_prime(wp0, r)) for r, _ in find_g_roots(wp0)]
@@ -392,19 +401,20 @@ def _profile_plane(wp: WaveParams) -> Plane:
     def y2(h):
         return lambda phi: np.polyval(q_coeffs, phi) - 4.0 * h
 
-    def shoot(from_eq, to_eq, **kw):
-        jacobian = ((0.0, 1.0), (2.0 * eval_g_prime(wp0, from_eq.phi), 0.0))
-        return shoot_in_plane(wp0, rhs, jacobian, from_eq, to_eq, **kw)
+    def saddle_level(eq):
+        d = _taylor_shift(list(q_coeffs[::-1]), eq.phi)[::-1]
+        d[-1] = 0.0
+        return (0.25 * float(np.polyval(q_coeffs, eq.phi)),
+                lambda phi: np.polyval(d, np.asarray(phi) - eq.phi))
 
     span_phi = max((abs(r) for r, _ in roots), default=1.0)
     window = (-span_phi - 2.0, span_phi + 2.0)
     return Plane(
-        shoot=shoot,
-        classify=lambda traj: OrbitClass(tag=SOLITARY,
-                                         amplitude=float(np.ptp(traj.states[:, 0]))),
         pair=(),
         saddles=tuple(Equilibrium(phi=r, y=0.0, kind=SADDLE, J=-2.0 * gp, trace=0.0)
                       for r, gp in roots if gp > 0.0),
+        stops=tuple((r, 0.25 * float(np.polyval(q_coeffs, r))) for r, _ in roots),
+        line=None, saddle_level=saddle_level,
         crit=sorted({0.25 * float(np.polyval(q_coeffs, r)) for r, _ in roots}),
         window=window,
         branches=lambda h: trace_branches(y2(h), window, n=1501),
@@ -414,33 +424,69 @@ def _profile_plane(wp: WaveParams) -> Plane:
         header=({"kind": "plane", "note": "profile plane (reduced system)"},))
 
 
+@dataclass(frozen=True)
+class Connection:
+    """One side of a saddle, walked on the saddle's own level: an arch from
+    the upper line saddle or a homoclinic loop at an axis saddle when the
+    walk ends at a turning point (`hit`)."""
+
+    kind: str                  # "arch" | "loop"
+    saddle: Equilibrium
+    side: str                  # "left" | "right"
+    h: float                   # the saddle's level
+    end: str                   # how the walk ended (see walk_separatrix)
+    branch: LevelBranch        # the run from the saddle to its end
+    y2: Callable               # phi -> y^2 on the level
+
+    @property
+    def hit(self) -> bool:
+        return self.end == TURNING_POINT
+
+    @property
+    def tag(self):
+        if not self.hit:
+            return None
+        if self.kind == "loop":
+            return SOLITARY
+        return PEAKON if self.side == "left" else ANTI_PEAKON
+
+
 def saddle_connections(plane: Plane, escape_radius):
-    """Shoot every saddle connection of `plane`: the two arches from the
-    upper to the lower line saddle (sep_tol 1e-3), then the homoclinic
-    loops at each axis saddle (sep_tol 1e-4), left ray before right.
-    Yields (kind, saddle, side, hit, Trajectory), kind "arch" or "loop"."""
-    shots = [("arch", plane.pair[0], plane.pair[1], 1e-3)] if len(plane.pair) == 2 else []
-    shots += [("loop", eq, eq, 1e-4) for eq in plane.saddles]
-    for kind, from_eq, to_eq, sep_tol in shots:
+    """Every saddle connection of `plane`, found on the saddles' own levels
+    with no integration: the two arches from the upper line saddle, then the
+    homoclinic loops at each axis saddle, left side before right.  An arch
+    lies on the pair's level, where y^2 passes through the line with the
+    saddles' own y*^2; a loop lies on its saddle's level.  Yields one
+    Connection per saddle and side, hit or not."""
+    walks = [("arch", plane.pair[0])] if len(plane.pair) == 2 else []
+    walks += [("loop", eq) for eq in plane.saddles]
+    for kind, eq in walks:
+        h, y2 = plane.saddle_level(eq)
+        # same level: equal to canonical_levels' merge tolerance
+        stops = tuple((phi, abs(level - h) <= 1e-10 * (1.0 + abs(h)))
+                      for phi, level in plane.stops)
         for side in ("left", "right"):
-            hit, traj = plane.shoot(from_eq, to_eq, side=side, sep_tol=sep_tol,
-                                    escape_radius=escape_radius)
-            yield kind, from_eq, side, hit, traj
+            end, branch = walk_separatrix(y2, eq.phi, side, stops=stops, line=plane.line,
+                                          escape_radius=escape_radius)
+            yield Connection(kind=kind, saddle=eq, side=side, h=h, end=end,
+                             branch=branch, y2=y2)
 
 
 def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
                       fi=None, *, escape_radius=50.0, c1_tol=1e-9):
-    """Count wave families numerically.
+    """Count wave families numerically, with no integration.
 
     The count runs in the tau plane, except at the reduced point theta =
     1/2, C1 = 0, where it runs in the profile plane (`_profile_plane`).
     Arches between the singular-line saddles and homoclinic loops at axis
-    saddles are found by shooting (tight tolerances; weak saddles drift
-    otherwise).  Periodic families come from the closed level-curve
-    branches over the canonical level samples, one (level interval, branch)
-    cell each: every closed branch that misses the singular line is a
-    periodic orbit, labelled PeriodicPeakon or PeriodicSmooth from the
-    branch alone, so no level orbit is integrated.  Returns (ObservedMenu,
+    saddles are walked on the saddles' own levels (`saddle_connections`):
+    each arch or loop entry records how its walk ended, and an arch that
+    exists carries its slope jump 2 y* and its xi-extent 2 * integral of
+    dphi / y by quadrature.  Periodic families come from the closed
+    level-curve branches over the canonical level samples, one (level
+    interval, branch) cell each: every closed branch that misses the
+    singular line is a periodic orbit, labelled PeriodicPeakon or
+    PeriodicSmooth from the branch alone.  Returns (ObservedMenu,
     diagnostics); a level-orbit entry carries the quadrature period_xi
     (None if it did not converge).
     """
@@ -451,20 +497,19 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
     diag = list(plane.header)
 
     peakon = solitary = 0
-    for kind, eq, side, hit, traj in saddle_connections(plane, escape_radius):
-        oc = plane.classify(traj) if hit else None
-        if kind == "arch":
-            if oc is not None and oc.tag in (PEAKON, ANTI_PEAKON):
+    for conn in saddle_connections(plane, escape_radius):
+        if conn.kind == "arch":
+            entry = {"kind": "arch", "side": conn.side, "tag": conn.tag,
+                     "end": conn.end}
+            if conn.hit:
                 peakon += 1
-                diag.append({"kind": "arch", "side": side, "tag": oc.tag,
-                             "jump": oc.derivative_jump,
-                             "xi_extent": oc.period_xi})
-            else:
-                diag.append({"kind": "arch", "side": side, "tag": None})
-        elif oc is not None and oc.tag == SOLITARY:
+                entry.update(jump=2.0 * abs(conn.saddle.y),
+                             xi_extent=branch_period(conn.y2, conn.branch))
+            diag.append(entry)
+        elif conn.hit:
             solitary += 1
-            diag.append({"kind": "loop", "phi": eq.phi, "side": side,
-                         "tag": oc.tag})
+            diag.append({"kind": "loop", "phi": conn.saddle.phi, "side": conn.side,
+                         "tag": conn.tag, "end": conn.end})
 
     crit_arr = np.asarray(plane.crit)
     families = {}
@@ -561,12 +606,9 @@ def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
     agreement statistics (their rows still carry full diagnostics).
 
     Samples run one after another, in input order.  They are independent,
-    but threads cannot overlap them: scipy's Runge-Kutta stepping and the
-    level tracing run as Python code under the interpreter lock.  On a
-    2-vCPU host a two-thread pool made a 10-sample theta = 1/2 sweep use
-    about 1.5 times the CPU time of this serial loop (5.0 s against 3.3 s,
-    rescaled to a reference speed), and 20 theta = 1/2 samples took 11.7 s
-    of wall time on two threads against 8.2 s serially.
+    but threads cannot overlap them: the level tracing, the connection
+    walks and the quadratures run as Python code under the interpreter
+    lock, in many short numpy calls.
     """
     if sample_count < 2:
         raise ValueError("sample_count must be >= 2")

@@ -333,12 +333,10 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
         if bid:
             oid += 1
 
-    for _kind, _eq, _side, hit, traj in saddle_connections(plane, escape_radius):
-        if hit:
-            _t, states = traj.dense(600)
-            xs, ys = states[:, 0], states[:, 1]
-            curves.append((oid, 0, "separatrix", _level_of(fi, xs, ys),
-                           *resample(xs, ys, 400)))
+    for conn in saddle_connections(plane, escape_radius):
+        if conn.hit:
+            curves.append((oid, 0, "separatrix", conn.h,
+                           *resample(*_separatrix_curve(conn), 400)))
             oid += 1
 
     # vertical extent: bounded structures only (escaping level branches are
@@ -373,7 +371,7 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
         for x, y in zip(xs, ys):
             rows.append(f"{o},{b},{kind},{_cell(h)},{_fmt(x)},{_fmt(y)}")
     for i, eq in enumerate(cen.equilibria):
-        h = _level_of(fi, np.array([eq.phi]), np.array([eq.y]))
+        h = _level_of(fi, eq.phi, eq.y)
         rows.append(f"{oid + i},0,equilibrium/{eq.kind},{_cell(h)},"
                     f"{_fmt(eq.phi)},{_fmt(eq.y)}")
     base = oid + len(cen.equilibria)
@@ -382,9 +380,22 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
     return svg, "\n".join(rows) + "\n"
 
 
-def _level_of(fi, xs, ys):
+def _separatrix_curve(conn):
+    """The connection's level branch from its saddle out to the turning
+    point, then back along its mirror.  The first point sits
+    1e-8 (1 + |phi0|) off the saddle, on the connection's side, so the side
+    reads off it."""
+    br, phi0 = conn.branch, conn.saddle.phi
+    out = slice(None) if conn.side == "right" else slice(None, None, -1)
+    phis, ys = br.phi[out].copy(), br.y[out].copy()
+    phis[0] = phi0 + np.sign(phis[-1] - phi0) * 1e-8 * (1.0 + abs(phi0))
+    ys[0] = math.sqrt(max(conn.y2(phis[0]), 0.0))
+    return np.concatenate([phis, phis[::-1]]), np.concatenate([ys, -ys[::-1]])
+
+
+def _level_of(fi, phi, y):
     try:
-        return float(fi.eval(float(xs[0]), float(ys[0])))
+        return float(fi.eval(phi, y))
     except SingularLineError:
         return None
 

@@ -1,18 +1,22 @@
-"""Numeric orbits of the tau-form system: integration, level curves,
-separatrix shooting and wave-type classification.
+"""Numeric orbits of the tau-form system: level curves, saddle connections,
+integration and wave-type classification.
 
-Closed orbits are read off the level curves of the first integral: a
-closed branch of {H = h} that misses the singular line is the periodic
-orbit itself, so `classify_level_branch` labels it from the traced branch
-and takes its xi-period by quadrature (`branch_period`), with no
-integration.  The integrator is for everything a level curve cannot show:
-saddle connections (`shoot_connection`), conservation checks, and the
-reference path (`integrate` + `classify_orbit`) the branch classifier is
-tested against.  Every integration runs through `_solve`, the package's
-one scipy DOP853 call: dense output, an escape-radius event, an
-axis-crossing event, and the arrival event when shooting.  `integrate`
-monitors the first integral along the trajectory; if the relative drift
-exceeds the limit the run is retried once at tighter tolerances.
+Orbits are read off the level curves of the first integral.  A closed
+branch of {H = h} that misses the singular line is the periodic orbit
+itself, so `classify_level_branch` labels it from the traced branch and
+takes its xi-period by quadrature (`branch_period`).  A saddle connection
+lies on its saddle's own level: `walk_separatrix` follows the run of
+y^2 > 0 that leaves the saddle on one side, on the cancellation-free level
+function of `saddle_level_fn`, and the connection exists when that run
+ends at a simple turning point.  The integrator serves the conservation
+checks, axis periods, and the reference paths the level readings are
+tested against (`integrate` + `classify_orbit` for branches,
+`shoot_connection` + `classify_orbit` for connections).  Every integration
+runs through `_solve`, the package's one scipy DOP853 call: dense output,
+an escape-radius event, an axis-crossing event, and the arrival event when
+shooting.  `integrate` monitors the first integral along the trajectory; if
+the relative drift exceeds the limit the run is retried once at tighter
+tolerances.
 
 Classification vocabulary (the `tag` of :class:`OrbitClass`):
 
@@ -40,7 +44,7 @@ from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from .equilibria import EquilibriumCensus, SADDLE
-from .field import FirstIntegral, regular_jacobian
+from .field import FirstIntegral, _as_float, _taylor_shift, regular_jacobian
 from .params import WaveParams
 
 __all__ = [
@@ -54,8 +58,9 @@ __all__ = [
     "branch_period",
     "classify_level_branch",
     "classify_orbit",
+    "saddle_level_fn",
+    "walk_separatrix",
     "shoot_connection",
-    "shoot_in_plane",
     "measure_axis_period",
 ]
 
@@ -397,6 +402,100 @@ def branch_period(y2, branch: LevelBranch) -> float | None:
     return None
 
 
+TURNING_POINT = "turning-point"
+DOUBLE_ROOT = "double-root"
+SINGULAR_LINE = "singular-line"
+ESCAPE = "escape"
+
+
+def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False):
+    """phi -> y^2 on the level of H through the saddle at phi0, for a float
+    or an array of phi, without the cancellation of h - B next to the saddle.
+
+    The level is h = B(phi0) for an axis saddle (y = 0), and for the
+    singular-line pair (`on_line`, m >= 0: A vanishes on the line), so
+    y^2 = -(B(phi) - B(phi0))/A(phi).  The difference is taken term by term
+    about phi0: the polynomial part Taylor-shifted to u = phi - phi0 with
+    its constant dropped, the logarithm as log1p(u/w0), each pole's
+    difference w^-j - w0^-j with its factor u taken out.  On the line the quotient is the polynomial
+    -(sum_(i > m) b_i w^(i-m-1))/a, which passes through the line with the
+    pair's own y*^2.
+    """
+    line, a, p = float(fi.line), float(fi.y2_coeff), fi.y2_power
+    poly = [float(c) for c in fi.poly_shifted]
+    if on_line:
+        if fi.singular_on_line:
+            raise ValueError("H has no finite level on the singular line")
+        q = poly[p:][::-1]
+        return lambda phi: _as_float(-np.polyval(q, np.asarray(phi, dtype=float) - line) / a)
+    w0 = phi0 - line
+    d = _taylor_shift(poly, w0)[::-1]
+    d[-1] = 0.0
+    log_c = float(fi.log_coeff)
+    poles = [(j, float(c)) for j, c in fi.pole_coeffs]
+
+    def y2(phi):
+        phi = np.asarray(phi, dtype=float)
+        u, w = phi - phi0, phi - line
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dB = np.polyval(d, u)
+            if log_c:
+                dB = dB + log_c * np.log1p(u / w0)
+            for j, c in poles:   # w^-j - w0^-j = -u sum(w^k w0^(j-1-k)) / (w w0)^j
+                dB = dB - c * u * sum(w**k * w0 ** (j - 1 - k) for k in range(j)) / (w * w0) ** j
+            return _as_float(-dB / (a * w**p))
+
+    return y2
+
+
+def walk_separatrix(y2, phi0, side, *, stops, line, escape_radius):
+    """How the run of y^2 > 0 that leaves a saddle at phi0 on `side` ends:
+    (end, LevelBranch of the run from the saddle to where it ended).
+
+    `y2` is the saddle's own level function (`saddle_level_fn`).  The walk
+    starts 1e-5 (1 + |phi0|) off the saddle, where the saddle's local
+    expansion makes y^2 > 0.  `stops` are (phi, same_level) for the
+    equilibria on the axis: between two of them h - B is monotone, so y^2
+    changes sign at most once there, and brentq refines the first sign
+    change.  No orbit crosses `line` (None: no such line).  The run ends at
+    the first of
+      * "turning-point": a simple root of y^2; the branch and its mirror are
+        the saddle connection;
+      * "double-root": an equilibrium on the saddle's own level;
+      * "singular-line": the line, reached with y^2 > 0;
+      * "escape": hypot(phi, y) >= escape_radius anywhere along the run
+        (checked on 257 points), as shooting's escape event.
+    """
+    sgn = 1.0 if side == "right" else -1.0
+    start = phi0 + sgn * 1e-5 * (1.0 + abs(phi0))
+    marks = [(p, DOUBLE_ROOT if same else None) for p, same in stops]
+    marks.append((sgn * escape_radius, ESCAPE))
+    if line is not None:
+        marks.append((line - sgn * 1e-12 * (1.0 + abs(line)), SINGULAR_LINE))
+    # y^2 <= 0 at the start: the saddle is too degenerate to leave at this offset
+    end, phi_end = DOUBLE_ROOT, start
+    if y2(start) > 0.0:
+        end = ESCAPE   # stays if no mark lies ahead: the saddle is outside the disc
+        prev = start
+        for p, label in sorted((m for m in marks if sgn * (m[0] - start) > 0),
+                               key=lambda m: sgn * m[0]):
+            if label != DOUBLE_ROOT and not y2(p) > 0.0:
+                end, phi_end = TURNING_POINT, brentq(y2, prev, p, xtol=1e-14, rtol=1e-15)
+                break
+            if label is not None:
+                end, phi_end = label, p
+                break
+            prev = p
+    t = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257)))
+    phi = phi0 + (phi_end - phi0) * t
+    y = np.sqrt(np.maximum(y2(phi), 0.0))
+    if np.max(np.hypot(phi, y)) >= escape_radius:
+        end = ESCAPE
+    if sgn < 0.0:
+        phi, y = phi[::-1], y[::-1]
+    return end, LevelBranch(phi=phi, y=y, closed=end == TURNING_POINT)
+
+
 def classify_level_branch(wp: WaveParams, fi: FirstIntegral, h: float,
                           branch: LevelBranch, census: EquilibriumCensus) -> OrbitClass:
     """Wave-type label of the periodic orbit a closed branch of {H = h} traces.
@@ -520,19 +619,9 @@ def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
                      span=None, sep_tol=1e-3, escape_radius=50.0,
                      rtol=1e-12, atol=1e-14):
     """Shoot along the unstable manifold of `from_eq` in the tau plane, stop
-    near `to_eq`; see `shoot_in_plane`."""
-    return shoot_in_plane(wp, _tau_rhs(wp), regular_jacobian(wp, from_eq.point),
-                          from_eq, to_eq, side=side, offset=offset, span=span,
-                          sep_tol=sep_tol, escape_radius=escape_radius,
-                          rtol=rtol, atol=atol)
-
-
-def shoot_in_plane(wp, rhs, jacobian, from_eq, to_eq, *, side=None, offset=1e-8,
-                   span=None, sep_tol=1e-3, escape_radius=50.0,
-                   rtol=1e-12, atol=1e-14):
-    """Shoot along the unstable manifold of `from_eq`, stop near `to_eq`, in
-    the plane whose solve_ivp right-hand side is `rhs` and whose Jacobian at
-    `from_eq` is `jacobian`.
+    near `to_eq`.  The observer finds connections on the level set instead
+    (`walk_separatrix`); this is the integrated reference it is tested
+    against.
 
     `side` picks the ray whose initial phi displacement has that sign
     ("left"/"right"); with side=None both rays are tried.  Returns
@@ -541,7 +630,7 @@ def shoot_in_plane(wp, rhs, jacobian, from_eq, to_eq, *, side=None, offset=1e-8,
     the ~ln(1/offset)/lambda departure and arrival transients plus one sweep
     of the loop itself.
     """
-    ray, lam = _unstable_ray(jacobian)
+    ray, lam = _unstable_ray(regular_jacobian(wp, from_eq.point))
     if lam <= 0:
         return False, None
     if span is None:
@@ -558,6 +647,7 @@ def shoot_in_plane(wp, rhs, jacobian, from_eq, to_eq, *, side=None, offset=1e-8,
     else:
         want = 1.0 if side == "right" else -1.0
         rays = [ray if ray[0] * want > 0 else (-ray[0], -ray[1])]
+    rhs = _tau_rhs(wp)
     traj = None
     for v in rays:
         start = (from_eq.phi + offset * v[0], from_eq.y + offset * v[1])

@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, canonical_levels,
                            classify_region, menu_agrees, observe_wave_menu,
-                           predict_wave_menu, sweep_singular_line, tau_plane)
+                           predict_wave_menu, saddle_connections,
+                           sweep_singular_line, tau_plane)
 from rotheta.closedform import closed_form_menu
 from rotheta.equilibria import census
 from rotheta.field import build_first_integral, rhs_singular
 from rotheta.orbits import (branch_period, classify_level_branch, classify_orbit,
-                            integrate, measure_axis_period, trace_branches)
+                            integrate, measure_axis_period, shoot_connection,
+                            trace_branches)
 from rotheta.params import WaveParams
 from rotheta.verification import T1_BASE, T3_BASE
 
@@ -363,3 +366,79 @@ def test_branch_period_matches_closed_forms():
             assert branch_period(y2, br) == pytest.approx(sol.period, rel=1e-9)
             n += 1
     assert n >= 4
+
+
+# --- saddle connections on the level set against shooting -----------------------
+
+
+def _atlas_grid(base, c1_range, every):
+    return [WaveParams(C1=float(c1), **base)
+            for c1 in np.linspace(*c1_range, 200)[::every]]
+
+
+def test_level_connections_match_shooting():
+    # the reference points, every 10th sample of both 200-sample
+    # atlas-agreement grids, an escaping arch (C3 > 0) and theta = 1/3 (m = 0)
+    points = (REFERENCE_POINTS
+              + _atlas_grid(T1_BASE, (0.85, -0.1), 10)
+              + _atlas_grid(T3_BASE, (0.2, -0.198), 10)
+              + [WaveParams(Fraction(1, 4), 0.3, 2.0, 1.0, 3.0),
+                 WaveParams(Fraction(1, 3), 0.3, 2.0, -1.0, 3.0)])
+    n = hits = 0
+    for wp in points:
+        if wp.theta == Fraction(1, 2) and float(wp.C1) == 0.0:
+            continue   # profile plane: its loops are pinned in PINNED_PROFILE_PLANE
+        cen, fi = census(wp), build_first_integral(wp)
+        plane = tau_plane(wp, cen, fi)
+        for conn in saddle_connections(plane, 50.0):
+            arch = conn.kind == "arch"
+            hit, traj = shoot_connection(wp, conn.saddle,
+                                         plane.pair[1] if arch else conn.saddle,
+                                         side=conn.side, sep_tol=1e-3 if arch else 1e-4)
+            want = classify_orbit(wp, traj, cen).tag if hit else None
+            assert (conn.hit, conn.tag) == (hit, want), \
+                (wp.C1, conn.kind, conn.saddle.phi, conn.side, conn.end)
+            n += 1
+            hits += hit
+    assert n >= 120 and 0 < hits < n
+
+
+def test_escape_radius_drops_a_loop_as_shooting_does():
+    wp = WaveParams(C1=0.85, **T1_BASE)
+    loop = next(c for c in saddle_connections(tau_plane(wp), 50.0)
+                if c.kind == "loop" and c.hit)
+    extent = float(np.max(np.hypot(loop.branch.phi, loop.branch.y)))
+    radius = 0.5 * (abs(loop.saddle.phi) + extent)
+    assert abs(loop.saddle.phi) < radius < extent
+    assert observe_wave_menu(wp)[0].solitary == 1
+    obs, diag = observe_wave_menu(wp, escape_radius=radius)
+    assert obs.solitary == 0
+    assert not [d for d in diag if d["kind"] == "loop"]
+    assert not shoot_connection(wp, loop.saddle, loop.saddle, side=loop.side,
+                                sep_tol=1e-4, escape_radius=radius)[0]
+    assert [c.end for c in saddle_connections(tau_plane(wp), radius)
+            if c.kind == "loop"] == ["escape", "escape"]
+
+
+@pytest.mark.parametrize("c1", [0.1, 0.3, 0.5])
+def test_arch_xi_extent_matches_adaptive_quadrature(c1):
+    # on the pair's level y^2 = (B(s) - B(phi)) / (a (phi - s)^2), a quartic
+    # once the double root at the line is divided out
+    wp = WaveParams(C1=c1, **T1_BASE)
+    fi, s = build_first_integral(wp), float(wp.singular_line)
+    num = -np.array([float(c) for c in fi.phi_poly_coeffs()][::-1])
+    num[-1] += fi.eval(s, 0.0)
+    quartic, rem = np.polydiv(num, np.poly([s, s]) * float(fi.y2_coeff))
+    assert np.max(np.abs(rem)) <= 1e-9 * np.max(np.abs(num))
+    roots = np.roots(quartic)
+    turning = roots.real[np.abs(roots.imag) < 1e-9]
+    _obs, diag = observe_wave_menu(wp)
+    arches = {d["side"]: d for d in diag if d["kind"] == "arch"}
+    assert {d["end"] for d in arches.values()} == {"turning-point"}
+    for side, tp in (("left", turning[turning < s].max()), ("right", turning[turning > s].min())):
+        lo, hi = sorted((tp, s))
+        ref, _err = quad(lambda phi: 2.0 / np.sqrt(np.polyval(quartic, phi)), lo, hi,
+                         epsabs=0.0, epsrel=1e-11, limit=200)
+        assert arches[side]["xi_extent"] == pytest.approx(ref, rel=1e-9), side
+        assert arches[side]["jump"] == pytest.approx(2.0 * np.sqrt(np.polyval(quartic, s)),
+                                                     rel=1e-12)

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from rotheta.equilibria import census, linearization_determinant
-from rotheta.field import build_first_integral, rhs_regular, rhs_singular
+from rotheta.field import build_first_integral, eval_f_prime, rhs_regular, rhs_singular
 from rotheta.orbits import (classify_level_branch, classify_orbit, integrate,
-                            measure_axis_period, shoot_connection,
-                            trace_level_curve)
+                            measure_axis_period, saddle_level_fn, shoot_connection,
+                            trace_level_curve, y_squared_fn)
 from rotheta.params import WaveParams
 
 
@@ -176,6 +176,37 @@ def test_branch_points_match_orbit_polynomial_roots():
 def test_empty_level_returns_no_branches(regime):
     wp, cen, fi = regime
     assert trace_level_curve(fi, 1e6, (-0.5, 1.0)) == []
+
+
+# --- a saddle's own level ------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 4), Fraction(1, 2), Fraction(1)],
+                         ids=["polynomial", "log", "pole"])
+def test_saddle_level_fn_is_the_level_without_cancellation(theta):
+    # the line beyond phi1 ~ 2.6256 makes phi1 an axis saddle
+    wp = WaveParams(theta, 3.4 * float(theta), 2.0, -1.0, 3.0)
+    cen, fi = census(wp), build_first_integral(wp)
+    (sad,) = [e for e in cen.saddles() if e.y == 0.0]
+    y2 = saddle_level_fn(fi, sad.phi)
+    raw = y_squared_fn(fi, fi.eval(sad.phi, 0.0))
+    far = sad.phi + np.array([-0.6, -0.3, 0.3, 0.6])
+    assert np.allclose(y2(far), raw(far), rtol=1e-9, atol=0.0)
+    # next to the saddle y^2 ~ kappa u^2, kappa = -f'(phi0) / (2 a (phi0 - s))
+    kappa = -eval_f_prime(wp, sad.phi) / (
+        2.0 * float(fi.y2_coeff) * (sad.phi - float(fi.line)))
+    assert kappa > 0.0
+    for u in (-1e-7, 1e-7):
+        assert y2(sad.phi + u) / u**2 == pytest.approx(kappa, rel=1e-5)
+
+
+def test_saddle_level_fn_passes_the_line_with_the_pairs_y2(regime):
+    wp, cen, fi = regime
+    up = max(cen.line_pair, key=lambda e: e.y)
+    y2 = saddle_level_fn(fi, up.phi, on_line=True)
+    assert y2(up.phi) == pytest.approx(up.y**2, rel=1e-12)
+    far = np.array([-0.5, 0.5, 2.0])
+    assert np.allclose(y2(far), y_squared_fn(fi, 0.0)(far), rtol=1e-9, atol=0.0)
 
 
 # --- classification of the peakon geometry ------------------------------------
