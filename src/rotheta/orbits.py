@@ -14,9 +14,11 @@ tested against (`integrate` + `classify_orbit` for branches,
 `shoot_connection` + `classify_orbit` for connections).  Every integration
 runs through `_solve`, the package's one scipy DOP853 call: dense output,
 an escape-radius event, an axis-crossing event, and the arrival event when
-shooting.  `integrate` monitors the first integral along the trajectory; if
-the relative drift exceeds the limit the run is retried once at tighter
-tolerances.
+shooting.  A trajectory is read at any set of times through
+`Trajectory.at`, which evaluates all of them in one numpy pass over the
+steps' dense-output polynomials, bit for bit as scipy would.  `integrate`
+monitors the first integral along the trajectory; if the relative drift
+exceeds the limit the run is retried once at tighter tolerances.
 
 Classification vocabulary (the `tag` of :class:`OrbitClass`):
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -75,10 +77,14 @@ BOUNDARY_DEGENERATE = "BoundaryDegenerate"
 
 @dataclass
 class Trajectory:
+    """One DOP853 run from `_solve`.  `states` holds the accepted steps;
+    `at` reads the dense solution at any times (`dense`, `xi_of_tau` and
+    `classify_orbit` all sample through it)."""
+
     wp: WaveParams
     t: np.ndarray
     states: np.ndarray          # shape (n, 2)
-    sol: object                 # scipy OdeSolution (dense)
+    sol: object                 # scipy OdeSolution (dense); `at` evaluates it
     escaped: bool
     axis_crossings: np.ndarray  # times where y changed sign
     h0: float | None = None
@@ -87,9 +93,40 @@ class Trajectory:
     rtol_used: float = 0.0
     status: str = ""
 
+    @cached_property
+    def _segments(self):
+        """Each step's DOP853 interpolant as arrays, gathered on first use:
+        breakpoints, step starts t_old, step lengths h, start states y_old
+        and the coefficient rows F, highest power first."""
+        steps = self.sol.interpolants
+        return (self.sol.ts, np.array([s.t_old for s in steps]),
+                np.array([s.h for s in steps]), np.array([s.y_old for s in steps]),
+                np.array([s.F[::-1] for s in steps]))
+
+    def at(self, t):
+        """The state at a time t, shape (2,), or at an array of times, shape
+        (2, n), as OdeSolution(t) gives it, bit for bit, in one numpy pass.
+
+        A time is read on the step between the two breakpoints (`sol.ts`)
+        around it, on the earlier step at a breakpoint and on the end steps
+        beyond the ends (OdeSolution's rule for a forward run); the step's
+        polynomial is evaluated in Dop853DenseOutput's Horner order."""
+        ts, t_old, h, y_old, F = self._segments
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
+        x = ((t - t_old[seg]) / h[seg])[..., None]
+        factors = (x, 1 - x)
+        coeffs = F[seg]
+        y = np.zeros_like(y_old[seg])
+        for i in range(coeffs.shape[-2]):
+            y += coeffs[..., i, :]
+            y *= factors[i % 2]
+        y += y_old[seg]
+        return y.T
+
     def dense(self, n=2001):
         tg = np.linspace(self.t[0], self.t[-1], n)
-        return tg, self.sol(tg).T
+        return tg, self.at(tg).T
 
     @property
     def diameter(self):
@@ -99,7 +136,7 @@ class Trajectory:
 
     def xi_of_tau(self, t_grid):
         """xi(tau) on a grid via cumulative trapezoid of theta*phi - C1."""
-        return _xi_along(self.wp, t_grid, self.sol(t_grid)[0])
+        return _xi_along(self.wp, t_grid, self.at(t_grid)[0])
 
 
 def _xi_along(wp: WaveParams, t_grid, phis):
@@ -115,14 +152,19 @@ def _h_scale(h_values, h0):
 
 
 def _tau_rhs(wp: WaveParams):
-    """The tau-form right-hand side for solve_ivp (theta, C1 as floats, K,
-    C2, C3 as given: the arithmetic every pinned trajectory was made with)."""
+    """The tau-form right-hand side for solve_ivp, on plain Python floats.
+
+    Every coefficient is cast to float once.  That is bitwise what mixed
+    float/Fraction arithmetic computes anyway (Fraction rounds itself to
+    float first), so exact and float coefficients give the same steps."""
     theta, C1 = float(wp.theta), float(wp.C1)
+    K, C2, C3 = float(wp.K), float(wp.C2), float(wp.C3)
+    y2_c = theta - 0.5
 
     def rhs(_t, x):
-        phi, y = x
+        phi, y = x.tolist()
         return (y * (theta * phi - C1),
-                (theta - 0.5) * y * y + phi * (wp.K + phi * (0.5 + phi * (wp.C2 + phi * wp.C3))))
+                y2_c * y * y + phi * (K + phi * (0.5 + phi * (C2 + phi * C3))))
     return rhs
 
 
@@ -131,7 +173,8 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
     """Integrate `rhs` from `start` over [0, span] with dense DOP853 until
     it leaves the disc of `escape_radius`, reaches the `axis_stop`-th y = 0
     crossing (if given) or a terminal one of `events`.  Returns the
-    Trajectory (recording `wp`) and the times each of `events` fired."""
+    Trajectory (recording `wp`, read with `Trajectory.at`) and the times
+    each of `events` fired."""
     r2 = escape_radius * escape_radius
 
     def ev_escape(_t, x):
@@ -555,10 +598,10 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
     tc = tc[tc > 1e-12]
     if len(tc) >= 3:
         t1, t3 = tc[0], tc[2]
-        s1, s3 = traj.sol(t1), traj.sol(t3)
+        s1, s3 = traj.at(t1), traj.at(t3)
         if np.hypot(*(s3 - s1)) <= close_tol * scale:
             tg = np.linspace(t1, t3, 4001)
-            phis, ys = traj.sol(tg)
+            phis, ys = traj.at(tg)
             line_dist = np.abs(phis - s)
 
             def strip_jump(r):

@@ -13,14 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
+from rotheta import orbits
+from rotheta.atlas import saddle_connections, tau_plane
 from rotheta.equilibria import census, linearization_determinant
 from rotheta.field import build_first_integral, eval_f_prime, rhs_regular, rhs_singular
-from rotheta.orbits import (classify_level_branch, classify_orbit, integrate,
+from rotheta.orbits import (_tau_rhs, classify_level_branch, classify_orbit, integrate,
                             measure_axis_period, saddle_level_fn, shoot_connection,
                             trace_level_curve, y_squared_fn)
 from rotheta.params import WaveParams
+from rotheta.verification import T3_BASE
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +52,10 @@ def test_small_loop_returns_to_start(regime):
     assert traj.h_drift_max <= 1e-8
     # return-map oracle: after the transient the orbit re-visits the start
     tg = np.linspace(5.0, traj.t[-1], 4001)
-    xs = traj.sol(tg).T
+    xs = traj.at(tg).T
     i = int(np.argmin(np.hypot(xs[:, 0] - start[0], xs[:, 1] - start[1])))
     fine = np.linspace(tg[max(i - 1, 0)], tg[min(i + 1, len(tg) - 1)], 2001)
-    xf = traj.sol(fine).T
+    xf = traj.at(fine).T
     d = np.min(np.hypot(xf[:, 0] - start[0], xf[:, 1] - start[1]))
     assert d <= 1e-6
     oc = classify_orbit(wp, traj, cen)
@@ -119,7 +123,7 @@ def test_xi_tau_reparametrization_consistency(regime):
                     list(start), method="DOP853", rtol=1e-12, atol=1e-14,
                     dense_output=True)
     direct = res.sol(xi_grid).T
-    repar = traj.sol(tg).T
+    repar = traj.at(tg).T
     err = float(np.max(np.hypot(direct[:, 0] - repar[:, 0],
                                 direct[:, 1] - repar[:, 1])))
     assert err <= 1e-6
@@ -131,6 +135,106 @@ def test_period_converges_to_linearization(regime):
     assert J > 0
     period, _ = measure_axis_period(lambda _t, x: rhs_regular(wp, x), (1e-3, 0.0))
     assert period == pytest.approx(2.0 * math.pi / math.sqrt(J), rel=1e-2)
+
+
+# --- reading a trajectory ------------------------------------------------------
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Every Trajectory `_solve` returns while the test runs."""
+    trajs = []
+    solve = orbits._solve
+
+    def recording(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        trajs.append(out[0])
+        return out
+    monkeypatch.setattr(orbits, "_solve", recording)
+    return trajs
+
+
+def test_trajectory_reads_as_scipy_solution(regime, solved):
+    # Trajectory.at must give OdeSolution's bits: the same step at every
+    # breakpoint, the same Horner order, the end steps beyond the ends.  This
+    # breaks if a scipy release lays the dense segments out differently.
+    wp, cen, fi = regime
+    integrate(wp, (0.05, 0.0), tau_span=30.0, fi=fi)
+    assert integrate(wp, (4.5, 0.0), tau_span=20.0, escape_radius=10.0).escaped
+    integrate(wp, (0.5, 0.0), tau_span=40.0, fi=fi, stop_after_crossings=4)
+    # theta = 1/2 draw of the conservation check (seed 7) that is retried
+    wp2 = WaveParams(Fraction(1, 2), 0.4373320529391518, -0.3812625527332747,
+                     -0.390032636347341, -0.21184101399724953)
+    retried = integrate(wp2, (0.015485211109185215, 1.1316458086786465),
+                        tau_span=10.0, fi=build_first_integral(wp2))
+    assert retried.rtol_used == pytest.approx(1e-12)
+    wp3 = WaveParams(Fraction(1), 0.3, 2.0, -1.0, 3.0)
+    integrate(wp3, (0.5, 0.2), tau_span=10.0, fi=build_first_integral(wp3))
+    assert len(integrate(wp3, (0.5, 0.2), tau_span=1e-3).t) == 2   # one step
+    up, dn = sorted(cen.line_pair, key=lambda e: -e.y)
+    assert shoot_connection(wp, up, dn, side="left")[0]
+    measure_axis_period(lambda _t, x: rhs_regular(wp, x), (1e-3, 0.0))
+    assert len(solved) == 9
+
+    rng = np.random.default_rng(0)
+    for traj in solved:
+        t0, t1 = traj.t[0], traj.t[-1]
+        tg = np.concatenate([np.linspace(t0 - 0.5, t1 + 0.5, 1001), traj.t,
+                             rng.uniform(t0, t1, 200)])
+        got, want = traj.at(tg), traj.sol(tg)
+        assert got.shape == want.shape == (2, len(tg))
+        assert np.array_equal(got, want)
+        for t in [*traj.t, *tg[::50]]:
+            got, want = traj.at(t), traj.sol(t)
+            assert got.shape == want.shape == (2,)
+            assert np.array_equal(got, want)
+
+
+def test_trajectory_breakpoint_rule_matches_scipy():
+    # DOP853's neighbouring steps agree to the last bit at almost every
+    # breakpoint, so make them disagree: random interpolants, each starting
+    # off the previous one's end, the last one running past ts[-1] as a step
+    # cut short by a terminal event does.  OdeSolution reads a breakpoint on
+    # the earlier step (a forward run).
+    rng = np.random.default_rng(3)
+    ts = np.cumsum(rng.uniform(0.1, 1.0, 9))
+    steps = [Dop853DenseOutput(a, b + 0.3 * (k == 7), rng.normal(size=2),
+                               rng.normal(size=(7, 2)))
+             for k, (a, b) in enumerate(zip(ts[:-1], ts[1:]))]
+    sol = OdeSolution(ts, steps)
+    traj = orbits.Trajectory(wp=None, t=ts, states=None, sol=sol, escaped=False,
+                             axis_crossings=np.array([]))
+    tg = np.concatenate([ts, ts - 1e-3, ts + 1e-3])
+    assert not np.array_equal(steps[3](ts[4]), steps[4](ts[4]))
+    assert np.array_equal(traj.at(tg), sol(tg))
+    for t in tg:
+        assert np.array_equal(traj.at(t), sol(t))
+
+
+def _rhs_as_given(wp, phi, y):
+    """The tau-form RHS on np.float64 state and the coefficients as given,
+    the arithmetic the pinned trajectories were first made with."""
+    theta, C1 = float(wp.theta), float(wp.C1)
+    phi, y = np.float64(phi), np.float64(y)
+    return (y * (theta * phi - C1),
+            (theta - 0.5) * y * y + phi * (wp.K + phi * (0.5 + phi * (wp.C2 + phi * wp.C3))))
+
+
+_coeff = st.floats(-10.0, 10.0)
+_exact = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+
+
+@given(theta=st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       C1=_coeff, coeffs=st.one_of(st.tuples(_coeff, _coeff, _coeff),
+                                   st.tuples(_exact, _exact, _exact)),
+       phi=st.floats(-1e3, 1e3), y=st.floats(-1e3, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_tau_rhs_is_bitwise_the_rhs_as_given(theta, C1, coeffs, phi, y):
+    K, C2, C3 = coeffs
+    wp = WaveParams(theta, C1, C2, C3, K)
+    got = np.array(_tau_rhs(wp)(0.0, np.array([phi, y])))
+    want = np.array(_rhs_as_given(wp, phi, y), dtype=float)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- trace_level_curve ---------------------------------------------------------
@@ -293,3 +397,22 @@ def test_homoclinic_loop_is_solitary():
     oc = classify_orbit(wp, traj, cen)
     assert oc.tag == "Solitary"
     assert traj.states[:, 0].max() == pytest.approx(3.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("c1, phi0, side", [(0.04600000000000001, 0.0, "right"),
+                                            (-0.0020000000000000018, 0.0875, "left")])
+def test_near_line_loop_needs_a_long_shooting_span(c1, phi0, side):
+    # T3 atlas-grid samples whose loop turns within ~1e-6 of the singular
+    # line: the tau-flow crawls there, so the default span ends the shot
+    # before it arrives; a span of 5000 finds the loop the level walk finds
+    wp = WaveParams(C1=c1, **T3_BASE)
+    cen = census(wp)
+    (conn,) = [c for c in saddle_connections(tau_plane(wp, cen), 50.0)
+               if c.kind == "loop" and c.side == side
+               and c.saddle.phi == pytest.approx(phi0, abs=1e-4)]
+    assert (conn.hit, conn.tag) == (True, "Solitary")
+    assert not shoot_connection(wp, conn.saddle, conn.saddle, side=side, sep_tol=1e-4)[0]
+    hit, traj = shoot_connection(wp, conn.saddle, conn.saddle, side=side, sep_tol=1e-4,
+                                 span=5000.0)
+    assert hit
+    assert classify_orbit(wp, traj, cen).tag == "Solitary"
