@@ -39,8 +39,13 @@ def one_family(kind, make_roots, limit_roots, levels):
     for k in range(1, levels + 1):
         gap = 10.0 ** -k
         wp, h = params_from_roots(make_roots(gap))
-        sol = next(s for s in closed_form_menu(wp, h)
-                   if s.kind.startswith(kind))
+        sol = next((s for s in closed_form_menu(wp, h)
+                    if s.kind.startswith(kind)), None)
+        if sol is None:
+            # closer than the root-merging tolerance, the pair is one
+            # double root and the level carries only the solitary wave
+            print(f"  {gap:10.0e}  roots merged: no {kind} profile")
+            break
         # compare around the crest, clear of the periodic profile's far
         # turning point at half a period out
         half = min(8.0, 0.25 * sol.period)

@@ -12,9 +12,10 @@ Three regimes are covered:
   counts backed by the closed forms.
 
 Domains defined by an equality (e.g. "g at its minimum vanishes") are
-genuine measure-zero regions: parameters within `eq_tol` of the equality
-get that label cleanly, while parameters in the wider `boundary_tol` band
-around it keep the adjacent open-domain label but are flagged boundary.
+genuine measure-zero regions: parameters within `_EQ_TOL` (relative) of
+the equality get that label cleanly, while parameters in the wider
+`_BOUNDARY_TOL` band around it keep the adjacent open-domain label but are
+flagged boundary.
 Other theta values have no theorem coverage and classification raises.
 
 Observation runs in the tau plane, where the singular line is invariant,
@@ -71,6 +72,15 @@ __all__ = [
 # Menu value for a tag the theorem mentions without counting ("solitary
 # and (or) periodic"): no per-tag claim; the disjunction lives in smooth_any.
 PRESENT = "present"
+
+_EQ_TOL = 1e-9         # a domain's defining equality holds (relative)
+_BOUNDARY_TOL = 1e-6   # band around a domain edge flagged boundary (relative)
+_T3_C1_TOL = 1e-9      # |C1| up to this is the T3 point C1 = 0
+
+
+def _is_t3_point(wp: WaveParams) -> bool:
+    """theta = 1/2 with the singular line through the origin (C1 = 0)."""
+    return wp.theta == Fraction(1, 2) and abs(float(wp.C1)) <= _T3_C1_TOL
 
 
 @dataclass(frozen=True)
@@ -155,11 +165,10 @@ def _peakon_window(wp: WaveParams, domain: str, roots_desc) -> bool:
     return lit
 
 
-def classify_region(wp: WaveParams, cen: EquilibriumCensus, *,
-                    eq_tol=1e-9, boundary_tol=1e-6, c1_tol=1e-9) -> RegionLabel:
+def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
     """Theorem/domain label for the parameter point, with boundary flagging.
 
-    theta = 1/4 -> T1; theta = 1/2 -> T3 when |C1| <= c1_tol else T2; any
+    theta = 1/4 -> T1; theta = 1/2 -> T3 when |C1| <= 1e-9 else T2; any
     other theta raises ValueError (no theorem covers it).  Domains follow
     the sign of g at its local minimum (g_min) and maximum (g_max), with
     K = 0 taking precedence (T1/D5, T2/D6); delta = 4 C2^2 - 6 C3 <= 0 or
@@ -169,7 +178,7 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus, *,
     if theta == Fraction(1, 4):
         theorem = "T1"
     elif theta == Fraction(1, 2):
-        theorem = "T3" if abs(float(wp.C1)) <= c1_tol else "T2"
+        theorem = "T3" if _is_t3_point(wp) else "T2"
     else:
         raise ValueError(f"no theorem covers theta = {theta}")
 
@@ -183,9 +192,9 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus, *,
                            in_peakon_window=window, note=note)
 
     dscale = 1.0 + 4.0 * float(wp.C2) ** 2 + 6.0 * abs(float(wp.C3))
-    if delta <= boundary_tol * dscale:
+    if delta <= _BOUNDARY_TOL * dscale:
         return label("UNCOVERED",
-                     boundary=abs(delta) <= boundary_tol * dscale,
+                     boundary=abs(delta) <= _BOUNDARY_TOL * dscale,
                      note="needs 4C2^2 > 6C3 (two critical points of g)")
 
     phi_min, phi_max = g_critical_points(wp)
@@ -196,8 +205,8 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus, *,
     gscale = 1.0 + max(abs(gmin), abs(gmax))
 
     kscale = 1.0 + abs(float(wp.C2)) + abs(float(wp.C3))
-    k_is_zero = abs(float(wp.K)) <= eq_tol * kscale
-    k_near_zero = abs(float(wp.K)) <= boundary_tol * kscale
+    k_is_zero = abs(float(wp.K)) <= _EQ_TOL * kscale
+    k_near_zero = abs(float(wp.K)) <= _BOUNDARY_TOL * kscale
 
     if theorem in ("T1", "T2"):
         # the window concept is T1-only: at theta = 1/2 the line carries
@@ -209,11 +218,11 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus, *,
         if k_is_zero:
             kdom = "D5" if theorem == "T1" else "D6"
             return label(kdom, window=window("D5"))
-        if abs(gmin) <= eq_tol * gscale:
+        if abs(gmin) <= _EQ_TOL * gscale:
             return label("D2", boundary=k_near_zero, window=window("D2"))
-        if abs(gmax) <= eq_tol * gscale:
+        if abs(gmax) <= _EQ_TOL * gscale:
             return label("D3", boundary=k_near_zero, window=window("D3"))
-        near = min(abs(gmin), abs(gmax)) <= boundary_tol * gscale
+        near = min(abs(gmin), abs(gmax)) <= _BOUNDARY_TOL * gscale
         if gmin > 0.0:
             dom = "D1"
         elif gmax < 0.0:
@@ -226,14 +235,14 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus, *,
                      window=window(dom))
 
     # T3
-    if abs(gmin) <= eq_tol * gscale:
+    if abs(gmin) <= _EQ_TOL * gscale:
         return label("D1", boundary=True,
                      note="g_min = 0: shared edge of D1 and D2")
     if gmin > 0.0:
-        return label("D1", boundary=gmin <= boundary_tol * gscale)
-    if gmax > eq_tol * gscale:
-        return label("D3", boundary=gmax <= boundary_tol * gscale)
-    return label("D2", boundary=abs(gmax) <= boundary_tol * gscale)
+        return label("D1", boundary=gmin <= _BOUNDARY_TOL * gscale)
+    if gmax > _EQ_TOL * gscale:
+        return label("D3", boundary=gmax <= _BOUNDARY_TOL * gscale)
+    return label("D2", boundary=abs(gmax) <= _BOUNDARY_TOL * gscale)
 
 
 def predict_wave_menu(label: RegionLabel) -> WaveMenu:
@@ -473,7 +482,7 @@ def saddle_connections(plane: Plane, escape_radius):
 
 
 def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
-                      fi=None, *, escape_radius=50.0, c1_tol=1e-9):
+                      fi=None, *, escape_radius=50.0):
     """Count wave families numerically, with no integration.
 
     The count runs in the tau plane, except at the reduced point theta =
@@ -490,7 +499,7 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
     diagnostics); a level-orbit entry carries the quadrature period_xi
     (None if it did not converge).
     """
-    if wp.theta == Fraction(1, 2) and abs(float(wp.C1)) <= c1_tol:
+    if _is_t3_point(wp):
         plane = _profile_plane(wp)
     else:
         plane = tau_plane(wp, cen, fi)
@@ -578,10 +587,10 @@ def _near_window_edge(wp: WaveParams, label: RegionLabel, rel=1e-3) -> bool:
     return any(abs(s - e) <= rel * (1.0 + abs(e)) for e in edges)
 
 
-def _sweep_one(base, c1, escape_radius, eq_tol, boundary_tol):
+def _sweep_one(base, c1, escape_radius):
     wp = replace(base, C1=float(c1))
     cen = census(wp)
-    label = classify_region(wp, cen, eq_tol=eq_tol, boundary_tol=boundary_tol)
+    label = classify_region(wp, cen)
     # census boundaries are degenerate portraits -- except at T3, where the
     # line-through-equilibrium configuration is the covered case itself
     structural = cen.is_boundary and label.theorem != "T3"
@@ -597,7 +606,7 @@ def _sweep_one(base, c1, escape_radius, eq_tol, boundary_tol):
 
 
 def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
-                        escape_radius=50.0, eq_tol=1e-9, boundary_tol=1e-6) -> SweepReport:
+                        escape_radius=50.0) -> SweepReport:
     """Classify/predict/observe across a right-to-left sweep of C1.
 
     `c1_range` = (right, left) with right > left; samples are strictly
@@ -616,6 +625,5 @@ def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
     if not hi > lo:
         raise ValueError("c1_range must be ordered right-to-left (hi > lo)")
     c1s = np.linspace(hi, lo, sample_count)
-    samples = [_sweep_one(base, c1, escape_radius, eq_tol, boundary_tol)
-               for c1 in c1s]
+    samples = [_sweep_one(base, c1, escape_radius) for c1 in c1s]
     return SweepReport(base=base, samples=samples)

@@ -55,8 +55,6 @@ class RunConfig:
     c1_to: float | None = None
     samples: int = 200
     escape_radius: float = 50.0
-    eq_tol: float = 1e-9
-    boundary_tol: float = 1e-6
     seed: int = DEFAULT_SEED
     only: tuple = ()
 
@@ -147,7 +145,6 @@ def _read_config_file(path: str) -> dict:
 _FILE_COERCE = {
     "omega": float, "c": float, "c1": float, "c2": float, "c3": float,
     "k": float, "c1_from": float, "c1_to": float, "escape_radius": float,
-    "eq_tol": float, "boundary_tol": float,
     "samples": int, "seed": int,
     "h": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
     "only": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
@@ -508,8 +505,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.c1_from is None or cfg.c1_to is None:
         raise UsageError("sweep needs --c1-from and --c1-to")
     rep = sweep_singular_line(base_wp, (cfg.c1_from, cfg.c1_to), cfg.samples,
-                              escape_radius=cfg.escape_radius,
-                              eq_tol=cfg.eq_tol, boundary_tol=cfg.boundary_tol)
+                              escape_radius=cfg.escape_radius)
 
     scored = sum(1 for s in rep.samples if s.agreement is not None)
     frac = rep.agreement_fraction

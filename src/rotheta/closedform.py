@@ -15,7 +15,8 @@ on the level H = h.  The root configuration of P dictates the wave family:
   to the double root (right hump to p1, left dip to p3).
 
 All profiles are expressed through Jacobi elliptic functions with modulus
-and frequency derived from the roots; `ode_residual` provides the
+and frequency derived from the roots, and evaluate a whole array of xi in
+one `elliptic.jacobi` call; `ode_residual` provides the
 finite-difference check that a constructed profile actually satisfies the
 equation, independent of how it was derived.
 """
@@ -156,7 +157,7 @@ def construct_cn(wp: WaveParams, pol: OrbitPolynomial) -> WaveSolution:
 
     def fn(xi):
         xi = np.asarray(xi, dtype=float)
-        cn = np.vectorize(lambda u: jacobi(u, m)[1])(omega * xi)
+        cn = jacobi(omega * xi, m)[1]
         return (p1 * B1 * (1.0 - cn) + p2 * A1 * (1.0 + cn)) / \
                ((A1 + B1) + (A1 - B1) * cn)
 
@@ -192,14 +193,14 @@ def construct_sn(wp: WaveParams, pol: OrbitPolynomial, side: str) -> WaveSolutio
     if side == "right":
         def fn(xi):
             xi = np.asarray(xi, dtype=float)
-            sn2 = np.vectorize(lambda u: jacobi(u, m)[0] ** 2)(omega * xi)
+            sn2 = jacobi(omega * xi, m)[0] ** 2
             return (p2 * (p1 - p3) - p3 * (p1 - p2) * sn2) / \
                    ((p1 - p3) - (p1 - p2) * sn2)
         rng = (p2, p1)
     elif side == "left":
         def fn(xi):
             xi = np.asarray(xi, dtype=float)
-            sn2 = np.vectorize(lambda u: jacobi(u, m)[0] ** 2)(omega * xi)
+            sn2 = jacobi(omega * xi, m)[0] ** 2
             return (p4 * (p1 - p3) + p1 * (p3 - p4) * sn2) / \
                    ((p1 - p3) + (p3 - p4) * sn2)
         rng = (p4, p3)

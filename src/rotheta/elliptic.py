@@ -1,106 +1,51 @@
-"""Jacobi elliptic functions and the complete integral K, self-contained.
+"""Jacobi elliptic functions and the complete integral K, from scipy.special.
 
-Everything is expressed in the PARAMETER m = k^2 (modulus squared).  The
-closed-form wave constructions all produce m first, so no silent k vs k^2
-confusion can enter: convert explicitly with `modulus_to_parameter`.
+Everything is expressed in the PARAMETER m = k^2 (modulus squared), the
+convention of `scipy.special.ellipj`/`ellipk`; the closed-form wave
+constructions all produce m first.
 
-* `complete_K(m)`: arithmetic-geometric mean, K = pi / (2 agm(1, sqrt(1-m))),
-  relative error ~1e-15 on [0, 1).
-* `jacobi(u, m)`: descending Landen/Gauss transformation with backward
-  recurrence for dn (the classical sncndn scheme); sn^2 + cn^2 = 1 holds by
-  construction, dn comes out of the recurrence to ~1e-15.  Arguments are
-  first reduced modulo the real period 4K.
+* `complete_K(m)`: `ellipk` on [0, 1).
+* `jacobi(u, m)`: `ellipj` at a float or an array u, except close to m = 1.
+  For m >= 0.9999999999 `ellipj` switches to a first-order expansion about
+  m = 1 that holds only for |u| <= K (at m = 1 - 4.4e-13, u = 2K it gives
+  cn = -2).  There u is first reduced into [-K, K], where sn and cn change
+  sign per half period 2K, and one descending Landen step (A&S 16.12.2-4)
+  moves the parameter to r^2 <= 1 - 4e-8, below that switch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["EllipticModulus", "modulus_to_parameter", "complete_K", "jacobi"]
+import numpy as np
+from scipy.special import ellipj, ellipk
 
-_MAX_AGM_ITER = 32
+__all__ = ["complete_K", "jacobi"]
 
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Elliptic parameter m = k^2, restricted to [0, 1]."""
-
-    m: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.m <= 1.0):
-            raise ValueError(f"elliptic parameter m = {self.m} outside [0, 1]")
-
-
-def modulus_to_parameter(k: float) -> float:
-    """Modulus k -> parameter m = k^2."""
-    return k * k
-
-
-def _param(m) -> float:
-    return m.m if isinstance(m, EllipticModulus) else float(m)
+_NEAR_ONE = 0.9999999999   # where ellipj switches to its expansion about m = 1
 
 
 def complete_K(m) -> float:
     """Complete elliptic integral K(m) for parameter m in [0, 1)."""
-    m = _param(m)
+    m = float(m)
     if not (0.0 <= m < 1.0):
         raise ValueError(f"complete_K requires 0 <= m < 1, got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return float(ellipk(m))
 
 
-def jacobi(u: float, m):
-    """(sn, cn, dn) at real argument u for parameter m in [0, 1].
-
-    m = 0 and m = 1 are the exact trigonometric/hyperbolic limits;
-    otherwise u is reduced into [-2K, 2K] and the AGM chain is descended.
-    """
-    m = _param(m)
+def jacobi(u, m):
+    """(sn, cn, dn) at real argument(s) u for parameter m in [0, 1]."""
+    m = float(m)
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"jacobi requires 0 <= m <= 1, got {m}")
-    if m == 0.0:
-        return math.sin(u), math.cos(u), 1.0
-    if m == 1.0:
-        sech = 1.0 / math.cosh(u)
-        return math.tanh(u), sech, sech
-
-    u = math.remainder(u, 4.0 * complete_K(m))
-    if abs(u) <= 1e-16:
-        # sn = u + O(u^3) is exact here, and the cn/sn seed of the backward
-        # recurrence overflows for arguments this small
-        return u, 1.0, 1.0
-
-    # ascending AGM chain on the complementary parameter
-    emc = 1.0 - m
-    a, dn = 1.0, 1.0
-    em, en = [], []
-    c = a
-    for _ in range(_MAX_AGM_ITER):
-        em.append(a)
-        emc = math.sqrt(emc)
-        en.append(emc)
-        c = 0.5 * (a + emc)
-        if abs(a - emc) <= 1e-8 * a:  # next correction is O(1e-16)
-            break
-        emc *= a
-        a = c
-    u = c * u
-    sn, cn = math.sin(u), math.cos(u)
-    if sn != 0.0:
-        t = cn / sn
-        c = t * c
-        for ai, bi in zip(reversed(em), reversed(en)):
-            t = c * t
-            c = dn * c
-            dn = (bi + t) / (ai + t)
-            t = c / ai
-        amp = 1.0 / math.sqrt(c * c + 1.0)
-        sn = math.copysign(amp, sn)
-        cn = c * sn
-    return sn, cn, dn
+    if not _NEAR_ONE <= m < 1.0:
+        sn, cn, dn, _ph = ellipj(u, m)
+        return sn, cn, dn
+    half = 2.0 * float(ellipk(m))
+    n = np.rint(np.divide(u, half))
+    sign = 1.0 - 2.0 * (n % 2.0)
+    kp = math.sqrt(1.0 - m)
+    r = (1.0 - kp) / (1.0 + kp)
+    sv, cv, dv, _ph = ellipj((u - n * half) / (1.0 + r), r * r)
+    d = 1.0 + r * sv * sv
+    return sign * (1.0 + r) * sv / d, sign * cv * dv / d, (1.0 - r * sv * sv) / d

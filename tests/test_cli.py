@@ -209,6 +209,7 @@ def test_config_file_validation(tmp_path, capsys):
     ("portrait", "format = xml", "bad config value for format: 'xml'"),
     ("wave", "type = bogus", "bad config value for type: 'bogus'"),
     ("sweep", "mode = fast", "unknown config keys: mode"),
+    ("sweep", "eq_tol = 1e-9", "unknown config keys: eq_tol"),
 ])
 def test_config_file_values_are_checked(tmp_path, capsys, command, line, message):
     # a config value is held to the same choices as the flag it stands for
