@@ -13,19 +13,10 @@ Usage: python scripts/degeneration_table.py [--levels 7]
 """
 
 import argparse
-from fractions import Fraction
 
 import numpy as np
 
-from rotheta import WaveParams, closed_form_menu
-
-
-def params_from_roots(roots):
-    """Coefficients whose orbit polynomial has the prescribed roots."""
-    p = np.real(np.poly(roots))
-    C3 = 1.0 / p[2]
-    wp = WaveParams(Fraction(1, 2), 0.0, 0.75 * C3 * p[1], C3, 0.25 * C3 * p[3])
-    return wp, -0.25 * C3 * p[4]
+from rotheta.closedform import closed_form_menu, params_from_roots
 
 
 def one_family(kind, make_roots, limit_roots, levels):

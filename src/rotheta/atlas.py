@@ -39,14 +39,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from .closedform import is_reduced_point, q_coeffs
 from .equilibria import (Equilibrium, EquilibriumCensus, SADDLE, census, find_g_roots,
                          g_critical_points)
 from .field import (SingularLineError, _taylor_shift, build_first_integral, eval_f,
                     eval_g, eval_g_prime)
 from .orbits import (
-    ANTI_PEAKON, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY, TURNING_POINT,
-    LevelBranch, OrbitClass, branch_period, classify_level_branch, saddle_level_fn,
-    trace_branches, trace_level_curve, walk_separatrix,
+    ANTI_PEAKON, ESCAPE_RADIUS, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY,
+    TURNING_POINT, LevelBranch, OrbitClass, branch_period, classify_level_branch,
+    saddle_level_fn, trace_branches, trace_level_curve, walk_separatrix,
 )
 from .params import WaveParams
 
@@ -75,12 +76,6 @@ PRESENT = "present"
 
 _EQ_TOL = 1e-9         # a domain's defining equality holds (relative)
 _BOUNDARY_TOL = 1e-6   # band around a domain edge flagged boundary (relative)
-_T3_C1_TOL = 1e-9      # |C1| up to this is the T3 point C1 = 0
-
-
-def _is_t3_point(wp: WaveParams) -> bool:
-    """theta = 1/2 with the singular line through the origin (C1 = 0)."""
-    return wp.theta == Fraction(1, 2) and abs(float(wp.C1)) <= _T3_C1_TOL
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
     if theta == Fraction(1, 4):
         theorem = "T1"
     elif theta == Fraction(1, 2):
-        theorem = "T3" if _is_t3_point(wp) else "T2"
+        theorem = "T3" if is_reduced_point(wp) else "T2"
     else:
         raise ValueError(f"no theorem covers theta = {theta}")
 
@@ -392,8 +387,7 @@ def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
 
 def _profile_plane(wp: WaveParams) -> Plane:
     """The regular profile plane phi' = y, y' = 2 g(phi) of the reduced
-    point theta = 1/2, C1 = 0, whose energy is 4h = Q(phi) - y^2 with Q the
-    antiderivative of 4g.
+    point theta = 1/2, C1 = 0, whose energy is 4h = Q(phi) - y^2 (`q_coeffs`).
 
     The tau plane is useless there: the invariant line phi = 0 passes
     through an equilibrium and severs every orbit crossing it.  Every
@@ -402,18 +396,16 @@ def _profile_plane(wp: WaveParams) -> Plane:
     level; on a saddle's level it is Q Taylor-shifted to the saddle, its
     constant dropped, and its turning points are the quartic's roots.
     """
-    wp0 = replace(wp, C1=0.0) if float(wp.C1) != 0.0 else wp
-    C2, C3, K = float(wp0.C2), float(wp0.C3), float(wp0.K)
-    q_coeffs = (C3, 4.0 * C2 / 3.0, 1.0, 4.0 * K, 0.0)
-    roots = [(r, eval_g_prime(wp0, r)) for r, _ in find_g_roots(wp0)]
+    q = q_coeffs(wp)
+    roots = [(r, eval_g_prime(wp, r)) for r, _ in find_g_roots(wp)]
 
     def y2(h):
-        return lambda phi: np.polyval(q_coeffs, phi) - 4.0 * h
+        return lambda phi: np.polyval(q, phi) - 4.0 * h
 
     def saddle_level(eq):
-        d = _taylor_shift(list(q_coeffs[::-1]), eq.phi)[::-1]
+        d = _taylor_shift(list(q[::-1]), eq.phi)[::-1]
         d[-1] = 0.0
-        return (0.25 * float(np.polyval(q_coeffs, eq.phi)),
+        return (0.25 * float(np.polyval(q, eq.phi)),
                 lambda phi: np.polyval(d, np.asarray(phi) - eq.phi))
 
     span_phi = max((abs(r) for r, _ in roots), default=1.0)
@@ -422,9 +414,9 @@ def _profile_plane(wp: WaveParams) -> Plane:
         pair=(),
         saddles=tuple(Equilibrium(phi=r, y=0.0, kind=SADDLE, J=-2.0 * gp, trace=0.0)
                       for r, gp in roots if gp > 0.0),
-        stops=tuple((r, 0.25 * float(np.polyval(q_coeffs, r))) for r, _ in roots),
+        stops=tuple((r, 0.25 * float(np.polyval(q, r))) for r, _ in roots),
         line=None, saddle_level=saddle_level,
-        crit=sorted({0.25 * float(np.polyval(q_coeffs, r)) for r, _ in roots}),
+        crit=sorted({0.25 * float(np.polyval(q, r)) for r, _ in roots}),
         window=window,
         branches=lambda h: trace_branches(y2(h), window, n=1501),
         classify_branch=lambda h, br: OrbitClass(
@@ -482,7 +474,7 @@ def saddle_connections(plane: Plane, escape_radius):
 
 
 def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
-                      fi=None, *, escape_radius=50.0):
+                      fi=None, *, escape_radius=ESCAPE_RADIUS):
     """Count wave families numerically, with no integration.
 
     The count runs in the tau plane, except at the reduced point theta =
@@ -499,10 +491,7 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
     diagnostics); a level-orbit entry carries the quadrature period_xi
     (None if it did not converge).
     """
-    if _is_t3_point(wp):
-        plane = _profile_plane(wp)
-    else:
-        plane = tau_plane(wp, cen, fi)
+    plane = _profile_plane(wp) if is_reduced_point(wp) else tau_plane(wp, cen, fi)
     diag = list(plane.header)
 
     peakon = solitary = 0
@@ -524,9 +513,7 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
     families = {}
     for h in plane.samples:
         interval = int(np.searchsorted(crit_arr, h))
-        # point branches sit at a center
-        closed = [b for b in plane.branches(h) if b.closed
-                  and b.phi[-1] - b.phi[0] > 1e-9 * (1.0 + abs(b.phi[0]))]
+        closed = [b for b in plane.branches(h) if b.closed and not b.is_point]
         for bi, br in enumerate(closed):
             oc = plane.classify_branch(h, br)
             families.setdefault((interval, bi), set()).add(oc.tag)
@@ -606,7 +593,7 @@ def _sweep_one(base, c1, escape_radius):
 
 
 def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
-                        escape_radius=50.0) -> SweepReport:
+                        escape_radius=ESCAPE_RADIUS) -> SweepReport:
     """Classify/predict/observe across a right-to-left sweep of C1.
 
     `c1_range` = (right, left) with right > left; samples are strictly

@@ -22,10 +22,10 @@ import numpy as np
 
 from .atlas import (canonical_levels, saddle_connections, sweep_singular_line,
                     tau_plane)
-from .closedform import closed_form_menu, ode_residual
+from .closedform import closed_form_menu, is_reduced_point, ode_residual, reduced
 from .equilibria import census
 from .field import SingularLineError, build_first_integral
-from .orbits import trace_level_curve
+from .orbits import ESCAPE_RADIUS, trace_level_curve
 from .params import WaveParams, derive_coriolis, derive_wave_params, parse_theta
 from .svgfig import SvgFigure, resample
 from .verification import CHECKS, DEFAULT_SEED, render_report, run_checks
@@ -54,7 +54,7 @@ class RunConfig:
     c1_from: float | None = None
     c1_to: float | None = None
     samples: int = 200
-    escape_radius: float = 50.0
+    escape_radius: float = ESCAPE_RADIUS
     seed: int = DEFAULT_SEED
     only: tuple = ()
 
@@ -297,7 +297,7 @@ def _clip_runs(xs, ys, xlim, ylim):
 
 
 def render_portrait_artifacts(wp: WaveParams, levels=None, *,
-                              escape_radius: float = 50.0):
+                              escape_radius: float = ESCAPE_RADIUS):
     """(svg_text, csv_text) of the tau-plane phase portrait.
 
     Level curves of the first integral at the requested (default: canonical)
@@ -315,8 +315,8 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
     for h in hs:
         bid = 0
         for br in trace_level_curve(fi, h, window, n=1001):
-            if br.phi[-1] - br.phi[0] <= 1e-9 * (1.0 + abs(br.phi[0])):
-                continue  # point component
+            if br.is_point:
+                continue
             if br.closed:
                 xs = np.concatenate([br.phi, br.phi[::-1]])
                 ys = np.concatenate([br.y, -br.y[::-1]])
@@ -415,9 +415,10 @@ def cmd_portrait(cfg: RunConfig) -> int:
 
 def cmd_wave(cfg: RunConfig) -> int:
     _cor, wp = _resolve_params(cfg)
-    if wp.theta != Fraction(1, 2) or float(wp.C1) != 0.0:
-        raise UsageError("closed-form profiles require theta = 1/2 with C1 = 0; "
+    if not is_reduced_point(wp):
+        raise UsageError("closed-form profiles require theta = 1/2 with |C1| <= 1e-9; "
                          "use `portrait` for other regimes")
+    wp = reduced(wp)
     if cfg.h:
         candidates = list(cfg.h)
         stop_at_first = False

@@ -1,8 +1,9 @@
 """Closed-form traveling-wave profiles for theta = 1/2 with the singular
 line through the origin (C1 = 0).
 
-In that corner the profile equation collapses to phi'' = 2 g(phi), with the
-orbit polynomial
+This module owns that reduced point: `is_reduced_point` takes |C1| <= 1e-9
+as C1 = 0, and every entry point computes on the `reduced` parameters, where
+the profile equation collapses to phi'' = 2 g(phi) with the orbit polynomial
 
     (phi')^2 = P(phi) = C3 phi^4 + (4 C2 / 3) phi^3 + phi^2 + 4 K phi - 4 h
 
@@ -24,7 +25,7 @@ equation, independent of how it was derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,10 @@ from .polyroots import merge_close_roots, quartic_roots
 __all__ = [
     "OrbitPolynomial",
     "WaveSolution",
+    "is_reduced_point",
+    "reduced",
+    "q_coeffs",
+    "params_from_roots",
     "orbit_polynomial",
     "closed_form_menu",
     "construct_cn",
@@ -46,14 +51,37 @@ __all__ = [
 ]
 
 
-def _require_reduced(wp: WaveParams):
-    if wp.theta != Fraction(1, 2) or float(wp.C1) != 0.0:
-        raise ValueError("closed forms require theta = 1/2 with C1 = 0")
+def is_reduced_point(wp: WaveParams) -> bool:
+    """theta = 1/2 with the singular line through the origin: |C1| <= 1e-9."""
+    return wp.theta == Fraction(1, 2) and abs(float(wp.C1)) <= 1e-9
+
+
+def reduced(wp: WaveParams) -> WaveParams:
+    """`wp` with C1 = 0.0 exactly; ValueError off the reduced point."""
+    if not is_reduced_point(wp):
+        raise ValueError("closed forms require theta = 1/2 with |C1| <= 1e-9")
+    return replace(wp, C1=0.0)
+
+
+def q_coeffs(wp: WaveParams) -> tuple:
+    """Descending coefficients of Q = P + 4 h, the antiderivative of 4 g."""
+    wp = reduced(wp)
+    return (float(wp.C3), 4.0 * float(wp.C2) / 3.0, 1.0, 4.0 * float(wp.K), 0.0)
+
+
+def params_from_roots(roots):
+    """(WaveParams, h) at the reduced point whose orbit polynomial has exactly
+    `roots`, complex ones in conjugate pairs (its phi^2 term fixes the scale)."""
+    p = np.real(np.poly(list(roots)))
+    C3 = 1.0 / p[2]
+    wp = WaveParams(theta=Fraction(1, 2), C1=0.0,
+                    C2=0.75 * C3 * p[1], C3=C3, K=0.25 * C3 * p[3])
+    return wp, -0.25 * C3 * p[4]
 
 
 def profile_rhs(wp: WaveParams):
     """Planar RHS (phi, y) -> (y, 2 g(phi)) of the reduced profile equation."""
-    _require_reduced(wp)
+    wp = reduced(wp)
     C2, C3, K = float(wp.C2), float(wp.C3), float(wp.K)
 
     def rhs(_t, x):
@@ -81,8 +109,7 @@ class OrbitPolynomial:
 
 
 def orbit_polynomial(wp: WaveParams, h: float, rel_tol: float = 1e-7) -> OrbitPolynomial:
-    _require_reduced(wp)
-    coeffs = (float(wp.C3), 4.0 * float(wp.C2) / 3.0, 1.0, 4.0 * float(wp.K), -4.0 * h)
+    coeffs = q_coeffs(wp)[:4] + (-4.0 * h,)
     reals, pairs = quartic_roots(*coeffs, rel_tol=rel_tol)
     merged = merge_close_roots(reals, rel_tol=rel_tol)
     _validate_factorization(coeffs, merged, pairs, rel_tol)
@@ -262,6 +289,7 @@ def closed_form_menu(wp: WaveParams, h: float, rel_tol: float = 1e-7):
     component degenerates to a point, or root patterns outside the three
     catalogued configurations, yield no profile).
     """
+    wp = reduced(wp)
     pol = orbit_polynomial(wp, h, rel_tol=rel_tol)
     reals = pol.real_roots
     n_simple = sum(1 for _, mult in reals if mult == 1)
@@ -291,9 +319,7 @@ def ode_residual(sol: WaveSolution, n: int = 41, halfwidth: float = None) -> flo
     max(1, |2 g(phi)|) pointwise.  Also checks (phi')^2 = P(phi) the same
     way at step 1e-5 / max(1, omega) and returns the larger defect.
     """
-    wp = sol.wp
-    C2, C3, K = float(wp.C2), float(wp.C3), float(wp.K)
-    pol = orbit_polynomial(wp, sol.h)
+    pol = orbit_polynomial(sol.wp, sol.h)
     if sol.period is not None:
         xi = np.linspace(-0.45 * sol.period, 0.45 * sol.period, n)
     else:
@@ -313,7 +339,7 @@ def ode_residual(sol: WaveSolution, n: int = 41, halfwidth: float = None) -> flo
     d2 = (4.0 * second(xi, h2 / 2) - second(xi, h2)) / 3.0
     d1 = (4.0 * first(xi, h1 / 2) - first(xi, h1)) / 3.0
     phi = sol(xi)
-    g2 = 2.0 * (K + phi * (0.5 + phi * (C2 + phi * C3)))
+    g2 = profile_rhs(sol.wp)(0.0, (phi, 0.0))[1]
     res2 = np.abs(d2 - g2) / np.maximum(1.0, np.abs(g2))
     res1 = np.abs(d1 * d1 - pol(phi)) / np.maximum(1.0, np.abs(pol(phi)))
     return float(max(res2.max(), res1.max()))

@@ -73,6 +73,7 @@ ANTI_PEAKON = "AntiPeakon"
 SOLITARY = "Solitary"
 UNBOUNDED = "Unbounded"
 BOUNDARY_DEGENERATE = "BoundaryDegenerate"
+ESCAPE_RADIUS = 50.0   # default radius of the (phi, y) disc orbits may not leave
 
 
 @dataclass
@@ -196,7 +197,7 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
 
 
 def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None = None,
-              rtol=1e-10, atol=1e-12, escape_radius=50.0,
+              rtol=1e-10, atol=1e-12, escape_radius=ESCAPE_RADIUS,
               drift_limit=1e-8, max_retries=1,
               stop_after_crossings: int | None = None) -> Trajectory:
     """Integrate the tau-form from `start` over [0, tau_span].
@@ -284,6 +285,11 @@ class LevelBranch:
     @property
     def phi_range(self):
         return float(self.phi[0]), float(self.phi[-1])
+
+    @property
+    def is_point(self) -> bool:
+        """Collapsed onto a center: phi-extent at most 1e-9 (1 + |phi_0|)."""
+        return self.phi[-1] - self.phi[0] <= 1e-9 * (1.0 + abs(self.phi[0]))
 
     def interior_point(self):
         i = int(np.argmax(self.y))
@@ -659,7 +665,7 @@ def _unstable_ray(jacobian):
 
 
 def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
-                     span=None, sep_tol=1e-3, escape_radius=50.0,
+                     span=None, sep_tol=1e-3, escape_radius=ESCAPE_RADIUS,
                      rtol=1e-12, atol=1e-14):
     """Shoot along the unstable manifold of `from_eq` in the tau plane, stop
     near `to_eq`.  The observer finds connections on the level set instead

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from .atlas import observe_wave_menu, sweep_singular_line
 from .closedform import (
     closed_form_menu, construct_sn, construct_solitary, ode_residual,
-    orbit_polynomial, profile_rhs,
+    orbit_polynomial, params_from_roots, profile_rhs,
 )
 from .elliptic import complete_K, jacobi
 from .equilibria import census
@@ -297,17 +297,6 @@ def check_elliptic(seed=None):
 # 6. closed-form residuals and degeneration
 
 
-def _wp_from_roots(roots):
-    """theta = 1/2, C1 = 0 parameters + level whose orbit polynomial has
-    the prescribed roots (the phi^2 coefficient fixes the scaling).
-    Complex roots must come in conjugate pairs."""
-    p = np.real(np.poly(list(roots)))
-    C3 = 1.0 / p[2]
-    wp = WaveParams(theta=Fraction(1, 2), C1=0.0,
-                    C2=0.75 * C3 * p[1], C3=C3, K=0.25 * C3 * p[3])
-    return wp, -0.25 * C3 * p[4]
-
-
 def check_closedform(seed=None):
     det = []
     ok = True
@@ -319,7 +308,7 @@ def check_closedform(seed=None):
         ("solitary", [3.0, 1.0, 1.0, -2.0]),
     ]
     for family, roots in scenarios:
-        wp, h = _wp_from_roots(roots)
+        wp, h = params_from_roots(roots)
         menu = closed_form_menu(wp, h)
         families = {s.kind.split("-")[0] for s in menu}
         ok = ok and families == {family} and len(menu) >= 1
@@ -329,8 +318,7 @@ def check_closedform(seed=None):
 
         # periodic profiles: closed-form period vs measured orbit period
         rhs = profile_rhs(wp)
-        p_coeffs = (float(wp.C3), 4.0 * float(wp.C2) / 3.0, 1.0,
-                    4.0 * float(wp.K), -4.0 * h)
+        pol = orbit_polynomial(wp, h)
         mism = []
         for s in menu:
             if s.period is None:
@@ -339,7 +327,7 @@ def check_closedform(seed=None):
             conv = n_quarters * complete_K(s.modulus_m) / s.omega
             ok = ok and abs(s.period - conv) <= 1e-12 * conv
             phi0 = 0.5 * (s.phi_range[0] + s.phi_range[1])
-            y0 = math.sqrt(max(float(np.polyval(p_coeffs, phi0)), 0.0))
+            y0 = math.sqrt(max(float(pol(phi0)), 0.0))
             per, _tc = measure_axis_period(rhs, (phi0, y0))
             if per is None:
                 ok = False
@@ -352,8 +340,8 @@ def check_closedform(seed=None):
 
     # modulus -> 1 degeneration at root gap 1e-6
     gap = 1e-6
-    wp_sn, h_sn = _wp_from_roots([3.0, 1.0 + gap / 2, 1.0 - gap / 2, -2.0])
-    wp_so, h_so = _wp_from_roots([3.0, 1.0, 1.0, -2.0])
+    wp_sn, h_sn = params_from_roots([3.0, 1.0 + gap / 2, 1.0 - gap / 2, -2.0])
+    wp_so, h_so = params_from_roots([3.0, 1.0, 1.0, -2.0])
     sn_wave = construct_sn(wp_sn, orbit_polynomial(wp_sn, h_sn), "right")
     so_wave = construct_solitary(wp_so, orbit_polynomial(wp_so, h_so), "right")
     shift = complete_K(sn_wave.modulus_m) / sn_wave.omega

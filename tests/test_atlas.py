@@ -13,7 +13,7 @@ from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, canonical_levels,
                            classify_region, menu_agrees, observe_wave_menu,
                            predict_wave_menu, saddle_connections,
                            sweep_singular_line, tau_plane)
-from rotheta.closedform import closed_form_menu
+from rotheta.closedform import closed_form_menu, is_reduced_point, profile_rhs, q_coeffs
 from rotheta.equilibria import census
 from rotheta.field import build_first_integral, rhs_singular
 from rotheta.orbits import (branch_period, classify_level_branch, classify_orbit,
@@ -64,6 +64,40 @@ def test_half_theta_labels():
     assert (lab3.theorem, lab3.domain) == ("T3", "D3")
     menu3 = predict_wave_menu(lab3)
     assert menu3.solitary == 2 and menu3.periodic_smooth == 2
+
+
+# the reduced-point tolerance 1e-9 and values on either side of it
+REDUCED_C1_EDGES = [0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]
+# an sn, a cn and the solitary level of the reduced T3_BASE point
+REDUCED_LEVELS = (0.03, 0.16972480807741305, -0.0022746161548261655)
+
+
+def _accepts(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.sampled_from(REDUCED_C1_EDGES) | st.floats(min_value=-0.2, max_value=0.2))
+@settings(max_examples=40, deadline=None)
+def test_one_rule_for_the_reduced_point(c1):
+    # the atlas labels T3 exactly where the closed forms accept the point,
+    # and an accepted C1 != 0 gives the C1 = 0 profiles bit for bit
+    wp = WaveParams(C1=c1, **T3_BASE)
+    t3 = classify_region(wp, census(wp)).theorem == "T3"
+    assert _accepts(profile_rhs, wp) == t3
+    for h in REDUCED_LEVELS:
+        assert _accepts(closed_form_menu, wp, h) == t3
+    if not t3:
+        return
+    wp0 = WaveParams(C1=0.0, **T3_BASE)
+    xi = np.linspace(-3.0, 3.0, 61)
+    for h in REDUCED_LEVELS:
+        menu, menu0 = closed_form_menu(wp, h), closed_form_menu(wp0, h)
+        assert menu0 and [repr(s) for s in menu] == [repr(s) for s in menu0]
+        assert all(np.array_equal(s(xi), s0(xi)) for s, s0 in zip(menu, menu0))
 
 
 def test_zero_k_domain_at_quarter_theta():
@@ -309,7 +343,7 @@ def _observed_branches(wp):
     plane = tau_plane(wp, cen, fi)
     for h in plane.samples:
         for br in plane.branches(h):
-            if br.closed and br.phi[-1] - br.phi[0] > 1e-9 * (1.0 + abs(br.phi[0])):
+            if br.closed and not br.is_point:
                 yield h, br, fi, cen
 
 
@@ -351,7 +385,7 @@ def test_branch_period_matches_tight_integration(wp):
 def test_branch_period_matches_closed_forms():
     # theta = 1/2, C1 = 0: profile-plane branches of y^2 = Q(phi) - 4h
     wp = WaveParams(C1=0.0, **T3_BASE)
-    q = (float(wp.C3), 4.0 * float(wp.C2) / 3.0, 1.0, 4.0 * float(wp.K), 0.0)
+    q = q_coeffs(wp)
     _crit, samples = canonical_levels(wp)
     n = 0
     for h in samples:
@@ -386,7 +420,7 @@ def test_level_connections_match_shooting():
                  WaveParams(Fraction(1, 3), 0.3, 2.0, -1.0, 3.0)])
     n = hits = 0
     for wp in points:
-        if wp.theta == Fraction(1, 2) and float(wp.C1) == 0.0:
+        if is_reduced_point(wp):
             continue   # profile plane: its loops are pinned in PINNED_PROFILE_PLANE
         cen, fi = census(wp), build_first_integral(wp)
         plane = tau_plane(wp, cen, fi)

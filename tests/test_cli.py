@@ -154,6 +154,22 @@ def test_wave_usage_errors(capsys):
     assert "closed-form" in err
 
 
+def test_wave_takes_c1_within_rounding_of_zero(tmp_path, monkeypatch, capsys):
+    # |C1| <= 1e-9 is the reduced point: same stdout and CSV as C1 = 0
+    rest = ["--theta", "1/2", "--c2", "0.9", "--c3", "-1", "--k", "-0.05",
+            "--type", "solitary", "--out", "w"]
+    runs = {}
+    for c1 in ("0", "1e-12"):
+        run_dir = tmp_path / c1
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(["wave", "--c1", c1] + rest) == 0
+        runs[c1] = (capsys.readouterr().out, Path("w.csv").read_bytes())
+    assert runs["1e-12"] == runs["0"]
+    assert main(["wave", "--c1", "2e-9"] + rest) == 2
+    assert "closed-form" in capsys.readouterr().err
+
+
 def test_sweep_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "s"
     args = ["sweep"] + D1 + ["--c1-from", "0.75", "--c1-to", "0.05",

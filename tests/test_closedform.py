@@ -16,24 +16,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rotheta.closedform import (closed_form_menu, ode_residual,
-                                orbit_polynomial, profile_rhs)
+                                orbit_polynomial, params_from_roots, profile_rhs)
 from rotheta.elliptic import complete_K
 from rotheta.orbits import measure_axis_period
 from rotheta.params import WaveParams
 
 
-def wp_from_roots(roots):
-    """(WaveParams, h) at theta=1/2, C1=0 whose orbit polynomial has exactly
-    `roots` (complex entries in conjugate pairs).  Inverts the coefficient
-    map P = (C3, 4 C2/3, 1, 4K, -4h) against the monic expansion."""
-    p = np.real(np.poly(list(roots)))
-    C3 = 1.0 / p[2]
-    return WaveParams(theta=Fraction(1, 2), C1=0.0, C2=0.75 * C3 * p[1],
-                      C3=C3, K=0.25 * C3 * p[3]), -0.25 * C3 * p[4]
-
-
 def test_root_synthesis_round_trips():
-    wp, h = wp_from_roots([3.0, 1.0, -1.0, -2.0])
+    wp, h = params_from_roots([3.0, 1.0, -1.0, -2.0])
     pol = orbit_polynomial(wp, h)
     assert [mult for _, mult in pol.real_roots] == [1, 1, 1, 1]
     assert [r for r, _ in pol.real_roots] == pytest.approx([-2.0, -1.0, 1.0, 3.0], abs=1e-9)
@@ -41,7 +31,7 @@ def test_root_synthesis_round_trips():
 
 
 def test_double_root_detected():
-    wp, h = wp_from_roots([3.0, 1.0, 1.0, -2.0])
+    wp, h = params_from_roots([3.0, 1.0, 1.0, -2.0])
     pol = orbit_polynomial(wp, h)
     assert sorted(mult for _, mult in pol.real_roots) == [1, 1, 2]
     d = next(r for r, mult in pol.real_roots if mult == 2)
@@ -51,7 +41,7 @@ def test_double_root_detected():
 def test_level_tangency_gives_double_root():
     # h at an equilibrium level makes P tangent there: census-free check
     # using the critical points of B(phi) = H(phi, 0)
-    wp, _ = wp_from_roots([3.0, 1.6, 0.4, -2.0])
+    wp, _ = params_from_roots([3.0, 1.6, 0.4, -2.0])
     from rotheta.field import build_first_integral
     fi = build_first_integral(wp)
     # equilibria of the profile system are the g-roots
@@ -74,7 +64,7 @@ def test_orbit_polynomial_requires_reduced_parameters():
 def test_polynomial_matches_level_solve():
     # y^2 from P(phi) equals y^2 solved from H(phi, y) = h
     from rotheta.field import build_first_integral
-    wp, h = wp_from_roots([3.0, 1.6, 0.4, -2.0])
+    wp, h = params_from_roots([3.0, 1.6, 0.4, -2.0])
     fi = build_first_integral(wp)
     pol = orbit_polynomial(wp, h)
     for phi in np.linspace(1.7, 2.9, 20):     # inside the right orbit [1.6, 3]
@@ -88,7 +78,7 @@ def test_polynomial_matches_level_solve():
 
 
 def test_sn_wave_turning_points_and_period():
-    wp, h = wp_from_roots([3.0, 1.6, 0.4, -2.0])
+    wp, h = params_from_roots([3.0, 1.6, 0.4, -2.0])
     waves = closed_form_menu(wp, h)
     assert sorted(w.kind for w in waves) == ["sn-periodic-left", "sn-periodic-right"]
     right = next(w for w in waves if w.kind.endswith("right"))
@@ -113,7 +103,7 @@ def test_sn_wave_turning_points_and_period():
 
 
 def test_cn_wave_range_and_residual():
-    wp, h = wp_from_roots([2.0, -1.0, 0.5 + 0.8j, 0.5 - 0.8j])
+    wp, h = params_from_roots([2.0, -1.0, 0.5 + 0.8j, 0.5 - 0.8j])
     waves = closed_form_menu(wp, h)
     assert [w.kind for w in waves] == ["cn-periodic"]
     cn = waves[0]
@@ -132,7 +122,7 @@ def test_cn_wave_range_and_residual():
 
 
 def test_solitary_tails_and_crest():
-    wp, h = wp_from_roots([3.0, 1.0, 1.0, -2.0])
+    wp, h = params_from_roots([3.0, 1.0, 1.0, -2.0])
     waves = closed_form_menu(wp, h)
     assert sorted(w.kind for w in waves) == ["solitary-left", "solitary-right"]
     right = next(w for w in waves if w.kind.endswith("right"))
@@ -148,12 +138,12 @@ def test_solitary_tails_and_crest():
 
 def test_outermost_double_root_bounds_no_orbit():
     # double root outside the simple pair: no closed-form family there
-    wp, h = wp_from_roots([3.0, 3.0, 1.0, -2.0])
+    wp, h = params_from_roots([3.0, 3.0, 1.0, -2.0])
     assert closed_form_menu(wp, h) == []
 
 
 def test_residual_detector_sanity():
-    wp, h = wp_from_roots([3.0, 1.6, 0.4, -2.0])
+    wp, h = params_from_roots([3.0, 1.6, 0.4, -2.0])
     right = next(w for w in closed_form_menu(wp, h) if w.kind.endswith("right"))
     good = ode_residual(right)
     assert good <= 1e-8
@@ -164,7 +154,7 @@ def test_residual_detector_sanity():
 
 def test_constant_equilibrium_profile_has_zero_residual():
     # phi identically at a g-root solves the profile equation exactly
-    wp, _ = wp_from_roots([3.0, 1.6, 0.4, -2.0])
+    wp, _ = params_from_roots([3.0, 1.6, 0.4, -2.0])
     from rotheta.equilibria import find_g_roots
     r = find_g_roots(wp)[0][0]
     from rotheta.field import build_first_integral
@@ -181,8 +171,8 @@ def test_cn_degenerates_to_solitary_as_pair_collapses():
     # complex pair 0.5 +- i eps -> double root at 0.5: near the crest the cn
     # profile converges to the right-solitary profile
     eps = 1e-6
-    wp_cn, h_cn = wp_from_roots([2.0, -1.0, complex(0.5, eps), complex(0.5, -eps)])
-    wp_so, h_so = wp_from_roots([2.0, 0.5, 0.5, -1.0])
+    wp_cn, h_cn = params_from_roots([2.0, -1.0, complex(0.5, eps), complex(0.5, -eps)])
+    wp_so, h_so = params_from_roots([2.0, 0.5, 0.5, -1.0])
     cn = closed_form_menu(wp_cn, h_cn)[0]
     so = next(w for w in closed_form_menu(wp_so, h_so) if w.kind.endswith("right"))
     # align crests: cn has phi(0) = p2 = -1 (trough); crest half a period away
@@ -195,8 +185,8 @@ def test_cn_degenerates_to_solitary_as_pair_collapses():
 
 def test_sn_degenerates_to_solitary_as_roots_merge():
     gap = 5e-7
-    wp_sn, h_sn = wp_from_roots([3.0, 1.0 + gap, 1.0 - gap, -2.0])
-    wp_so, h_so = wp_from_roots([3.0, 1.0, 1.0, -2.0])
+    wp_sn, h_sn = params_from_roots([3.0, 1.0 + gap, 1.0 - gap, -2.0])
+    wp_so, h_so = params_from_roots([3.0, 1.0, 1.0, -2.0])
     sn = next(w for w in closed_form_menu(wp_sn, h_sn) if w.kind.endswith("right"))
     so = next(w for w in closed_form_menu(wp_so, h_so) if w.kind.endswith("right"))
     shift = complete_K(sn.modulus_m) / sn.omega      # sn crest sits at K/omega
@@ -214,7 +204,7 @@ simple_root = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 @given(st.lists(simple_root, min_size=4, max_size=4, unique=True))
 def test_profiles_even_and_confined(roots):
     assume(min(b - a for a, b in zip(sorted(roots), sorted(roots)[1:])) >= 0.3)
-    wp, h = wp_from_roots(roots)
+    wp, h = params_from_roots(roots)
     assume(abs(float(wp.C3)) >= 1e-3)
     for w in closed_form_menu(wp, h):
         lo, hi = w.phi_range

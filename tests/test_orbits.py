@@ -18,6 +18,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from rotheta import orbits
 from rotheta.atlas import saddle_connections, tau_plane
+from rotheta.closedform import params_from_roots
 from rotheta.equilibria import census, linearization_determinant
 from rotheta.field import build_first_integral, eval_f_prime, rhs_regular, rhs_singular
 from rotheta.orbits import (_tau_rhs, classify_level_branch, classify_orbit, integrate,
@@ -387,9 +388,7 @@ def test_smooth_family_far_from_line(regime):
 def test_homoclinic_loop_is_solitary():
     # theta = 1/2, C1 = 0 with an axis saddle at phi = 1 (double root of the
     # orbit polynomial): the right loop closes back onto the saddle
-    p = np.poly([3.0, 1.0, 1.0, -2.0])
-    C3 = 1.0 / p[2]
-    wp = WaveParams(Fraction(1, 2), 0.0, 0.75 * C3 * p[1], C3, 0.25 * C3 * p[3])
+    wp, _h = params_from_roots([3.0, 1.0, 1.0, -2.0])
     cen = census(wp)
     sad = next(e for e in cen.saddles() if abs(e.phi - 1.0) < 1e-6)
     hit, traj = shoot_connection(wp, sad, sad, side="right")
