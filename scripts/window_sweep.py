@@ -6,7 +6,7 @@ observing numerically, and tallying agreement per line-position descriptor.
 A second sweep crosses C1 = 0 at theta = 1/2, where the single reduced
 point interrupts the smooth-waves-only band.
 
-Usage: python scripts/window_sweep.py [--samples 48] [--full-range]
+Usage: python scripts/window_sweep.py [--samples 48]
 """
 
 import argparse
@@ -42,15 +42,10 @@ def summarize(rep):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=48)
-    ap.add_argument("--full-range", action="store_true",
-                    help="push the left end to C1 = 0.001 (slow samples "
-                    "with a nearly line-hugging window edge)")
     args = ap.parse_args()
 
-    lo = 0.001 if args.full_range else 0.02
-    print(f"theta = 1/4 family, C1 from 0.75 to {lo} "
-          f"({args.samples} samples)")
-    rep = sweep_singular_line(T1_BASE, (0.75, lo), args.samples)
+    print(f"theta = 1/4 family, C1 from 0.75 to 0.001 ({args.samples} samples)")
+    rep = sweep_singular_line(T1_BASE, (0.75, 0.001), args.samples)
     summarize(rep)
 
     print(f"theta = 1/2 family, C1 from 0.3 to -0.3 across the reduced point")

@@ -26,13 +26,16 @@ observer switches to the regular reduced system phi'' = 2 g(phi).  A
 integration.  Saddle connections are walked on the saddles' own levels by
 `saddle_connections` (which the portrait draws from too): an arch or a
 loop exists on a side when the run of y^2 > 0 leaving its saddle there
-ends at a simple turning point.  Periodic families are read off the closed
-level-curve branches: a closed branch is the periodic orbit itself,
-classified from its geometry with its xi-period taken by quadrature.
+ends at a simple turning point.  Periodic families are counted with no
+level tracing: on each side of the line y^2 = (h - B)/A, and B is monotone
+between the stops (axis equilibria, the line, infinity), so a union-find
+over the stops' levels follows every period annulus from the center or
+saddle it starts at to the loop or arch that bounds it (`_families`).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -44,11 +47,8 @@ from .equilibria import (Equilibrium, EquilibriumCensus, SADDLE, census, find_g_
                          g_critical_points)
 from .field import (SingularLineError, _taylor_shift, build_first_integral, eval_f,
                     eval_g, eval_g_prime)
-from .orbits import (
-    ANTI_PEAKON, ESCAPE_RADIUS, PEAKON, PERIODIC_PEAKON, PERIODIC_SMOOTH, SOLITARY,
-    TURNING_POINT, LevelBranch, OrbitClass, branch_period, classify_level_branch,
-    saddle_level_fn, trace_branches, trace_level_curve, walk_separatrix,
-)
+from .orbits import (ANTI_PEAKON, ESCAPE_RADIUS, PEAKON, SOLITARY, TURNING_POINT,
+                     LevelBranch, branch_period, saddle_level_fn, walk_separatrix)
 from .params import WaveParams
 
 __all__ = [
@@ -330,32 +330,31 @@ def canonical_levels(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
     return merged, _level_samples(merged)
 
 
-def _count(families, tag):
-    """An annulus counts toward every tag it exhibits (its orbits deform
-    smoothly into line-hugging ones near a critical level)."""
-    return sum(1 for tags in families.values() if tag in tags)
-
-
 @dataclass(frozen=True)
 class Plane:
     """A phase plane wave families are counted in.  The tau plane and the
-    reduced point's profile plane share the connection walk and the level
-    loop of `observe_wave_menu`; they differ only in these fields."""
+    reduced point's profile plane share the connection walk and the family
+    sweep of `observe_wave_menu`; they differ only in these fields.
+
+    On each side of the line, H = A y^2 + B with A of one sign there, and B
+    is monotone between consecutive stops: the axis equilibria and the two
+    ends of the side (the line, infinity).  An end's level is B's limit
+    there, +-inf unless H is finite on the line."""
 
     pair: tuple                # saddles on the singular line, upper first
     saddles: tuple             # saddles off the line
     stops: tuple               # (phi, level) of every equilibrium on the axis
     line: float | None         # a line no orbit crosses
-    saddle_level: Callable     # saddle -> (h, phi -> y^2 on its level)
-    crit: list                 # critical levels, ascending
-    window: tuple              # phi range level curves are traced in
-    branches: Callable         # h -> y >= 0 branches of the level curve in the window
-    classify_branch: Callable  # (h, closed branch) -> OrbitClass
+    level_through: Callable    # (phi, on_line) -> (h, phi -> y^2 on that stop's level)
+    sides: tuple               # (side, sign of A, ((phi, level) of each end)) per side
     header: tuple = ()         # leading diagnostics entries
 
-    @property
-    def samples(self):
-        return _level_samples(self.crit)
+
+def _limit(terms, w_sign, rest):
+    """+-inf, the limit of sum c w^k as w of sign w_sign goes to the end
+    where the nonzero term of largest |k| dominates; `rest` when all are 0."""
+    k, c = max(((k, c) for k, c in terms if c), key=lambda kc: abs(kc[0]), default=(0, 0.0))
+    return math.copysign(math.inf, c * w_sign ** k) if c else rest
 
 
 def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
@@ -363,14 +362,15 @@ def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
     is invariant."""
     cen = cen if cen is not None else census(wp)
     fi = fi if fi is not None else build_first_integral(wp)
-    crit, _samples = canonical_levels(wp, cen, fi)
-    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
-    pad = 1.0 + 0.5 * (max(phis) - min(phis))
-    window = (min(phis) - pad, max(phis) + pad)
+    s, a, log_c = float(fi.line), float(fi.y2_coeff), float(fi.log_coeff)
+    # B's limits: at the line its poles, then its log, dominate; far out its
+    # powers (f's phi^2 term keeps one nonzero)
+    poles = [(-j, float(c)) for j, c in fi.pole_coeffs]
+    powers = [(k, float(c)) for k, c in enumerate(fi.poly_shifted) if k]
+    at_line = math.copysign(math.inf, -log_c) if log_c else float(fi.poly_shifted[0])
 
-    def saddle_level(eq):
-        return (float(fi.eval(eq.phi, eq.y)),
-                saddle_level_fn(fi, eq.phi, on_line=eq.on_singular_line))
+    def level_through(phi0, on_line=False):
+        return float(fi.eval(phi0, 0.0)), saddle_level_fn(fi, phi0, on_line=on_line)
 
     return Plane(
         pair=tuple(sorted((e for e in cen.line_pair if e.kind == SADDLE),
@@ -379,15 +379,17 @@ def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
                       if e.kind == SADDLE and not e.on_singular_line),
         stops=tuple((e.phi, float(fi.eval(e.phi, 0.0))) for e in cen.axis
                     if not e.on_singular_line),
-        line=float(fi.line), saddle_level=saddle_level,
-        crit=crit, window=window,
-        branches=lambda h: trace_level_curve(fi, h, window, n=1501),
-        classify_branch=lambda h, br: classify_level_branch(wp, fi, h, br, cen))
+        line=s, level_through=level_through,
+        sides=(("left", math.copysign(1.0, a * (-1.0) ** fi.y2_power),
+                ((-math.inf, _limit(powers, -1.0, None)), (s, _limit(poles, -1.0, at_line)))),
+               ("right", math.copysign(1.0, a),
+                ((s, _limit(poles, 1.0, at_line)), (math.inf, _limit(powers, 1.0, None))))))
 
 
 def _profile_plane(wp: WaveParams) -> Plane:
     """The regular profile plane phi' = y, y' = 2 g(phi) of the reduced
-    point theta = 1/2, C1 = 0, whose energy is 4h = Q(phi) - y^2 (`q_coeffs`).
+    point theta = 1/2, C1 = 0, whose energy is 4h = Q(phi) - y^2 (`q_coeffs`):
+    A = -1/4 and B = Q/4 on the one side there is.
 
     The tau plane is useless there: the invariant line phi = 0 passes
     through an equilibrium and severs every orbit crossing it.  Every
@@ -398,31 +400,81 @@ def _profile_plane(wp: WaveParams) -> Plane:
     """
     q = q_coeffs(wp)
     roots = [(r, eval_g_prime(wp, r)) for r, _ in find_g_roots(wp)]
+    powers = list(enumerate(q[::-1]))
 
-    def y2(h):
-        return lambda phi: np.polyval(q, phi) - 4.0 * h
-
-    def saddle_level(eq):
-        d = _taylor_shift(list(q[::-1]), eq.phi)[::-1]
+    def level_through(phi0, on_line=False):
+        d = _taylor_shift(list(q[::-1]), phi0)[::-1]
         d[-1] = 0.0
-        return (0.25 * float(np.polyval(q, eq.phi)),
-                lambda phi: np.polyval(d, np.asarray(phi) - eq.phi))
+        return (0.25 * float(np.polyval(q, phi0)),
+                lambda phi: np.polyval(d, np.asarray(phi) - phi0))
 
-    span_phi = max((abs(r) for r, _ in roots), default=1.0)
-    window = (-span_phi - 2.0, span_phi + 2.0)
     return Plane(
         pair=(),
         saddles=tuple(Equilibrium(phi=r, y=0.0, kind=SADDLE, J=-2.0 * gp, trace=0.0)
                       for r, gp in roots if gp > 0.0),
         stops=tuple((r, 0.25 * float(np.polyval(q, r))) for r, _ in roots),
-        line=None, saddle_level=saddle_level,
-        crit=sorted({0.25 * float(np.polyval(q, r)) for r, _ in roots}),
-        window=window,
-        branches=lambda h: trace_branches(y2(h), window, n=1501),
-        classify_branch=lambda h, br: OrbitClass(
-            tag=PERIODIC_SMOOTH, amplitude=br.phi[-1] - br.phi[0],
-            period_xi=branch_period(y2(h), br)),
+        line=None, level_through=level_through,
+        sides=((None, -1.0, ((-math.inf, _limit(powers, -1.0, None)),
+                             (math.inf, _limit(powers, 1.0, None)))),),
         header=({"kind": "plane", "note": "profile plane (reduced system)"},))
+
+
+def _families(plane: Plane):
+    """One diagnostics entry per period annulus of `plane`, with no level
+    tracing.
+
+    On a side where A has sign a, a closed orbit at level h is a maximal
+    phi-interval with a (h - B) > 0 that reaches neither end of the side.
+    As G = -a h falls, these intervals of {-a B > G} are born at the
+    centers, grow, and merge at the saddles; since B is monotone between
+    stops, an interval is fixed by the run of stops it holds, so a
+    union-find over the stops in order of -a B follows every one.  A
+    family starts at a center's level, or at a saddle where two closed
+    intervals merge (the outer family around a figure-eight), and ends
+      * "loop": merged at a saddle, bounded by its homoclinic loop;
+      * "arch": reached the line, which happens only at a finite line
+        level, the pair's, so it is bounded by the arches;
+      * None: never, its orbits grow without end (`bottom` None).
+    `phi` is the stop it starts at, `top` and `bottom` the levels it starts
+    and ends at.
+    """
+    for side, sign, (lo, hi) in plane.sides:
+        pts = [lo, *((p, h) for p, h in plane.stops if lo[0] < p < hi[0]), hi]
+        last = len(pts) - 1
+
+        def is_peak(i):
+            # above both neighbours: y^2 < 0 at a neighbouring stop on the
+            # level through stop i, read without h - B's cancellation
+            y2 = plane.level_through(pts[i][0])[1]
+            return all(y2(pts[j][0]) < 0.0 if 0 < j < last else sign * pts[j][1] > sign * pts[i][1]
+                       for j in (i - 1, i + 1))
+
+        # peaks first: rounding may put a peak's level below a neighbour's
+        # when the two are a near-double root apart
+        order = sorted(range(last + 1),
+                       key=lambda i: (not (0 < i < last and is_peak(i)), sign * pts[i][1]))
+        comp = [None] * len(pts)   # each reached point's interval
+        live = []                  # per interval: its family, None if open
+        for i in order:
+            phi, h = pts[i]
+            if sign * h == math.inf:
+                break              # reached only as h -> -a inf
+            near = {comp[j] for j in (i - 1, i + 1) if 0 <= j <= last and comp[j] is not None}
+            is_end = i in (0, last)
+            if len(near) == 1 and not is_end:
+                comp[i] = near.pop()
+                continue
+            for c in near:         # an end reached, or two intervals merging
+                if live[c] is not None:
+                    yield dict(live[c], bottom=h, bound="arch" if is_end else "loop")
+            closed = not is_end and all(live[c] is not None for c in near)
+            live.append({"kind": "family", "side": side, "phi": phi, "top": h}
+                        if closed else None)
+            comp = [len(live) - 1 if c in near else c for c in comp]
+            comp[i] = len(live) - 1
+        for c in dict.fromkeys(c for c in comp if c is not None):
+            if live[c] is not None:
+                yield dict(live[c], bottom=None, bound=None)
 
 
 @dataclass(frozen=True)
@@ -462,7 +514,7 @@ def saddle_connections(plane: Plane, escape_radius):
     walks = [("arch", plane.pair[0])] if len(plane.pair) == 2 else []
     walks += [("loop", eq) for eq in plane.saddles]
     for kind, eq in walks:
-        h, y2 = plane.saddle_level(eq)
+        h, y2 = plane.level_through(eq.phi, eq.on_singular_line)
         # same level: equal to canonical_levels' merge tolerance
         stops = tuple((phi, abs(level - h) <= 1e-10 * (1.0 + abs(h)))
                       for phi, level in plane.stops)
@@ -483,13 +535,12 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
     saddles are walked on the saddles' own levels (`saddle_connections`):
     each arch or loop entry records how its walk ended, and an arch that
     exists carries its slope jump 2 y* and its xi-extent 2 * integral of
-    dphi / y by quadrature.  Periodic families come from the closed
-    level-curve branches over the canonical level samples, one (level
-    interval, branch) cell each: every closed branch that misses the
-    singular line is a periodic orbit, labelled PeriodicPeakon or
-    PeriodicSmooth from the branch alone.  Returns (ObservedMenu,
-    diagnostics); a level-orbit entry carries the quadrature period_xi
-    (None if it did not converge).
+    dphi / y by quadrature.  Periodic families are counted exactly, one
+    per period annulus, from the levels at the stops alone (`_families`):
+    each writes a family entry (side, phi, top, bottom, bound).  Every family
+    counts as periodic smooth, since its inner orbits are smooth; one
+    bounded by the arches (its orbits hug the line with a slope jump) also
+    counts as a periodic-peakon family.  Returns (ObservedMenu, diagnostics).
     """
     plane = _profile_plane(wp) if is_reduced_point(wp) else tau_plane(wp, cen, fi)
     diag = list(plane.header)
@@ -509,23 +560,11 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
             diag.append({"kind": "loop", "phi": conn.saddle.phi, "side": conn.side,
                          "tag": conn.tag, "end": conn.end})
 
-    crit_arr = np.asarray(plane.crit)
-    families = {}
-    for h in plane.samples:
-        interval = int(np.searchsorted(crit_arr, h))
-        closed = [b for b in plane.branches(h) if b.closed and not b.is_point]
-        for bi, br in enumerate(closed):
-            oc = plane.classify_branch(h, br)
-            families.setdefault((interval, bi), set()).add(oc.tag)
-            diag.append({"kind": "level-orbit", "h": h, "interval": interval,
-                         "branch": bi, "tag": oc.tag,
-                         "period_xi": oc.period_xi,
-                         "jump": oc.derivative_jump})
-
+    families = list(_families(plane))
+    diag += families
     obs = ObservedMenu(peakon=peakon,
-                       periodic_peakon=_count(families, PERIODIC_PEAKON),
-                       solitary=solitary,
-                       periodic_smooth=_count(families, PERIODIC_SMOOTH))
+                       periodic_peakon=sum(f["bound"] == "arch" for f in families),
+                       solitary=solitary, periodic_smooth=len(families))
     return obs, diag
 
 
@@ -602,8 +641,8 @@ def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
     agreement statistics (their rows still carry full diagnostics).
 
     Samples run one after another, in input order.  They are independent,
-    but threads cannot overlap them: the level tracing, the connection
-    walks and the quadratures run as Python code under the interpreter
+    but threads cannot overlap them: the census, the connection walks and
+    the quadratures run as Python code under the interpreter
     lock, in many short numpy calls.
     """
     if sample_count < 2:

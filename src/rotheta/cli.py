@@ -307,8 +307,10 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
     cen = census(wp)
     fi = build_first_integral(wp)
     plane = tau_plane(wp, cen, fi)
-    hs = sorted(set(levels)) if levels else sorted(set(plane.samples))
-    window = plane.window
+    hs = sorted(set(levels or canonical_levels(wp, cen, fi)[1]))
+    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
+    pad = 1.0 + 0.5 * (max(phis) - min(phis))
+    window = (min(phis) - pad, max(phis) + pad)
 
     curves = []  # (orbit_id, branch_id, kind, h, xs, ys)
     oid = 0
@@ -443,7 +445,7 @@ def cmd_wave(cfg: RunConfig) -> int:
                          "type/levels")
 
     lines = []
-    profiles = []  # (wave_id, sol, xi, phi)
+    profiles = []  # (wave_id, sol, ODE residual, xi, phi)
     for i, sol in enumerate(waves):
         res = ode_residual(sol)
         lines.append(f"wave {i}: {sol.kind}  (h = {_fmt(sol.h)})")
@@ -463,26 +465,26 @@ def cmd_wave(cfg: RunConfig) -> int:
                      f"{'yes' if res <= 1e-8 else 'NO'})")
         lines.append(f"  {sol.detail}")
         xi = np.linspace(-half, half, 401)
-        profiles.append((i, sol, xi, sol(xi)))
+        profiles.append((i, sol, res, xi, sol(xi)))
     print("\n".join(lines))
 
     if cfg.out:
         base = Path(cfg.out)
         if cfg.fmt == "jsonl":
             recs = []
-            for i, sol, xi, phi in profiles:
+            for i, sol, res, xi, phi in profiles:
                 recs.append(_jsonl_line({
                     "kind": "wave-profile", "wave_id": i,
                     "wave_kind": sol.kind, "h": sol.h,
                     "modulus_m": sol.modulus_m, "omega": sol.omega,
-                    "period": sol.period, "residual": ode_residual(sol),
+                    "period": sol.period, "residual": res,
                     "xi": xi, "phi": phi,
                 }))
             _write_text(base.with_suffix(".jsonl"), "".join(recs))
             print(f"wrote {base.with_suffix('.jsonl')}")
         else:
             rows = ["wave_id,kind,h,xi,phi"]
-            for i, sol, xi, phi in profiles:
+            for i, sol, _res, xi, phi in profiles:
                 for u, v in zip(xi, phi):
                     rows.append(f"{i},{sol.kind},{_fmt(sol.h)},{_fmt(u)},{_fmt(v)}")
             _write_text(base.with_suffix(".csv"), "\n".join(rows) + "\n")

@@ -3,22 +3,23 @@ integration and wave-type classification.
 
 Orbits are read off the level curves of the first integral.  A closed
 branch of {H = h} that misses the singular line is the periodic orbit
-itself, so `classify_level_branch` labels it from the traced branch and
-takes its xi-period by quadrature (`branch_period`).  A saddle connection
-lies on its saddle's own level: `walk_separatrix` follows the run of
-y^2 > 0 that leaves the saddle on one side, on the cancellation-free level
-function of `saddle_level_fn`, and the connection exists when that run
-ends at a simple turning point.  The integrator serves the conservation
-checks, axis periods, and the reference paths the level readings are
-tested against (`integrate` + `classify_orbit` for branches,
-`shoot_connection` + `classify_orbit` for connections).  Every integration
-runs through `_solve`, the package's one scipy DOP853 call: dense output,
-an escape-radius event, an axis-crossing event, and the arrival event when
-shooting.  A trajectory is read at any set of times through
-`Trajectory.at`, which evaluates all of them in one numpy pass over the
-steps' dense-output polynomials, bit for bit as scipy would.  `integrate`
-monitors the first integral along the trajectory; if the relative drift
-exceeds the limit the run is retried once at tighter tolerances.
+itself; `trace_level_curve` traces the branches of a level and
+`branch_period` takes a closed branch's xi-period by quadrature.  A saddle
+connection lies on its saddle's own level: `walk_separatrix` follows the
+run of y^2 > 0 that leaves the saddle on one side, on the
+cancellation-free level function of `saddle_level_fn`, and the connection
+exists when that run ends at a simple turning point.  The integrator
+serves the conservation checks, axis periods, and the reference paths the
+level readings are tested against (`integrate` + `classify_orbit` for
+periodic orbits, `shoot_connection` + `classify_orbit` for connections).
+Every integration runs through `_solve`, the package's one scipy DOP853
+call: dense output, an escape-radius event, an axis-crossing event, and
+the arrival event when shooting.  A trajectory is read at any set of times
+through `Trajectory.at`, which evaluates all of them in one numpy pass over
+the steps' dense-output polynomials, bit for bit as scipy would.
+`integrate` monitors the first integral along the trajectory; if the
+relative drift exceeds the limit the run is retried once at tighter
+tolerances.
 
 Classification vocabulary (the `tag` of :class:`OrbitClass`):
 
@@ -58,7 +59,6 @@ __all__ = [
     "trace_branches",
     "y_squared_fn",
     "branch_period",
-    "classify_level_branch",
     "classify_orbit",
     "saddle_level_fn",
     "walk_separatrix",
@@ -375,41 +375,6 @@ class OrbitClass:
         return self.period_xi
 
 
-def _line_pair(census: EquilibriumCensus):
-    pair = census.line_pair
-    if len(pair) == 2:
-        up = max(pair, key=lambda e: e.y)
-        dn = min(pair, key=lambda e: e.y)
-        return up, dn
-    return None
-
-
-PROX_FRAC = 0.05   # closest approach to the line, per unit of orbit diameter
-JUMP_FRAC = 0.1    # near-line slope jump, per unit of phi-amplitude
-
-
-def _closed_orbit_class(pair, amp, diam, min_line, strip_jump, **periods) -> OrbitClass:
-    """PeriodicPeakon or PeriodicSmooth for a closed orbit.
-
-    A peakon-like period requires (a) the singular line to carry a saddle
-    pair, (b) closest approach within PROX_FRAC of the orbit diameter, and
-    (c) a slope jump across the near-line strip of at least JUMP_FRAC times
-    the phi-amplitude (the finite jump inherited from the limiting arch).
-    `strip_jump(r)` is the y-variation over the orbit's points within r of
-    the line; it is called only when (a) and (b) hold.
-    """
-    if pair is not None and min_line <= PROX_FRAC * max(diam, 1e-12):
-        # the strip holds at least the closest point
-        jump = strip_jump(max(2.0 * min_line, 0.02 * diam))
-        if jump >= JUMP_FRAC * amp:
-            return OrbitClass(tag=PERIODIC_PEAKON, amplitude=amp,
-                              derivative_jump=jump, min_line_distance=min_line,
-                              detail="closed orbit with near-line slope jump",
-                              **periods)
-    return OrbitClass(tag=PERIODIC_SMOOTH, amplitude=amp,
-                      min_line_distance=min_line, detail="closed orbit", **periods)
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre(n):
     return roots_legendre(n)
@@ -545,44 +510,22 @@ def walk_separatrix(y2, phi0, side, *, stops, line, escape_radius):
     return end, LevelBranch(phi=phi, y=y, closed=end == TURNING_POINT)
 
 
-def classify_level_branch(wp: WaveParams, fi: FirstIntegral, h: float,
-                          branch: LevelBranch, census: EquilibriumCensus) -> OrbitClass:
-    """Wave-type label of the periodic orbit a closed branch of {H = h} traces.
-
-    H is even in y and the branch misses the singular line, so the branch
-    and its mirror are one closed orbit.  Its phi-range [a, b] gives the
-    amplitude b - a, the diameter hypot(b - a, 2 max y) and the closest
-    approach to the line; the near-line slope jump is 2 max y over the
-    strip, on a fine sub-grid.  The PeriodicPeakon rule is the one
-    `classify_orbit` applies to integrated trajectories.  period_xi comes
-    from `branch_period`; the tag never depends on it.
-    """
-    s = float(wp.singular_line)
-    y2 = y_squared_fn(fi, h)
-    a, b = branch.phi_range
-    amp = b - a
-    diam = math.hypot(amp, 2.0 * float(np.max(branch.y)))
-    min_line = max(a - s, s - b, 0.0)
-
-    def strip_jump(r):
-        grid = np.linspace(max(a, s - r), min(b, s + r), 257)
-        return 2.0 * math.sqrt(max(float(np.max(y2(grid))), 0.0))
-
-    return _closed_orbit_class(_line_pair(census), amp, diam, min_line, strip_jump,
-                               period_xi=branch_period(y2, branch))
-
-
 def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, *,
                    sep_tol=1e-3, close_tol=1e-5) -> OrbitClass:
     """Assign a wave-type label to an integrated trajectory.
 
     Closed orbits (two same-direction axis crossings returning to the same
-    state within close_tol * scale) are split into PeriodicPeakon vs
-    PeriodicSmooth by the rule of `_closed_orbit_class`, with the slope
-    jump measured on the dense trajectory.  Non-recurrent orbits are checked
+    state within close_tol * scale) are PeriodicPeakon when (a) the singular
+    line carries a saddle pair, (b) the closest approach to the line is
+    within PROX_FRAC of the orbit diameter and (c) the slope jumps across the
+    near-line strip by at least JUMP_FRAC of the phi-amplitude (the finite
+    jump inherited from the limiting arch), measured on the dense
+    trajectory; otherwise PeriodicSmooth.  Non-recurrent orbits are checked
     for saddle-to-saddle connections (arch => Peakon/AntiPeakon, loop =>
     Solitary).
     """
+    PROX_FRAC = 0.05   # closest approach to the line, per unit of orbit diameter
+    JUMP_FRAC = 0.1    # near-line slope jump, per unit of phi-amplitude
     s = float(wp.singular_line)
     if traj.escaped:
         return OrbitClass(tag=UNBOUNDED, amplitude=float("nan"),
@@ -597,7 +540,7 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
         return OrbitClass(tag=BOUNDARY_DEGENERATE, amplitude=0.0,
                           detail="stationary (started at an equilibrium)")
 
-    pair = _line_pair(census)
+    pair = sorted(census.line_pair, key=lambda e: -e.y) if len(census.line_pair) == 2 else None
 
     # --- recurrence via axis crossings -----------------------------------
     tc = traj.axis_crossings
@@ -609,15 +552,21 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
             tg = np.linspace(t1, t3, 4001)
             phis, ys = traj.at(tg)
             line_dist = np.abs(phis - s)
-
-            def strip_jump(r):
-                near_line = ys[line_dist <= r]
-                return float(near_line.max() - near_line.min())
-
-            return _closed_orbit_class(
-                pair, amp, diam, float(np.min(line_dist)), strip_jump,
-                period_tau=float(t3 - t1),
-                period_xi=float(abs(_xi_along(traj.wp, tg, phis)[-1])))
+            min_line = float(np.min(line_dist))
+            periods = dict(period_tau=float(t3 - t1),
+                           period_xi=float(abs(_xi_along(traj.wp, tg, phis)[-1])))
+            if pair is not None and min_line <= PROX_FRAC * max(diam, 1e-12):
+                # the strip holds at least the closest point
+                near_line = ys[line_dist <= max(2.0 * min_line, 0.02 * diam)]
+                jump = float(near_line.max() - near_line.min())
+                if jump >= JUMP_FRAC * amp:
+                    return OrbitClass(tag=PERIODIC_PEAKON, amplitude=amp,
+                                      derivative_jump=jump, min_line_distance=min_line,
+                                      detail="closed orbit with near-line slope jump",
+                                      **periods)
+            return OrbitClass(tag=PERIODIC_SMOOTH, amplitude=amp,
+                              min_line_distance=min_line, detail="closed orbit",
+                              **periods)
 
     # --- saddle connections ----------------------------------------------
     saddles = [e for e in census.equilibria if e.kind == SADDLE]

@@ -6,19 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from hypothesis import given, assume, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, canonical_levels,
+from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, _sweep_one, canonical_levels,
                            classify_region, menu_agrees, observe_wave_menu,
                            predict_wave_menu, saddle_connections,
                            sweep_singular_line, tau_plane)
 from rotheta.closedform import closed_form_menu, is_reduced_point, profile_rhs, q_coeffs
-from rotheta.equilibria import census
+from rotheta.equilibria import CENTER, SADDLE, census
 from rotheta.field import build_first_integral, rhs_singular
-from rotheta.orbits import (branch_period, classify_level_branch, classify_orbit,
-                            integrate, measure_axis_period, shoot_connection,
-                            trace_branches)
+from rotheta.orbits import (ESCAPE_RADIUS, branch_period, classify_orbit, integrate,
+                            measure_axis_period, shoot_connection, trace_branches,
+                            y_squared_fn)
 from rotheta.params import WaveParams
 from rotheta.verification import T1_BASE, T3_BASE
 
@@ -208,38 +208,26 @@ def test_reduced_point_observation_is_exact():
 
 
 # T3 domain -> (K, observed (solitary, periodic_smooth), loop entries
-# (phi, side, tag), level-orbit entries (h, interval, branch, tag,
-# period_xi)), at theta = 1/2, C1 = 0 with T3_BASE's C2 and C3, as the
-# profile-plane observer reported them before it shared the tau plane's
-# shooting and level loop.
+# (phi, side, tag), family entries (phi, top, bottom, bound)), at theta =
+# 1/2, C1 = 0 with T3_BASE's C2 and C3.  D3 has three families: one inside
+# each loop and the outer cn family around both, which never ends.
 PINNED_PROFILE_PLANE = {
-    "D1": (1.0, (0, 1), [], [
-        (1.8275770260735111, 0, 0, "PeriodicSmooth", 2.1396605288946944),
-    ]),
-    "D2": (-1.0, (0, 1), [], [
-        (0.7180642438304565, 0, 0, "PeriodicSmooth", 2.3641995657464885),
-    ]),
-    "D3": (T3_BASE["K"], (2, 4), [
+    "D1": (1.0, (0, 1), [], [(1.6018573348351801, 1.8304074335070182, None, None)]),
+    "D2": (-1.0, (0, 1), [], [(-0.8977413085775057, 0.7197840278583149, None, None)]),
+    "D3": (T3_BASE["K"], (2, 3), [
         (0.0875461687524971, "left", "Solitary"),
         (0.0875461687524971, "right", "Solitary"),
     ], [
-        (0.016631378117781096, 1, 0, "PeriodicSmooth", 5.171516347837305),
-        (0.016631378117781096, 1, 1, "PeriodicSmooth", 5.171516347841184),
-        (0.16972480807741305, 2, 0, "PeriodicSmooth", 3.5062992878292927),
-        (-0.0025808030147454293, 0, 0, "PeriodicSmooth", 17.42567580415071),
-        (-0.0019684292949069017, 1, 0, "PeriodicSmooth", 8.722901951731444),
-        (-0.0019684292949069017, 1, 1, "PeriodicSmooth", 8.722901951730357),
-        (0.0352311855304691, 1, 0, "PeriodicSmooth", 4.624730279106708),
-        (0.0352311855304691, 1, 1, "PeriodicSmooth", 4.624730279188844),
-        (0.03584355925030762, 2, 0, "PeriodicSmooth", 4.612082242607649),
-        (0.3036060569045185, 2, 0, "PeriodicSmooth", 3.1272983904760214),
+        (1.264217316031118, 0.30391224376443776, -0.0022746161548261655, "loop"),
+        (-0.4517634847836151, 0.03553737239038836, -0.0022746161548261655, "loop"),
+        (0.0875461687524971, -0.0022746161548261655, None, None),
     ]),
 }
 
 
 @pytest.mark.parametrize("domain", sorted(PINNED_PROFILE_PLANE))
 def test_profile_plane_observations_are_pinned(domain):
-    K, (solitary, periodic), loops, levels = PINNED_PROFILE_PLANE[domain]
+    K, (solitary, periodic), loops, families = PINNED_PROFILE_PLANE[domain]
     wp = WaveParams(C1=0.0, **dict(T3_BASE, K=K))
     assert classify_region(wp, census(wp)).domain == domain
     obs, diag = observe_wave_menu(wp)
@@ -247,8 +235,66 @@ def test_profile_plane_observations_are_pinned(domain):
     # the order the two rays of a saddle are shot in is not an observation
     assert sorted((d["phi"], d["side"], d["tag"])
                   for d in diag if d["kind"] == "loop") == loops
-    assert [(d["h"], d["interval"], d["branch"], d["tag"], d["period_xi"])
-            for d in diag if d["kind"] == "level-orbit"] == levels
+    assert [(d["side"], d["phi"], d["top"], d["bottom"], d["bound"])
+            for d in diag if d["kind"] == "family"] == [(None, *f) for f in families]
+
+
+# Points where the families were once counted on sampled levels and missed
+# one next to a window edge or inside the D4 window; each is scored and agrees.
+MENDED_POINTS = {
+    "atlas-grid-C1=0.00025": WaveParams(C1=0.00025125628140709733, **T1_BASE),
+    "sweep-C1=0.00108": WaveParams(C1=0.0010822570814502108, **T1_BASE),
+    "sweep-C1=0.00105": WaveParams(C1=0.0010474939963613303, **T1_BASE),
+    "grid40-C1=0.65513": WaveParams(C1=0.6551282051282051, **T1_BASE),
+    "D4-window": WaveParams(Fraction(1, 4), 0.1274, -1.6444, -0.3736, 2.4495),
+}
+
+
+@pytest.mark.parametrize("wp", MENDED_POINTS.values(), ids=MENDED_POINTS.keys())
+def test_families_next_to_window_edges_are_counted(wp):
+    sample = _sweep_one(wp, wp.C1, ESCAPE_RADIUS)
+    assert sample.label.in_peakon_window
+    assert sample.agreement is True
+    assert sample.observed.periodic_peakon == 2
+
+
+@given(theta=st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+       c1=st.floats(-1.0, 1.0), c2=st.floats(-3.0, 3.0), c3=st.floats(-3.0, -0.1),
+       k=st.floats(-3.0, 3.0))
+# a center 2e-5 from a saddle, their levels 1.3e-15 apart: rounding
+# inverts them unless the peak is read on the level through it
+@example(theta=Fraction(1, 4), c1=0.5, c2=0.0, c3=-2.0, k=1e-5)
+@settings(max_examples=150, deadline=None)
+def test_families_start_at_centers_and_end_at_walked_arches(theta, c1, c2, c3, k):
+    # the family sweep against the census's linear types and the arch walks
+    wp = WaveParams(theta, c1, c2, c3, k)
+    assume(not is_reduced_point(wp))
+    cen = census(wp)
+    # a census off its boundaries that types every equilibrium (no cusp, no
+    # degenerate pair), with no two axis equilibria within 1e-5 (1 + |phi|):
+    # a family between those is shallower than the levels' rounding (5e-21
+    # deep at a gap of 2.4e-7)
+    phis = sorted(e.phi for e in cen.axis)
+    assume(not cen.is_boundary
+           and all(e.kind in (CENTER, SADDLE) for e in cen.equilibria)
+           and all(b - a > 1e-5 * (1.0 + abs(a)) for a, b in zip(phis, phis[1:])))
+    fi = build_first_integral(wp)
+    # the family count has no disc; the walks get one that holds every drawn
+    # arch (the default radius cuts some with C3 near -0.1)
+    _obs, diag = observe_wave_menu(wp, cen, fi, escape_radius=1e6)
+    families = [d for d in diag if d["kind"] == "family"]
+    starts = [d["phi"] for d in families]
+    for e in cen.centers():
+        if not e.on_singular_line:
+            assert starts.count(e.phi) == 1, (e, families)
+    # the other families start where two closed intervals merge
+    assert {e.phi for e in cen.saddles()} >= set(starts) - {e.phi for e in cen.centers()}
+    # an arch walk that met an equilibrium on the pair's level (within the
+    # walk's 1e-10 (1 + |h|)) called the portrait degenerate: no verdict
+    arches = [d for d in diag if d["kind"] == "arch"]
+    assume(all(d["end"] != "double-root" for d in arches))
+    walked = {d["side"] for d in arches if d["tag"]}
+    assert {d["side"] for d in families if d["bound"] == "arch"} <= walked
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -284,30 +330,29 @@ def test_sweep_scores_the_reduced_point():
 
 
 # (c1, (peakon, periodic_peakon, solitary, periodic_smooth), agreement,
-# boundary) per sample, as the per-point scalar observer reported them; the
-# array evaluation of the first integral must not change any of them.
+# boundary) per sample, with one periodic family per period annulus.
 PINNED_SWEEPS = [
     (T1_BASE, (0.85, -0.1), [
         (0.85, (0, 0, 1, 1), True, False),
         (0.7636363636363637, (0, 0, 1, 1), True, False),
         (0.6772727272727272, (0, 0, 1, 1), True, False),
-        (0.5909090909090908, (2, 3, 0, 2), True, False),
-        (0.5045454545454545, (2, 3, 0, 2), True, False),
-        (0.41818181818181815, (2, 2, 0, 3), True, False),
-        (0.3318181818181818, (2, 2, 0, 3), True, False),
-        (0.24545454545454548, (2, 3, 0, 2), True, False),
-        (0.15909090909090906, (2, 3, 0, 2), True, False),
+        (0.5909090909090908, (2, 2, 0, 2), True, False),
+        (0.5045454545454545, (2, 2, 0, 2), True, False),
+        (0.41818181818181815, (2, 2, 0, 2), True, False),
+        (0.3318181818181818, (2, 2, 0, 2), True, False),
+        (0.24545454545454548, (2, 2, 0, 2), True, False),
+        (0.15909090909090906, (2, 2, 0, 2), True, False),
         (0.07272727272727264, (2, 2, 0, 2), True, False),
         (-0.013636363636363669, (0, 0, 1, 1), True, False),
         (-0.1, (0, 0, 1, 1), True, False),
     ]),
     (T3_BASE, (0.2, -0.198), [
-        (0.2, (0, 0, 2, 8), True, False),
-        (0.12040000000000001, (0, 0, 2, 8), True, False),
-        (0.0408, (0, 0, 2, 4), True, False),
-        (-0.0388, (0, 0, 2, 8), True, False),
-        (-0.1184, (0, 0, 2, 8), True, False),
-        (-0.198, (0, 0, 2, 6), True, False),
+        (0.2, (0, 0, 2, 4), True, False),
+        (0.12040000000000001, (0, 0, 2, 4), True, False),
+        (0.0408, (0, 0, 2, 2), True, False),
+        (-0.0388, (0, 0, 2, 4), True, False),
+        (-0.1184, (0, 0, 2, 4), True, False),
+        (-0.198, (0, 0, 2, 4), True, False),
     ]),
 ]
 
@@ -329,22 +374,39 @@ def test_sweep_input_validation():
         sweep_singular_line(D1_REGIME, (0.05, 0.75), 5)
 
 
-# --- level-branch classification against the integrated reference ---------------
+# --- periodic families against the integrated reference --------------------------
 
-# level-orbit tolerances the observer integrated with before it classified
-# closed branches by quadrature
+# level-orbit tolerances the observer integrated with before it read closed
+# orbits off the level curves
 FAST_LEVEL_ORBIT = dict(rtol=1e-9, atol=1e-11, drift_limit=1e-6, max_retries=0)
 
 
-def _observed_branches(wp):
-    """(h, branch, first integral, census) for every closed, non-point level
-    branch the tau-plane observer classifies."""
+def _observed_branches(wp, frac):
+    """(h, branch, first integral, family entry) for every periodic family
+    the tau-plane observer counts: the closed level branch around the stop
+    the family starts at (`phi`), a fraction `frac` of the way from its top
+    to its bottom.  A family with no bottom is taken to span 0.02 (1 + |top|)
+    beyond its top: further out its orbits can come within rounding of a
+    line where B has a logarithm.  The branch is traced on the family's side
+    up to 1e-12 (1 + |line|) off the line, so that a turning point next to
+    the line is bracketed."""
     cen, fi = census(wp), build_first_integral(wp)
     plane = tau_plane(wp, cen, fi)
-    for h in plane.samples:
-        for br in plane.branches(h):
-            if br.closed and not br.is_point:
-                yield h, br, fi, cen
+    signs = {side: sign for side, sign, _ends in plane.sides}
+    phis = [e.phi for e in cen.equilibria] + [plane.line]
+    pad = 1.0 + 0.5 * (max(phis) - min(phis))
+    gap = 1e-12 * (1.0 + abs(plane.line))
+    windows = {"left": (min(phis) - pad, plane.line - gap),
+               "right": (plane.line + gap, max(phis) + pad)}
+    _obs, diag = observe_wave_menu(wp, cen, fi)
+    for fam in (d for d in diag if d["kind"] == "family"):
+        top, bottom, side = fam["top"], fam["bottom"], fam["side"]
+        span = signs[side] * 0.02 * (1.0 + abs(top)) if bottom is None else bottom - top
+        h = top + frac * span
+        (br,) = [b for b in trace_branches(y_squared_fn(fi, h), windows[side], n=20001)
+                 if b.phi[0] < fam["phi"] < b.phi[-1]]
+        assert br.closed, (wp.C1, fam, frac)
+        yield h, br, fi, fam
 
 
 REFERENCE_POINTS = (
@@ -353,18 +415,23 @@ REFERENCE_POINTS = (
     + [WaveParams(C1=0.3, **T1_BASE), WaveParams(C1=0.8, **T1_BASE)])
 
 
-def test_level_branch_tags_match_integration():
-    # the pinned sweep grids and the two peakon-detection points
+def test_families_match_integration():
+    # the pinned sweep grids and the two peakon-detection points: an orbit
+    # near the top of a family is smooth, and so is one near its bound,
+    # unless the bound is the arch, which the orbit then hugs with a slope
+    # jump at the line
     n = 0
     for wp in REFERENCE_POINTS:
-        for h, br, fi, cen in _observed_branches(wp):
-            traj = integrate(wp, br.interior_point(), tau_span=3000.0, fi=fi,
-                             stop_after_crossings=3, **FAST_LEVEL_ORBIT)
-            want = classify_orbit(wp, traj, cen).tag
-            got = classify_level_branch(wp, fi, h, br, cen).tag
-            assert got == want, (wp.C1, h, br.phi_range)
-            n += 1
-    assert n >= 150
+        cen = census(wp)
+        for frac in (0.02, 0.98):
+            for h, br, fi, fam in _observed_branches(wp, frac):
+                traj = integrate(wp, br.interior_point(), tau_span=3000.0, fi=fi,
+                                 stop_after_crossings=3, **FAST_LEVEL_ORBIT)
+                peakon = frac > 0.5 and fam["bound"] == "arch"
+                want = "PeriodicPeakon" if peakon else "PeriodicSmooth"
+                assert classify_orbit(wp, traj, cen).tag == want, (wp.C1, fam, frac)
+                n += 1
+    assert n >= 80
 
 
 @pytest.mark.parametrize("wp", [WaveParams(C1=0.3, **T1_BASE),
@@ -373,13 +440,14 @@ def test_level_branch_tags_match_integration():
 def test_branch_period_matches_tight_integration(wp):
     # the xi-form's own time between the first and third axis crossing
     n = 0
-    for h, br, fi, cen in _observed_branches(wp):
-        period = classify_level_branch(wp, fi, h, br, cen).period_xi
-        ref, _tc = measure_axis_period(lambda _t, x: rhs_singular(wp, x),
-                                       br.interior_point(), span=500.0)
-        assert period == pytest.approx(ref, rel=1e-7), (h, br.phi_range)
-        n += 1
-    assert n >= 8
+    for frac in (0.25, 0.5, 0.75):
+        for h, br, fi, _fam in _observed_branches(wp, frac):
+            period = branch_period(y_squared_fn(fi, h), br)
+            ref, _tc = measure_axis_period(lambda _t, x: rhs_singular(wp, x),
+                                           br.interior_point(), span=500.0)
+            assert period == pytest.approx(ref, rel=1e-7), (h, br.phi_range)
+            n += 1
+    assert n >= 6
 
 
 def test_branch_period_matches_closed_forms():

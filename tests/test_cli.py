@@ -147,6 +147,23 @@ def test_wave_explicit_level(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 401
 
 
+def test_wave_jsonl_takes_each_residual_once(tmp_path, monkeypatch, capsys):
+    # stdout and the JSONL record share one ODE residual per wave
+    calls = []
+    real = rotheta.cli.ode_residual
+
+    def counted(sol, *args, **kwargs):
+        calls.append(sol)
+        return real(sol, *args, **kwargs)
+
+    monkeypatch.setattr(rotheta.cli, "ode_residual", counted)
+    out = tmp_path / "w"
+    assert main(["wave"] + T3 + ["--format", "jsonl", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    recs = [json.loads(line) for line in (tmp_path / "w.jsonl").read_text().splitlines()]
+    assert len(calls) == len(recs) == stdout.count("ODE residual") >= 2
+
+
 def test_wave_usage_errors(capsys):
     assert main(["wave"] + D1) == 2               # not the closed-form regime
     assert main(["wave"] + T3 + ["--h", "50"]) == 2   # vacant level

@@ -17,11 +17,11 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from rotheta import orbits
-from rotheta.atlas import saddle_connections, tau_plane
+from rotheta.atlas import observe_wave_menu, saddle_connections, tau_plane
 from rotheta.closedform import params_from_roots
 from rotheta.equilibria import census, linearization_determinant
 from rotheta.field import build_first_integral, eval_f_prime, rhs_regular, rhs_singular
-from rotheta.orbits import (_tau_rhs, classify_level_branch, classify_orbit, integrate,
+from rotheta.orbits import (_tau_rhs, branch_period, classify_orbit, integrate,
                             measure_axis_period, saddle_level_fn, shoot_connection,
                             trace_level_curve, y_squared_fn)
 from rotheta.params import WaveParams
@@ -354,24 +354,26 @@ def test_periodic_peakon_family_approaches_arch_period(regime):
 
 def test_periodic_peakon_branches_approach_arch_period(regime):
     # quadrature twin of the integrated family above: the closed branch
-    # through (phi0, 0) around the center at 0, with phi0 -> line
+    # through (phi0, 0) around the center at 0, with phi0 -> line, lies in
+    # the observer's arch-bounded family on the left
     wp, cen, fi = regime
     pair = sorted(cen.line_pair, key=lambda e: e.y)
     hit, arch = shoot_connection(wp, pair[1], pair[0], side="left")
     assert hit
     tg = np.linspace(arch.t[0], arch.t[-1], 4001)
     arch_xi = abs(arch.xi_of_tau(tg)[-1])
+    _obs, diag = observe_wave_menu(wp, cen, fi)
+    (family,) = [d for d in diag if d["kind"] == "family" and d["side"] == "left"]
+    assert family["bound"] == "arch"
 
     periods = []
     for phi0 in (0.9, 1.0, 1.1, 1.15, 1.19):   # h decreasing toward 0
         h = fi.eval(phi0, 0.0)
+        assert family["bottom"] < h < family["top"]
         br = next(b for b in trace_level_curve(fi, h, (-1.0, 1.2))
                   if b.closed and b.phi[0] < 0.0 < b.phi[-1])
         assert br.phi[-1] == pytest.approx(phi0, abs=1e-9)
-        oc = classify_level_branch(wp, fi, h, br, cen)
-        assert oc.tag == "PeriodicPeakon"
-        assert oc.derivative_jump >= 0.1 * oc.amplitude
-        periods.append(oc.period_xi)
+        periods.append(branch_period(y_squared_fn(fi, h), br))
     assert all(a > b for a, b in zip(periods, periods[1:]))
     assert all(p > arch_xi for p in periods)
     assert periods[-1] - arch_xi <= 5e-3
