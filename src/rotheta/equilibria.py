@@ -174,7 +174,7 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
     Returns every axis equilibrium (merging phi = 0 with a g-root when K ~ 0)
     and the singular-line pair when it exists.  `is_boundary` is set when a
     degeneracy prevents a clean classification (line through an equilibrium,
-    S+- collapsing onto the axis, case-label tie).
+    S+- collapsing onto the axis or typed Cusp/Degenerate, case-label tie).
     """
     theta = float(wp.theta)
     C1 = float(wp.C1)
@@ -217,8 +217,12 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
             J = 2.0 * theta * (theta - 0.5) * v
             for y in (ystar, -ystar):
                 tr = (3.0 * theta - 1.0) * y
-                eqs.append(Equilibrium(phi=s, y=y, kind=classify(J, tr, 1, vscale),
+                kind = classify(J, tr, 1, vscale)
+                eqs.append(Equilibrium(phi=s, y=y, kind=kind,
                                        J=J, trace=tr, on_singular_line=True))
+            if kind in (CUSP, DEGENERATE):   # both points share J and trace^2
+                boundary = True
+                notes.append(f"singular-line pair is untyped (J = {J:.3g} within tolerance)")
         elif abs(v) <= vscale:
             boundary = True
             notes.append("singular-line pair collapses onto the axis (f(s) ~ 0)")

@@ -12,9 +12,11 @@ exists when that run ends at a simple turning point.  The integrator
 serves the conservation checks, axis periods, and the reference paths the
 level readings are tested against (`integrate` + `classify_orbit` for
 periodic orbits, `shoot_connection` + `classify_orbit` for connections).
-Every integration runs through `_solve`, the package's one scipy DOP853
+Every integration runs through `_solve`, the package's one `solve_ivp`
 call: dense output, an escape-radius event, an axis-crossing event, and
-the arrival event when shooting.  A trajectory is read at any set of times
+the arrival event when shooting.  Its method is `_FloatDOP853`, scipy's
+DOP853 with each step taken on Python floats, which spares the planar
+system numpy's per-call overhead.  A trajectory is read at any set of times
 through `Trajectory.at`, which evaluates all of them in one numpy pass over
 the steps' dense-output polynomials, bit for bit as scipy would.
 `integrate` monitors the first integral along the trajectory; if the
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
@@ -155,27 +158,155 @@ def _h_scale(h_values, h0):
 def _tau_rhs(wp: WaveParams):
     """The tau-form right-hand side for solve_ivp, on plain Python floats.
 
-    Every coefficient is cast to float once.  That is bitwise what mixed
-    float/Fraction arithmetic computes anyway (Fraction rounds itself to
-    float first), so exact and float coefficients give the same steps."""
+    `x` is any 2-sequence: the stepper passes a tuple of floats, scipy's
+    first-step choice and event location an array.  Every coefficient is
+    cast to float once.  That is bitwise what mixed float/Fraction
+    arithmetic computes anyway (Fraction rounds itself to float first), so
+    exact and float coefficients give the same steps."""
     theta, C1 = float(wp.theta), float(wp.C1)
     K, C2, C3 = float(wp.K), float(wp.C2), float(wp.C3)
     y2_c = theta - 0.5
 
     def rhs(_t, x):
-        phi, y = x.tolist()
+        phi, y = x
         return (y * (theta * phi - C1),
                 y2_c * y * y + phi * (K + phi * (0.5 + phi * (C2 + phi * C3))))
     return rhs
 
 
+def _nonzero(row):
+    """The (index, coefficient) pairs of a tableau row's nonzero entries."""
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+def _combine(row, k0, k1):
+    """sum_j a_j K_j over a sparse tableau row's (j, a_j), per component of
+    the stages k0, k1, summed left to right."""
+    d0 = d1 = 0.0
+    for j, a in row:
+        d0 += k0[j] * a
+        d1 += k1[j] * a
+    return d0, d1
+
+
+class _FloatDOP853(DOP853):
+    """scipy's DOP853 for a planar system, each step taken on Python floats.
+
+    `__init__` is scipy's: tolerance checks, the first step and its `nfev`.
+    A step is DOP853's RK step, error norm and step-size controller, with
+    scipy's constants, on the class's own tableau kept as sparse float rows.
+    The RHS gets the state as a tuple of floats, and numpy only holds the
+    accepted state and the dense output, which keeps DOP853's form
+    (`Dop853DenseOutput`), so OdeSolution, event location and
+    `Trajectory.at` read it as they read scipy's.  Sums run left to right in
+    plain loops, never through np.dot or `sum()` (compensated from Python
+    3.12), so results differ from scipy's only by rounding.
+    """
+
+    _STAGES = tuple((float(c), _nonzero(a[:s])) for s, (a, c) in
+                    enumerate(zip(DOP853.A[1:], DOP853.C[1:]), 1))
+    _EXTRA = tuple((float(c), _nonzero(a[:s])) for s, (a, c) in
+                   enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), DOP853.n_stages + 1))
+    _B, _E3, _E5 = _nonzero(DOP853.B), _nonzero(DOP853.E3), _nonzero(DOP853.E5)
+    _D = tuple(_nonzero(row) for row in DOP853.D)
+    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy's RungeKutta controller
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._rhs = fun   # scipy keeps only its numpy-wrapped copy
+        self._tols = (float(self.rtol), *np.broadcast_to(self.atol, (2,)).tolist())
+        self.f = tuple(self.f.tolist())
+        n_ext = len(self.A_EXTRA[0])
+        self._k = ([0.0] * n_ext, [0.0] * n_ext)   # stages per component
+
+    def _step_impl(self):
+        rhs, (k0, k1), (rtol, atol0, atol1) = self._rhs, self._k, self._tols
+        t, t_bound, direction = self.t, self.t_bound, float(self.direction)
+        y0, y1 = self.y.tolist()
+        k0[0], k1[0] = self.f
+        fsal = self.n_stages   # the stage row that holds f at the new state
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = float(self.h_abs)   # the first step comes as np.float64
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for s, (c, row) in enumerate(self._STAGES, 1):
+                d0, d1 = _combine(row, k0, k1)
+                k0[s], k1[s] = rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h))
+            d0, d1 = _combine(self._B, k0, k1)
+            n0, n1 = y0 + h * d0, y1 + h * d1
+            k0[fsal], k1[fsal] = rhs(t + h, (n0, n1))
+            self.nfev += fsal   # stages 1 to 11, and f at the new state
+            scale0 = atol0 + max(abs(y0), abs(n0)) * rtol
+            scale1 = atol1 + max(abs(y1), abs(n1)) * rtol
+            e50, e51 = _combine(self._E5, k0, k1)
+            e30, e31 = _combine(self._E3, k0, k1)
+            e50, e51, e30, e31 = e50 / scale0, e51 / scale1, e30 / scale0, e31 / scale1
+            err5 = e50 * e50 + e51 * e51
+            err3 = e30 * e30 + e31 * e31
+            denom = (err5 + 0.01 * err3) * 2
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            elif denom == 0:   # underflow: scipy's 0/0 also rejects with factor 0.2
+                error_norm = math.inf
+            else:
+                error_norm = h_abs * err5 / math.sqrt(denom)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(self.MAX_FACTOR,
+                                 self.SAFETY * error_norm ** self.error_exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** self.error_exponent)
+            rejected = True
+        self.h_previous = h
+        self.y_old = self.y
+        self.t = t_new
+        self.y = np.array((n0, n1))
+        self.h_abs = h_abs
+        self.f = (k0[fsal], k1[fsal])
+        return True, None
+
+    def _dense_output_impl(self):
+        (k0, k1), h, t_old = self._k, self.h_previous, self.t_old
+        y0, y1 = self.y_old.tolist()
+        for s, (c, row) in enumerate(self._EXTRA, self.n_stages + 1):
+            d0, d1 = _combine(row, k0, k1)
+            k0[s], k1[s] = self._rhs(t_old + c * h, (y0 + d0 * h, y1 + d1 * h))
+        self.nfev += len(self._EXTRA)
+        n0, n1 = self.y.tolist()
+        (f0, f1), (g0, g1) = (k0[0], k1[0]), self.f
+        dy0, dy1 = n0 - y0, n1 - y1
+        F = [(dy0, dy1), (h * f0 - dy0, h * f1 - dy1),
+             (2 * dy0 - h * (g0 + f0), 2 * dy1 - h * (g1 + f1))]
+        for row in self._D:
+            d0, d1 = _combine(row, k0, k1)
+            F.append((h * d0, h * d1))
+        return Dop853DenseOutput(t_old, self.t, self.y_old, np.array(F))
+
+
 def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
            axis_stop=None, events=()):
-    """Integrate `rhs` from `start` over [0, span] with dense DOP853 until
-    it leaves the disc of `escape_radius`, reaches the `axis_stop`-th y = 0
-    crossing (if given) or a terminal one of `events`.  Returns the
-    Trajectory (recording `wp`, read with `Trajectory.at`) and the times
-    each of `events` fired."""
+    """Integrate `rhs` from `start` over [0, span] with dense DOP853
+    (`_FloatDOP853`) until it leaves the disc of `escape_radius`, reaches
+    the `axis_stop`-th y = 0 crossing (if given) or a terminal one of
+    `events`.  Returns the Trajectory (recording `wp`, read with
+    `Trajectory.at`) and the times each of `events` fired."""
     r2 = escape_radius * escape_radius
 
     def ev_escape(_t, x):
@@ -187,7 +318,7 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
     ev_axis.terminal = axis_stop
 
     res = solve_ivp(rhs, (0.0, span), [float(start[0]), float(start[1])],
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+                    method=_FloatDOP853, rtol=rtol, atol=atol, dense_output=True,
                     events=[ev_escape, ev_axis, *events])
     traj = Trajectory(wp=wp, t=res.t, states=res.y.T, sol=res.sol,
                       escaped=len(res.t_events[0]) > 0,

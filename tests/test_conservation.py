@@ -1,11 +1,14 @@
-"""The conservation check's answers, pinned trial by trial.
+"""The conservation check's answers, pinned trial by trial, and the
+integrator they come from checked against scipy's own DOP853.
 
-The 100 theta = 1/2 trials of `check_conservation` at the default seed 7,
-as the program reports them: (h_drift_max, drift_samples, rtol_used,
-len(traj.t)).  Trials 34 and 55 are retried at rtol 1e-12; trial 82 has
-no measurable sample.  A faster integration path must not move any of
-these numbers; a change that does (other coordinates, another retry) must
-update the pin and say so.
+`PINNED_HALF_THETA` holds the 100 theta = 1/2 trials of
+`check_conservation` at the default seed 7, as the program reports them:
+(h_drift_max, drift_samples, rtol_used, len(traj.t)).  Trials 34 and 55 are
+retried at rtol 1e-12; trial 82 has no measurable sample.  The drift values
+are those of the float stepper `orbits._FloatDOP853`; they sit at the
+rounding of its sums, so any change to its arithmetic moves their last
+digits.  A change that moves them, or anything else here (other
+coordinates, another retry), must update the pin and say so.
 """
 
 from fractions import Fraction
@@ -13,111 +16,112 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotheta import orbits
 from rotheta.field import build_first_integral
 from rotheta.orbits import integrate
 from rotheta.verification import DEFAULT_SEED, _conservation_draw
 
 PINNED_HALF_THETA = [
-    (1.1856352767611045e-10, 512, 1e-10, 19),
-    (2.678050431676187e-11, 512, 1e-10, 46),
-    (2.9472266754693275e-09, 204, 1e-10, 23),
-    (2.432563857152645e-09, 94, 1e-10, 32),
-    (1.0177908432733184e-09, 385, 1e-10, 60),
-    (6.983195621013298e-11, 512, 1e-10, 60),
-    (3.4008325666534664e-11, 512, 1e-10, 50),
-    (8.945288043147661e-10, 384, 1e-10, 66),
+    (1.185687058764745e-10, 512, 1e-10, 19),
+    (2.6780703588328003e-11, 512, 1e-10, 46),
+    (2.9469956140909284e-09, 204, 1e-10, 23),
+    (2.4325755000893894e-09, 94, 1e-10, 32),
+    (1.017788692915802e-09, 385, 1e-10, 60),
+    (6.983238343971093e-11, 512, 1e-10, 60),
+    (3.402087302271165e-11, 512, 1e-10, 50),
+    (8.944982211990741e-10, 384, 1e-10, 66),
     (2.132633901360827e-11, 512, 1e-10, 42),
-    (2.5748467128025188e-11, 512, 1e-10, 26),
-    (4.02630801404436e-09, 359, 1e-10, 31),
-    (5.809375826370136e-10, 399, 1e-10, 47),
-    (1.0709108834168903e-09, 373, 1e-10, 71),
-    (8.269942240430755e-11, 512, 1e-10, 25),
-    (5.644896074375667e-10, 512, 1e-10, 44),
-    (2.9919511087233124e-13, 512, 1e-10, 44),
-    (1.1192328256293908e-10, 512, 1e-10, 39),
-    (3.008567916671939e-09, 251, 1e-10, 32),
-    (3.338455257203513e-09, 512, 1e-10, 49),
-    (5.8667040440574704e-09, 113, 1e-10, 26),
-    (1.1075065316741163e-13, 512, 1e-10, 34),
-    (2.3584702329727006e-10, 512, 1e-10, 49),
-    (6.92779130981686e-10, 428, 1e-10, 64),
-    (1.1731876278939667e-10, 512, 1e-10, 26),
-    (5.484460677915744e-09, 512, 1e-10, 45),
-    (5.381066356457384e-11, 512, 1e-10, 43),
-    (1.8901465233204283e-11, 512, 1e-10, 19),
-    (1.112539350132071e-12, 512, 1e-10, 49),
-    (9.366187378812695e-10, 164, 1e-10, 35),
-    (1.53593063900895e-10, 512, 1e-10, 53),
-    (1.210338960290932e-09, 245, 1e-10, 36),
-    (6.790070554892315e-10, 307, 1e-10, 27),
-    (3.4659821192746774e-10, 208, 1e-10, 23),
-    (3.108187002543065e-09, 176, 1e-10, 30),
-    (2.846790454493722e-09, 158, 1e-12, 42),
-    (3.22486162067166e-10, 512, 1e-10, 23),
-    (7.833509344791082e-10, 184, 1e-10, 44),
-    (2.3145926972178455e-10, 512, 1e-10, 89),
-    (1.3560452693152126e-09, 397, 1e-10, 60),
-    (3.0982768209357634e-09, 231, 1e-10, 31),
-    (3.40092123224812e-10, 512, 1e-10, 38),
-    (2.2232924982368385e-09, 512, 1e-10, 55),
-    (6.756758515471941e-14, 512, 1e-10, 25),
-    (6.59044527489964e-10, 311, 1e-10, 65),
-    (9.827376388708103e-09, 198, 1e-10, 22),
-    (1.7191376134691376e-09, 512, 1e-10, 44),
-    (3.5959423001227554e-10, 269, 1e-10, 37),
-    (2.3391453976989352e-09, 305, 1e-10, 32),
-    (1.4822988820909957e-09, 378, 1e-10, 66),
-    (8.112796589301518e-09, 272, 1e-10, 36),
-    (3.3461594821690515e-10, 277, 1e-10, 44),
-    (2.8965235681931435e-10, 512, 1e-10, 36),
-    (1.82811331302754e-10, 512, 1e-10, 23),
-    (2.673051909172559e-11, 512, 1e-10, 51),
-    (4.469446503309719e-09, 181, 1e-10, 29),
-    (2.2306568446482107e-10, 512, 1e-12, 95),
-    (3.706005783612407e-10, 512, 1e-10, 34),
+    (2.5746744413983168e-11, 512, 1e-10, 26),
+    (4.0262263576031226e-09, 359, 1e-10, 31),
+    (5.809328027321592e-10, 399, 1e-10, 47),
+    (1.0709138378672766e-09, 373, 1e-10, 71),
+    (8.2698952026126e-11, 512, 1e-10, 25),
+    (5.644910136302261e-10, 512, 1e-10, 44),
+    (2.9903071795426957e-13, 512, 1e-10, 44),
+    (1.1192490352948809e-10, 512, 1e-10, 39),
+    (3.008539497436548e-09, 251, 1e-10, 32),
+    (3.3384588482947396e-09, 512, 1e-10, 49),
+    (5.866682726514995e-09, 113, 1e-10, 26),
+    (1.1057485847984433e-13, 512, 1e-10, 34),
+    (2.358436581043301e-10, 512, 1e-10, 49),
+    (6.927561621050216e-10, 428, 1e-10, 64),
+    (1.1731979936766956e-10, 512, 1e-10, 26),
+    (5.484460862995878e-09, 512, 1e-10, 45),
+    (5.3810815726409035e-11, 512, 1e-10, 43),
+    (1.8901853265994267e-11, 512, 1e-10, 19),
+    (1.112275652727442e-12, 512, 1e-10, 49),
+    (9.366151546757883e-10, 164, 1e-10, 35),
+    (1.5359325259155372e-10, 512, 1e-10, 53),
+    (1.2103287739342308e-09, 245, 1e-10, 36),
+    (6.790036947502972e-10, 307, 1e-10, 27),
+    (3.465978385977265e-10, 208, 1e-10, 23),
+    (3.108190189048116e-09, 176, 1e-10, 30),
+    (2.8461936377006465e-09, 158, 1e-12, 42),
+    (3.224848960222234e-10, 512, 1e-10, 23),
+    (7.833479142990612e-10, 184, 1e-10, 44),
+    (2.3146186343554695e-10, 512, 1e-10, 89),
+    (1.356044763524825e-09, 397, 1e-10, 60),
+    (3.0991766560464725e-09, 231, 1e-10, 31),
+    (3.400959531047862e-10, 512, 1e-10, 38),
+    (2.223411814273317e-09, 512, 1e-10, 55),
+    (6.776118855057819e-14, 512, 1e-10, 25),
+    (6.590434809639466e-10, 311, 1e-10, 65),
+    (9.82745662522465e-09, 198, 1e-10, 22),
+    (1.7191395078199988e-09, 512, 1e-10, 44),
+    (3.5959634894680185e-10, 269, 1e-10, 37),
+    (2.33905960206601e-09, 305, 1e-10, 32),
+    (1.4822994923504614e-09, 378, 1e-10, 66),
+    (8.112795903533524e-09, 272, 1e-10, 36),
+    (3.346171532129275e-10, 277, 1e-10, 44),
+    (2.896513892819329e-10, 512, 1e-10, 36),
+    (1.8281102523684464e-10, 512, 1e-10, 23),
+    (2.6731251687610498e-11, 512, 1e-10, 51),
+    (4.469444599653996e-09, 181, 1e-10, 29),
+    (2.2269359452149935e-10, 512, 1e-12, 95),
+    (3.7060121869187993e-10, 512, 1e-10, 34),
     (2.0885592688475486e-13, 512, 1e-10, 97),
-    (1.594607510508495e-10, 512, 1e-10, 32),
-    (1.577426622593038e-12, 512, 1e-10, 31),
-    (2.8883312688932156e-10, 512, 1e-10, 38),
-    (1.059407711173668e-09, 204, 1e-10, 33),
+    (1.5946111479510048e-10, 512, 1e-10, 32),
+    (1.5775872566686582e-12, 512, 1e-10, 31),
+    (2.8883158509989364e-10, 512, 1e-10, 38),
+    (1.0594052835280873e-09, 204, 1e-10, 33),
     (1.3490912445810427e-11, 512, 1e-10, 18),
-    (5.064163299608973e-10, 399, 1e-10, 60),
-    (2.043485979503092e-10, 512, 1e-10, 252),
-    (1.3974580048895812e-12, 512, 1e-10, 50),
-    (3.391924788795527e-09, 246, 1e-10, 43),
-    (1.4643356116816801e-09, 379, 1e-10, 76),
-    (7.281340799956576e-11, 512, 1e-10, 31),
-    (5.055564348300378e-10, 297, 1e-10, 59),
-    (1.7593034733821745e-09, 334, 1e-10, 35),
-    (8.060728491894383e-10, 512, 1e-10, 60),
-    (1.691356948118092e-11, 512, 1e-10, 48),
-    (9.376065417282966e-10, 222, 1e-10, 32),
-    (3.241730320951841e-10, 512, 1e-10, 28),
-    (4.933800767056412e-13, 512, 1e-10, 38),
-    (9.648028950098447e-10, 406, 1e-10, 23),
-    (3.4035793304151786e-12, 512, 1e-10, 84),
-    (1.927820338031795e-12, 512, 1e-10, 103),
-    (2.109143717791422e-12, 512, 1e-10, 49),
-    (3.6277786114023114e-10, 276, 1e-10, 24),
-    (3.482322312030928e-10, 512, 1e-10, 29),
+    (5.064039447132649e-10, 399, 1e-10, 60),
+    (2.066401628459098e-10, 512, 1e-10, 252),
+    (1.397317231442932e-12, 512, 1e-10, 50),
+    (3.3919229026740794e-09, 246, 1e-10, 43),
+    (1.4643356116816814e-09, 379, 1e-10, 76),
+    (7.28129847043543e-11, 512, 1e-10, 31),
+    (5.055572362517237e-10, 297, 1e-10, 59),
+    (1.7593015706118805e-09, 334, 1e-10, 35),
+    (8.060690211609949e-10, 512, 1e-10, 60),
+    (1.6913004741749407e-11, 512, 1e-10, 48),
+    (9.375959748881833e-10, 222, 1e-10, 32),
+    (3.241691145164166e-10, 512, 1e-10, 28),
+    (4.934999746586681e-13, 512, 1e-10, 38),
+    (9.648087299911945e-10, 406, 1e-10, 23),
+    (3.403579330415175e-12, 512, 1e-10, 84),
+    (1.927678659459146e-12, 512, 1e-10, 103),
+    (2.109304954984128e-12, 512, 1e-10, 49),
+    (3.627364151687184e-10, 276, 1e-10, 24),
+    (3.482354606647123e-10, 512, 1e-10, 29),
     (None, 0, 1e-10, 30),
-    (5.656759324626154e-10, 291, 1e-10, 61),
-    (6.308614146667105e-10, 254, 1e-10, 33),
-    (3.036813724771001e-09, 492, 1e-10, 119),
-    (4.3103909149739804e-10, 512, 1e-10, 45),
-    (1.0413693309514703e-09, 407, 1e-10, 36),
-    (5.32724691222162e-10, 121, 1e-10, 26),
-    (3.974446280154094e-09, 288, 1e-10, 43),
-    (1.9840077069651547e-10, 512, 1e-10, 35),
-    (5.033071577815262e-10, 512, 1e-10, 69),
-    (8.878954555263723e-10, 332, 1e-10, 71),
-    (2.0122475303345076e-09, 81, 1e-10, 31),
-    (4.90565507109914e-10, 359, 1e-10, 61),
-    (2.8990147969709638e-11, 512, 1e-10, 17),
-    (2.0103226173403104e-10, 409, 1e-10, 41),
-    (4.456846123817704e-11, 512, 1e-10, 32),
-    (4.5943981293091556e-10, 512, 1e-10, 29),
-    (1.8886056051492886e-09, 336, 1e-10, 46),
+    (5.656739169723263e-10, 291, 1e-10, 61),
+    (6.308574063958655e-10, 254, 1e-10, 33),
+    (3.037227932941462e-09, 492, 1e-10, 119),
+    (4.310392107517722e-10, 512, 1e-10, 45),
+    (1.0413672948636506e-09, 407, 1e-10, 36),
+    (5.327310862431713e-10, 121, 1e-10, 26),
+    (3.974444594785256e-09, 288, 1e-10, 43),
+    (1.9840049814046654e-10, 512, 1e-10, 35),
+    (5.033264167621642e-10, 512, 1e-10, 69),
+    (8.878963077956142e-10, 332, 1e-10, 71),
+    (2.012248640954078e-09, 81, 1e-10, 31),
+    (4.905642206182738e-10, 359, 1e-10, 61),
+    (2.8989928649772213e-11, 512, 1e-10, 17),
+    (2.010333284374605e-10, 409, 1e-10, 41),
+    (4.4568634827201396e-11, 512, 1e-10, 32),
+    (4.59441363425548e-10, 512, 1e-10, 29),
+    (1.888606520352994e-09, 336, 1e-10, 46),
 ]
 
 
@@ -135,3 +139,49 @@ def test_conservation_trials_are_pinned():
     assert [i for i, row in enumerate(got) if row[2] != 1e-10] == [34, 55]
     assert [i for i, row in enumerate(got) if row[0] is None] == [82]
     assert max(r[0] for r in got if r[0] is not None) == pytest.approx(9.827e-9, rel=1e-3)
+
+
+def _check_solves(monkeypatch, method=None):
+    """(Trajectory, nfev) of every `_solve` call the 300 seed-7 conservation
+    trials make, run as the check runs them, with `method` handed to
+    solve_ivp in place of the package's own when given."""
+    solve_ivp, solve = orbits.solve_ivp, orbits._solve
+    nfev, trajs = [], []
+
+    def counting_solve_ivp(*args, **kwargs):
+        if method is not None:
+            kwargs["method"] = method
+        res = solve_ivp(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    def recording_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        trajs.append(out[0])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "solve_ivp", counting_solve_ivp)
+        m.setattr(orbits, "_solve", recording_solve)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            for _ in range(100):
+                wp, start = _conservation_draw(rng, theta)
+                integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
+    return list(zip(trajs, nfev, strict=True))
+
+
+def test_float_stepper_takes_scipys_steps(monkeypatch):
+    # the float stepper is scipy's DOP853 up to the rounding of its sums:
+    # the same steps, right-hand-side evaluations and endings on every
+    # trial (retries included), and the same dense solution to 1e-8
+    got = _check_solves(monkeypatch)
+    ref = _check_solves(monkeypatch, method="DOP853")
+    assert len(got) == len(ref) == 307
+    for (traj, nfev), (ref_traj, ref_nfev) in zip(got, ref):
+        assert (len(traj.t), nfev, traj.escaped, traj.status) == \
+            (len(ref_traj.t), ref_nfev, ref_traj.escaped, ref_traj.status)
+        if not ref_traj.escaped:
+            tg = np.linspace(ref_traj.t[0], ref_traj.t[-1], 512)
+            want = ref_traj.at(tg)
+            assert np.all(np.abs(traj.at(tg) - want) <= 1e-8 * (1.0 + np.abs(want)))

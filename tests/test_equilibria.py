@@ -191,6 +191,16 @@ def test_census_flags_line_through_equilibrium():
     assert "singular line passes through equilibrium" in cen.boundary_note
 
 
+def test_census_flags_an_untyped_line_pair():
+    # y*^2 = 1.2e-7 clears the pair's tolerance, but J = -1.5e-8 does not:
+    # the pair exists and is typed Degenerate, so the portrait is a boundary
+    cen = census(wp14(6.1e-5, 0.0, -1.0, 0.0))
+    assert [e.kind for e in cen.line_pair] == ["Degenerate", "Degenerate"]
+    assert cen.line_pair[0].J == pytest.approx(-1.49e-8, rel=1e-2)
+    assert cen.is_boundary
+    assert "singular-line pair is untyped" in cen.boundary_note
+
+
 def test_saddles_centers_partition():
     cen = census(wp14(0.3, 2.0, -1.0, 3.0))
     kinds = {e.kind for e in cen.equilibria}

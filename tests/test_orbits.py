@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
@@ -98,6 +98,9 @@ def test_drift_is_unverified_when_no_sample_is_measurable():
        C1=st.floats(-1.0, 1.0), C2=st.floats(-1.0, 1.0),
        C3=st.floats(-2.0, -0.2), K=st.floats(-1.0, 1.0),
        start=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+# error estimates near 1e-163, whose squares underflow in the error norm
+@example(theta=Fraction(1, 2), C1=7.647929034267432e-163, C2=0.0, C3=-1.0, K=0.0,
+         start=(0.0, 0.375))
 @settings(max_examples=25, deadline=None)
 def test_drift_is_a_number_only_when_measured(theta, C1, C2, C3, K, start):
     wp = WaveParams(theta, C1, C2, C3, K)
@@ -233,7 +236,7 @@ _exact = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
 def test_tau_rhs_is_bitwise_the_rhs_as_given(theta, C1, coeffs, phi, y):
     K, C2, C3 = coeffs
     wp = WaveParams(theta, C1, C2, C3, K)
-    got = np.array(_tau_rhs(wp)(0.0, np.array([phi, y])))
+    got = np.array(_tau_rhs(wp)(0.0, (phi, y)))   # as the stepper calls it
     want = np.array(_rhs_as_given(wp, phi, y), dtype=float)
     assert got.tobytes() == want.tobytes()
 
