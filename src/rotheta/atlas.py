@@ -47,8 +47,8 @@ from .equilibria import (Equilibrium, EquilibriumCensus, SADDLE, census, find_g_
                          g_critical_points)
 from .field import (SingularLineError, _taylor_shift, build_first_integral, eval_f,
                     eval_g, eval_g_prime)
-from .orbits import (ANTI_PEAKON, ESCAPE_RADIUS, PEAKON, SOLITARY, TURNING_POINT,
-                     LevelBranch, branch_period, saddle_level_fn, walk_separatrix)
+from .orbits import (ANTI_PEAKON, PEAKON, SOLITARY, TURNING_POINT, LevelBranch,
+                     branch_period, saddle_level_fn, walk_separatrix)
 from .params import WaveParams
 
 __all__ = [
@@ -504,29 +504,30 @@ class Connection:
         return PEAKON if self.side == "left" else ANTI_PEAKON
 
 
-def saddle_connections(plane: Plane, escape_radius):
+def saddle_connections(plane: Plane):
     """Every saddle connection of `plane`, found on the saddles' own levels
     with no integration: the two arches from the upper line saddle, then the
     homoclinic loops at each axis saddle, left side before right.  An arch
     lies on the pair's level, where y^2 passes through the line with the
-    saddles' own y*^2; a loop lies on its saddle's level.  Yields one
-    Connection per saddle and side, hit or not."""
+    saddles' own y*^2; a loop lies on its saddle's level.  A walk ends where
+    its level does, told y^2's sign at +-inf: sign(A) sign(h - B's limit).
+    Yields one Connection per saddle and side, hit or not."""
     walks = [("arch", plane.pair[0])] if len(plane.pair) == 2 else []
     walks += [("loop", eq) for eq in plane.saddles]
+    (_, a_lo, (lo, _)), (_, a_hi, (_, hi)) = plane.sides[0], plane.sides[-1]
     for kind, eq in walks:
         h, y2 = plane.level_through(eq.phi, eq.on_singular_line)
         # same level: equal to canonical_levels' merge tolerance
         stops = tuple((phi, abs(level - h) <= 1e-10 * (1.0 + abs(h)))
                       for phi, level in plane.stops)
-        for side in ("left", "right"):
+        for side, a, (_, b) in (("left", a_lo, lo), ("right", a_hi, hi)):
             end, branch = walk_separatrix(y2, eq.phi, side, stops=stops, line=plane.line,
-                                          escape_radius=escape_radius)
+                                          far=a * math.copysign(1.0, h - b))
             yield Connection(kind=kind, saddle=eq, side=side, h=h, end=end,
                              branch=branch, y2=y2)
 
 
-def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
-                      fi=None, *, escape_radius=ESCAPE_RADIUS):
+def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
     """Count wave families numerically, with no integration.
 
     The count runs in the tau plane, except at the reduced point theta =
@@ -546,7 +547,7 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None,
     diag = list(plane.header)
 
     peakon = solitary = 0
-    for conn in saddle_connections(plane, escape_radius):
+    for conn in saddle_connections(plane):
         if conn.kind == "arch":
             entry = {"kind": "arch", "side": conn.side, "tag": conn.tag,
                      "end": conn.end}
@@ -613,7 +614,7 @@ def _near_window_edge(wp: WaveParams, label: RegionLabel, rel=1e-3) -> bool:
     return any(abs(s - e) <= rel * (1.0 + abs(e)) for e in edges)
 
 
-def _sweep_one(base, c1, escape_radius):
+def _sweep_one(base, c1):
     wp = replace(base, C1=float(c1))
     cen = census(wp)
     label = classify_region(wp, cen)
@@ -622,7 +623,7 @@ def _sweep_one(base, c1, escape_radius):
     structural = cen.is_boundary and label.theorem != "T3"
     boundary = label.boundary or structural or _near_window_edge(wp, label)
     predicted = None if label.boundary else predict_wave_menu(label)
-    observed, diag = observe_wave_menu(wp, cen, escape_radius=escape_radius)
+    observed, diag = observe_wave_menu(wp, cen)
     agreement = None
     if not boundary and predicted is not None:
         agreement = menu_agrees(predicted, observed)
@@ -631,8 +632,7 @@ def _sweep_one(base, c1, escape_radius):
                        boundary=boundary, diagnostics=tuple(diag))
 
 
-def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
-                        escape_radius=ESCAPE_RADIUS) -> SweepReport:
+def sweep_singular_line(base: WaveParams, c1_range, sample_count: int) -> SweepReport:
     """Classify/predict/observe across a right-to-left sweep of C1.
 
     `c1_range` = (right, left) with right > left; samples are strictly
@@ -651,5 +651,5 @@ def sweep_singular_line(base: WaveParams, c1_range, sample_count: int, *,
     if not hi > lo:
         raise ValueError("c1_range must be ordered right-to-left (hi > lo)")
     c1s = np.linspace(hi, lo, sample_count)
-    samples = [_sweep_one(base, c1, escape_radius) for c1 in c1s]
+    samples = [_sweep_one(base, c1) for c1 in c1s]
     return SweepReport(base=base, samples=samples)

@@ -25,7 +25,7 @@ from .atlas import (canonical_levels, saddle_connections, sweep_singular_line,
 from .closedform import closed_form_menu, is_reduced_point, ode_residual, reduced
 from .equilibria import census
 from .field import SingularLineError, build_first_integral
-from .orbits import ESCAPE_RADIUS, trace_level_curve
+from .orbits import trace_level_curve
 from .params import WaveParams, derive_coriolis, derive_wave_params, parse_theta
 from .svgfig import SvgFigure, resample
 from .verification import CHECKS, DEFAULT_SEED, render_report, run_checks
@@ -54,7 +54,6 @@ class RunConfig:
     c1_from: float | None = None
     c1_to: float | None = None
     samples: int = 200
-    escape_radius: float = ESCAPE_RADIUS
     seed: int = DEFAULT_SEED
     only: tuple = ()
 
@@ -99,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--h", type=float, action="append",
                    help="level value (repeatable; default: canonical levels)")
-    p.add_argument("--escape-radius", type=float, dest="escape_radius")
 
     p = sub.add_parser("wave", help="closed-form wave profiles with residuals")
     add_common(p)
@@ -116,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1-to", type=float, dest="c1_to",
                    help="last C1 value (left end, smaller)")
     p.add_argument("--samples", type=int, help="sample count (default 200)")
-    p.add_argument("--escape-radius", type=float, dest="escape_radius")
 
     p = sub.add_parser("verify", help="run the named verification checks")
     add_common(p)
@@ -144,7 +141,7 @@ def _read_config_file(path: str) -> dict:
 
 _FILE_COERCE = {
     "omega": float, "c": float, "c1": float, "c2": float, "c3": float,
-    "k": float, "c1_from": float, "c1_to": float, "escape_radius": float,
+    "k": float, "c1_from": float, "c1_to": float,
     "samples": int, "seed": int,
     "h": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
     "only": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
@@ -296,8 +293,7 @@ def _clip_runs(xs, ys, xlim, ylim):
     return [(xs[a:b], ys[a:b]) for a, b in runs if b - a >= 2]
 
 
-def render_portrait_artifacts(wp: WaveParams, levels=None, *,
-                              escape_radius: float = ESCAPE_RADIUS):
+def render_portrait_artifacts(wp: WaveParams, levels=None):
     """(svg_text, csv_text) of the tau-plane phase portrait.
 
     Level curves of the first integral at the requested (default: canonical)
@@ -332,7 +328,7 @@ def render_portrait_artifacts(wp: WaveParams, levels=None, *,
         if bid:
             oid += 1
 
-    for conn in saddle_connections(plane, escape_radius):
+    for conn in saddle_connections(plane):
         if conn.hit:
             curves.append((oid, 0, "separatrix", conn.h,
                            *resample(*_separatrix_curve(conn), 400)))
@@ -401,8 +397,7 @@ def _level_of(fi, phi, y):
 
 def cmd_portrait(cfg: RunConfig) -> int:
     _cor, wp = _resolve_params(cfg)
-    svg, csv_text = render_portrait_artifacts(
-        wp, levels=cfg.h, escape_radius=cfg.escape_radius)
+    svg, csv_text = render_portrait_artifacts(wp, levels=cfg.h)
     base = Path(cfg.out) if cfg.out else Path("portrait")
     svg_path, csv_path = base.with_suffix(".svg"), base.with_suffix(".csv")
     _write_text(svg_path, svg)
@@ -507,8 +502,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _cor, base_wp = _resolve_params(cfg)
     if cfg.c1_from is None or cfg.c1_to is None:
         raise UsageError("sweep needs --c1-from and --c1-to")
-    rep = sweep_singular_line(base_wp, (cfg.c1_from, cfg.c1_to), cfg.samples,
-                              escape_radius=cfg.escape_radius)
+    rep = sweep_singular_line(base_wp, (cfg.c1_from, cfg.c1_to), cfg.samples)
 
     scored = sum(1 for s in rep.samples if s.agreement is not None)
     frac = rep.agreement_fraction

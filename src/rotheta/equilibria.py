@@ -19,7 +19,7 @@ Linearization determinant of the tau-form at an equilibrium:
     trace = (3 theta - 1) y.
 
 Saddle if J < 0; center if J > 0 and trace^2 - 4J < 0; node if J > 0 and
-trace^2 - 4J > 0; |J| <= tol is a cusp (multiplicity >= 2) or otherwise
+trace^2 - 4J > 0; a multiple root is a cusp, and |J| <= tol otherwise
 degenerate -- boundary sign decisions are never guessed.
 """
 
@@ -121,9 +121,9 @@ def linearization_determinant(wp: WaveParams, point, tol: float = 1e-7) -> float
 
 
 def classify(J: float, trace: float, multiplicity: int = 1, tol: float = 1e-9) -> str:
-    """Map (J, trace) to a linear type; |J| <= tol is Cusp for a double root,
-    Degenerate otherwise (index refinement is left to orbit integration)."""
-    if abs(J) <= tol:
+    """Map (J, trace) to a linear type; a multiple root is Cusp (J there is
+    only its merged roots' gap), and |J| <= tol otherwise Degenerate."""
+    if multiplicity >= 2 or abs(J) <= tol:
         return CUSP if multiplicity >= 2 else DEGENERATE
     if J < 0.0:
         return SADDLE

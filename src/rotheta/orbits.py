@@ -8,7 +8,8 @@ itself; `trace_level_curve` traces the branches of a level and
 connection lies on its saddle's own level: `walk_separatrix` follows the
 run of y^2 > 0 that leaves the saddle on one side, on the
 cancellation-free level function of `saddle_level_fn`, and the connection
-exists when that run ends at a simple turning point.  The integrator
+exists when that run ends at a simple turning point; past the last
+equilibrium the sign of y^2 at infinity says if it does.  The integrator
 serves the conservation checks, axis periods, and the reference paths the
 level readings are tested against (`integrate` + `classify_orbit` for
 periodic orbits, `shoot_connection` + `classify_orbit` for connections).
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, count
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -76,7 +78,7 @@ ANTI_PEAKON = "AntiPeakon"
 SOLITARY = "Solitary"
 UNBOUNDED = "Unbounded"
 BOUNDARY_DEGENERATE = "BoundaryDegenerate"
-ESCAPE_RADIUS = 50.0   # default radius of the (phi, y) disc orbits may not leave
+ESCAPE_RADIUS = 50.0   # default radius of the (phi, y) disc integrations may not leave
 
 
 @dataclass
@@ -593,7 +595,7 @@ def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False):
     return y2
 
 
-def walk_separatrix(y2, phi0, side, *, stops, line, escape_radius):
+def walk_separatrix(y2, phi0, side, *, stops, line, far):
     """How the run of y^2 > 0 that leaves a saddle at phi0 on `side` ends:
     (end, LevelBranch of the run from the saddle to where it ended).
 
@@ -602,28 +604,31 @@ def walk_separatrix(y2, phi0, side, *, stops, line, escape_radius):
     expansion makes y^2 > 0.  `stops` are (phi, same_level) for the
     equilibria on the axis: between two of them h - B is monotone, so y^2
     changes sign at most once there, and brentq refines the first sign
-    change.  No orbit crosses `line` (None: no such line).  The run ends at
-    the first of
+    change; past the last stop y^2 tends to the sign `far` at infinity, and
+    steps that double bracket a root.  No orbit crosses `line` (None: no
+    such line).  The run ends at the first of
       * "turning-point": a simple root of y^2; the branch and its mirror are
         the saddle connection;
       * "double-root": an equilibrium on the saddle's own level;
       * "singular-line": the line, reached with y^2 > 0;
-      * "escape": hypot(phi, y) >= escape_radius anywhere along the run
-        (checked on 257 points), as shooting's escape event.
+      * "escape": infinity, y^2 > 0 out to it (the branch ends at the last
+        stop).
     """
     sgn = 1.0 if side == "right" else -1.0
     start = phi0 + sgn * 1e-5 * (1.0 + abs(phi0))
     marks = [(p, DOUBLE_ROOT if same else None) for p, same in stops]
-    marks.append((sgn * escape_radius, ESCAPE))
     if line is not None:
         marks.append((line - sgn * 1e-12 * (1.0 + abs(line)), SINGULAR_LINE))
     # y^2 <= 0 at the start: the saddle is too degenerate to leave at this offset
     end, phi_end = DOUBLE_ROOT, start
     if y2(start) > 0.0:
-        end = ESCAPE   # stays if no mark lies ahead: the saddle is outside the disc
         prev = start
-        for p, label in sorted((m for m in marks if sgn * (m[0] - start) > 0),
-                               key=lambda m: sgn * m[0]):
+        ahead = sorted((m for m in marks if sgn * (m[0] - start) > 0), key=lambda m: sgn * m[0])
+        last = ahead[-1][0] if ahead else start
+        # past the last stop: infinity, or marks at steps 1, 2, 4, ... (1 + |last|) out
+        tail = ([(last, ESCAPE)] if far > 0.0 else
+                ((last + sgn * (2.0**k - 1.0) * (1.0 + abs(last)), None) for k in count(1)))
+        for p, label in chain(ahead, tail):
             if label != DOUBLE_ROOT and not y2(p) > 0.0:
                 end, phi_end = TURNING_POINT, brentq(y2, prev, p, xtol=1e-14, rtol=1e-15)
                 break
@@ -634,8 +639,6 @@ def walk_separatrix(y2, phi0, side, *, stops, line, escape_radius):
     t = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257)))
     phi = phi0 + (phi_end - phi0) * t
     y = np.sqrt(np.maximum(y2(phi), 0.0))
-    if np.max(np.hypot(phi, y)) >= escape_radius:
-        end = ESCAPE
     if sgn < 0.0:
         phi, y = phi[::-1], y[::-1]
     return end, LevelBranch(phi=phi, y=y, closed=end == TURNING_POINT)

@@ -16,9 +16,8 @@ from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, _sweep_one, canonica
 from rotheta.closedform import closed_form_menu, is_reduced_point, profile_rhs, q_coeffs
 from rotheta.equilibria import CENTER, SADDLE, census
 from rotheta.field import build_first_integral, rhs_singular
-from rotheta.orbits import (ESCAPE_RADIUS, branch_period, classify_orbit, integrate,
-                            measure_axis_period, shoot_connection, trace_branches,
-                            y_squared_fn)
+from rotheta.orbits import (branch_period, classify_orbit, integrate, measure_axis_period,
+                            shoot_connection, trace_branches, y_squared_fn)
 from rotheta.params import WaveParams
 from rotheta.verification import T1_BASE, T3_BASE
 
@@ -252,7 +251,7 @@ MENDED_POINTS = {
 
 @pytest.mark.parametrize("wp", MENDED_POINTS.values(), ids=MENDED_POINTS.keys())
 def test_families_next_to_window_edges_are_counted(wp):
-    sample = _sweep_one(wp, wp.C1, ESCAPE_RADIUS)
+    sample = _sweep_one(wp, wp.C1)
     assert sample.label.in_peakon_window
     assert sample.agreement is True
     assert sample.observed.periodic_peakon == 2
@@ -264,6 +263,8 @@ def test_families_next_to_window_edges_are_counted(wp):
 # a center 2e-5 from a saddle, their levels 1.3e-15 apart: rounding
 # inverts them unless the peak is read on the level through it
 @example(theta=Fraction(1, 4), c1=0.5, c2=0.0, c3=-2.0, k=1e-5)
+# g's roots 0 and -2.4e-7 merged into one double root, once typed a center
+@example(theta=Fraction(1, 4), c1=1.0, c2=1.0, c3=-0.5, k=1.192092896e-07)
 @settings(max_examples=150, deadline=None)
 def test_families_start_at_centers_and_end_at_walked_arches(theta, c1, c2, c3, k):
     # the family sweep against the census's linear types and the arch walks
@@ -278,10 +279,7 @@ def test_families_start_at_centers_and_end_at_walked_arches(theta, c1, c2, c3, k
     assume(not cen.is_boundary
            and all(e.kind in (CENTER, SADDLE) for e in cen.equilibria)
            and all(b - a > 1e-5 * (1.0 + abs(a)) for a, b in zip(phis, phis[1:])))
-    fi = build_first_integral(wp)
-    # the family count has no disc; the walks get one that holds every drawn
-    # arch (the default radius cuts some with C3 near -0.1)
-    _obs, diag = observe_wave_menu(wp, cen, fi, escape_radius=1e6)
+    _obs, diag = observe_wave_menu(wp, cen, build_first_integral(wp))
     families = [d for d in diag if d["kind"] == "family"]
     starts = [d["phi"] for d in families]
     for e in cen.centers():
@@ -480,19 +478,20 @@ def _atlas_grid(base, c1_range, every):
 
 def test_level_connections_match_shooting():
     # the reference points, every 10th sample of both 200-sample
-    # atlas-agreement grids, an escaping arch (C3 > 0) and theta = 1/3 (m = 0)
+    # atlas-agreement grids, a point with unbounded levels (C3 > 0) and
+    # theta = 1/3 (m = 0)
+    unbounded = WaveParams(Fraction(1, 4), 0.3, 2.0, 1.0, 3.0)
     points = (REFERENCE_POINTS
               + _atlas_grid(T1_BASE, (0.85, -0.1), 10)
               + _atlas_grid(T3_BASE, (0.2, -0.198), 10)
-              + [WaveParams(Fraction(1, 4), 0.3, 2.0, 1.0, 3.0),
-                 WaveParams(Fraction(1, 3), 0.3, 2.0, -1.0, 3.0)])
+              + [unbounded, WaveParams(Fraction(1, 3), 0.3, 2.0, -1.0, 3.0)])
     n = hits = 0
     for wp in points:
         if is_reduced_point(wp):
             continue   # profile plane: its loops are pinned in PINNED_PROFILE_PLANE
         cen, fi = census(wp), build_first_integral(wp)
         plane = tau_plane(wp, cen, fi)
-        for conn in saddle_connections(plane, 50.0):
+        for conn in saddle_connections(plane):
             arch = conn.kind == "arch"
             hit, traj = shoot_connection(wp, conn.saddle,
                                          plane.pair[1] if arch else conn.saddle,
@@ -503,23 +502,26 @@ def test_level_connections_match_shooting():
             n += 1
             hits += hit
     assert n >= 120 and 0 < hits < n
+    # with C3 > 0 the right arch and the left loop run off to infinity
+    ends = {(c.kind, c.side): c.end for c in saddle_connections(tau_plane(unbounded))}
+    assert ends[("arch", "right")] == ends[("loop", "left")] == "escape"
 
 
-def test_escape_radius_drops_a_loop_as_shooting_does():
-    wp = WaveParams(C1=0.85, **T1_BASE)
-    loop = next(c for c in saddle_connections(tau_plane(wp), 50.0)
-                if c.kind == "loop" and c.hit)
-    extent = float(np.max(np.hypot(loop.branch.phi, loop.branch.y)))
-    radius = 0.5 * (abs(loop.saddle.phi) + extent)
-    assert abs(loop.saddle.phi) < radius < extent
-    assert observe_wave_menu(wp)[0].solitary == 1
-    obs, diag = observe_wave_menu(wp, escape_radius=radius)
-    assert obs.solitary == 0
-    assert not [d for d in diag if d["kind"] == "loop"]
-    assert not shoot_connection(wp, loop.saddle, loop.saddle, side=loop.side,
-                                sep_tol=1e-4, escape_radius=radius)[0]
-    assert [c.end for c in saddle_connections(tau_plane(wp), radius)
-            if c.kind == "loop"] == ["escape", "escape"]
+# Points where the escape radius of 50 the walks once stopped at cut a
+# connection that the level closes farther out.
+RADIUS_CUTS = {
+    "T3/D3": (WaveParams(Fraction(1, 2), 0.0, -2.0625, -0.1342, 0.5837), "solitary", 2),
+    "T1/D1-window": (WaveParams(Fraction(1, 4), 0.2257, 2.838, -0.1066, 0.5351), "peakon", 2),
+}
+
+
+@pytest.mark.parametrize("wp, tag, count", RADIUS_CUTS.values(), ids=RADIUS_CUTS.keys())
+def test_connections_past_the_old_escape_radius(wp, tag, count):
+    sample = _sweep_one(wp, wp.C1)
+    assert getattr(sample.observed, tag) == count
+    assert sample.agreement is True
+    ends = [d["end"] for d in sample.diagnostics if d["kind"] in ("arch", "loop")]
+    assert ends == ["turning-point"] * count
 
 
 @pytest.mark.parametrize("c1", [0.1, 0.3, 0.5])

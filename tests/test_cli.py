@@ -238,11 +238,21 @@ def test_config_file_validation(tmp_path, capsys):
     assert "not key=value" in capsys.readouterr().err
 
 
+def test_portrait_has_no_escape_radius(tmp_path, capsys):
+    # the separatrix walks end where their levels end; no radius is taken
+    with pytest.raises(SystemExit) as exc:
+        main(["portrait"] + D1 + ["--escape-radius", "50", "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
+    assert "--escape-radius" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("portrait", "format = xml", "bad config value for format: 'xml'"),
     ("wave", "type = bogus", "bad config value for type: 'bogus'"),
     ("sweep", "mode = fast", "unknown config keys: mode"),
     ("sweep", "eq_tol = 1e-9", "unknown config keys: eq_tol"),
+    ("sweep", "escape_radius = 50", "unknown config keys: escape_radius"),
 ])
 def test_config_file_values_are_checked(tmp_path, capsys, command, line, message):
     # a config value is held to the same choices as the flag it stands for

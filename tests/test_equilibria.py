@@ -115,6 +115,8 @@ def test_classify_table():
     assert classify(1.0, 0.0) == "Center"
     assert classify(1.0, 3.0) == "Node"
     assert classify(0.0, 0.0, multiplicity=2) == "Cusp"
+    # g's roots 0 and -2.4e-7 merged at K = 1.2e-7: J reads the gap, not a center
+    assert classify(1.192092896e-07, 0.0, multiplicity=2) == "Cusp"
     assert classify(0.0, 0.0, multiplicity=1) == "Degenerate"
 
 

@@ -411,7 +411,7 @@ def test_near_line_loop_needs_a_long_shooting_span(c1, phi0, side):
     # before it arrives; a span of 5000 finds the loop the level walk finds
     wp = WaveParams(C1=c1, **T3_BASE)
     cen = census(wp)
-    (conn,) = [c for c in saddle_connections(tau_plane(wp, cen), 50.0)
+    (conn,) = [c for c in saddle_connections(tau_plane(wp, cen))
                if c.kind == "loop" and c.side == side
                and c.saddle.phi == pytest.approx(phi0, abs=1e-4)]
     assert (conn.hit, conn.tag) == (True, "Solitary")
