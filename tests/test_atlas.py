@@ -507,8 +507,8 @@ def test_level_connections_match_shooting():
     assert ends[("arch", "right")] == ends[("loop", "left")] == "escape"
 
 
-# Points where the escape radius of 50 the walks once stopped at cut a
-# connection that the level closes farther out.
+# Points where the walks' old escape radius of 50 cut a connection whose
+# level closes farther out.
 RADIUS_CUTS = {
     "T3/D3": (WaveParams(Fraction(1, 2), 0.0, -2.0625, -0.1342, 0.5837), "solitary", 2),
     "T1/D1-window": (WaveParams(Fraction(1, 4), 0.2257, 2.838, -0.1066, 0.5351), "peakon", 2),
