@@ -22,8 +22,10 @@ Observation runs in the tau plane, where the singular line is invariant,
 except at the T3 point: there the line passes through an equilibrium and
 severs orbits that are perfectly smooth in the xi-profile plane, so the
 observer switches to the regular reduced system phi'' = 2 g(phi).  A
-`Plane` describes either one, and one loop serves both, with no
-integration.  Saddle connections are walked on the saddles' own levels by
+`Plane` describes either one, with the first integral whose levels it
+reads (at the T3 point H has no log or pole and is the profile energy);
+one loop serves both, with no integration, and `observation_plane` picks
+the plane.  Saddle connections are walked on the saddles' own levels by
 `saddle_connections` (which the portrait draws from too): an arch or a
 loop exists on a side when the run of y^2 > 0 leaving its saddle there
 ends at a simple turning point.  Periodic families are counted with no
@@ -42,11 +44,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .closedform import is_reduced_point, q_coeffs
-from .equilibria import (Equilibrium, EquilibriumCensus, SADDLE, census, find_g_roots,
-                         g_critical_points)
-from .field import (SingularLineError, _taylor_shift, build_first_integral, eval_f,
-                    eval_g, eval_g_prime)
+from .closedform import is_reduced_point, reduced
+from .equilibria import Equilibrium, EquilibriumCensus, SADDLE, census
+from .field import FirstIntegral, build_first_integral, eval_f, eval_g, eval_g_prime
 from .orbits import (ANTI_PEAKON, PEAKON, SOLITARY, TURNING_POINT, LevelBranch,
                      branch_period, saddle_level_fn, walk_separatrix)
 from .params import WaveParams
@@ -65,6 +65,7 @@ __all__ = [
     "predict_wave_menu",
     "observe_wave_menu",
     "tau_plane",
+    "observation_plane",
     "saddle_connections",
     "menu_agrees",
     "sweep_singular_line",
@@ -167,7 +168,8 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
     other theta raises ValueError (no theorem covers it).  Domains follow
     the sign of g at its local minimum (g_min) and maximum (g_max), with
     K = 0 taking precedence (T1/D5, T2/D6); delta = 4 C2^2 - 6 C3 <= 0 or
-    a sign pattern outside the catalogue yields UNCOVERED.
+    a sign pattern outside the catalogue yields UNCOVERED.  g's roots and
+    critical points come from `cen`.
     """
     theta = wp.theta
     if theta == Fraction(1, 4):
@@ -178,7 +180,7 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
         raise ValueError(f"no theorem covers theta = {theta}")
 
     delta = 4.0 * float(wp.C2) ** 2 - 6.0 * float(wp.C3)
-    roots_desc = tuple(sorted((r for r, _ in find_g_roots(wp)), reverse=True))
+    roots_desc = tuple(sorted((r for r, _ in cen.g_roots), reverse=True))
     pos = _position_descriptor(wp, roots_desc)
 
     def label(domain, boundary=False, note="", window=False):
@@ -192,7 +194,7 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
                      boundary=abs(delta) <= _BOUNDARY_TOL * dscale,
                      note="needs 4C2^2 > 6C3 (two critical points of g)")
 
-    phi_min, phi_max = g_critical_points(wp)
+    phi_min, phi_max = cen.g_critical
     if phi_min is None or phi_max is None:
         return label("UNCOVERED", boundary=True,
                      note="critical points of g numerically degenerate")
@@ -307,47 +309,24 @@ def _level_samples(crit, dh_frac=1e-3):
     return samples
 
 
-def canonical_levels(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
-    """(critical levels, canonical sample levels) of the first integral:
-    the H values of the axis equilibria and of the singular-line pair,
-    merged, plus midpoint/offset samples around them."""
-    cen = cen if cen is not None else census(wp)
-    fi = fi if fi is not None else build_first_integral(wp)
-    crit = {float(fi.eval(e.phi, 0.0))
-            for e in cen.equilibria if not e.on_singular_line}
-    pair = [e for e in cen.line_pair if e.kind == SADDLE]
-    if len(pair) == 2:
-        try:
-            crit.add(float(fi.eval(pair[0].phi, pair[0].y)))
-        except SingularLineError:
-            pass  # m < 0: H is infinite on the line, no finite pair level
-    crit = sorted(crit)
-    hscale = 1.0 + max((abs(h) for h in crit), default=0.0)
-    merged = []
-    for h in crit:
-        if not merged or h - merged[-1] > 1e-10 * hscale:
-            merged.append(h)
-    return merged, _level_samples(merged)
-
-
 @dataclass(frozen=True)
 class Plane:
     """A phase plane wave families are counted in.  The tau plane and the
-    reduced point's profile plane share the connection walk and the family
-    sweep of `observe_wave_menu`; they differ only in these fields.
+    reduced point's profile plane read the levels of their own first
+    integral `fi` (`saddle_level_fn(fi, phi)` through a stop at phi) and
+    share the connection walk, the family sweep and the canonical levels.
 
     On each side of the line, H = A y^2 + B with A of one sign there, and B
     is monotone between consecutive stops: the axis equilibria and the two
     ends of the side (the line, infinity).  An end's level is B's limit
     there, +-inf unless H is finite on the line."""
 
+    fi: FirstIntegral          # H, whose levels the plane reads
     pair: tuple                # saddles on the singular line, upper first
     saddles: tuple             # saddles off the line
     stops: tuple               # (phi, level) of every equilibrium on the axis
     line: float | None         # a line no orbit crosses
-    level_through: Callable    # (phi, on_line) -> (h, phi -> y^2 on that stop's level)
     sides: tuple               # (side, sign of A, ((phi, level) of each end)) per side
-    header: tuple = ()         # leading diagnostics entries
 
 
 def _limit(terms, w_sign, rest):
@@ -368,55 +347,68 @@ def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
     poles = [(-j, float(c)) for j, c in fi.pole_coeffs]
     powers = [(k, float(c)) for k, c in enumerate(fi.poly_shifted) if k]
     at_line = math.copysign(math.inf, -log_c) if log_c else float(fi.poly_shifted[0])
-
-    def level_through(phi0, on_line=False):
-        return float(fi.eval(phi0, 0.0)), saddle_level_fn(fi, phi0, on_line=on_line)
-
     return Plane(
+        fi=fi,
         pair=tuple(sorted((e for e in cen.line_pair if e.kind == SADDLE),
                           key=lambda e: -e.y)),
         saddles=tuple(e for e in cen.equilibria
                       if e.kind == SADDLE and not e.on_singular_line),
         stops=tuple((e.phi, float(fi.eval(e.phi, 0.0))) for e in cen.axis
                     if not e.on_singular_line),
-        line=s, level_through=level_through,
+        line=s,
         sides=(("left", math.copysign(1.0, a * (-1.0) ** fi.y2_power),
                 ((-math.inf, _limit(powers, -1.0, None)), (s, _limit(poles, -1.0, at_line)))),
                ("right", math.copysign(1.0, a),
                 ((s, _limit(poles, 1.0, at_line)), (math.inf, _limit(powers, 1.0, None))))))
 
 
-def _profile_plane(wp: WaveParams) -> Plane:
+def _profile_plane(wp: WaveParams, cen: EquilibriumCensus) -> Plane:
     """The regular profile plane phi' = y, y' = 2 g(phi) of the reduced
-    point theta = 1/2, C1 = 0, whose energy is 4h = Q(phi) - y^2 (`q_coeffs`):
-    A = -1/4 and B = Q/4 on the one side there is.
+    point theta = 1/2, C1 = 0, over H of `reduced(wp)`: with m = -1 it has
+    no log or pole, and 4H = Q(phi) - y^2 (`closedform.q_coeffs`), so
+    A = -1/4 and B = Q/4 on the one side there is.  Its stops are g's roots.
 
     The tau plane is useless there: the invariant line phi = 0 passes
     through an equilibrium and severs every orbit crossing it.  Every
     connection in this plane is a homoclinic loop, and no line carries
-    saddles, so every closed orbit is smooth.  y^2 is a quartic on every
-    level; on a saddle's level it is Q Taylor-shifted to the saddle, its
-    constant dropped, and its turning points are the quartic's roots.
+    saddles, so every closed orbit is smooth.
     """
-    q = q_coeffs(wp)
-    roots = [(r, eval_g_prime(wp, r)) for r, _ in find_g_roots(wp)]
-    powers = list(enumerate(q[::-1]))
-
-    def level_through(phi0, on_line=False):
-        d = _taylor_shift(list(q[::-1]), phi0)[::-1]
-        d[-1] = 0.0
-        return (0.25 * float(np.polyval(q, phi0)),
-                lambda phi: np.polyval(d, np.asarray(phi) - phi0))
-
+    fi = build_first_integral(reduced(wp))
+    roots = [(r, eval_g_prime(wp, r)) for r, _ in cen.g_roots]
+    powers = [(k, float(c)) for k, c in enumerate(fi.poly_shifted) if k]
     return Plane(
-        pair=(),
+        fi=fi, pair=(),
         saddles=tuple(Equilibrium(phi=r, y=0.0, kind=SADDLE, J=-2.0 * gp, trace=0.0)
                       for r, gp in roots if gp > 0.0),
-        stops=tuple((r, 0.25 * float(np.polyval(q, r))) for r, _ in roots),
-        line=None, level_through=level_through,
+        stops=tuple((r, float(fi.eval(r, 0.0))) for r, _ in roots),
+        line=None,
         sides=((None, -1.0, ((-math.inf, _limit(powers, -1.0, None)),
-                             (math.inf, _limit(powers, 1.0, None)))),),
-        header=({"kind": "plane", "note": "profile plane (reduced system)"},))
+                             (math.inf, _limit(powers, 1.0, None)))),))
+
+
+def observation_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
+    """The plane the observer counts in, the portrait draws and `wave`
+    searches: the profile plane at the reduced point, the tau plane
+    elsewhere.  The profile plane ignores `fi`, which at 0 < |C1| <= 1e-9
+    carries a tiny log term."""
+    cen = cen if cen is not None else census(wp)
+    return _profile_plane(wp, cen) if is_reduced_point(wp) else tau_plane(wp, cen, fi)
+
+
+def canonical_levels(plane: Plane):
+    """(critical levels, canonical sample levels) of `plane`: its stops'
+    levels and its saddle pair's (finite: a pair needs theta < 1/2, so
+    m >= 0), merged, plus midpoint/offset samples around them."""
+    crit = {h for _, h in plane.stops}
+    if plane.pair:
+        crit.add(float(plane.fi.eval(*plane.pair[0].point)))
+    crit = sorted(crit)
+    hscale = 1.0 + max((abs(h) for h in crit), default=0.0)
+    merged = []
+    for h in crit:
+        if not merged or h - merged[-1] > 1e-10 * hscale:
+            merged.append(h)
+    return merged, _level_samples(merged)
 
 
 def _families(plane: Plane):
@@ -445,7 +437,7 @@ def _families(plane: Plane):
         def is_peak(i):
             # above both neighbours: y^2 < 0 at a neighbouring stop on the
             # level through stop i, read without h - B's cancellation
-            y2 = plane.level_through(pts[i][0])[1]
+            y2 = saddle_level_fn(plane.fi, pts[i][0])
             return all(y2(pts[j][0]) < 0.0 if 0 < j < last else sign * pts[j][1] > sign * pts[i][1]
                        for j in (i - 1, i + 1))
 
@@ -516,7 +508,8 @@ def saddle_connections(plane: Plane):
     walks += [("loop", eq) for eq in plane.saddles]
     (_, a_lo, (lo, _)), (_, a_hi, (_, hi)) = plane.sides[0], plane.sides[-1]
     for kind, eq in walks:
-        h, y2 = plane.level_through(eq.phi, eq.on_singular_line)
+        h = float(plane.fi.eval(eq.phi, 0.0))
+        y2 = saddle_level_fn(plane.fi, eq.phi, on_line=eq.on_singular_line)
         # same level: equal to canonical_levels' merge tolerance
         stops = tuple((phi, abs(level - h) <= 1e-10 * (1.0 + abs(h)))
                       for phi, level in plane.stops)
@@ -531,7 +524,7 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
     """Count wave families numerically, with no integration.
 
     The count runs in the tau plane, except at the reduced point theta =
-    1/2, C1 = 0, where it runs in the profile plane (`_profile_plane`).
+    1/2, C1 = 0, where it runs in the profile plane (`observation_plane`).
     Arches between the singular-line saddles and homoclinic loops at axis
     saddles are walked on the saddles' own levels (`saddle_connections`):
     each arch or loop entry records how its walk ended, and an arch that
@@ -543,8 +536,9 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
     bounded by the arches (its orbits hug the line with a slope jump) also
     counts as a periodic-peakon family.  Returns (ObservedMenu, diagnostics).
     """
-    plane = _profile_plane(wp) if is_reduced_point(wp) else tau_plane(wp, cen, fi)
-    diag = list(plane.header)
+    plane = observation_plane(wp, cen, fi)
+    diag = [] if plane.line is not None else [
+        {"kind": "plane", "note": "profile plane (reduced system)"}]
 
     peakon = solitary = 0
     for conn in saddle_connections(plane):

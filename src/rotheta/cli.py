@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import (canonical_levels, saddle_connections, sweep_singular_line,
-                    tau_plane)
+from .atlas import (canonical_levels, observation_plane, saddle_connections,
+                    sweep_singular_line)
 from .closedform import closed_form_menu, is_reduced_point, ode_residual, reduced
 from .equilibria import census
 from .field import SingularLineError, build_first_integral
@@ -294,16 +294,17 @@ def _clip_runs(xs, ys, xlim, ylim):
 
 
 def render_portrait_artifacts(wp: WaveParams, levels=None):
-    """(svg_text, csv_text) of the tau-plane phase portrait.
+    """(svg_text, csv_text) of the phase portrait in the observer's plane
+    (`observation_plane`).
 
-    Level curves of the first integral at the requested (default: canonical)
-    levels, separatrices from the saddle connections, the singular line, and
-    glyph-coded equilibria.  Fully deterministic.
+    Level curves of the plane's first integral at the requested (default:
+    canonical) levels, separatrices from the saddle connections, the
+    singular line, and glyph-coded equilibria.  Fully deterministic.
     """
     cen = census(wp)
-    fi = build_first_integral(wp)
-    plane = tau_plane(wp, cen, fi)
-    hs = sorted(set(levels or canonical_levels(wp, cen, fi)[1]))
+    plane = observation_plane(wp, cen)
+    fi = plane.fi
+    hs = sorted(set(levels or canonical_levels(plane)[1]))
     phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
     pad = 1.0 + 0.5 * (max(phis) - min(phis))
     window = (min(phis) - pad, max(phis) + pad)
@@ -420,7 +421,7 @@ def cmd_wave(cfg: RunConfig) -> int:
         candidates = list(cfg.h)
         stop_at_first = False
     else:
-        crit, samples = canonical_levels(wp)
+        crit, samples = canonical_levels(observation_plane(wp))
         candidates = list(crit) + sorted(samples)  # critical first: double roots
         stop_at_first = cfg.wave_type is not None
 

@@ -72,6 +72,7 @@ class EquilibriumCensus:
     singular_line: float
     is_boundary: bool = False
     boundary_note: str = ""
+    g_critical: tuple = (None, None)   # g_critical_points: (phi at g's min, at its max)
 
     @property
     def axis(self):
@@ -135,8 +136,9 @@ def classify(J: float, trace: float, multiplicity: int = 1, tol: float = 1e-9) -
     return DEGENERATE
 
 
-def _case_label(wp: WaveParams, tol: float):
-    """Parameter-region label '1i'..'1v', '2', '3i'..'3iii' plus boundary flag."""
+def _case_label(wp: WaveParams, tol: float, phi_min, phi_max):
+    """Parameter-region label '1i'..'1v', '2', '3i'..'3iii' plus boundary flag,
+    given g's critical points."""
     C2, C3, K = float(wp.C2), float(wp.C3), float(wp.K)
     scale = max(1.0, abs(C2), abs(C3), abs(float(wp.C1)))
     if abs(K) <= tol * scale:
@@ -151,7 +153,6 @@ def _case_label(wp: WaveParams, tol: float):
         return "2", True, "Delta = 4 C2^2 - 6 C3 vanishes within tolerance"
     if delta < 0.0:
         return "2", False, ""
-    phi_min, phi_max = g_critical_points(wp)
     if phi_min is None or phi_max is None:
         return "2", True, "critical points of g numerically degenerate"
     g_lo = eval_g(wp, phi_min)   # value at the local minimum
@@ -175,6 +176,7 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
     and the singular-line pair when it exists.  `is_boundary` is set when a
     degeneracy prevents a clean classification (line through an equilibrium,
     S+- collapsing onto the axis or typed Cusp/Degenerate, case-label tie).
+    g's roots and critical points are kept for `atlas.classify_region`.
     """
     theta = float(wp.theta)
     C1 = float(wp.C1)
@@ -232,7 +234,8 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
             boundary = True
             notes.append("f vanishes on the singular line (whole-line degeneracy)")
 
-    label, label_boundary, label_note = _case_label(wp, tol)
+    g_critical = g_critical_points(wp)
+    label, label_boundary, label_note = _case_label(wp, tol, *g_critical)
     if label_note:
         notes.append(label_note)
     return EquilibriumCensus(
@@ -242,4 +245,5 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
         singular_line=s,
         is_boundary=boundary or label_boundary,
         boundary_note="; ".join(notes),
+        g_critical=g_critical,
     )

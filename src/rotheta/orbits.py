@@ -360,17 +360,20 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
         if fi is not None:
             _tg, xs = traj.dense(512)
             p, y = xs[:, 0], xs[:, 1]
-            h0 = fi.eval(*start)
-            traj.h0 = h0
-            if wp.m < 0:
-                cert = drift_limit * max(abs(h0), 1e-9)
-                off = p != float(fi.line)
-                p, y = p[off], y[off]
-                dhp, dhy = fi.partials(p, y)
-                err = (np.abs(dhp) + np.abs(dhy)) * attempt_rtol * (1.0 + np.hypot(p, y))
-                kept = err <= cert
-                p, y = p[kept], y[kept]
-            hs = fi.eval(p, y)
+            # next to the line H and grad H overflow to inf or nan; the mask
+            # below drops those samples, so numpy's warnings say nothing
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                h0 = fi.eval(*start)
+                traj.h0 = h0
+                if wp.m < 0:
+                    cert = drift_limit * max(abs(h0), 1e-9)
+                    off = p != float(fi.line)
+                    p, y = p[off], y[off]
+                    dhp, dhy = fi.partials(p, y)
+                    err = (np.abs(dhp) + np.abs(dhy)) * attempt_rtol * (1.0 + np.hypot(p, y))
+                    kept = err <= cert
+                    p, y = p[kept], y[kept]
+                hs = fi.eval(p, y)
             traj.drift_samples = len(hs)
             if len(hs) == 0:
                 return traj
@@ -413,7 +416,6 @@ class LevelBranch:
     phi: np.ndarray       # ascending
     y: np.ndarray         # nonnegative branch; full curve is the +- mirror
     closed: bool          # both ends are genuine turning points
-    note: str = ""
 
     @property
     def phi_range(self):
@@ -482,13 +484,8 @@ def trace_branches(y2, phi_window, n=2001, line=None):
                 pass
         phi_arr = np.array(phis)
         y_arr = np.sqrt(np.maximum(y2(phi_arr), 0.0))
-        note = ""
-        if not left_closed and math.isclose(phi_arr[0], s, abs_tol=2 * (hi - lo) / n):
-            note = "asymptotic to the singular line"
-        if not right_closed and math.isclose(phi_arr[-1], s, abs_tol=2 * (hi - lo) / n):
-            note = "asymptotic to the singular line"
         branches.append(LevelBranch(phi=phi_arr, y=y_arr,
-                                    closed=left_closed and right_closed, note=note))
+                                    closed=left_closed and right_closed))
     return branches
 
 
@@ -501,11 +498,6 @@ class OrbitClass:
     derivative_jump: float | None = None
     min_line_distance: float | None = None
     detail: str = ""
-
-    @property
-    def period(self):
-        """Period in the wave variable xi (None for non-periodic orbits)."""
-        return self.period_xi
 
 
 @lru_cache(maxsize=8)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 __all__ = [
     "poly_eval",
@@ -199,8 +200,10 @@ def quartic_roots(a4, a3, a2, a1, a0, rel_tol=1e-7):
     r = e - 0.25 * b * d + b * b * c / 16.0 - 3.0 * b**4 / 256.0
 
     zs = []
-    if q == 0.0:
-        # biquadratic in z^2
+    m = max(cubic_real_roots(8.0, 8.0 * p, 2.0 * p * p - 8.0 * r, -q * q)) if q else 0.0
+    if m < sys.float_info.min:
+        # biquadratic in z^2: q = 0, or q so small that the resolvent's
+        # root m ~ q^2 / (2 p^2 - 8 r) underflows; the polish restores q z
         us, upair = quadratic_roots(1.0, p, r)
         cands = list(us)
         if upair is not None:
@@ -210,10 +213,6 @@ def quartic_roots(a4, a3, a2, a1, a0, rel_tol=1e-7):
             zs.extend([zr, -zr])
         zs = zs[:4]
     else:
-        res = cubic_real_roots(8.0, 8.0 * p, 2.0 * p * p - 8.0 * r, -q * q)
-        m = max(res)
-        if m <= 0.0:
-            m = abs(q) * 0.5  # roundoff fallback; polish will fix the rest
         s2m = math.sqrt(2.0 * m)
         t = q / (2.0 * s2m)
         for sign in (+1.0, -1.0):

@@ -10,14 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, _sweep_one, canonical_levels,
-                           classify_region, menu_agrees, observe_wave_menu,
-                           predict_wave_menu, saddle_connections,
+                           classify_region, menu_agrees, observation_plane,
+                           observe_wave_menu, predict_wave_menu, saddle_connections,
                            sweep_singular_line, tau_plane)
-from rotheta.closedform import closed_form_menu, is_reduced_point, profile_rhs, q_coeffs
+from rotheta.closedform import (closed_form_menu, is_reduced_point, orbit_polynomial,
+                                profile_rhs, q_coeffs)
 from rotheta.equilibria import CENTER, SADDLE, census
 from rotheta.field import build_first_integral, rhs_singular
 from rotheta.orbits import (branch_period, classify_orbit, integrate, measure_axis_period,
-                            shoot_connection, trace_branches, y_squared_fn)
+                            saddle_level_fn, shoot_connection, trace_branches, y_squared_fn)
 from rotheta.params import WaveParams
 from rotheta.verification import T1_BASE, T3_BASE
 
@@ -204,6 +205,29 @@ def test_reduced_point_observation_is_exact():
     one = WaveParams(Fraction(1, 2), 0.0, 0.0, -1.0, 1.0)
     obs1, _ = observe_wave_menu(one)
     assert (obs1.solitary, obs1.periodic_smooth) == (0, 1)
+
+
+@given(C2=st.floats(-3.0, 3.0), C3=st.floats(-3.0, -0.1) | st.floats(0.1, 3.0),
+       K=st.floats(-3.0, 3.0))
+# g's root within 1e-172 of 0: the quartic's resolvent root underflows there
+@example(C2=0.0, C3=-1.0, K=2.8556198701669017e-173)
+@example(C2=0.0, C3=1.0, K=3.6079613651182447e-258)
+@settings(max_examples=60, deadline=None)
+def test_profile_plane_levels_are_the_closed_forms(C2, C3, K):
+    # at the reduced point H is the profile energy (Q - y^2)/4: a stop's
+    # level is Q(r)/4, and y^2 on it is the orbit polynomial P = Q - 4h
+    wp = WaveParams(Fraction(1, 2), 0.0, C2, C3, K)
+    plane = observation_plane(wp)
+    q = q_coeffs(wp)
+    assert plane.line is None and plane.stops
+    roots = [r for r, _h in plane.stops]
+    phi = np.linspace(min(roots) - 1.0, max(roots) + 1.0, 41)
+    for r, h in plane.stops:
+        # rounding of Q's terms, with phi measured from 0 or from r
+        assert abs(h - np.polyval(q, r) / 4.0) <= 1e-14 * np.polyval(np.abs(q), abs(r))
+        y2 = saddle_level_fn(plane.fi, r)(phi)
+        scale = np.polyval(np.abs(q), np.abs(phi) + abs(r))
+        assert np.all(np.abs(y2 - orbit_polynomial(wp, h)(phi)) <= 1e-13 * scale)
 
 
 # T3 domain -> (K, observed (solitary, periodic_smooth), loop entries
@@ -452,7 +476,7 @@ def test_branch_period_matches_closed_forms():
     # theta = 1/2, C1 = 0: profile-plane branches of y^2 = Q(phi) - 4h
     wp = WaveParams(C1=0.0, **T3_BASE)
     q = q_coeffs(wp)
-    _crit, samples = canonical_levels(wp)
+    _crit, samples = canonical_levels(observation_plane(wp))
     n = 0
     for h in samples:
         def y2(phi):

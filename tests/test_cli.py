@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,11 +80,13 @@ def test_portrait_writes_deterministic_artifacts(tmp_path, capsys):
     assert (tmp_path / "q.csv").read_bytes() == csv
 
 
-@pytest.mark.parametrize("c1", [0.3, 0.85], ids=["arches", "loop"])
-def test_portrait_separatrices_are_the_observed_connections(c1):
+@pytest.mark.parametrize("wp", [WaveParams(C1=0.3, **T1_BASE), WaveParams(C1=0.85, **T1_BASE),
+                                WaveParams(Fraction(1, 2), 0.0, 0.9, -1.0, -0.05)],
+                         ids=["arches", "loop", "reduced-point"])
+def test_portrait_separatrices_are_the_observed_connections(wp):
     # one separatrix per connection the observer counts (arches, then the
-    # loops that hit), each drawn from its saddle along the same ray
-    wp = WaveParams(C1=c1, **T1_BASE)
+    # loops that hit), each drawn from its saddle along the same ray; at the
+    # reduced point both loops of the profile plane
     _obs, diag = observe_wave_menu(wp)
     counted = [(d["kind"], d["side"]) for d in diag
                if d["kind"] == "loop" or (d["kind"] == "arch" and d["tag"])]
@@ -185,6 +188,19 @@ def test_wave_takes_c1_within_rounding_of_zero(tmp_path, monkeypatch, capsys):
     assert runs["1e-12"] == runs["0"]
     assert main(["wave", "--c1", "2e-9"] + rest) == 2
     assert "closed-form" in capsys.readouterr().err
+
+
+def test_wave_finds_the_solitary_pair_at_zero_k(capsys):
+    # K = 0: g's root at phi = 0 is the double root of P at h = 0, the
+    # level of both homoclinic loops the observer counts there
+    args = ["--theta", "1/2", "--c1", "0", "--c2", "0.9", "--c3", "-1", "--k", "0"]
+    obs, _diag = observe_wave_menu(WaveParams(Fraction(1, 2), 0.0, 0.9, -1.0, 0.0))
+    assert obs.solitary == 2
+    assert main(["wave"] + args + ["--type", "solitary"]) == 0
+    out = capsys.readouterr().out
+    assert "wave 0: solitary-right  (h = 0)" in out
+    assert "wave 1: solitary-left  (h = 0)" in out
+    assert "wave 2:" not in out
 
 
 def test_sweep_csv_and_summary(tmp_path, capsys):

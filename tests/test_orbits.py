@@ -7,6 +7,7 @@ arch level is exactly h = 0 (H vanishes identically on the line).
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,21 @@ def test_drift_is_unverified_when_no_sample_is_measurable():
     traj = integrate(wp, (-1.2456036934136288, -0.8798763700237017),
                      tau_span=10.0, fi=build_first_integral(wp))
     assert traj.drift_samples == 0
+    assert traj.h_drift_max is None
+
+
+@pytest.mark.parametrize("C1, K, start", [(1e-170, 0.0, (0.0, 0.5)),
+                                          (2.225073858507e-311, 0.0, (0.0, 0.0)),
+                                          (2.945604540210024e-264, 1.0, (0.0, 0.0))],
+                         ids=["overflow", "invalid", "divide"])
+def test_drift_filter_next_to_the_line_is_silent(C1, K, start):
+    # theta = 1 (m = -2): orbits next to the line phi = C1 overflow H and
+    # grad H; those samples are dropped without a numpy warning, and none is
+    # left
+    wp = WaveParams(Fraction(1, 1), C1, 0.0, -1.0, K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
     assert traj.h_drift_max is None
 
 

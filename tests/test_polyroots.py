@@ -80,6 +80,21 @@ def test_quartic_biquadratic_branch():
     assert sorted(real) == pytest.approx([-2.0, -1.0, 1.0, 2.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-100, 1e-160, 1e-300])
+@pytest.mark.parametrize("lead", [-1.0, 1.0])
+def test_quartic_with_underflowing_resolvent_root(eps, lead):
+    # lead x^4 + x^2 + eps x: roots 0 and about -eps, and +-1 or +-i; for
+    # eps below about 1e-154 the resolvent's root m ~ eps^2/2 underflows
+    real, pairs = quartic_roots(lead, 0.0, 1.0, eps, 0.0)
+    assert len(real) + 2 * len(pairs) == 4
+    tiny = sorted(x for x in real if abs(x) < 1e-6)
+    assert tiny == pytest.approx([-eps, 0.0], abs=1e-12)
+    if lead < 0.0:
+        assert sorted(x for x in real if abs(x) > 1e-6) == pytest.approx([-1.0, 1.0])
+    else:
+        assert pairs == [pytest.approx(complex(0.0, 1.0))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(root_val, root_val, root_val, root_val,
        st.floats(min_value=0.2, max_value=3.0))
