@@ -510,8 +510,9 @@ def saddle_connections(plane: Plane):
     for kind, eq in walks:
         h = float(plane.fi.eval(eq.phi, 0.0))
         y2 = saddle_level_fn(plane.fi, eq.phi, on_line=eq.on_singular_line)
-        # same level: equal to canonical_levels' merge tolerance
-        stops = tuple((phi, abs(level - h) <= 1e-10 * (1.0 + abs(h)))
+        # same level: equal to 1e-10 of the larger of the two levels, so a
+        # center's small level stays apart from a pair's level 0
+        stops = tuple((phi, abs(level - h) <= 1e-10 * max(abs(level), abs(h)))
                       for phi, level in plane.stops)
         for side, a, (_, b) in (("left", a_lo, lo), ("right", a_hi, hi)):
             end, branch = walk_separatrix(y2, eq.phi, side, stops=stops, line=plane.line,

@@ -14,12 +14,17 @@ serves the conservation checks, axis periods, and the reference paths the
 level readings are tested against (`integrate` + `classify_orbit` for
 periodic orbits, `shoot_connection` + `classify_orbit` for connections).
 Every integration runs through `_solve`, the package's one `solve_ivp`
-call: dense output, an escape-radius event, an axis-crossing event, and
-the arrival event when shooting.  Its method is `_FloatDOP853`, scipy's
-DOP853 with each step taken on Python floats, which spares the planar
-system numpy's per-call overhead.  A trajectory is read at any set of times
-through `Trajectory.at`, which evaluates all of them in one numpy pass over
-the steps' dense-output polynomials, bit for bit as scipy would.
+call, with dense output and no scipy events.  Its method is
+`_FloatDOP853`, scipy's DOP853 with each step taken on Python floats, which
+spares the planar system numpy's per-call overhead.  The stepper also tests
+the terminal events (leaving the escape disc, the n-th y = 0 crossing when
+one is asked for, the arrival when shooting) on each accepted step's
+floats and ends the run on the step where one fires; `_solve` then cuts the
+trajectory at that event's root as solve_ivp's event loop would.  A
+trajectory's y = 0 crossing times are located on its steps only when
+`Trajectory.axis_crossings` is first read.  A trajectory is read at any set
+of times through `Trajectory.at`, which evaluates all of them in one numpy
+pass over the steps' dense-output polynomials, bit for bit as scipy would.
 `integrate` monitors the first integral along the trajectory; if the
 relative drift exceeds the limit the run is retried once at tighter
 tolerances.
@@ -46,7 +51,8 @@ from functools import cached_property, lru_cache
 from itertools import chain, count
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate._ivp.ivp import solve_event_equation
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
@@ -92,12 +98,31 @@ class Trajectory:
     states: np.ndarray          # shape (n, 2)
     sol: object                 # scipy OdeSolution (dense); `at` evaluates it
     escaped: bool
-    axis_crossings: np.ndarray  # times where y changed sign
     h0: float | None = None
     h_drift_max: float | None = None   # None: not measured on any sample
     drift_samples: int = 0             # dense samples the drift was measured on
     rtol_used: float = 0.0
     status: str = ""
+    # the run as the stepper took it, for `axis_crossings`: every step's
+    # dense output, y at the start and at each step's end, and the (root,
+    # event index) that cut the last step (None: no event did)
+    run: tuple | None = None
+
+    @cached_property
+    def axis_crossings(self):
+        """Times where y = 0, located on first use as solve_ivp locates an
+        event of direction 0: a step whose ends have y of opposite signs,
+        or y = 0 at either end, holds the root brentq finds on its dense
+        output (`solve_event_equation`).  On a step cut by a terminal event
+        a root is kept only when it comes before the cut, ties going to the
+        earlier event (the axis event is scipy's event 1, after escape)."""
+        steps, y, stop = self.run
+        active = np.flatnonzero(((y[:-1] <= 0) & (y[1:] >= 0)) | ((y[:-1] >= 0) & (y[1:] <= 0)))
+        roots = [solve_event_equation(_on_axis, steps[i], steps[i].t_old, steps[i].t)
+                 for i in active]
+        if stop is not None and roots and active[-1] == len(steps) - 1 and (roots[-1], 1) > stop:
+            roots.pop()
+        return np.array(roots)
 
     @cached_property
     def _segments(self):
@@ -176,6 +201,39 @@ def _tau_rhs(wp: WaveParams):
     return rhs
 
 
+def _on_axis(_t, x):
+    return x[1]
+
+
+class _Stops:
+    """The terminal events of one `_solve` run, which `_FloatDOP853` tests
+    on each accepted step's end state by the rule of scipy's
+    `find_active_events`: an event is active on a step when its value has
+    opposite signs at the step's ends, or is 0 at either end, in its
+    `direction` (up, down, or both for 0).  An event stops the run when it
+    has been active `terminal` times.  `hit` lists the (index, event) pairs
+    that reached their count on the step that stopped the run; the index is
+    the event's place in `events`, which orders equal roots."""
+
+    def __init__(self, events, t0, x0):
+        self.watch = [(i, ev, getattr(ev, "direction", 0))
+                      for i, ev in enumerate(events) if ev.terminal]
+        self.left = [int(ev.terminal) for _, ev, _ in self.watch]
+        self.g = [ev(t0, x0) for _, ev, _ in self.watch]
+        self.hit = []
+
+    def reached(self, t, x):
+        """Test the step that ended at (t, x); True when it stops the run."""
+        for k, (i, ev, direction) in enumerate(self.watch):
+            g, g_new = self.g[k], ev(t, x)
+            self.g[k] = g_new
+            if (g <= 0 <= g_new and direction >= 0) or (g >= 0 >= g_new and direction <= 0):
+                self.left[k] -= 1
+                if self.left[k] == 0:
+                    self.hit.append((i, ev))
+        return bool(self.hit)
+
+
 def _nonzero(row):
     """The (index, coefficient) pairs of a tableau row's nonzero entries."""
     return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
@@ -202,7 +260,9 @@ class _FloatDOP853(DOP853):
     (`Dop853DenseOutput`), so OdeSolution, event location and
     `Trajectory.at` read it as they read scipy's.  Sums run left to right in
     plain loops, never through np.dot or `sum()` (compensated from Python
-    3.12), so results differ from scipy's only by rounding.
+    3.12), so results differ from scipy's only by rounding.  With `stops`
+    (a `_Stops`) each accepted step is tested for its terminal events, and
+    the step where one fires becomes the last: `t_bound` moves to its end.
     """
 
     _STAGES = tuple((float(c), _nonzero(a[:s])) for s, (a, c) in
@@ -213,9 +273,10 @@ class _FloatDOP853(DOP853):
     _D = tuple(_nonzero(row) for row in DOP853.D)
     SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy's RungeKutta controller
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
+    def __init__(self, fun, t0, y0, t_bound, stops=None, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun   # scipy keeps only its numpy-wrapped copy
+        self._stops = stops
         self._tols = (float(self.rtol), *np.broadcast_to(self.atol, (2,)).tolist())
         self.f = tuple(self.f.tolist())
         n_ext = len(self.A_EXTRA[0])
@@ -282,6 +343,8 @@ class _FloatDOP853(DOP853):
         self.y = np.array((n0, n1))
         self.h_abs = h_abs
         self.f = (k0[fsal], k1[fsal])
+        if self._stops is not None and self._stops.reached(t_new, (n0, n1)):
+            self.t_bound = t_new
         return True, None
 
     def _dense_output_impl(self):
@@ -306,9 +369,22 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
            axis_stop=None, events=()):
     """Integrate `rhs` from `start` over [0, span] with dense DOP853
     (`_FloatDOP853`) until it leaves the disc of `escape_radius`, reaches
-    the `axis_stop`-th y = 0 crossing (if given) or a terminal one of
-    `events`.  Returns the Trajectory (recording `wp`, read with
-    `Trajectory.at`) and the times each of `events` fired."""
+    the `axis_stop`-th y = 0 crossing (if given) or one of `events`
+    (terminal events in scipy's form, each stopping at its first
+    occurrence).  Returns the Trajectory (recording `wp`, read with
+    `Trajectory.at`) and the times each of `events` fired.
+
+    These are the results solve_ivp gives with the events [escape, axis,
+    *events] (the axis event terminal after `axis_stop` crossings), bit
+    for bit, but solve_ivp gets none of them: the stepper tests the
+    terminal ones on its floats and ends the run on the step where one
+    fires.  Here the firing events' roots on that step are found with
+    scipy's `solve_event_equation`, and the trajectory is cut at the first
+    of them (equal roots: the earlier event) as solve_ivp's
+    `handle_events` cuts it: the last point becomes the root and its state,
+    or, when the root is the step's start, the step is dropped (solve_ivp's
+    `donot_append` rule).  The axis crossings are located when read.
+    """
     r2 = escape_radius * escape_radius
 
     def ev_escape(_t, x):
@@ -319,14 +395,27 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
         return x[1]
     ev_axis.terminal = axis_stop
 
-    res = solve_ivp(rhs, (0.0, span), [float(start[0]), float(start[1])],
-                    method=_FloatDOP853, rtol=rtol, atol=atol, dense_output=True,
-                    events=[ev_escape, ev_axis, *events])
-    traj = Trajectory(wp=wp, t=res.t, states=res.y.T, sol=res.sol,
-                      escaped=len(res.t_events[0]) > 0,
-                      axis_crossings=res.t_events[1], rtol_used=rtol,
+    x0 = (float(start[0]), float(start[1]))
+    stops = _Stops([ev_escape, ev_axis, *events], 0.0, x0)
+    res = solve_ivp(rhs, (0.0, span), list(x0), method=_FloatDOP853, rtol=rtol,
+                    atol=atol, dense_output=True, stops=stops)
+    t, states, sol, stop = res.t, res.y.T, res.sol, None
+    if stops.hit:
+        step = sol.interpolants[-1]
+        stop = min((solve_event_equation(ev, step, step.t_old, step.t), i)
+                   for i, ev in stops.hit)
+        if len(t) > 2 and t[-2] == stop[0]:
+            t, states = t[:-1], states[:-1]
+            sol = OdeSolution(t, sol.interpolants[:-1])
+        else:
+            t = np.append(t[:-1], stop[0])
+            states = np.vstack((states[:-1], step(stop[0])))
+            sol = OdeSolution(t, sol.interpolants)
+    fired = stop[1] if stop is not None else None
+    traj = Trajectory(wp=wp, t=t, states=states, sol=sol, escaped=fired == 0,
+                      rtol_used=rtol, run=(res.sol.interpolants, res.y[1], stop),
                       status="ok" if res.success else (res.message or "solver failure"))
-    return traj, res.t_events[2:]
+    return traj, [np.array([stop[0]] if fired == i else []) for i in range(2, 2 + len(events))]
 
 
 def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None = None,

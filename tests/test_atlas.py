@@ -281,6 +281,17 @@ def test_families_next_to_window_edges_are_counted(wp):
     assert sample.observed.periodic_peakon == 2
 
 
+@pytest.mark.parametrize("c1", [1e-4, 5e-5])
+def test_small_c1_arches_pass_the_center(c1):
+    # the center at phi = 0 sits just left of the line at 4 C1; its level,
+    # about K (4 C1)^3 / 6, is tiny but not the pair's level 0, so the left
+    # arch walks past it to its turning point
+    obs, diag = observe_wave_menu(WaveParams(C1=c1, **T1_BASE))
+    assert [(d["side"], d["end"]) for d in diag if d["kind"] == "arch"] == \
+        [("left", "turning-point"), ("right", "turning-point")]
+    assert obs.peakon == obs.periodic_peakon == 2
+
+
 @given(theta=st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
        c1=st.floats(-1.0, 1.0), c2=st.floats(-3.0, 3.0), c3=st.floats(-3.0, -0.1),
        k=st.floats(-3.0, 3.0))
@@ -311,8 +322,8 @@ def test_families_start_at_centers_and_end_at_walked_arches(theta, c1, c2, c3, k
             assert starts.count(e.phi) == 1, (e, families)
     # the other families start where two closed intervals merge
     assert {e.phi for e in cen.saddles()} >= set(starts) - {e.phi for e in cen.centers()}
-    # an arch walk that met an equilibrium on the pair's level (within the
-    # walk's 1e-10 (1 + |h|)) called the portrait degenerate: no verdict
+    # an arch walk that met an equilibrium on the pair's level (within 1e-10
+    # of the larger level) called the portrait degenerate: no verdict
     arches = [d for d in diag if d["kind"] == "arch"]
     assume(all(d["end"] != "double-root" for d in arches))
     walked = {d["side"] for d in arches if d["tag"]}

@@ -142,17 +142,28 @@ def test_conservation_trials_are_pinned():
 
 
 def _check_solves(monkeypatch, method=None):
-    """(Trajectory, nfev) of every `_solve` call the 300 seed-7 conservation
-    trials make, run as the check runs them, with `method` handed to
-    solve_ivp in place of the package's own when given."""
+    """(Trajectory, nfev, escaped) of every `_solve` call the 300 seed-7
+    conservation trials make, run as the check runs them.  With `method`
+    given, solve_ivp steps with it in place of the package's stepper and
+    runs scipy's own event loop on the events `_solve` stops at: the escape
+    disc of the check's radius and the y = 0 crossings, which never stop
+    these runs; `escaped` then comes from that loop."""
     solve_ivp, solve = orbits.solve_ivp, orbits._solve
-    nfev, trajs = [], []
+    runs, trajs = [], []
+
+    def ev_escape(_t, x):
+        return x[0] * x[0] + x[1] * x[1] - orbits.ESCAPE_RADIUS * orbits.ESCAPE_RADIUS
+    ev_escape.terminal = True
+
+    def ev_axis(_t, x):
+        return x[1]
 
     def counting_solve_ivp(*args, **kwargs):
         if method is not None:
-            kwargs["method"] = method
+            del kwargs["stops"]
+            kwargs.update(method=method, events=[ev_escape, ev_axis])
         res = solve_ivp(*args, **kwargs)
-        nfev.append(res.nfev)
+        runs.append(res)
         return res
 
     def recording_solve(*args, **kwargs):
@@ -168,7 +179,8 @@ def _check_solves(monkeypatch, method=None):
             for _ in range(100):
                 wp, start = _conservation_draw(rng, theta)
                 integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
-    return list(zip(trajs, nfev, strict=True))
+    return [(traj, res.nfev, traj.escaped if method is None else len(res.t_events[0]) > 0)
+            for traj, res in zip(trajs, runs, strict=True)]
 
 
 def test_float_stepper_takes_scipys_steps(monkeypatch):
@@ -178,10 +190,10 @@ def test_float_stepper_takes_scipys_steps(monkeypatch):
     got = _check_solves(monkeypatch)
     ref = _check_solves(monkeypatch, method="DOP853")
     assert len(got) == len(ref) == 307
-    for (traj, nfev), (ref_traj, ref_nfev) in zip(got, ref):
-        assert (len(traj.t), nfev, traj.escaped, traj.status) == \
-            (len(ref_traj.t), ref_nfev, ref_traj.escaped, ref_traj.status)
-        if not ref_traj.escaped:
+    for (traj, nfev, escaped), (ref_traj, ref_nfev, ref_escaped) in zip(got, ref):
+        assert (len(traj.t), nfev, escaped, traj.status) == \
+            (len(ref_traj.t), ref_nfev, ref_escaped, ref_traj.status)
+        if not ref_escaped:
             tg = np.linspace(ref_traj.t[0], ref_traj.t[-1], 512)
             want = ref_traj.at(tg)
             assert np.all(np.abs(traj.at(tg) - want) <= 1e-8 * (1.0 + np.abs(want)))

@@ -26,7 +26,7 @@ from rotheta.orbits import (_tau_rhs, branch_period, classify_orbit, integrate,
                             measure_axis_period, saddle_level_fn, shoot_connection,
                             trace_level_curve, y_squared_fn)
 from rotheta.params import WaveParams
-from rotheta.verification import T3_BASE
+from rotheta.verification import DEFAULT_SEED, T3_BASE, _conservation_draw
 
 
 @pytest.fixture(scope="module")
@@ -162,22 +162,23 @@ def test_period_converges_to_linearization(regime):
 
 @pytest.fixture
 def solved(monkeypatch):
-    """Every Trajectory `_solve` returns while the test runs."""
-    trajs = []
+    """(args, kwargs, Trajectory) of every `_solve` call made while the test
+    runs."""
+    calls = []
     solve = orbits._solve
 
     def recording(*args, **kwargs):
         out = solve(*args, **kwargs)
-        trajs.append(out[0])
+        calls.append((args, kwargs, out[0]))
         return out
     monkeypatch.setattr(orbits, "_solve", recording)
-    return trajs
+    return calls
 
 
-def test_trajectory_reads_as_scipy_solution(regime, solved):
-    # Trajectory.at must give OdeSolution's bits: the same step at every
-    # breakpoint, the same Horner order, the end steps beyond the ends.  This
-    # breaks if a scipy release lays the dense segments out differently.
+def _run_reading_cases(regime):
+    """Nine `_solve` runs of every kind: a periodic orbit, an escape, a stop
+    at the fourth axis crossing, a retried theta = 1/2 draw, a theta = 1
+    run, a single step, a shot arch and an axis period."""
     wp, cen, fi = regime
     integrate(wp, (0.05, 0.0), tau_span=30.0, fi=fi)
     assert integrate(wp, (4.5, 0.0), tau_span=20.0, escape_radius=10.0).escaped
@@ -194,10 +195,17 @@ def test_trajectory_reads_as_scipy_solution(regime, solved):
     up, dn = sorted(cen.line_pair, key=lambda e: -e.y)
     assert shoot_connection(wp, up, dn, side="left")[0]
     measure_axis_period(lambda _t, x: rhs_regular(wp, x), (1e-3, 0.0))
+
+
+def test_trajectory_reads_as_scipy_solution(regime, solved):
+    # Trajectory.at must give OdeSolution's bits: the same step at every
+    # breakpoint, the same Horner order, the end steps beyond the ends.  This
+    # breaks if a scipy release lays the dense segments out differently.
+    _run_reading_cases(regime)
     assert len(solved) == 9
 
     rng = np.random.default_rng(0)
-    for traj in solved:
+    for *_, traj in solved:
         t0, t1 = traj.t[0], traj.t[-1]
         tg = np.concatenate([np.linspace(t0 - 0.5, t1 + 0.5, 1001), traj.t,
                              rng.uniform(t0, t1, 200)])
@@ -222,13 +230,95 @@ def test_trajectory_breakpoint_rule_matches_scipy():
                                rng.normal(size=(7, 2)))
              for k, (a, b) in enumerate(zip(ts[:-1], ts[1:]))]
     sol = OdeSolution(ts, steps)
-    traj = orbits.Trajectory(wp=None, t=ts, states=None, sol=sol, escaped=False,
-                             axis_crossings=np.array([]))
+    traj = orbits.Trajectory(wp=None, t=ts, states=None, sol=sol, escaped=False)
     tg = np.concatenate([ts, ts - 1e-3, ts + 1e-3])
     assert not np.array_equal(steps[3](ts[4]), steps[4](ts[4]))
     assert np.array_equal(traj.at(tg), sol(tg))
     for t in tg:
         assert np.array_equal(traj.at(t), sol(t))
+
+
+def _assert_solve_is_scipys_event_loop(wp, rhs, start, span, rtol, atol, *,
+                                       escape_radius=math.inf, axis_stop=None, events=()):
+    # `_solve` against scipy's own event loop on the same stepper, handed
+    # the events `_solve` stops at: bit for bit the same points, escape,
+    # axis crossings, arrival times and status
+    traj, arrivals = orbits._solve(wp, rhs, start, span, rtol, atol, escape_radius=escape_radius,
+                                   axis_stop=axis_stop, events=events)
+    r2 = escape_radius * escape_radius
+
+    def ev_escape(_t, x):
+        return x[0] * x[0] + x[1] * x[1] - r2
+    ev_escape.terminal = True
+
+    def ev_axis(_t, x):
+        return x[1]
+    ev_axis.terminal = axis_stop
+
+    res = solve_ivp(rhs, (0.0, span), [float(start[0]), float(start[1])],
+                    method=orbits._FloatDOP853, rtol=rtol, atol=atol, dense_output=True,
+                    events=[ev_escape, ev_axis, *events])
+    assert np.array_equal(traj.t, res.t)
+    assert np.array_equal(traj.states, res.y.T)
+    assert traj.escaped == (len(res.t_events[0]) > 0)
+    assert np.array_equal(traj.axis_crossings, res.t_events[1])
+    assert len(arrivals) == len(res.t_events) - 2
+    for got, want in zip(arrivals, res.t_events[2:]):
+        assert np.array_equal(got, want)
+    assert traj.status == ("ok" if res.success else res.message)
+    return traj
+
+
+def test_solve_stops_as_scipys_event_loop(regime, solved, monkeypatch):
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+        for _ in range(100):
+            wp, start = _conservation_draw(rng, theta)
+            integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
+    assert len(solved) == 307
+    _run_reading_cases(regime)
+    assert len(solved) == 316
+    # a homoclinic shot starts inside its arrival disc: leaving it is not
+    # an arrival (direction -1), coming back is
+    wp, _h = params_from_roots([3.0, 1.0, 1.0, -2.0])
+    sad = next(e for e in census(wp).saddles() if abs(e.phi - 1.0) < 1e-6)
+    assert shoot_connection(wp, sad, sad, side="right")[0]
+    monkeypatch.undo()   # stop recording
+    for args, kwargs, _ in solved:
+        _assert_solve_is_scipys_event_loop(*args, **kwargs)
+
+    def spiral(_t, x):
+        return (-0.5 * x[0] - x[1], x[0] - 0.5 * x[1])
+
+    def line(c):   # a straight line, which DOP853 takes in steps growing tenfold
+        return lambda _t, _x: (1.0, c)
+
+    # a start outside the disc escapes when it re-enters
+    traj = _assert_solve_is_scipys_event_loop(None, spiral, (12.0, 0.0), 20.0, 1e-10, 1e-12,
+                                              escape_radius=10.0)
+    assert traj.escaped and len(traj.axis_crossings) == 1
+    # a start on the circle escapes at once: the root is the step's start
+    traj = _assert_solve_is_scipys_event_loop(None, spiral, (3.0, 4.0), 20.0, 1e-10, 1e-12,
+                                              escape_radius=5.0)
+    assert traj.escaped and list(traj.t) == [0.0, 0.0]
+    # one last step holds the axis crossing before the escape root, the
+    # other after it
+    traj = _assert_solve_is_scipys_event_loop(None, line(-1.0), (0.0, 3.0), 100.0, 1e-10, 1e-12,
+                                              escape_radius=10.0)
+    assert traj.escaped and traj.axis_crossings[-1] > traj.run[0][-1].t_old
+    # the same step, with the first crossing terminal too: the earlier root stops it
+    traj = _assert_solve_is_scipys_event_loop(None, line(-1.0), (0.0, 3.0), 100.0, 1e-10, 1e-12,
+                                              escape_radius=10.0, axis_stop=1)
+    assert not traj.escaped and traj.t[-1] == pytest.approx(3.0)
+    traj = _assert_solve_is_scipys_event_loop(None, line(-0.2), (0.0, 1.0), 100.0, 1e-10, 1e-12,
+                                              escape_radius=3.0)
+    assert traj.escaped and len(traj.axis_crossings) == 0
+    assert traj.run[0][-1](traj.run[0][-1].t)[1] < 0.0   # y crossed 0 in the last step
+    # y stays 0: every step crosses at its start, and the fourth crossing
+    # falls on the last breakpoint, so the step it was found on is dropped
+    traj = _assert_solve_is_scipys_event_loop(None, line(0.0), (0.0, 0.0), 100.0, 1e-10, 1e-12,
+                                              axis_stop=4)
+    assert len(traj.t) == 4 and list(traj.axis_crossings) == list(traj.t)
 
 
 def _rhs_as_given(wp, phi, y):
