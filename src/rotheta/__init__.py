@@ -19,7 +19,7 @@ from .field import (FirstIntegral, SingularLineError, build_first_integral,
 from .equilibria import EquilibriumCensus, Equilibrium, census
 from .elliptic import complete_K, jacobi
 from .closedform import WaveSolution, closed_form_menu, ode_residual
-from .orbits import Trajectory, classify_orbit, integrate, trace_level_curve
+from .orbits import Trajectory, classify_orbit, integrate
 from .atlas import (ObservedMenu, RegionLabel, SweepReport, WaveMenu,
                     classify_region, observe_wave_menu, predict_wave_menu,
                     sweep_singular_line)
@@ -35,7 +35,7 @@ __all__ = [
     "EquilibriumCensus", "Equilibrium", "census",
     "complete_K", "jacobi",
     "WaveSolution", "closed_form_menu", "ode_residual",
-    "Trajectory", "classify_orbit", "integrate", "trace_level_curve",
+    "Trajectory", "classify_orbit", "integrate",
     "ObservedMenu", "RegionLabel", "SweepReport", "WaveMenu",
     "classify_region", "observe_wave_menu", "predict_wave_menu",
     "sweep_singular_line",

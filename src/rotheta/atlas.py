@@ -26,13 +26,15 @@ observer switches to the regular reduced system phi'' = 2 g(phi).  A
 reads (at the T3 point H has no log or pole and is the profile energy);
 one loop serves both, with no integration, and `observation_plane` picks
 the plane.  Saddle connections are walked on the saddles' own levels by
-`saddle_connections` (which the portrait draws from too): an arch or a
-loop exists on a side when the run of y^2 > 0 leaving its saddle there
-ends at a simple turning point.  Periodic families are counted with no
-level tracing: on each side of the line y^2 = (h - B)/A, and B is monotone
-between the stops (axis equilibria, the line, infinity), so a union-find
-over the stops' levels follows every period annulus from the center or
-saddle it starts at to the loop or arch that bounds it (`_families`).
+`saddle_connections`: an arch or a loop exists on a side when the run of
+y^2 > 0 leaving its saddle there ends at a simple turning point.  Periodic
+families are counted with no level tracing: on each side of the line
+y^2 = (h - B)/A, and B is monotone between the stops (axis equilibria, the
+line, infinity), so a union-find over the stops' levels follows every
+period annulus from the center or saddle it starts at to the loop or arch
+that bounds it (`_families`).  The portrait draws the connections, and the
+same walk reads its levels (`level_branches`) inside the families
+(`family_levels`), where `rotheta wave` looks too.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import numpy as np
 from .closedform import is_reduced_point, reduced
 from .equilibria import Equilibrium, EquilibriumCensus, SADDLE, census
 from .field import FirstIntegral, build_first_integral, eval_f, eval_g, eval_g_prime
-from .orbits import (ANTI_PEAKON, PEAKON, SOLITARY, TURNING_POINT, LevelBranch,
-                     branch_period, saddle_level_fn, walk_separatrix)
+from .orbits import (ANTI_PEAKON, DOUBLE_ROOT, ESCAPE, PEAKON, SINGULAR_LINE, SOLITARY,
+                     TURNING_POINT, branch_period, level_branch, saddle_level_fn, walk_level)
 from .params import WaveParams
 
 __all__ = [
@@ -60,13 +62,14 @@ __all__ = [
     "Connection",
     "SweepSample",
     "SweepReport",
-    "canonical_levels",
     "classify_region",
     "predict_wave_menu",
     "observe_wave_menu",
     "tau_plane",
     "observation_plane",
     "saddle_connections",
+    "level_branches",
+    "family_levels",
     "menu_agrees",
     "sweep_singular_line",
 ]
@@ -294,27 +297,12 @@ def menu_agrees(pred: WaveMenu, obs: ObservedMenu) -> bool:
 # numeric observation
 
 
-def _level_samples(crit, dh_frac=1e-3):
-    """Canonical levels: midpoints between consecutive critical levels,
-    plus critical +- dh_frac x spread."""
-    if not crit:
-        return []
-    spread = crit[-1] - crit[0]
-    if spread <= 0.0:
-        spread = 1.0 + abs(crit[0])
-    dh = dh_frac * spread
-    samples = [0.5 * (a + b) for a, b in zip(crit, crit[1:])]
-    for h in crit:
-        samples += [h - dh, h + dh]
-    return samples
-
-
 @dataclass(frozen=True)
 class Plane:
     """A phase plane wave families are counted in.  The tau plane and the
     reduced point's profile plane read the levels of their own first
     integral `fi` (`saddle_level_fn(fi, phi)` through a stop at phi) and
-    share the connection walk, the family sweep and the canonical levels.
+    share the connection walk, the family sweep and the level reader.
 
     On each side of the line, H = A y^2 + B with A of one sign there, and B
     is monotone between consecutive stops: the axis equilibria and the two
@@ -395,22 +383,6 @@ def observation_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) ->
     return _profile_plane(wp, cen) if is_reduced_point(wp) else tau_plane(wp, cen, fi)
 
 
-def canonical_levels(plane: Plane):
-    """(critical levels, canonical sample levels) of `plane`: its stops'
-    levels and its saddle pair's (finite: a pair needs theta < 1/2, so
-    m >= 0), merged, plus midpoint/offset samples around them."""
-    crit = {h for _, h in plane.stops}
-    if plane.pair:
-        crit.add(float(plane.fi.eval(*plane.pair[0].point)))
-    crit = sorted(crit)
-    hscale = 1.0 + max((abs(h) for h in crit), default=0.0)
-    merged = []
-    for h in crit:
-        if not merged or h - merged[-1] > 1e-10 * hscale:
-            merged.append(h)
-    return merged, _level_samples(merged)
-
-
 def _families(plane: Plane):
     """One diagnostics entry per period annulus of `plane`, with no level
     tracing.
@@ -479,8 +451,8 @@ class Connection:
     saddle: Equilibrium
     side: str                  # "left" | "right"
     h: float                   # the saddle's level
-    end: str                   # how the walk ended (see walk_separatrix)
-    branch: LevelBranch        # the run from the saddle to its end
+    end: str                   # how the walk ended (see walk_level)
+    phi_end: float             # where it ended: the turning point of a hit
     y2: Callable               # phi -> y^2 on the level
 
     @property
@@ -494,6 +466,13 @@ class Connection:
         if self.kind == "loop":
             return SOLITARY
         return PEAKON if self.side == "left" else ANTI_PEAKON
+
+
+def _stops_at(plane: Plane, h):
+    """(phi, on the level h) per stop: its level is h to 1e-10 of the larger
+    of the two, so a center's small level stays apart from a pair's 0."""
+    return tuple((phi, abs(level - h) <= 1e-10 * max(abs(level), abs(h)))
+                 for phi, level in plane.stops)
 
 
 def saddle_connections(plane: Plane):
@@ -510,15 +489,52 @@ def saddle_connections(plane: Plane):
     for kind, eq in walks:
         h = float(plane.fi.eval(eq.phi, 0.0))
         y2 = saddle_level_fn(plane.fi, eq.phi, on_line=eq.on_singular_line)
-        # same level: equal to 1e-10 of the larger of the two levels, so a
-        # center's small level stays apart from a pair's level 0
-        stops = tuple((phi, abs(level - h) <= 1e-10 * max(abs(level), abs(h)))
-                      for phi, level in plane.stops)
+        stops = _stops_at(plane, h)
         for side, a, (_, b) in (("left", a_lo, lo), ("right", a_hi, hi)):
-            end, branch = walk_separatrix(y2, eq.phi, side, stops=stops, line=plane.line,
-                                          far=a * math.copysign(1.0, h - b))
-            yield Connection(kind=kind, saddle=eq, side=side, h=h, end=end,
-                             branch=branch, y2=y2)
+            sign, end, phi = next(walk_level(y2, eq.phi, 1.0 if side == "right" else -1.0,
+                                             stops=stops, line=plane.line, on_level=True,
+                                             far=a * math.copysign(1.0, h - b)))
+            end, phi = (end, phi) if sign > 0.0 else (DOUBLE_ROOT, eq.phi)  # y^2 < 0: no run
+            yield Connection(kind=kind, saddle=eq, side=side, h=h, end=end, phi_end=phi, y2=y2)
+
+
+def level_branches(plane: Plane, h: float, window):
+    """The runs of y^2 > 0 on the level H = h of `plane` in the phi-`window`,
+    closed unless an end is the line, infinity or the window.  On each side
+    the walk leaves the stop of the nearest level (none: the point 1 + |line|
+    out) both ways, on y^2 = `saddle_level_fn` there plus (h - B)/A."""
+    stops = _stops_at(plane, h)
+    fi, line, branches = plane.fi, plane.line, []
+    for side, sign, ends in plane.sides:
+        inside = [s for s in plane.stops if ends[0][0] < s[0] < ends[1][0]]
+        q = (min(inside, key=lambda s: abs(s[1] - h))[0] if inside
+             else line + (1.0 if side == "right" else -1.0) * (1.0 + abs(line)))
+        on_level = dict(stops).get(q, False)
+        y2_q, dh = saddle_level_fn(fi, q), h - float(fi.eval(q, 0.0))
+        y2 = (lambda phi, y2_q=y2_q, dh=dh:
+              y2_q(phi) + dh / (float(fi.y2_coeff) * (phi - float(fi.line)) ** fi.y2_power))
+        left, right = (list(walk_level(y2, q, d, stops=stops, line=line, on_level=on_level,
+                                       far=sign * math.copysign(1.0, h - level)))
+                       for d, (_phi, level) in zip((-1.0, 1.0), ends))
+        # two stretches meet at a q on the level, else the first each way is one
+        bounds = [b[1:] for b in left[::-1]] + [(DOUBLE_ROOT, q)] * on_level
+        bounds += [b[1:] for b in right]
+        signs = [b[0] for b in left[::-1]] + [b[0] for b in right][not on_level:]
+        for s, (end_a, a), (end_b, b) in zip(signs, bounds, bounds[1:]):
+            cut_a, cut_b = max(a, window[0]), min(b, window[1])
+            if s > 0.0 and cut_a < cut_b:
+                closed = (cut_a, cut_b) == (a, b) and not {end_a, end_b} & {SINGULAR_LINE, ESCAPE}
+                branches.append(level_branch(y2, cut_a, cut_b, closed))
+    return branches
+
+
+def family_levels(plane: Plane, fractions):
+    """Levels `fractions` of the way from each family's top to its bottom
+    (`_families`), or, if it never ends, to 1 + |top| beyond its top."""
+    signs = {side: sign for side, sign, _ends in plane.sides}
+    return [fam["top"] + f * (signs[fam["side"]] * (1.0 + abs(fam["top"])) if fam["bottom"] is None
+                              else fam["bottom"] - fam["top"])
+            for fam in _families(plane) for f in fractions]
 
 
 def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
@@ -548,8 +564,8 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
                      "end": conn.end}
             if conn.hit:
                 peakon += 1
-                entry.update(jump=2.0 * abs(conn.saddle.y),
-                             xi_extent=branch_period(conn.y2, conn.branch))
+                arch = level_branch(conn.y2, *sorted((conn.saddle.phi, conn.phi_end)), True)
+                entry.update(jump=2.0 * abs(conn.saddle.y), xi_extent=branch_period(conn.y2, arch))
             diag.append(entry)
         elif conn.hit:
             solitary += 1

@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import (canonical_levels, observation_plane, saddle_connections,
+from .atlas import (family_levels, level_branches, observation_plane, saddle_connections,
                     sweep_singular_line)
 from .closedform import closed_form_menu, is_reduced_point, ode_residual, reduced
 from .equilibria import census
 from .field import SingularLineError, build_first_integral
-from .orbits import trace_level_curve
+from .orbits import level_branch
 from .params import WaveParams, derive_coriolis, derive_wave_params, parse_theta
 from .svgfig import SvgFigure, resample
 from .verification import CHECKS, DEFAULT_SEED, render_report, run_checks
@@ -97,12 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("portrait", help="phase portrait as SVG + curve CSV")
     add_common(p)
     p.add_argument("--h", type=float, action="append",
-                   help="level value (repeatable; default: canonical levels)")
+                   help="level value (repeatable; default: levels inside each family)")
 
     p = sub.add_parser("wave", help="closed-form wave profiles with residuals")
     add_common(p)
     p.add_argument("--h", type=float, action="append",
-                   help="level value (repeatable; default: search canonical)")
+                   help="level value (repeatable; default: stop and family levels)")
     p.add_argument("--type", dest="wave_type", choices=_CHOICES["wave_type"],
                    help="restrict to one profile family")
 
@@ -298,13 +298,13 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     (`observation_plane`).
 
     Level curves of the plane's first integral at the requested (default:
-    canonical) levels, separatrices from the saddle connections, the
+    family) levels, separatrices from the saddle connections, the
     singular line, and glyph-coded equilibria.  Fully deterministic.
     """
     cen = census(wp)
     plane = observation_plane(wp, cen)
     fi = plane.fi
-    hs = sorted(set(levels or canonical_levels(plane)[1]))
+    hs = sorted(set(levels or family_levels(plane, (0.25, 0.5, 0.75))))
     phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
     pad = 1.0 + 0.5 * (max(phis) - min(phis))
     window = (min(phis) - pad, max(phis) + pad)
@@ -313,18 +313,16 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     oid = 0
     for h in hs:
         bid = 0
-        for br in trace_level_curve(fi, h, window, n=1001):
-            if br.is_point:
-                continue
+        for br in level_branches(plane, h, window):
             if br.closed:
                 xs = np.concatenate([br.phi, br.phi[::-1]])
                 ys = np.concatenate([br.y, -br.y[::-1]])
                 curves.append((oid, bid, "level", h, *resample(xs, ys, 400)))
                 bid += 1
             else:
+                # not resampled: a run climbing to the line takes all the arc length
                 for sign in (1.0, -1.0):
-                    curves.append((oid, bid, "level", h,
-                                   *resample(br.phi, sign * br.y, 200)))
+                    curves.append((oid, bid, "level", h, br.phi, sign * br.y))
                     bid += 1
         if bid:
             oid += 1
@@ -377,16 +375,12 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
 
 
 def _separatrix_curve(conn):
-    """The connection's level branch from its saddle out to the turning
-    point, then back along its mirror.  The first point sits
-    1e-8 (1 + |phi0|) off the saddle, on the connection's side, so the side
-    reads off it."""
-    br, phi0 = conn.branch, conn.saddle.phi
-    out = slice(None) if conn.side == "right" else slice(None, None, -1)
-    phis, ys = br.phi[out].copy(), br.y[out].copy()
-    phis[0] = phi0 + np.sign(phis[-1] - phi0) * 1e-8 * (1.0 + abs(phi0))
-    ys[0] = math.sqrt(max(conn.y2(phis[0]), 0.0))
-    return np.concatenate([phis, phis[::-1]]), np.concatenate([ys, -ys[::-1]])
+    """The connection's level branch from 1e-8 (1 + |phi0|) off its saddle (so
+    its side reads off it) out to the turning point, then along its mirror."""
+    phi0 = conn.saddle.phi
+    start = phi0 + np.sign(conn.phi_end - phi0) * 1e-8 * (1.0 + abs(phi0))
+    br = level_branch(conn.y2, start, conn.phi_end, True)
+    return np.concatenate([br.phi, br.phi[::-1]]), np.concatenate([br.y, -br.y[::-1]])
 
 
 def _level_of(fi, phi, y):
@@ -421,8 +415,8 @@ def cmd_wave(cfg: RunConfig) -> int:
         candidates = list(cfg.h)
         stop_at_first = False
     else:
-        crit, samples = canonical_levels(observation_plane(wp))
-        candidates = list(crit) + sorted(samples)  # critical first: double roots
+        plane = observation_plane(wp)   # stop levels first: solitary double roots
+        candidates = sorted({h for _phi, h in plane.stops}) + family_levels(plane, (0.5,))
         stop_at_first = cfg.wave_type is not None
 
     waves = []

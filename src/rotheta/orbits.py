@@ -1,18 +1,17 @@
 """Numeric orbits of the tau-form system: level curves, saddle connections,
 integration and wave-type classification.
 
-Orbits are read off the level curves of the first integral.  A closed
-branch of {H = h} that misses the singular line is the periodic orbit
-itself; `trace_level_curve` traces the branches of a level and
-`branch_period` takes a closed branch's xi-period by quadrature.  A saddle
-connection lies on its saddle's own level: `walk_separatrix` follows the
-run of y^2 > 0 that leaves the saddle on one side, on the
-cancellation-free level function of `saddle_level_fn`, and the connection
-exists when that run ends at a simple turning point; past the last
-equilibrium the sign of y^2 at infinity says if it does.  The integrator
-serves the conservation checks, axis periods, and the reference paths the
-level readings are tested against (`integrate` + `classify_orbit` for
-periodic orbits, `shoot_connection` + `classify_orbit` for connections).
+Orbits are read off the level curves of the first integral.  Between two
+equilibria on the axis B is monotone, so y^2 = (h - B)/A changes sign at
+most once there: `walk_level` walks a level one stretch of one sign of y^2
+at a time, from a saddle on its own level (`saddle_level_fn`) to find its
+connections, or over a whole level.  A closed branch of {H = h} off the
+singular line is a periodic orbit; `branch_period` takes its xi-period by
+quadrature.  `trace_level_curve` reads a level on a grid, as the reference
+the tests compare the walk with.  The integrator serves the conservation
+checks, axis periods, and the reference paths the level readings are
+tested against (`integrate` + `classify_orbit` for periodic orbits,
+`shoot_connection` + `classify_orbit` for connections).
 Every integration runs through `_solve`, the package's one `solve_ivp`
 call, with dense output and no scipy events.  Its method is
 `_FloatDOP853`, scipy's DOP853 with each step taken on Python floats, which
@@ -72,7 +71,8 @@ __all__ = [
     "branch_period",
     "classify_orbit",
     "saddle_level_fn",
-    "walk_separatrix",
+    "level_branch",
+    "walk_level",
     "shoot_connection",
     "measure_axis_period",
 ]
@@ -504,16 +504,11 @@ def y_squared_fn(fi: FirstIntegral, h: float):
 class LevelBranch:
     phi: np.ndarray       # ascending
     y: np.ndarray         # nonnegative branch; full curve is the +- mirror
-    closed: bool          # both ends are genuine turning points
+    closed: bool          # y = 0 at both ends: turning points or equilibria
 
     @property
     def phi_range(self):
         return float(self.phi[0]), float(self.phi[-1])
-
-    @property
-    def is_point(self) -> bool:
-        """Collapsed onto a center: phi-extent at most 1e-9 (1 + |phi_0|)."""
-        return self.phi[-1] - self.phi[0] <= 1e-9 * (1.0 + abs(self.phi[0]))
 
     def interior_point(self):
         i = int(np.argmax(self.y))
@@ -596,7 +591,8 @@ def _gauss_legendre(n):
 
 def branch_period(y2, branch: LevelBranch) -> float | None:
     """xi-period 2 * integral of dphi / y over a closed branch (dxi = dphi / y
-    off the singular line), or None when the quadrature does not converge.
+    off the singular line), or None when the quadrature does not converge or
+    y^2 is not positive and finite at one of its nodes.
 
     The substitution phi = mid + half sin t removes the inverse-square-root
     singularity at the turning points.  The t-range is cut into
@@ -620,8 +616,10 @@ def branch_period(y2, branch: LevelBranch) -> float | None:
     while n <= 1024:
         x, w = _gauss_legendre(n)
         t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)       # (panels, n)
-        with np.errstate(invalid="ignore"):
-            dphi_over_y = half * np.cos(t) / np.sqrt(y2(mid + half * np.sin(t)))
+        v = y2(mid + half * np.sin(t))
+        if not np.all((v > 0.0) & (v < math.inf)):
+            return None
+        dphi_over_y = half * np.cos(t) / np.sqrt(v)
         total = float(np.sum(0.5 * (t1 - t0) * w * dphi_over_y)) * 2.0
         if prev is not None and abs(total - prev) <= 1e-9 * abs(total):
             return total
@@ -676,53 +674,44 @@ def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False):
     return y2
 
 
-def walk_separatrix(y2, phi0, side, *, stops, line, far):
-    """How the run of y^2 > 0 that leaves a saddle at phi0 on `side` ends:
-    (end, LevelBranch of the run from the saddle to where it ended).
+def level_branch(y2, a, b, closed) -> LevelBranch:
+    """The branch y = sqrt(y^2) of a run, at 257 points from a to b gathered at both ends."""
+    phi = a + (b - a) * (0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257))))
+    return LevelBranch(phi=phi, y=np.sqrt(np.maximum(y2(phi), 0.0)), closed=closed)
 
-    `y2` is the saddle's own level function (`saddle_level_fn`).  The walk
-    starts 1e-5 (1 + |phi0|) off the saddle, where the saddle's local
-    expansion makes y^2 > 0.  `stops` are (phi, same_level) for the
-    equilibria on the axis: between two of them h - B is monotone, so y^2
-    changes sign at most once there, and brentq refines the first sign
-    change; past the last stop y^2 tends to the sign `far` at infinity, and
-    steps that double bracket a root.  No orbit crosses `line` (None: no
-    such line).  The run ends at the first of
-      * "turning-point": a simple root of y^2; the branch and its mirror are
-        the saddle connection;
-      * "double-root": an equilibrium on the saddle's own level;
-      * "singular-line": the line, reached with y^2 > 0;
-      * "escape": infinity, y^2 > 0 out to it (the branch ends at the last
-        stop).
-    """
-    sgn = 1.0 if side == "right" else -1.0
-    start = phi0 + sgn * 1e-5 * (1.0 + abs(phi0))
+
+def walk_level(y2, phi0, sgn, *, stops, line, far, on_level):
+    """Walk y^2 from phi0 in the direction sgn (+-1) to the line or to
+    infinity, yielding (sign, end, phi) per stretch of one sign of y^2: it
+    ends at a simple root ("turning-point"), a stop on the level
+    ("double-root"), the line ("singular-line") or infinity ("escape").
+    `stops` are (phi, on the level) for the axis equilibria; between two,
+    h - B is monotone, so y^2 changes sign at most once and brentq refines
+    it; past the last, y^2 tends to the sign `far`, and doubling steps
+    bracket a root.  No orbit crosses `line` (None: none).  A start on the
+    level (a saddle, a turning point) reads the sign at the first gap's
+    midpoint (past the last stop, `far`), as h - B keeps one sign on that
+    gap; any other start reads its own."""
     marks = [(p, DOUBLE_ROOT if same else None) for p, same in stops]
     if line is not None:
         marks.append((line - sgn * 1e-12 * (1.0 + abs(line)), SINGULAR_LINE))
-    # y^2 <= 0 at the start: the saddle is too degenerate to leave at this offset
-    end, phi_end = DOUBLE_ROOT, start
-    if y2(start) > 0.0:
-        prev = start
-        ahead = sorted((m for m in marks if sgn * (m[0] - start) > 0), key=lambda m: sgn * m[0])
-        last = ahead[-1][0] if ahead else start
+    end = None
+    while end not in (SINGULAR_LINE, ESCAPE):
+        ahead = sorted((m for m in marks if sgn * (m[0] - phi0) > 0), key=lambda m: sgn * m[0])
+        prev = 0.5 * (phi0 + ahead[0][0]) if on_level and ahead else phi0
+        sign = far if on_level and not ahead else (1.0 if y2(prev) > 0.0 else -1.0)
+        last = ahead[-1][0] if ahead else prev
         # past the last stop: infinity, or marks at steps 1, 2, 4, ... (1 + |last|) out
-        tail = ([(last, ESCAPE)] if far > 0.0 else
+        tail = ([(sgn * math.inf, ESCAPE)] if sign * far > 0.0 else
                 ((last + sgn * (2.0**k - 1.0) * (1.0 + abs(last)), None) for k in count(1)))
-        for p, label in chain(ahead, tail):
-            if label != DOUBLE_ROOT and not y2(p) > 0.0:
-                end, phi_end = TURNING_POINT, brentq(y2, prev, p, xtol=1e-14, rtol=1e-15)
+        for phi0, end in chain(ahead, tail):
+            if end not in (DOUBLE_ROOT, ESCAPE) and not sign * y2(phi0) > 0.0:
+                phi0, end = brentq(y2, prev, phi0, xtol=1e-14, rtol=1e-15), TURNING_POINT
+            if end is not None:
                 break
-            if label is not None:
-                end, phi_end = label, p
-                break
-            prev = p
-    t = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257)))
-    phi = phi0 + (phi_end - phi0) * t
-    y = np.sqrt(np.maximum(y2(phi), 0.0))
-    if sgn < 0.0:
-        phi, y = phi[::-1], y[::-1]
-    return end, LevelBranch(phi=phi, y=y, closed=end == TURNING_POINT)
+            prev = phi0
+        yield sign, end, phi0
+        on_level = True
 
 
 def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, *,
@@ -833,7 +822,7 @@ def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
                      rtol=1e-12, atol=1e-14):
     """Shoot along the unstable manifold of `from_eq` in the tau plane, stop
     near `to_eq`.  The observer finds connections on the level set instead
-    (`walk_separatrix`); this is the integrated reference it is tested
+    (`atlas.saddle_connections`); this is the integrated reference it is tested
     against.
 
     `side` picks the ray whose initial phi displacement has that sign

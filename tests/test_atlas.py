@@ -1,5 +1,6 @@
 """Region classification, menu prediction, and numeric observation."""
 
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, _sweep_one, canonical_levels,
-                           classify_region, menu_agrees, observation_plane,
+from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, _sweep_one, classify_region,
+                           family_levels, level_branches, menu_agrees, observation_plane,
                            observe_wave_menu, predict_wave_menu, saddle_connections,
                            sweep_singular_line, tau_plane)
 from rotheta.closedform import (closed_form_menu, is_reduced_point, orbit_polynomial,
@@ -281,7 +282,7 @@ def test_families_next_to_window_edges_are_counted(wp):
     assert sample.observed.periodic_peakon == 2
 
 
-@pytest.mark.parametrize("c1", [1e-4, 5e-5])
+@pytest.mark.parametrize("c1", [1e-4, 5e-5, 1e-6])
 def test_small_c1_arches_pass_the_center(c1):
     # the center at phi = 0 sits just left of the line at 4 C1; its level,
     # about K (4 C1)^3 / 6, is tiny but not the pair's level 0, so the left
@@ -487,9 +488,8 @@ def test_branch_period_matches_closed_forms():
     # theta = 1/2, C1 = 0: profile-plane branches of y^2 = Q(phi) - 4h
     wp = WaveParams(C1=0.0, **T3_BASE)
     q = q_coeffs(wp)
-    _crit, samples = canonical_levels(observation_plane(wp))
     n = 0
-    for h in samples:
+    for h in family_levels(observation_plane(wp), (0.25, 0.5, 0.75)):
         def y2(phi):
             return np.polyval(q, phi) - 4.0 * h
         branches = [b for b in trace_branches(y2, (-4.0, 4.0)) if b.closed]
@@ -501,6 +501,53 @@ def test_branch_period_matches_closed_forms():
             assert branch_period(y2, br) == pytest.approx(sol.period, rel=1e-9)
             n += 1
     assert n >= 4
+
+
+def test_level_branches_match_the_grid_reference():
+    # the walk's runs against the grid tracer on the portrait's window, at
+    # levels inside each family and 1e-3 of the stops' level spread off each
+    # stop's level: the same runs, closed alike, with the same turning points
+    n = 0
+    for wp in REFERENCE_POINTS:
+        cen = census(wp)
+        plane = observation_plane(wp, cen)
+        levels = [h for _phi, h in plane.stops]
+        dh = 1e-3 * ((max(levels) - min(levels)) or 1.0 + abs(levels[0]))
+        phis = [e.phi for e in cen.equilibria] + [plane.line]
+        pad = 1.0 + 0.5 * (max(phis) - min(phis))
+        window = (min(phis) - pad, max(phis) + pad)
+        step = (window[1] - window[0]) / 20000
+        for h in (family_levels(plane, (0.02, 0.5, 0.98))
+                  + [h + d for h in levels for d in (-dh, dh)]):
+            walked = level_branches(plane, h, window)
+            traced = trace_branches(y_squared_fn(plane.fi, h), window, n=20001, line=plane.line)
+            assert len(walked) == len(traced), (wp.C1, h)
+            for bw, bt in zip(walked, traced):
+                # the grid cannot bracket a turning point between the line and
+                # its first point off it: ends there are not compared
+                ends = [end for end in (0, -1) if abs(bt.phi[end] - plane.line) > 2.0 * step]
+                if len(ends) == 2:
+                    assert bw.closed == bt.closed, (wp.C1, h, bt.phi_range)
+                for end in ends:
+                    assert bw.phi[end] == pytest.approx(bt.phi[end], abs=1e-10), (wp.C1, h)
+            n += len(walked)
+    assert n >= 200
+
+
+def test_branch_period_is_none_at_an_unresolved_node():
+    # README point, left family: 1e-6 of the depth below its top (the center
+    # at phi = 0) y^2 = (h - B)/A cancels to 0 at a quadrature node, where
+    # the sum once came out -inf
+    wp = D1_REGIME
+    fi = build_first_integral(wp)
+    _obs, diag = observe_wave_menu(wp)
+    (fam,) = [d for d in diag if d["kind"] == "family" and d["side"] == "left"]
+    h = fam["top"] + 1e-6 * (fam["bottom"] - fam["top"])
+    (br,) = [b for b in trace_branches(y_squared_fn(fi, h), (-1.0, 1.2))
+             if b.phi[0] < 0.0 < b.phi[-1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert branch_period(y_squared_fn(fi, h), br) is None
 
 
 # --- saddle connections on the level set against shooting -----------------------

@@ -18,7 +18,8 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from rotheta import orbits
-from rotheta.atlas import observe_wave_menu, saddle_connections, tau_plane
+from rotheta.atlas import (level_branches, observation_plane, observe_wave_menu,
+                           saddle_connections, tau_plane)
 from rotheta.closedform import params_from_roots
 from rotheta.equilibria import census, linearization_determinant
 from rotheta.field import build_first_integral, eval_f_prime, rhs_regular, rhs_singular
@@ -347,49 +348,59 @@ def test_tau_rhs_is_bitwise_the_rhs_as_given(theta, C1, coeffs, phi, y):
     assert got.tobytes() == want.tobytes()
 
 
-# --- trace_level_curve ---------------------------------------------------------
+# --- level readers -------------------------------------------------------------
+
+# (phi-window) -> branches of a level: the grid tracer, which the tests keep as
+# the reference, and the walk's reader in the observer's plane
+LEVEL_READERS = {
+    "grid": lambda wp, h, window: trace_level_curve(build_first_integral(wp), h, window),
+    "walk": lambda wp, h, window: level_branches(observation_plane(wp), h, window),
+}
 
 
 def test_center_level_has_no_extended_branch(regime):
     # the level through a center meets a neighborhood of it only in the
-    # point itself; the tracer returns no branch of positive length there
+    # point itself; neither reader returns a branch of positive length there
     wp, cen, fi = regime
     h0 = fi.eval(0.0, 0.0)
-    for br in trace_level_curve(fi, h0, (-0.4, 0.4)):
-        assert br.phi[-1] - br.phi[0] <= 1e-5
+    for name, read in LEVEL_READERS.items():
+        for br in read(wp, h0, (-0.4, 0.4)):
+            assert br.phi[-1] - br.phi[0] <= 1e-5, name
 
 
 def test_one_closed_branch_between_center_and_arch_levels(regime):
     wp, cen, fi = regime
     h0 = fi.eval(0.0, 0.0)                 # center level ~ 1.0997
     h = 0.5 * h0                           # between arch (0) and center
-    branches = [b for b in trace_level_curve(fi, h, (-1.0, 1.19))
-                if b.phi[-1] - b.phi[0] > 1e-5]
-    assert len(branches) == 1
-    assert branches[0].closed
-    # winding oracle: the closed branch must straddle the center abscissa
-    assert branches[0].phi[0] < 0.0 < branches[0].phi[-1]
+    for name, read in LEVEL_READERS.items():
+        branches = [b for b in read(wp, h, (-1.0, 1.19))
+                    if b.phi[-1] - b.phi[0] > 1e-5]
+        assert len(branches) == 1, name
+        assert branches[0].closed, name
+        # winding oracle: the closed branch must straddle the center abscissa
+        assert branches[0].phi[0] < 0.0 < branches[0].phi[-1], name
 
 
 def test_branch_points_match_orbit_polynomial_roots():
     # theta = 1/2, C1 = 0: turning points are quartic roots; companion oracle
     wp = WaveParams(Fraction(1, 2), 0.0, 0.9, -1.0, -0.05)
-    fi = build_first_integral(wp)
     h = 0.03
     coeffs = [float(wp.C3), 4.0 * float(wp.C2) / 3.0, 1.0, 4.0 * float(wp.K), -4.0 * h]
     want = sorted(float(r.real) for r in np.roots(coeffs) if abs(r.imag) < 1e-9)
     assert len(want) == 4
-    branches = [b for b in trace_level_curve(fi, h, (-2.0, 2.5))
-                if b.phi[-1] - b.phi[0] > 1e-6]
-    got = sorted(x for b in branches if b.closed for x in (b.phi[0], b.phi[-1]))
-    assert len(got) == 4
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, abs=1e-10)
+    for name, read in LEVEL_READERS.items():
+        branches = [b for b in read(wp, h, (-2.0, 2.5))
+                    if b.phi[-1] - b.phi[0] > 1e-6]
+        got = sorted(x for b in branches if b.closed for x in (b.phi[0], b.phi[-1]))
+        assert len(got) == 4, name
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, abs=1e-10), name
 
 
 def test_empty_level_returns_no_branches(regime):
     wp, cen, fi = regime
-    assert trace_level_curve(fi, 1e6, (-0.5, 1.0)) == []
+    for name, read in LEVEL_READERS.items():
+        assert read(wp, 1e6, (-0.5, 1.0)) == [], name
 
 
 # --- a saddle's own level ------------------------------------------------------
