@@ -21,11 +21,13 @@ Other theta values have no theorem coverage and classification raises.
 Observation runs in the tau plane, where the singular line is invariant,
 except at the T3 point: there the line passes through an equilibrium and
 severs orbits that are perfectly smooth in the xi-profile plane, so the
-observer switches to the regular reduced system phi'' = 2 g(phi).  A
-`Plane` describes either one, with the first integral whose levels it
-reads (at the T3 point H has no log or pole and is the profile energy);
-one loop serves both, with no integration, and `observation_plane` picks
-the plane.  Saddle connections are walked on the saddles' own levels by
+observer switches to the regular reduced system phi'' = 2 g(phi).
+`observation_plane` builds either one as a `Plane` with one builder, from
+the first integral whose levels it reads (at the T3 point H has no log or
+pole and is the profile energy), its equilibria and the line (none in the
+profile plane); one loop serves both, with no integration, and every y^2
+a walk reads comes from `orbits.saddle_level_fn`.  Saddle connections are
+walked on the saddles' own levels by
 `saddle_connections`: an arch or a loop exists on a side when the run of
 y^2 > 0 leaving its saddle there ends at a simple turning point.  Periodic
 families are counted with no level tracing: on each side of the line
@@ -47,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .closedform import is_reduced_point, reduced
-from .equilibria import Equilibrium, EquilibriumCensus, SADDLE, census
+from .equilibria import CENTER, Equilibrium, EquilibriumCensus, SADDLE, census
 from .field import FirstIntegral, build_first_integral, eval_f, eval_g, eval_g_prime
 from .orbits import (ANTI_PEAKON, DOUBLE_ROOT, ESCAPE, PEAKON, SINGULAR_LINE, SOLITARY,
                      TURNING_POINT, branch_period, level_branch, saddle_level_fn, walk_level)
@@ -65,7 +67,6 @@ __all__ = [
     "classify_region",
     "predict_wave_menu",
     "observe_wave_menu",
-    "tau_plane",
     "observation_plane",
     "saddle_connections",
     "level_branches",
@@ -125,7 +126,7 @@ def _line_symbol(wp: WaveParams) -> str:
     return f"{inv.numerator}C1" if inv.denominator == 1 else "C1/theta"
 
 
-def _position_descriptor(wp: WaveParams, roots_desc, tol=1e-9) -> str:
+def _position_descriptor(wp: WaveParams, roots_desc) -> str:
     """Ordering descriptor of the singular line among {0} U g-roots."""
     sym = _line_symbol(wp)
     s = float(wp.singular_line)
@@ -133,7 +134,7 @@ def _position_descriptor(wp: WaveParams, roots_desc, tol=1e-9) -> str:
     marks.append(("0", 0.0))
     marks.sort(key=lambda kv: -kv[1])
     for name, v in marks:
-        if abs(s - v) <= tol * (1.0 + abs(v)):
+        if abs(s - v) <= 1e-9 * (1.0 + abs(v)):
             return f"{sym} = {name}"
     above = [name for name, v in marks if v > s]
     below = [name for name, v in marks if v < s]
@@ -299,10 +300,11 @@ def menu_agrees(pred: WaveMenu, obs: ObservedMenu) -> bool:
 
 @dataclass(frozen=True)
 class Plane:
-    """A phase plane wave families are counted in.  The tau plane and the
-    reduced point's profile plane read the levels of their own first
-    integral `fi` (`saddle_level_fn(fi, phi)` through a stop at phi) and
-    share the connection walk, the family sweep and the level reader.
+    """A phase plane wave families are counted in, built by `_plane`.  The
+    tau plane and the reduced point's profile plane read the levels of
+    their own first integral `fi` (`saddle_level_fn(fi, phi, h=h)` through
+    a stop at phi) and share the connection walk, the family sweep and the
+    level reader.
 
     On each side of the line, H = A y^2 + B with A of one sign there, and B
     is monotone between consecutive stops: the axis equilibria and the two
@@ -324,63 +326,57 @@ def _limit(terms, w_sign, rest):
     return math.copysign(math.inf, c * w_sign ** k) if c else rest
 
 
-def tau_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
-    """The tau plane, where H is the first integral and the singular line
-    is invariant."""
-    cen = cen if cen is not None else census(wp)
-    fi = fi if fi is not None else build_first_integral(wp)
-    s, a, log_c = float(fi.line), float(fi.y2_coeff), float(fi.log_coeff)
-    # B's limits: at the line its poles, then its log, dominate; far out its
-    # powers (f's phi^2 term keeps one nonzero)
-    poles = [(-j, float(c)) for j, c in fi.pole_coeffs]
+def _plane(fi: FirstIntegral, equilibria, line) -> Plane:
+    """The plane over `fi` with the given equilibria: the line pair's
+    saddles, the saddles off the line and a stop at every axis equilibrium
+    off it.  Its sides are split at `line`, or form one side when `line` is
+    None; each end's level is B's limit there."""
+    a = float(fi.y2_coeff)
+    # B's limits: far out its powers dominate (f's phi^2 term keeps one
+    # nonzero); at the line its poles, then its log
     powers = [(k, float(c)) for k, c in enumerate(fi.poly_shifted) if k]
-    at_line = math.copysign(math.inf, -log_c) if log_c else float(fi.poly_shifted[0])
+    far = ((-math.inf, _limit(powers, -1.0, None)), (math.inf, _limit(powers, 1.0, None)))
+    if line is None:
+        sides = ((None, math.copysign(1.0, a), far),)
+    else:
+        poles = [(-j, float(c)) for j, c in fi.pole_coeffs]
+        log_c = float(fi.log_coeff)
+        at_line = math.copysign(math.inf, -log_c) if log_c else float(fi.poly_shifted[0])
+        sides = (("left", math.copysign(1.0, a * (-1.0) ** fi.y2_power),
+                  (far[0], (line, _limit(poles, -1.0, at_line)))),
+                 ("right", math.copysign(1.0, a), ((line, _limit(poles, 1.0, at_line)), far[1])))
+    off = [e for e in equilibria if not e.on_singular_line]
     return Plane(
         fi=fi,
-        pair=tuple(sorted((e for e in cen.line_pair if e.kind == SADDLE),
+        pair=tuple(sorted((e for e in equilibria if e.on_singular_line and e.kind == SADDLE),
                           key=lambda e: -e.y)),
-        saddles=tuple(e for e in cen.equilibria
-                      if e.kind == SADDLE and not e.on_singular_line),
-        stops=tuple((e.phi, float(fi.eval(e.phi, 0.0))) for e in cen.axis
-                    if not e.on_singular_line),
-        line=s,
-        sides=(("left", math.copysign(1.0, a * (-1.0) ** fi.y2_power),
-                ((-math.inf, _limit(powers, -1.0, None)), (s, _limit(poles, -1.0, at_line)))),
-               ("right", math.copysign(1.0, a),
-                ((s, _limit(poles, 1.0, at_line)), (math.inf, _limit(powers, 1.0, None))))))
+        saddles=tuple(e for e in off if e.kind == SADDLE),
+        stops=tuple((e.phi, float(fi.eval(e.phi, 0.0))) for e in off),
+        line=line,
+        sides=sides)
 
 
-def _profile_plane(wp: WaveParams, cen: EquilibriumCensus) -> Plane:
-    """The regular profile plane phi' = y, y' = 2 g(phi) of the reduced
-    point theta = 1/2, C1 = 0, over H of `reduced(wp)`: with m = -1 it has
-    no log or pole, and 4H = Q(phi) - y^2 (`closedform.q_coeffs`), so
-    A = -1/4 and B = Q/4 on the one side there is.  Its stops are g's roots.
-
-    The tau plane is useless there: the invariant line phi = 0 passes
-    through an equilibrium and severs every orbit crossing it.  Every
-    connection in this plane is a homoclinic loop, and no line carries
-    saddles, so every closed orbit is smooth.
-    """
-    fi = build_first_integral(reduced(wp))
-    roots = [(r, eval_g_prime(wp, r)) for r, _ in cen.g_roots]
-    powers = [(k, float(c)) for k, c in enumerate(fi.poly_shifted) if k]
-    return Plane(
-        fi=fi, pair=(),
-        saddles=tuple(Equilibrium(phi=r, y=0.0, kind=SADDLE, J=-2.0 * gp, trace=0.0)
-                      for r, gp in roots if gp > 0.0),
-        stops=tuple((r, float(fi.eval(r, 0.0))) for r, _ in roots),
-        line=None,
-        sides=((None, -1.0, ((-math.inf, _limit(powers, -1.0, None)),
-                             (math.inf, _limit(powers, 1.0, None)))),))
-
-
-def observation_plane(wp: WaveParams, cen: EquilibriumCensus = None, fi=None) -> Plane:
+def observation_plane(wp: WaveParams, cen: EquilibriumCensus = None) -> Plane:
     """The plane the observer counts in, the portrait draws and `wave`
-    searches: the profile plane at the reduced point, the tau plane
-    elsewhere.  The profile plane ignores `fi`, which at 0 < |C1| <= 1e-9
-    carries a tiny log term."""
+    searches: the tau plane, over H and the census's equilibria, split at
+    the singular line, which no orbit crosses.
+
+    At the reduced point theta = 1/2, C1 = 0 that line passes through an
+    equilibrium and severs every orbit crossing it, so the plane is the
+    regular profile plane phi' = y, y' = 2 g(phi) instead, with no line.
+    It reads H of `reduced(wp)`: with m = -1 it has no log or pole, and
+    4H = Q(phi) - y^2 (`closedform.q_coeffs`), so A = -1/4 and B = Q/4 on
+    its one side.  Its equilibria are g's roots, a saddle where g' > 0;
+    every connection is a homoclinic loop, and every closed orbit is smooth.
+    """
     cen = cen if cen is not None else census(wp)
-    return _profile_plane(wp, cen) if is_reduced_point(wp) else tau_plane(wp, cen, fi)
+    if is_reduced_point(wp):
+        roots = [(r, eval_g_prime(wp, r)) for r, _ in cen.g_roots]
+        return _plane(build_first_integral(reduced(wp)),
+                      [Equilibrium(phi=r, y=0.0, kind=SADDLE if gp > 0.0 else CENTER,
+                                   J=-2.0 * gp, trace=0.0) for r, gp in roots], None)
+    fi = build_first_integral(wp)
+    return _plane(fi, cen.equilibria, float(fi.line))
 
 
 def _families(plane: Plane):
@@ -502,17 +498,15 @@ def level_branches(plane: Plane, h: float, window):
     """The runs of y^2 > 0 on the level H = h of `plane` in the phi-`window`,
     closed unless an end is the line, infinity or the window.  On each side
     the walk leaves the stop of the nearest level (none: the point 1 + |line|
-    out) both ways, on y^2 = `saddle_level_fn` there plus (h - B)/A."""
+    out) both ways, on y^2 = `saddle_level_fn` there at the level h."""
     stops = _stops_at(plane, h)
-    fi, line, branches = plane.fi, plane.line, []
+    line, branches = plane.line, []
     for side, sign, ends in plane.sides:
         inside = [s for s in plane.stops if ends[0][0] < s[0] < ends[1][0]]
         q = (min(inside, key=lambda s: abs(s[1] - h))[0] if inside
              else line + (1.0 if side == "right" else -1.0) * (1.0 + abs(line)))
         on_level = dict(stops).get(q, False)
-        y2_q, dh = saddle_level_fn(fi, q), h - float(fi.eval(q, 0.0))
-        y2 = (lambda phi, y2_q=y2_q, dh=dh:
-              y2_q(phi) + dh / (float(fi.y2_coeff) * (phi - float(fi.line)) ** fi.y2_power))
+        y2 = saddle_level_fn(plane.fi, q, h=h)
         left, right = (list(walk_level(y2, q, d, stops=stops, line=line, on_level=on_level,
                                        far=sign * math.copysign(1.0, h - level)))
                        for d, (_phi, level) in zip((-1.0, 1.0), ends))
@@ -537,7 +531,7 @@ def family_levels(plane: Plane, fractions):
             for fam in _families(plane) for f in fractions]
 
 
-def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
+def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None):
     """Count wave families numerically, with no integration.
 
     The count runs in the tau plane, except at the reduced point theta =
@@ -553,7 +547,7 @@ def observe_wave_menu(wp: WaveParams, cen: EquilibriumCensus = None, fi=None):
     bounded by the arches (its orbits hug the line with a slope jump) also
     counts as a periodic-peakon family.  Returns (ObservedMenu, diagnostics).
     """
-    plane = observation_plane(wp, cen, fi)
+    plane = observation_plane(wp, cen)
     diag = [] if plane.line is not None else [
         {"kind": "plane", "note": "profile plane (reduced system)"}]
 
@@ -615,14 +609,14 @@ class SweepReport:
         return [s for s in self.samples if s.agreement is False]
 
 
-def _near_window_edge(wp: WaveParams, label: RegionLabel, rel=1e-3) -> bool:
-    """T1 samples whose singular line sits within rel of a window edge
+def _near_window_edge(wp: WaveParams, label: RegionLabel) -> bool:
+    """T1 samples whose singular line sits within 1e-3 of a window edge
     have marginal geometry (vanishing arches); flagged, not scored."""
     if label.theorem != "T1":
         return False
     s = float(wp.singular_line)
     edges = [0.0] + list(label.phi_roots)
-    return any(abs(s - e) <= rel * (1.0 + abs(e)) for e in edges)
+    return any(abs(s - e) <= 1e-3 * (1.0 + abs(e)) for e in edges)
 
 
 def _sweep_one(base, c1):

@@ -14,14 +14,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .atlas import (family_levels, level_branches, observation_plane, saddle_connections,
-                    sweep_singular_line)
+from .atlas import (ObservedMenu, WaveMenu, family_levels, level_branches, observation_plane,
+                    saddle_connections, sweep_singular_line)
 from .closedform import closed_form_menu, is_reduced_point, ode_residual, reduced
 from .equilibria import census
 from .field import SingularLineError, build_first_integral
@@ -317,7 +317,7 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
             if br.closed:
                 xs = np.concatenate([br.phi, br.phi[::-1]])
                 ys = np.concatenate([br.y, -br.y[::-1]])
-                curves.append((oid, bid, "level", h, *resample(xs, ys, 400)))
+                curves.append((oid, bid, "level", h, *resample(xs, ys)))
                 bid += 1
             else:
                 # not resampled: a run climbing to the line takes all the arc length
@@ -330,7 +330,7 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     for conn in saddle_connections(plane):
         if conn.hit:
             curves.append((oid, 0, "separatrix", conn.h,
-                           *resample(*_separatrix_curve(conn), 400)))
+                           *resample(*_separatrix_curve(conn))))
             oid += 1
 
     # vertical extent: bounded structures only (escaping level branches are
@@ -486,11 +486,9 @@ def cmd_wave(cfg: RunConfig) -> int:
 # sweep
 
 
-def _menu_cells(menu) -> list:
-    if menu is None:
-        return [None] * 5
-    return [menu.peakon, menu.periodic_peakon, menu.solitary,
-            menu.periodic_smooth, menu.smooth_any]
+# the sweep's predicted and observed columns, in the menus' field order
+_PREDICTED = tuple(f.name for f in fields(WaveMenu) if f.name != "note")
+_OBSERVED = tuple(f.name for f in fields(ObservedMenu))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -521,43 +519,28 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if cfg.fmt == "jsonl":
             recs = []
             for s in rep.samples:
-                o = s.observed
                 recs.append(_jsonl_line({
                     "kind": "sweep-sample", "c1": s.c1,
                     "theorem": s.label.theorem, "domain": s.label.domain,
                     "line_position": s.label.singular_line_position,
                     "boundary": s.boundary,
                     "predicted": None if s.predicted is None else {
-                        "peakon": s.predicted.peakon,
-                        "periodic_peakon": s.predicted.periodic_peakon,
-                        "solitary": s.predicted.solitary,
-                        "periodic_smooth": s.predicted.periodic_smooth,
-                        "smooth_any": s.predicted.smooth_any,
-                    },
-                    "observed": None if o is None else {
-                        "peakon": o.peakon,
-                        "periodic_peakon": o.periodic_peakon,
-                        "solitary": o.solitary,
-                        "periodic_smooth": o.periodic_smooth,
-                    },
+                        n: getattr(s.predicted, n) for n in _PREDICTED},
+                    "observed": {n: getattr(s.observed, n) for n in _OBSERVED},
                     "agreement": s.agreement,
                 }))
             _write_text(base.with_suffix(".jsonl"), "".join(recs))
             print(f"wrote {base.with_suffix('.jsonl')}")
         else:
-            rows = ["c1,theorem,domain,line_position,boundary,"
-                    "pred_peakon,pred_periodic_peakon,pred_solitary,"
-                    "pred_periodic_smooth,pred_smooth_any,"
-                    "obs_peakon,obs_periodic_peakon,obs_solitary,"
-                    "obs_periodic_smooth,agreement"]
+            rows = [",".join(["c1", "theorem", "domain", "line_position", "boundary",
+                              *(f"pred_{n}" for n in _PREDICTED),
+                              *(f"obs_{n}" for n in _OBSERVED), "agreement"])]
             for s in rep.samples:
-                o = s.observed
                 cells = [_fmt(s.c1), s.label.theorem, s.label.domain,
                          s.label.singular_line_position, s.boundary]
-                cells += _menu_cells(s.predicted)
-                cells += ([None] * 4 if o is None else
-                          [o.peakon, o.periodic_peakon, o.solitary,
-                           o.periodic_smooth])
+                cells += [None if s.predicted is None else getattr(s.predicted, n)
+                          for n in _PREDICTED]
+                cells += [getattr(s.observed, n) for n in _OBSERVED]
                 cells.append(s.agreement)
                 rows.append(",".join(_cell(c) for c in cells))
             _write_text(base.with_suffix(".csv"), "\n".join(rows) + "\n")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .elliptic import complete_K, jacobi
 from .params import WaveParams
-from .polyroots import merge_close_roots, quartic_roots
+from .polyroots import REL_TOL, merge_close_roots, quartic_roots
 
 __all__ = [
     "OrbitPolynomial",
@@ -108,16 +108,16 @@ class OrbitPolynomial:
         return np.polyval(self.coeffs, phi)
 
 
-def orbit_polynomial(wp: WaveParams, h: float, rel_tol: float = 1e-7) -> OrbitPolynomial:
+def orbit_polynomial(wp: WaveParams, h: float) -> OrbitPolynomial:
     coeffs = q_coeffs(wp)[:4] + (-4.0 * h,)
-    reals, pairs = quartic_roots(*coeffs, rel_tol=rel_tol)
-    merged = merge_close_roots(reals, rel_tol=rel_tol)
-    _validate_factorization(coeffs, merged, pairs, rel_tol)
+    reals, pairs = quartic_roots(*coeffs)
+    merged = merge_close_roots(reals)
+    _validate_factorization(coeffs, merged, pairs)
     return OrbitPolynomial(coeffs=coeffs, h=h, real_roots=tuple(merged),
                            complex_pairs=tuple(pairs))
 
 
-def _validate_factorization(coeffs, merged, pairs, rel_tol):
+def _validate_factorization(coeffs, merged, pairs):
     """Reassemble lead * prod(phi - r) and compare against the coefficients."""
     poly = [1.0]
     for r, mult in merged:
@@ -128,7 +128,7 @@ def _validate_factorization(coeffs, merged, pairs, rel_tol):
     poly = np.asarray(poly) * coeffs[0]
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     err = float(np.max(np.abs(poly - np.asarray(coeffs)))) / scale
-    if err > 1e-9 + 10 * rel_tol:
+    if err > 1e-9 + 10 * REL_TOL:
         raise ArithmeticError(
             f"quartic factorization failed to reassemble (residual {err:.3e})")
 
@@ -282,7 +282,7 @@ def construct_solitary(wp: WaveParams, pol: OrbitPolynomial, side: str) -> WaveS
     return _bind(sol, fn)
 
 
-def closed_form_menu(wp: WaveParams, h: float, rel_tol: float = 1e-7):
+def closed_form_menu(wp: WaveParams, h: float):
     """All closed-form profiles available on the level H = h.
 
     Returns a list of WaveSolution (possibly empty: levels whose bounded
@@ -290,7 +290,7 @@ def closed_form_menu(wp: WaveParams, h: float, rel_tol: float = 1e-7):
     catalogued configurations, yield no profile).
     """
     wp = reduced(wp)
-    pol = orbit_polynomial(wp, h, rel_tol=rel_tol)
+    pol = orbit_polynomial(wp, h)
     reals = pol.real_roots
     n_simple = sum(1 for _, mult in reals if mult == 1)
     n_double = sum(1 for _, mult in reals if mult == 2)
@@ -311,8 +311,10 @@ def closed_form_menu(wp: WaveParams, h: float, rel_tol: float = 1e-7):
     return out
 
 
-def ode_residual(sol: WaveSolution, n: int = 41, halfwidth: float = None) -> float:
-    """Max relative defect of phi'' = 2 g(phi) along the profile.
+def ode_residual(sol: WaveSolution, halfwidth: float = None) -> float:
+    """Max relative defect of phi'' = 2 g(phi) at 41 points along the
+    profile: over 0.9 of a period, or over `halfwidth` (default 6 / omega)
+    each side of a solitary wave's peak.
 
     Second derivatives are taken by central differences with one Richardson
     sweep at step 4e-3 / max(1, omega); the residual is scaled by
@@ -321,11 +323,10 @@ def ode_residual(sol: WaveSolution, n: int = 41, halfwidth: float = None) -> flo
     """
     pol = orbit_polynomial(sol.wp, sol.h)
     if sol.period is not None:
-        xi = np.linspace(-0.45 * sol.period, 0.45 * sol.period, n)
-    else:
-        if halfwidth is None:
-            halfwidth = 6.0 / sol.omega
-        xi = np.linspace(-halfwidth, halfwidth, n)
+        halfwidth = 0.45 * sol.period
+    elif halfwidth is None:
+        halfwidth = 6.0 / sol.omega
+    xi = np.linspace(-halfwidth, halfwidth, 41)
 
     h2 = 4e-3 / max(1.0, sol.omega)
     h1 = 1e-5 / max(1.0, sol.omega)

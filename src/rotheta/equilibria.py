@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .field import eval_f, eval_f_prime, eval_g, eval_g_double_prime, eval_g_prime, rhs_regular
 from .params import WaveParams
-from .polyroots import cubic_real_roots, merge_close_roots
+from .polyroots import REL_TOL, cubic_real_roots, merge_close_roots
 
 __all__ = [
     "Equilibrium",
@@ -89,11 +89,11 @@ class EquilibriumCensus:
         return tuple(e for e in self.equilibria if e.kind == CENTER)
 
 
-def find_g_roots(wp: WaveParams, tol: float = 1e-7):
+def find_g_roots(wp: WaveParams):
     """Real roots of g(phi) = C3 phi^3 + C2 phi^2 + phi/2 + K as
-    (root, multiplicity) pairs, ascending, multiples merged at relative tol."""
-    roots = cubic_real_roots(float(wp.C3), float(wp.C2), 0.5, float(wp.K))
-    return merge_close_roots(roots, rel_tol=tol)
+    (root, multiplicity) pairs, ascending, multiples merged
+    (`merge_close_roots`)."""
+    return merge_close_roots(cubic_real_roots(float(wp.C3), float(wp.C2), 0.5, float(wp.K)))
 
 
 def g_critical_points(wp: WaveParams):
@@ -109,13 +109,13 @@ def g_critical_points(wp: WaveParams):
     return phi_min, phi_max
 
 
-def linearization_determinant(wp: WaveParams, point, tol: float = 1e-7) -> float:
+def linearization_determinant(wp: WaveParams, point) -> float:
     """J at a stationary point of the tau-form; raises if `point` is not
-    stationary to within tol (relative to the local field scale)."""
+    stationary to within 1e-7 (relative to the local field scale)."""
     phi, y = point
     pdot, ydot = rhs_regular(wp, (phi, y))
     scale = max(1.0, abs(phi), abs(y)) * max(1.0, abs(float(wp.C3)), abs(float(wp.C2)))
-    if math.hypot(pdot, ydot) > tol * scale:
+    if math.hypot(pdot, ydot) > REL_TOL * scale:
         raise ValueError(f"({phi}, {y}) is not an equilibrium: |rhs| = {math.hypot(pdot, ydot):.3e}")
     theta = float(wp.theta)
     return 2.0 * theta * (theta - 0.5) * y * y - (theta * phi - float(wp.C1)) * eval_f_prime(wp, phi)
@@ -136,20 +136,20 @@ def classify(J: float, trace: float, multiplicity: int = 1, tol: float = 1e-9) -
     return DEGENERATE
 
 
-def _case_label(wp: WaveParams, tol: float, phi_min, phi_max):
+def _case_label(wp: WaveParams, phi_min, phi_max):
     """Parameter-region label '1i'..'1v', '2', '3i'..'3iii' plus boundary flag,
     given g's critical points."""
     C2, C3, K = float(wp.C2), float(wp.C3), float(wp.K)
-    scale = max(1.0, abs(C2), abs(C3), abs(float(wp.C1)))
-    if abs(K) <= tol * scale:
+    tol = REL_TOL * max(1.0, abs(C2), abs(C3), abs(float(wp.C1)))
+    if abs(K) <= tol:
         q = C2 * C2 - 2.0 * C3  # discriminant of the nonzero-root quadratic
-        if q > tol * scale:
+        if q > tol:
             return "3i", False, ""
-        if q < -tol * scale:
+        if q < -tol:
             return "3iii", False, ""
-        return "3ii", abs(q) <= tol * scale, "C2^2 = 2 C3 within tolerance"
+        return "3ii", abs(q) <= tol, "C2^2 = 2 C3 within tolerance"
     delta = 4.0 * C2 * C2 - 6.0 * C3
-    if abs(delta) <= tol * scale:
+    if abs(delta) <= tol:
         return "2", True, "Delta = 4 C2^2 - 6 C3 vanishes within tolerance"
     if delta < 0.0:
         return "2", False, ""
@@ -157,10 +157,9 @@ def _case_label(wp: WaveParams, tol: float, phi_min, phi_max):
         return "2", True, "critical points of g numerically degenerate"
     g_lo = eval_g(wp, phi_min)   # value at the local minimum
     g_hi = eval_g(wp, phi_max)   # value at the local maximum
-    gs = tol * scale
-    if abs(g_hi) <= gs:
+    if abs(g_hi) <= tol:
         return "1ii", True, "g vanishes at its local maximum"
-    if abs(g_lo) <= gs:
+    if abs(g_lo) <= tol:
         return "1iv", True, "g vanishes at its local minimum"
     if g_hi < 0.0:
         return "1i", False, ""
@@ -169,7 +168,7 @@ def _case_label(wp: WaveParams, tol: float, phi_min, phi_max):
     return "1iii", False, ""
 
 
-def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
+def census(wp: WaveParams) -> EquilibriumCensus:
     """Full equilibrium census of the tau-form system.
 
     Returns every axis equilibrium (merging phi = 0 with a g-root when K ~ 0)
@@ -177,14 +176,15 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
     degeneracy prevents a clean classification (line through an equilibrium,
     S+- collapsing onto the axis or typed Cusp/Degenerate, case-label tie).
     g's roots and critical points are kept for `atlas.classify_region`.
+    Every tolerance is relative, at `polyroots.REL_TOL`, where roots merge.
     """
     theta = float(wp.theta)
     C1 = float(wp.C1)
     s = C1 / theta
-    g_roots = find_g_roots(wp, tol)
+    g_roots = find_g_roots(wp)
 
     # roots of f = phi * g, with multiplicity of phi = 0 boosted when g(0) ~ 0
-    merge_gap = tol * (1.0 + max((abs(r) for r, _ in g_roots), default=0.0))
+    merge_gap = REL_TOL * (1.0 + max((abs(r) for r, _ in g_roots), default=0.0))
     f_roots = []
     zero_mult = 1
     for r, mult in g_roots:
@@ -200,20 +200,20 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
     eqs = []
     for phi_i, mult in f_roots:
         denom = theta * phi_i - C1
-        on_line = abs(denom) <= tol * max(1.0, abs(s))
+        on_line = abs(denom) <= REL_TOL * max(1.0, abs(s))
         J = -denom * eval_f_prime(wp, phi_i)
         if on_line:
             boundary = True
             notes.append(f"singular line passes through equilibrium phi = {phi_i:.6g}")
             kind = DEGENERATE
         else:
-            kind = classify(J, 0.0, mult, tol * max(1.0, abs(denom)))
+            kind = classify(J, 0.0, mult, REL_TOL * max(1.0, abs(denom)))
         eqs.append(Equilibrium(phi=phi_i, y=0.0, kind=kind, J=J, trace=0.0,
                                multiplicity=mult, on_singular_line=on_line))
 
     if theta != 0.5:
         v = eval_f(wp, s) / (0.5 - theta)
-        vscale = tol * max(1.0, abs(s)) ** 2
+        vscale = REL_TOL * max(1.0, abs(s)) ** 2
         if v > vscale:
             ystar = math.sqrt(v)
             J = 2.0 * theta * (theta - 0.5) * v
@@ -230,12 +230,12 @@ def census(wp: WaveParams, tol: float = 1e-7) -> EquilibriumCensus:
             notes.append("singular-line pair collapses onto the axis (f(s) ~ 0)")
     else:
         fs = eval_f(wp, s)
-        if abs(fs) <= tol * max(1.0, abs(s)) ** 2:
+        if abs(fs) <= REL_TOL * max(1.0, abs(s)) ** 2:
             boundary = True
             notes.append("f vanishes on the singular line (whole-line degeneracy)")
 
     g_critical = g_critical_points(wp)
-    label, label_boundary, label_note = _case_label(wp, tol, *g_critical)
+    label, label_boundary, label_note = _case_label(wp, *g_critical)
     if label_note:
         notes.append(label_note)
     return EquilibriumCensus(

@@ -57,7 +57,7 @@ from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from .equilibria import EquilibriumCensus, SADDLE
-from .field import FirstIntegral, _as_float, _taylor_shift, regular_jacobian
+from .field import FirstIntegral, _taylor_shift, regular_jacobian
 from .params import WaveParams
 
 __all__ = [
@@ -634,42 +634,48 @@ SINGULAR_LINE = "singular-line"
 ESCAPE = "escape"
 
 
-def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False):
-    """phi -> y^2 on the level of H through the saddle at phi0, for a float
-    or an array of phi, without the cancellation of h - B next to the saddle.
+def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False, h: float = None):
+    """phi -> y^2 on the level H = h (default: the level through phi0, on the
+    axis or, `on_line`, on the line), without the cancellation of h - B next
+    to phi0.  Plain arithmetic on whatever it is given: a float, or an array
+    of phi.
 
-    The level is h = B(phi0) for an axis saddle (y = 0), and for the
+    Through phi0, h = B(phi0) for an axis equilibrium (y = 0), and for the
     singular-line pair (`on_line`, m >= 0: A vanishes on the line), so
     y^2 = -(B(phi) - B(phi0))/A(phi).  The difference is taken term by term
     about phi0: the polynomial part Taylor-shifted to u = phi - phi0 with
     its constant dropped, the logarithm as log1p(u/w0), each pole's
-    difference w^-j - w0^-j with its factor u taken out.  On the line the quotient is the polynomial
-    -(sum_(i > m) b_i w^(i-m-1))/a, which passes through the line with the
-    pair's own y*^2.
+    difference w^-j - w0^-j with its factor u taken out.  On the line the
+    quotient is the polynomial -(sum_(i > m) b_i w^(i-m-1))/a, which passes
+    through the line with the pair's own y*^2.  Another level h adds
+    (h - B(phi0))/A(phi).  Nothing guards the line itself, where a float
+    divides by zero: `walk_level` stops 1e-12 (1 + |line|) short of it.
     """
     line, a, p = float(fi.line), float(fi.y2_coeff), fi.y2_power
     poly = [float(c) for c in fi.poly_shifted]
     if on_line:
         if fi.singular_on_line:
             raise ValueError("H has no finite level on the singular line")
-        q = poly[p:][::-1]
-        return lambda phi: _as_float(-np.polyval(q, np.asarray(phi, dtype=float) - line) / a)
+        phi0, d = line, poly[p:][::-1]     # no log, no pole: H is a polynomial
+    else:
+        d = _taylor_shift(poly, phi0 - line)[::-1]
+        d[-1] = 0.0
     w0 = phi0 - line
-    d = _taylor_shift(poly, w0)[::-1]
-    d[-1] = 0.0
+    dh = None if h is None else h - float(fi.eval(phi0, 0.0))
     log_c = float(fi.log_coeff)
     poles = [(j, float(c)) for j, c in fi.pole_coeffs]
 
     def y2(phi):
-        phi = np.asarray(phi, dtype=float)
         u, w = phi - phi0, phi - line
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dB = np.polyval(d, u)
-            if log_c:
-                dB = dB + log_c * np.log1p(u / w0)
-            for j, c in poles:   # w^-j - w0^-j = -u sum(w^k w0^(j-1-k)) / (w w0)^j
-                dB = dB - c * u * sum(w**k * w0 ** (j - 1 - k) for k in range(j)) / (w * w0) ** j
-            return _as_float(-dB / (a * w**p))
+        dB = 0.0
+        for c in d:              # Horner, step for step as np.polyval
+            dB = dB * u + c
+        if log_c:
+            dB = dB + log_c * np.log1p(u / w0)
+        for j, c in poles:       # w^-j - w0^-j = -u sum(w^k w0^(j-1-k)) / (w w0)^j
+            dB = dB - c * u * sum(w**k * w0 ** (j - 1 - k) for k in range(j)) / (w * w0) ** j
+        out = -dB / a if on_line else -dB / (a * w**p)
+        return out if dh is None else out + dh / (a * w**p)
 
     return y2
 

@@ -21,6 +21,9 @@ __all__ = [
     "quartic_roots",
 ]
 
+REL_TOL = 1e-7      # roots this close (relative) merge; smaller |Im| parts flatten
+_POLISH_STEPS = 3   # Newton steps at most per root
+
 
 def poly_eval(coeffs_desc, x):
     acc = 0.0
@@ -34,8 +37,8 @@ def _poly_deriv(coeffs_desc):
     return [c * (n - i) for i, c in enumerate(coeffs_desc[:-1])]
 
 
-def polish_real(coeffs_desc, x, iters=3):
-    """A few guarded Newton steps on a real root estimate.
+def polish_real(coeffs_desc, x):
+    """At most `_POLISH_STEPS` guarded Newton steps on a real root estimate.
 
     A step is kept only when it reduces |p|: at a multiple root an already
     converged estimate has p and p' both at the noise floor, and their ratio
@@ -44,7 +47,7 @@ def polish_real(coeffs_desc, x, iters=3):
     dcoeffs = _poly_deriv(coeffs_desc)
     span = 1.0 + abs(x)
     p = poly_eval(coeffs_desc, x)
-    for _ in range(iters):
+    for _ in range(_POLISH_STEPS):
         if p == 0.0:
             break
         dp = poly_eval(dcoeffs, x)
@@ -61,7 +64,7 @@ def polish_real(coeffs_desc, x, iters=3):
     return x
 
 
-def _polish_complex(coeffs_desc, z, iters=3):
+def _polish_complex(coeffs_desc, z):
     def ev(cs, w):
         acc = 0j
         for c in cs:
@@ -70,7 +73,7 @@ def _polish_complex(coeffs_desc, z, iters=3):
 
     dcoeffs = _poly_deriv(coeffs_desc)
     p = ev(coeffs_desc, z)
-    for _ in range(iters):
+    for _ in range(_POLISH_STEPS):
         if p == 0:
             break
         dp = ev(dcoeffs, z)
@@ -87,14 +90,14 @@ def _polish_complex(coeffs_desc, z, iters=3):
     return z
 
 
-def merge_close_roots(roots, rel_tol=1e-7):
+def merge_close_roots(roots):
     """Cluster a sorted-or-not list of real roots into (root, multiplicity)
     pairs, ascending.  Two roots merge when they differ by less than
-    rel_tol * (1 + max |root|)."""
+    REL_TOL * (1 + max |root|)."""
     if not roots:
         return []
     rs = sorted(roots)
-    gap = rel_tol * (1.0 + max(abs(r) for r in rs))
+    gap = REL_TOL * (1.0 + max(abs(r) for r in rs))
     out = []
     cluster = [rs[0]]
     for r in rs[1:]:
@@ -169,7 +172,7 @@ def cubic_real_roots(a, b, c, d):
     return [polish_real(coeffs, t - binv) for t in roots_t]
 
 
-def quartic_roots(a4, a3, a2, a1, a0, rel_tol=1e-7):
+def quartic_roots(a4, a3, a2, a1, a0):
     """Roots of a quartic (or lower degree if a4 == 0).
 
     Returns (real_roots, complex_pairs): real roots as a plain list
@@ -177,7 +180,7 @@ def quartic_roots(a4, a3, a2, a1, a0, rel_tol=1e-7):
     list of upper-half-plane representatives.  Ferrari's factorization into
     two quadratics via the largest real root of the resolvent cubic, then a
     complex Newton polish on the original polynomial; conjugate pairs with
-    |Im| below rel_tol * (1 + |z|) are flattened to real double roots.
+    |Im| below REL_TOL * (1 + |z|) are flattened to real double roots.
     """
     if a4 == 0.0:
         if a3 == 0.0:
@@ -231,7 +234,7 @@ def quartic_roots(a4, a3, a2, a1, a0, rel_tol=1e-7):
     for i, z in enumerate(zs):
         if used[i]:
             continue
-        if abs(z.imag) <= rel_tol * (1.0 + abs(z)):
+        if abs(z.imag) <= REL_TOL * (1.0 + abs(z)):
             real_roots.append(polish_real(coeffs, z.real))
             used[i] = True
         else:

@@ -29,13 +29,14 @@ def _n(v: float) -> str:
 class SvgFigure:
     """World-coordinate drawing surface mapped onto a fixed 720x540 viewBox."""
 
-    def __init__(self, xlim, ylim, *, size=(720, 540), margin=48.0, title=""):
+    size = (720, 540)   # viewBox width and height
+    margin = 48.0       # frame inset on every side
+
+    def __init__(self, xlim, ylim, *, title=""):
         self.xlim = (float(xlim[0]), float(xlim[1]))
         self.ylim = (float(ylim[0]), float(ylim[1]))
         if not (self.xlim[1] > self.xlim[0] and self.ylim[1] > self.ylim[0]):
             raise ValueError("degenerate axis limits")
-        self.size = size
-        self.margin = margin
         self.elements: list[str] = []
         self._frame(title)
 
@@ -83,27 +84,27 @@ class SvgFigure:
                 f'<text x="{_n(x)}" y="{_n(y)}" font-size="10" '
                 f'text-anchor="{anchor}" fill="#555555">{s}</text>')
 
-    def polyline(self, xs, ys, *, color="#2a6fb0", width=1.2, dash=None):
+    def polyline(self, xs, ys, *, color="#2a6fb0", width=1.2):
         pts = " ".join(f"{_n(self._tx(x))},{_n(self._ty(y))}" for x, y in zip(xs, ys))
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{_n(width)}"{dash_attr}/>')
+            f'stroke-width="{_n(width)}"/>')
 
-    def vline(self, x, *, color="#b03030", dash="6,4", width=1.4):
-        """Vertical line clipped to the frame (used for the singular line)."""
+    def vline(self, x):
+        """The singular line: a dashed red vertical line clipped to the frame."""
         if not (self.xlim[0] <= x <= self.xlim[1]):
             return
         xv = self._tx(float(x))
         self.elements.append(
             f'<line x1="{_n(xv)}" y1="{_n(self.margin)}" x2="{_n(xv)}" '
-            f'y2="{_n(self.size[1] - self.margin)}" stroke="{color}" '
-            f'stroke-width="{_n(width)}" stroke-dasharray="{dash}"/>')
+            f'y2="{_n(self.size[1] - self.margin)}" stroke="#b03030" '
+            f'stroke-width="1.400" stroke-dasharray="6,4"/>')
 
-    def marker(self, x, y, kind, *, size=5.0, color="#111111"):
-        """Equilibrium glyph: Saddle = diagonal cross, Center = open circle,
-        Node = filled dot, Cusp/Degenerate = open diamond."""
-        cx, cy, r = self._tx(float(x)), self._ty(float(y)), float(size)
+    def marker(self, x, y, kind):
+        """Equilibrium glyph of radius 5: Saddle = diagonal cross, Center =
+        open circle, Node = filled dot, Cusp/Degenerate = open diamond."""
+        cx, cy, r = self._tx(float(x)), self._ty(float(y)), 5.0
+        color = "#111111"
         shape = _GLYPHS.get(kind, "diamond")
         if shape == "cross":
             self.elements.append(
@@ -124,11 +125,6 @@ class SvgFigure:
                 f'L {_n(cx)} {_n(cy + r)} L {_n(cx - r)} {_n(cy)} Z" '
                 f'stroke="{color}" stroke-width="1.6" fill="none"/>')
 
-    def text(self, x, y, s, *, size=11, color="#333333", anchor="start"):
-        self.elements.append(
-            f'<text x="{_n(self._tx(float(x)))}" y="{_n(self._ty(float(y)))}" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{_escape(s)}</text>')
-
     # --- output -----------------------------------------------------------
     def render(self) -> str:
         W, H = self.size
@@ -137,22 +133,19 @@ class SvgFigure:
                 f'font-family="Helvetica, Arial, sans-serif">')
         return "\n".join([head, *self.elements, "</svg>"]) + "\n"
 
-    def write(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.render())
-
 
 def _escape(s: str) -> str:
     return (str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def resample(xs, ys, n=400):
-    """Arc-length resampling of a polyline to n points (keeps files small
-    and byte-stable regardless of solver step placement)."""
+def resample(xs, ys):
+    """Arc-length resampling of a polyline to 400 points (keeps files small
+    and byte-stable regardless of how the curve was sampled)."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    n = 400
     if len(xs) <= 2 or n >= len(xs):
         return xs, ys
     d = np.hypot(np.diff(xs), np.diff(ys))

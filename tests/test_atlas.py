@@ -1,5 +1,6 @@
 """Region classification, menu prediction, and numeric observation."""
 
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, _sweep_one, classify_region,
                            family_levels, level_branches, menu_agrees, observation_plane,
                            observe_wave_menu, predict_wave_menu, saddle_connections,
-                           sweep_singular_line, tau_plane)
+                           sweep_singular_line)
 from rotheta.closedform import (closed_form_menu, is_reduced_point, orbit_polynomial,
                                 profile_rhs, q_coeffs)
 from rotheta.equilibria import CENTER, SADDLE, census
-from rotheta.field import build_first_integral, rhs_singular
+from rotheta.field import build_first_integral, eval_f, rhs_singular
 from rotheta.orbits import (branch_period, classify_orbit, integrate, measure_axis_period,
                             saddle_level_fn, shoot_connection, trace_branches, y_squared_fn)
 from rotheta.params import WaveParams
@@ -208,6 +209,36 @@ def test_reduced_point_observation_is_exact():
     assert (obs1.solitary, obs1.periodic_smooth) == (0, 1)
 
 
+@given(theta=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), None]),
+       c1=st.floats(-1.0, 1.0), c2=st.floats(-3.0, 3.0),
+       c3=st.floats(-3.0, -0.1) | st.floats(0.1, 3.0), k=st.floats(-3.0, 3.0))
+@settings(max_examples=150, deadline=None)
+def test_plane_stops_and_ends_read_b(theta, c1, c2, c3, k):
+    # theta None is the reduced point theta = 1/2, C1 = 0.  A stop's level is
+    # B there; an end's level is B's limit: a finite one is B next to the
+    # end, an infinite one has the sign B takes far out (1e6 from the line)
+    # or next to the line (1e-12 (1 + |line|) from it)
+    wp = (WaveParams(Fraction(1, 2), 0.0, c2, c3, k) if theta is None
+          else WaveParams(theta, c1, c2, c3, k))
+    plane = observation_plane(wp)
+    fi = plane.fi
+    s = float(fi.line)
+    # next to the line B's leading term is f(s) ln|w| (m = -1) or -f(s)/w
+    # (m = -2): it dominates there only if f(s) is not tiny
+    assume(plane.line is None or not fi.singular_on_line or abs(eval_f(wp, s)) >= 1e-6)
+    for phi, level in plane.stops:
+        assert level == fi.eval(phi, 0.0)
+    for side, _sign, ends in plane.sides:
+        for (phi, level), inward in zip(ends, (1.0, -1.0)):
+            near = (s - inward * 1e6 if math.isinf(phi)
+                    else phi + inward * 1e-12 * (1.0 + abs(phi)))
+            b = fi.eval(near, 0.0)
+            if math.isinf(level):
+                assert math.copysign(1.0, b) == math.copysign(1.0, level), (side, phi, b)
+            else:
+                assert b == pytest.approx(level, rel=1e-9, abs=1e-9), (side, phi, b)
+
+
 @given(C2=st.floats(-3.0, 3.0), C3=st.floats(-3.0, -0.1) | st.floats(0.1, 3.0),
        K=st.floats(-3.0, 3.0))
 # g's root within 1e-172 of 0: the quartic's resolvent root underflows there
@@ -315,7 +346,7 @@ def test_families_start_at_centers_and_end_at_walked_arches(theta, c1, c2, c3, k
     assume(not cen.is_boundary
            and all(e.kind in (CENTER, SADDLE) for e in cen.equilibria)
            and all(b - a > 1e-5 * (1.0 + abs(a)) for a, b in zip(phis, phis[1:])))
-    _obs, diag = observe_wave_menu(wp, cen, build_first_integral(wp))
+    _obs, diag = observe_wave_menu(wp, cen)
     families = [d for d in diag if d["kind"] == "family"]
     starts = [d["phi"] for d in families]
     for e in cen.centers():
@@ -424,15 +455,16 @@ def _observed_branches(wp, frac):
     line where B has a logarithm.  The branch is traced on the family's side
     up to 1e-12 (1 + |line|) off the line, so that a turning point next to
     the line is bracketed."""
-    cen, fi = census(wp), build_first_integral(wp)
-    plane = tau_plane(wp, cen, fi)
+    cen = census(wp)
+    plane = observation_plane(wp, cen)
+    fi = plane.fi
     signs = {side: sign for side, sign, _ends in plane.sides}
     phis = [e.phi for e in cen.equilibria] + [plane.line]
     pad = 1.0 + 0.5 * (max(phis) - min(phis))
     gap = 1e-12 * (1.0 + abs(plane.line))
     windows = {"left": (min(phis) - pad, plane.line - gap),
                "right": (plane.line + gap, max(phis) + pad)}
-    _obs, diag = observe_wave_menu(wp, cen, fi)
+    _obs, diag = observe_wave_menu(wp, cen)
     for fam in (d for d in diag if d["kind"] == "family"):
         top, bottom, side = fam["top"], fam["bottom"], fam["side"]
         span = signs[side] * 0.02 * (1.0 + abs(top)) if bottom is None else bottom - top
@@ -571,8 +603,8 @@ def test_level_connections_match_shooting():
     for wp in points:
         if is_reduced_point(wp):
             continue   # profile plane: its loops are pinned in PINNED_PROFILE_PLANE
-        cen, fi = census(wp), build_first_integral(wp)
-        plane = tau_plane(wp, cen, fi)
+        cen = census(wp)
+        plane = observation_plane(wp, cen)
         for conn in saddle_connections(plane):
             arch = conn.kind == "arch"
             hit, traj = shoot_connection(wp, conn.saddle,
@@ -585,7 +617,7 @@ def test_level_connections_match_shooting():
             hits += hit
     assert n >= 120 and 0 < hits < n
     # with C3 > 0 the right arch and the left loop run off to infinity
-    ends = {(c.kind, c.side): c.end for c in saddle_connections(tau_plane(unbounded))}
+    ends = {(c.kind, c.side): c.end for c in saddle_connections(observation_plane(unbounded))}
     assert ends[("arch", "right")] == ends[("loop", "left")] == "escape"
 
 

@@ -18,7 +18,7 @@ from rotheta.field import (SingularLineError, _conservation_spot_check,
                            build_first_integral, conservation_defect, eval_f,
                            eval_g, eval_f_prime, published_first_integral,
                            rhs_regular, rhs_singular)
-from rotheta.orbits import y_squared_fn
+from rotheta.orbits import saddle_level_fn, y_squared_fn
 from rotheta.params import WaveParams
 
 T14 = Fraction(1, 4)
@@ -271,3 +271,8 @@ def test_array_calls_match_scalar_calls(theta, C1, C2, C3, K, points, h):
     y2 = y_squared_fn(fi, h)
     grid = np.append(phi, s)                       # the line itself too
     close(list(y2(grid)), [y2(p) for p in grid])
+
+    # the level function through the first point, on that point's side
+    level = saddle_level_fn(fi, float(phi[0]), h=h)
+    side = phi[(phi - s) * (phi[0] - s) > 0.0]
+    close(list(level(side)), [level(float(p)) for p in side])

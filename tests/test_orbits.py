@@ -19,7 +19,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from rotheta import orbits
 from rotheta.atlas import (level_branches, observation_plane, observe_wave_menu,
-                           saddle_connections, tau_plane)
+                           saddle_connections)
 from rotheta.closedform import params_from_roots
 from rotheta.equilibria import census, linearization_determinant
 from rotheta.field import build_first_integral, eval_f_prime, rhs_regular, rhs_singular
@@ -482,7 +482,7 @@ def test_periodic_peakon_branches_approach_arch_period(regime):
     assert hit
     tg = np.linspace(arch.t[0], arch.t[-1], 4001)
     arch_xi = abs(arch.xi_of_tau(tg)[-1])
-    _obs, diag = observe_wave_menu(wp, cen, fi)
+    _obs, diag = observe_wave_menu(wp, cen)
     (family,) = [d for d in diag if d["kind"] == "family" and d["side"] == "left"]
     assert family["bound"] == "arch"
 
@@ -528,7 +528,7 @@ def test_near_line_loop_needs_a_long_shooting_span(c1, phi0, side):
     # before it arrives; a span of 5000 finds the loop the level walk finds
     wp = WaveParams(C1=c1, **T3_BASE)
     cen = census(wp)
-    (conn,) = [c for c in saddle_connections(tau_plane(wp, cen))
+    (conn,) = [c for c in saddle_connections(observation_plane(wp, cen))
                if c.kind == "loop" and c.side == side
                and c.saddle.phi == pytest.approx(phi0, abs=1e-4)]
     assert (conn.hit, conn.tag) == (True, "Solitary")
