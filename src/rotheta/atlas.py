@@ -498,12 +498,14 @@ def level_branches(plane: Plane, h: float, window):
     """The runs of y^2 > 0 on the level H = h of `plane` in the phi-`window`,
     closed unless an end is the line, infinity or the window.  On each side
     the walk leaves the stop of the nearest level (none: the point 1 + |line|
-    out) both ways, on y^2 = `saddle_level_fn` there at the level h."""
+    out, or phi = 0 in the profile plane) both ways, on y^2 =
+    `saddle_level_fn` there at the level h."""
     stops = _stops_at(plane, h)
     line, branches = plane.line, []
     for side, sign, ends in plane.sides:
         inside = [s for s in plane.stops if ends[0][0] < s[0] < ends[1][0]]
         q = (min(inside, key=lambda s: abs(s[1] - h))[0] if inside
+             else 0.0 if line is None
              else line + (1.0 if side == "right" else -1.0) * (1.0 + abs(line)))
         on_level = dict(stops).get(q, False)
         y2 = saddle_level_fn(plane.fi, q, h=h)

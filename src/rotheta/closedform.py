@@ -7,7 +7,9 @@ the profile equation collapses to phi'' = 2 g(phi) with the orbit polynomial
 
     (phi')^2 = P(phi) = C3 phi^4 + (4 C2 / 3) phi^3 + phi^2 + 4 K phi - 4 h
 
-on the level H = h.  The root configuration of P dictates the wave family:
+on the level H = h.  Q = P + 4h and the profile equation are both taken
+from g's coefficient row (`field.g_coeffs`), Q by integrating 4 g term by
+term.  The root configuration of P dictates the wave family:
 
 * two simple real roots + a complex pair  -> one periodic orbit, cn-shaped;
 * four simple real roots                  -> two periodic orbits, sn-shaped
@@ -31,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .elliptic import complete_K, jacobi
+from .field import g_coeffs
 from .params import WaveParams
 from .polyroots import REL_TOL, merge_close_roots, quartic_roots
 
@@ -64,9 +67,10 @@ def reduced(wp: WaveParams) -> WaveParams:
 
 
 def q_coeffs(wp: WaveParams) -> tuple:
-    """Descending coefficients of Q = P + 4 h, the antiderivative of 4 g."""
-    wp = reduced(wp)
-    return (float(wp.C3), 4.0 * float(wp.C2) / 3.0, 1.0, 4.0 * float(wp.K), 0.0)
+    """Descending coefficients of Q = P + 4 h, the antiderivative of 4 g,
+    integrated term by term from g's row (`field.g_coeffs`)."""
+    q = [4.0 * c / (k + 1) for k, c in enumerate(g_coeffs(reduced(wp)))]
+    return (*reversed(q), 0.0)
 
 
 def params_from_roots(roots):
@@ -81,12 +85,11 @@ def params_from_roots(roots):
 
 def profile_rhs(wp: WaveParams):
     """Planar RHS (phi, y) -> (y, 2 g(phi)) of the reduced profile equation."""
-    wp = reduced(wp)
-    C2, C3, K = float(wp.C2), float(wp.C3), float(wp.K)
+    K, half, C2, C3 = g_coeffs(reduced(wp))
 
     def rhs(_t, x):
         phi, y = x
-        return (y, 2.0 * (K + phi * (0.5 + phi * (C2 + phi * C3))))
+        return (y, 2.0 * (K + phi * (half + phi * (C2 + phi * C3))))
 
     return rhs
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .field import eval_f, eval_f_prime, eval_g, eval_g_double_prime, eval_g_prime, rhs_regular
+from .field import eval_f, eval_f_prime, eval_g, eval_g_double_prime, g_coeffs, tau_rhs
 from .params import WaveParams
 from .polyroots import REL_TOL, cubic_real_roots, merge_close_roots
 
@@ -92,14 +92,24 @@ class EquilibriumCensus:
 def find_g_roots(wp: WaveParams):
     """Real roots of g(phi) = C3 phi^3 + C2 phi^2 + phi/2 + K as
     (root, multiplicity) pairs, ascending, multiples merged
-    (`merge_close_roots`)."""
-    return merge_close_roots(cubic_real_roots(float(wp.C3), float(wp.C2), 0.5, float(wp.K)))
+    (`merge_close_roots`).  Every observation starts from these roots, so
+    coefficients whose cubic formula overflows are rejected here, with a
+    ValueError that names them."""
+    K, _, C2, C3 = row = g_coeffs(wp)
+    try:
+        roots = cubic_real_roots(*reversed(row))
+    except OverflowError:
+        raise ValueError(f"the cubic formula for g's roots overflows at C2 = {C2:g}, "
+                         f"C3 = {C3:g}, K = {K:g}: |C3| is too small against C2 "
+                         "and 1/2") from None
+    return merge_close_roots(roots)
 
 
 def g_critical_points(wp: WaveParams):
     """Interior critical points of g as (phi_at_min, phi_at_max); either may
     be None when Delta = 4 C2^2 - 6 C3 <= 0.  Identified by the sign of g''."""
-    crit = cubic_real_roots(0.0, 3.0 * float(wp.C3), 2.0 * float(wp.C2), 0.5)
+    _, half, C2, C3 = g_coeffs(wp)
+    crit = cubic_real_roots(0.0, 3.0 * C3, 2.0 * C2, half)
     phi_min = phi_max = None
     for p in crit:
         if eval_g_double_prime(wp, p) > 0.0:
@@ -113,7 +123,7 @@ def linearization_determinant(wp: WaveParams, point) -> float:
     """J at a stationary point of the tau-form; raises if `point` is not
     stationary to within 1e-7 (relative to the local field scale)."""
     phi, y = point
-    pdot, ydot = rhs_regular(wp, (phi, y))
+    pdot, ydot = tau_rhs(wp)(0.0, (phi, y))
     scale = max(1.0, abs(phi), abs(y)) * max(1.0, abs(float(wp.C3)), abs(float(wp.C2)))
     if math.hypot(pdot, ydot) > REL_TOL * scale:
         raise ValueError(f"({phi}, {y}) is not an equilibrium: |rhs| = {math.hypot(pdot, ydot):.3e}")

@@ -14,6 +14,10 @@ Two equivalent systems are used throughout:
 
 with f(phi) = C3 phi^4 + C2 phi^3 + phi^2/2 + K phi = phi g(phi).
 
+Only this module writes the reduced field: the other modules take g's
+coefficient row from `g_coeffs` and the one tau-form right-hand side from
+`tau_rhs`.
+
 A first integral is built from the integrating factor (phi - s)^m with
 s = C1/theta and m = (1 - 3 theta)/theta:
 
@@ -53,8 +57,9 @@ __all__ = [
     "eval_f_prime",
     "eval_g_prime",
     "eval_g_double_prime",
+    "g_coeffs",
     "rhs_singular",
-    "rhs_regular",
+    "tau_rhs",
     "regular_jacobian",
     "build_first_integral",
     "published_first_integral",
@@ -79,10 +84,17 @@ def _half_like(wp: WaveParams):
 
 
 def _f_coeffs(wp: WaveParams):
-    """Ascending coefficients [phi^0 .. phi^4] of f."""
+    """Ascending coefficients [phi^0 .. phi^4] of f, in the parameters' own
+    arithmetic (exact with Fraction parameters)."""
     half = _half_like(wp)
     zero = half - half
     return [zero, wp.K, half, wp.C2, wp.C3]
+
+
+def g_coeffs(wp: WaveParams) -> tuple:
+    """g's coefficients [phi^0 .. phi^3] = (K, 1/2, C2, C3) as floats; the
+    first integral takes f's exact row from `_f_coeffs`."""
+    return (float(wp.K), 0.5, float(wp.C2), float(wp.C3))
 
 
 def eval_f(wp: WaveParams, phi):
@@ -117,11 +129,24 @@ def rhs_singular(wp: WaveParams, point: PhasePoint) -> PhasePoint:
     return (y, ((theta - 0.5) * y * y + eval_f(wp, phi)) / denom)
 
 
-def rhs_regular(wp: WaveParams, point: PhasePoint) -> PhasePoint:
-    """tau-form right-hand side; polynomial, defined everywhere."""
-    phi, y = point
-    theta = float(wp.theta)
-    return (y * (theta * phi - wp.C1), (theta - 0.5) * y * y + eval_f(wp, phi))
+def tau_rhs(wp: WaveParams):
+    """The tau-form right-hand side (t, x) -> (phidot, ydot), on plain floats;
+    polynomial, defined everywhere.
+
+    `x` is any 2-sequence: the stepper passes a tuple of floats, scipy's
+    first-step choice and event location an array, the self-check a pair of
+    arrays.  Every coefficient is cast to float once.  That is bitwise what
+    mixed float/Fraction arithmetic computes anyway (Fraction rounds itself
+    to float first), so exact and float coefficients give the same steps."""
+    theta, C1 = float(wp.theta), float(wp.C1)
+    K, _, C2, C3 = g_coeffs(wp)
+    y2_c = theta - 0.5
+
+    def rhs(_t, x):
+        phi, y = x
+        return (y * (theta * phi - C1),
+                y2_c * y * y + phi * (K + phi * (0.5 + phi * (C2 + phi * C3))))
+    return rhs
 
 
 def regular_jacobian(wp: WaveParams, point: PhasePoint):
@@ -287,8 +312,7 @@ def _conservation_spot_check(fi: FirstIntegral, wp: WaveParams):
     phi = float(fi.line) + _PROBE_W
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hphi, hy = fi.partials(phi, _PROBE_Y)
-        # float arrays also for exact parameters, so that max sees a nan
-        pdot, ydot = (np.asarray(v, dtype=float) for v in rhs_regular(wp, (phi, _PROBE_Y)))
+        pdot, ydot = tau_rhs(wp)(0.0, (phi, _PROBE_Y))
         along, across = hphi * pdot, hy * ydot
         scale = np.maximum(1.0, np.maximum(np.abs(along), np.abs(across)))
         worst = float(np.max(np.abs(along + across) / scale))  # propagates a nan residual

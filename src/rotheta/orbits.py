@@ -13,7 +13,8 @@ checks, axis periods, and the reference paths the level readings are
 tested against (`integrate` + `classify_orbit` for periodic orbits,
 `shoot_connection` + `classify_orbit` for connections).
 Every integration runs through `_solve`, the package's one `solve_ivp`
-call, with dense output and no scipy events.  Its method is
+call, with dense output and no scipy events; the tau-form runs integrate
+`field.tau_rhs`, the package's one tau-form right-hand side.  Its method is
 `_FloatDOP853`, scipy's DOP853 with each step taken on Python floats, which
 spares the planar system numpy's per-call overhead.  The stepper also tests
 the terminal events (leaving the escape disc, the n-th y = 0 crossing when
@@ -57,7 +58,7 @@ from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from .equilibria import EquilibriumCensus, SADDLE
-from .field import FirstIntegral, _taylor_shift, regular_jacobian
+from .field import FirstIntegral, _taylor_shift, regular_jacobian, tau_rhs
 from .params import WaveParams
 
 __all__ = [
@@ -180,25 +181,6 @@ def _xi_along(wp: WaveParams, t_grid, phis):
 
 def _h_scale(h_values, h0):
     return max(abs(h0), float(np.max(np.abs(h_values))), 1e-9)
-
-
-def _tau_rhs(wp: WaveParams):
-    """The tau-form right-hand side for solve_ivp, on plain Python floats.
-
-    `x` is any 2-sequence: the stepper passes a tuple of floats, scipy's
-    first-step choice and event location an array.  Every coefficient is
-    cast to float once.  That is bitwise what mixed float/Fraction
-    arithmetic computes anyway (Fraction rounds itself to float first), so
-    exact and float coefficients give the same steps."""
-    theta, C1 = float(wp.theta), float(wp.C1)
-    K, C2, C3 = float(wp.K), float(wp.C2), float(wp.C3)
-    y2_c = theta - 0.5
-
-    def rhs(_t, x):
-        phi, y = x
-        return (y * (theta * phi - C1),
-                y2_c * y * y + phi * (K + phi * (0.5 + phi * (C2 + phi * C3))))
-    return rhs
 
 
 def _on_axis(_t, x):
@@ -440,7 +422,7 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
     closed orbit needs three to exhibit one full period), saving the cost of
     integrating hundreds of redundant cycles.
     """
-    rhs = _tau_rhs(wp)
+    rhs = tau_rhs(wp)
     attempt_rtol, attempt_atol = rtol, atol
     best = None
     for _ in range(max_retries + 1):
@@ -855,7 +837,7 @@ def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
     else:
         want = 1.0 if side == "right" else -1.0
         rays = [ray if ray[0] * want > 0 else (-ray[0], -ray[1])]
-    rhs = _tau_rhs(wp)
+    rhs = tau_rhs(wp)
     traj = None
     for v in rays:
         start = (from_eq.phi + offset * v[0], from_eq.y + offset * v[1])

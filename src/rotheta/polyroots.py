@@ -14,7 +14,7 @@ import sys
 
 __all__ = [
     "poly_eval",
-    "polish_real",
+    "polish",
     "merge_close_roots",
     "quadratic_roots",
     "cubic_real_roots",
@@ -26,6 +26,7 @@ _POLISH_STEPS = 3   # Newton steps at most per root
 
 
 def poly_eval(coeffs_desc, x):
+    """p(x) by Horner, for a real or a complex x."""
     acc = 0.0
     for c in coeffs_desc:
         acc = acc * x + c
@@ -37,12 +38,14 @@ def _poly_deriv(coeffs_desc):
     return [c * (n - i) for i, c in enumerate(coeffs_desc[:-1])]
 
 
-def polish_real(coeffs_desc, x):
-    """At most `_POLISH_STEPS` guarded Newton steps on a real root estimate.
+def polish(coeffs_desc, x):
+    """At most `_POLISH_STEPS` guarded Newton steps on a real or complex
+    root estimate.
 
     A step is kept only when it reduces |p|: at a multiple root an already
     converged estimate has p and p' both at the noise floor, and their ratio
-    is an O(1) garbage step that must not be taken.
+    is an O(1) garbage step that must not be taken.  A step longer than half
+    of 1 + |x| (Newton diverging) ends the polish too.
     """
     dcoeffs = _poly_deriv(coeffs_desc)
     span = 1.0 + abs(x)
@@ -54,7 +57,7 @@ def polish_real(coeffs_desc, x):
         if dp == 0.0:
             break
         step = p / dp
-        if abs(step) > 0.5 * span:  # keep the estimate; Newton diverging
+        if abs(step) > 0.5 * span:
             break
         trial = x - step
         pt = poly_eval(coeffs_desc, trial)
@@ -62,32 +65,6 @@ def polish_real(coeffs_desc, x):
             break
         x, p = trial, pt
     return x
-
-
-def _polish_complex(coeffs_desc, z):
-    def ev(cs, w):
-        acc = 0j
-        for c in cs:
-            acc = acc * w + c
-        return acc
-
-    dcoeffs = _poly_deriv(coeffs_desc)
-    p = ev(coeffs_desc, z)
-    for _ in range(_POLISH_STEPS):
-        if p == 0:
-            break
-        dp = ev(dcoeffs, z)
-        if dp == 0:
-            break
-        step = p / dp
-        if abs(step) > 0.5 * (1.0 + abs(z)):
-            break
-        trial = z - step
-        pt = ev(coeffs_desc, trial)
-        if abs(pt) >= abs(p):  # same guard as polish_real
-            break
-        z, p = trial, pt
-    return z
 
 
 def merge_close_roots(roots):
@@ -169,7 +146,7 @@ def cubic_real_roots(a, b, c, d):
                 r = -1.5 * q / p  # double root
                 roots_t = [r, r, -2.0 * r]
     coeffs = [a, b, c, d]
-    return [polish_real(coeffs, t - binv) for t in roots_t]
+    return [polish(coeffs, t - binv) for t in roots_t]
 
 
 def quartic_roots(a4, a3, a2, a1, a0):
@@ -227,7 +204,7 @@ def quartic_roots(a4, a3, a2, a1, a0):
             zs.extend([0.5 * (-beta + sq), 0.5 * (-beta - sq)])
 
     coeffs = [a4, a3, a2, a1, a0]
-    zs = [_polish_complex(coeffs, z - shift) for z in zs]
+    zs = [polish(coeffs, z - shift) for z in zs]
 
     real_roots, complex_pairs = [], []
     used = [False] * len(zs)
@@ -235,7 +212,7 @@ def quartic_roots(a4, a3, a2, a1, a0):
         if used[i]:
             continue
         if abs(z.imag) <= REL_TOL * (1.0 + abs(z)):
-            real_roots.append(polish_real(coeffs, z.real))
+            real_roots.append(polish(coeffs, z.real))
             used[i] = True
         else:
             # find its conjugate partner

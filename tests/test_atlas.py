@@ -244,6 +244,8 @@ def test_plane_stops_and_ends_read_b(theta, c1, c2, c3, k):
 # g's root within 1e-172 of 0: the quartic's resolvent root underflows there
 @example(C2=0.0, C3=-1.0, K=2.8556198701669017e-173)
 @example(C2=0.0, C3=1.0, K=3.6079613651182447e-258)
+# the stop's level and Q(r)/4 are one subnormal unit apart here
+@example(C2=0.0, C3=-1.0, K=7.280021008666932e-160)
 @settings(max_examples=60, deadline=None)
 def test_profile_plane_levels_are_the_closed_forms(C2, C3, K):
     # at the reduced point H is the profile energy (Q - y^2)/4: a stop's
@@ -255,11 +257,25 @@ def test_profile_plane_levels_are_the_closed_forms(C2, C3, K):
     roots = [r for r, _h in plane.stops]
     phi = np.linspace(min(roots) - 1.0, max(roots) + 1.0, 41)
     for r, h in plane.stops:
-        # rounding of Q's terms, with phi measured from 0 or from r
-        assert abs(h - np.polyval(q, r) / 4.0) <= 1e-14 * np.polyval(np.abs(q), abs(r))
+        # rounding of Q's terms, with phi measured from 0 or from r, but
+        # never finer than the subnormal spacing
+        assert abs(h - np.polyval(q, r) / 4.0) <= max(
+            1e-14 * np.polyval(np.abs(q), abs(r)), math.ulp(0.0))
         y2 = saddle_level_fn(plane.fi, r)(phi)
         scale = np.polyval(np.abs(q), np.abs(phi) + abs(r))
         assert np.all(np.abs(y2 - orbit_polynomial(wp, h)(phi)) <= 1e-13 * scale)
+
+
+def test_levels_of_a_profile_plane_with_no_stop():
+    # g = phi^2 + phi/2 + 1 has no real root, so the profile plane has no
+    # stop; on H = h, y^2 = Q - 4h has one real root and one open branch
+    wp = WaveParams(Fraction(1, 2), 0.0, 1.0, 0.0, 1.0)
+    plane = observation_plane(wp)
+    assert plane.line is None and not plane.stops
+    for h in (0.5, -3.0):
+        (branch,) = level_branches(plane, h, (-5.0, 5.0))
+        (root,) = [r.real for r in np.roots(q_coeffs(wp)[1:4] + (-4.0 * h,)) if r.imag == 0.0]
+        assert not branch.closed and branch.phi_range == pytest.approx((root, 5.0))
 
 
 # T3 domain -> (K, observed (solitary, periodic_smooth), loop entries

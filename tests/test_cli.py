@@ -330,6 +330,22 @@ def test_console_script_smoke():
     assert "usage error" in res.stderr
 
 
+# each exited 1 with a traceback once: g's cubic formula overflowed, and the
+# walk of a profile plane with no stop started from the missing line
+@pytest.mark.parametrize("args, code, message", [
+    (["--theta", "1/4", "--c1", "0.3", "--c2", "2", "--c3=-1e-100", "--k", "3"], 2,
+     "invalid parameters: the cubic formula for g's roots overflows at "
+     "C2 = 2, C3 = -1e-100, K = 3"),
+    (["--theta", "1/2", "--c1", "0", "--c2", "1", "--c3", "0", "--k", "1", "--h", "0.5"], 0,
+     ""),
+], ids=["overflowing-cubic", "rootless-profile-plane"])
+def test_portrait_ends_with_a_documented_exit(tmp_path, args, code, message):
+    res = _run_entry_point(["portrait"] + args + ["--out", str(tmp_path / "p")])
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr and message in res.stderr
+    assert (tmp_path / "p.csv").exists() == (code == 0)
+
+
 @pytest.mark.skipif(shutil.which("rotheta") is None,
                     reason="no installed rotheta console script on PATH")
 def test_installed_console_script():

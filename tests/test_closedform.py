@@ -15,11 +15,30 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rotheta.closedform import (closed_form_menu, ode_residual,
-                                orbit_polynomial, params_from_roots, profile_rhs)
+from rotheta.closedform import (closed_form_menu, ode_residual, orbit_polynomial,
+                                params_from_roots, profile_rhs, q_coeffs)
 from rotheta.elliptic import complete_K
 from rotheta.orbits import measure_axis_period
 from rotheta.params import WaveParams
+
+
+_coeff = st.floats(-10.0, 10.0)
+_exact = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+
+
+@given(coeffs=st.one_of(st.tuples(_coeff, _coeff, _coeff), st.tuples(_exact, _exact, _exact)),
+       phi=st.floats(-1e3, 1e3), y=st.floats(-1e3, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_orbit_polynomial_and_profile_rhs_are_bitwise_as_written(coeffs, phi, y):
+    # both come from g's coefficient row; they must keep the bits of
+    # Q = C3 phi^4 + (4 C2 / 3) phi^3 + phi^2 + 4 K phi and y' = 2 g(phi)
+    K, C2, C3 = coeffs
+    wp = WaveParams(Fraction(1, 2), 0.0, C2, C3, K)
+    C2, C3, K = float(C2), float(C3), float(K)
+    want_q = (C3, 4.0 * C2 / 3.0, 1.0, 4.0 * K, 0.0)
+    want_rhs = (y, 2.0 * (K + phi * (0.5 + phi * (C2 + phi * C3))))
+    assert np.array(q_coeffs(wp)).tobytes() == np.array(want_q).tobytes()
+    assert np.array(profile_rhs(wp)(0.0, (phi, y))).tobytes() == np.array(want_rhs).tobytes()
 
 
 def test_root_synthesis_round_trips():

@@ -1,7 +1,7 @@
 """Equilibrium censuses: root locations, linearizations, case labels.
 
 Root-count oracle: numpy.roots on f = phi * g with an imaginary-part filter.
-Jacobian oracle: finite differences of rhs_regular.
+Jacobian oracle: finite differences of tau_rhs.
 """
 
 import math
@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rotheta.atlas import observe_wave_menu
 from rotheta.equilibria import (census, classify, find_g_roots,
                                 g_critical_points, linearization_determinant)
-from rotheta.field import eval_f, eval_f_prime, rhs_regular
+from rotheta.field import eval_f, eval_f_prime, tau_rhs
 from rotheta.params import WaveParams
 
 T14 = Fraction(1, 4)
@@ -83,7 +84,7 @@ def fd_jacobian(wp, point, step=1e-6):
         hi = list(point)
         lo[j] -= step
         hi[j] += step
-        J[:, j] = (np.array(rhs_regular(wp, hi)) - np.array(rhs_regular(wp, lo))) / (2 * step)
+        J[:, j] = (np.array(tau_rhs(wp)(0.0, hi)) - np.array(tau_rhs(wp)(0.0, lo))) / (2 * step)
     return J
 
 
@@ -208,3 +209,14 @@ def test_saddles_centers_partition():
     kinds = {e.kind for e in cen.equilibria}
     assert kinds <= {"Saddle", "Center", "Node", "Cusp", "Degenerate"}
     assert set(cen.saddles()) | set(cen.centers()) <= set(cen.equilibria)
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+def test_overflowing_cubic_is_rejected_naming_the_coefficients(theta):
+    # |C2/C3| or 1/|C3| so large that g's cubic formula overflows
+    for C3 in (-1e-100, -1e-300):
+        wp = WaveParams(theta=theta, C1=0.3, C2=2.0, C3=C3, K=3.0)
+        with pytest.raises(ValueError, match=f"C2 = 2, C3 = {C3:g}, K = 3"):
+            census(wp)
+        with pytest.raises(ValueError, match="cubic formula"):
+            observe_wave_menu(wp)

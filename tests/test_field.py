@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from rotheta.field import (SingularLineError, _conservation_spot_check,
                            build_first_integral, conservation_defect, eval_f,
                            eval_g, eval_f_prime, published_first_integral,
-                           rhs_regular, rhs_singular)
+                           rhs_singular, tau_rhs)
 from rotheta.orbits import saddle_level_fn, y_squared_fn
 from rotheta.params import WaveParams
 
@@ -52,7 +52,7 @@ def test_rhs_forms_agree_off_line():
     for phi, y in [(-1.4, 0.8), (0.2, -0.5), (2.0, 1.7)]:
         den = float(wp.theta) * phi - float(wp.C1)
         xs = rhs_singular(wp, (phi, y))
-        xt = rhs_regular(wp, (phi, y))
+        xt = tau_rhs(wp)(0.0, (phi, y))
         assert xs[0] == pytest.approx(xt[0] / den, rel=1e-14)
         assert xs[1] == pytest.approx(xt[1] / den, rel=1e-14)
 
@@ -65,14 +65,14 @@ def test_rhs_singular_raises_on_line():
 
 def test_origin_is_stationary_for_any_c1():
     wp = wp_of(T14, 0.7, 1.0, -1.0, 2.0)
-    assert rhs_regular(wp, (0.0, 0.0)) == (0.0, 0.0)
+    assert tau_rhs(wp)(0.0, (0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_phi_frozen_on_line():
     wp = wp_of(T14, 0.5, 0.3, -1.0, 1.0)
     s = float(wp.singular_line)
     for y in (-2.0, -0.1, 1.3):
-        assert rhs_regular(wp, (s, y))[0] == 0.0
+        assert tau_rhs(wp)(0.0, (s, y))[0] == 0.0
 
 
 def test_line_pair_is_stationary():
@@ -83,7 +83,7 @@ def test_line_pair_is_stationary():
     assert fs > 0.0
     ystar = 2.0 * math.sqrt(fs)
     for y in (ystar, -ystar):
-        pdot, ydot = rhs_regular(wp, (s, y))
+        pdot, ydot = tau_rhs(wp)(0.0, (s, y))
         assert abs(pdot) <= 1e-14 and abs(ydot) <= 1e-12
 
 
@@ -94,7 +94,7 @@ def fd_flow_derivative(fi, wp, phi, y, step=1e-6):
     """Finite-difference dH/dtau, sharing no code with fi.partials."""
     hp = (fi.eval(phi + step, y) - fi.eval(phi - step, y)) / (2 * step)
     hy = (fi.eval(phi, y + step) - fi.eval(phi, y - step)) / (2 * step)
-    pdot, ydot = rhs_regular(wp, (phi, y))
+    pdot, ydot = tau_rhs(wp)(0.0, (phi, y))
     scale = max(1.0, abs(hp * pdot), abs(hy * ydot))
     return abs(hp * pdot + hy * ydot) / scale
 

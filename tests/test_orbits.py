@@ -22,8 +22,8 @@ from rotheta.atlas import (level_branches, observation_plane, observe_wave_menu,
                            saddle_connections)
 from rotheta.closedform import params_from_roots
 from rotheta.equilibria import census, linearization_determinant
-from rotheta.field import build_first_integral, eval_f_prime, rhs_regular, rhs_singular
-from rotheta.orbits import (_tau_rhs, branch_period, classify_orbit, integrate,
+from rotheta.field import build_first_integral, eval_f_prime, rhs_singular, tau_rhs
+from rotheta.orbits import (branch_period, classify_orbit, integrate,
                             measure_axis_period, saddle_level_fn, shoot_connection,
                             trace_level_curve, y_squared_fn)
 from rotheta.params import WaveParams
@@ -154,7 +154,7 @@ def test_period_converges_to_linearization(regime):
     wp, _, _ = regime
     J = linearization_determinant(wp, (0.0, 0.0))
     assert J > 0
-    period, _ = measure_axis_period(lambda _t, x: rhs_regular(wp, x), (1e-3, 0.0))
+    period, _ = measure_axis_period(tau_rhs(wp), (1e-3, 0.0))
     assert period == pytest.approx(2.0 * math.pi / math.sqrt(J), rel=1e-2)
 
 
@@ -195,7 +195,7 @@ def _run_reading_cases(regime):
     assert len(integrate(wp3, (0.5, 0.2), tau_span=1e-3).t) == 2   # one step
     up, dn = sorted(cen.line_pair, key=lambda e: -e.y)
     assert shoot_connection(wp, up, dn, side="left")[0]
-    measure_axis_period(lambda _t, x: rhs_regular(wp, x), (1e-3, 0.0))
+    measure_axis_period(tau_rhs(wp), (1e-3, 0.0))
 
 
 def test_trajectory_reads_as_scipy_solution(regime, solved):
@@ -343,7 +343,7 @@ _exact = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
 def test_tau_rhs_is_bitwise_the_rhs_as_given(theta, C1, coeffs, phi, y):
     K, C2, C3 = coeffs
     wp = WaveParams(theta, C1, C2, C3, K)
-    got = np.array(_tau_rhs(wp)(0.0, (phi, y)))   # as the stepper calls it
+    got = np.array(tau_rhs(wp)(0.0, (phi, y)))   # as the stepper calls it
     want = np.array(_rhs_as_given(wp, phi, y), dtype=float)
     assert got.tobytes() == want.tobytes()
 
