@@ -26,9 +26,10 @@ observer switches to the regular reduced system phi'' = 2 g(phi).
 the first integral whose levels it reads (at the T3 point H has no log or
 pole and is the profile energy), its equilibria and the line (none in the
 profile plane); one loop serves both, with no integration, and every y^2
-a walk reads comes from `orbits.saddle_level_fn`.  Saddle connections are
-walked on the saddles' own levels by
-`saddle_connections`: an arch or a loop exists on a side when the run of
+a walk reads comes from `levels.saddle_level_fn`.  The walk
+(`levels.walk_level`) and the period quadrature need numpy alone, so
+observing loads no scipy module.  Saddle connections are walked on the
+saddles' own levels by `saddle_connections`: an arch or a loop exists on a side when the run of
 y^2 > 0 leaving its saddle there ends at a simple turning point.  Periodic
 families are counted with no level tracing: on each side of the line
 y^2 = (h - B)/A, and B is monotone between the stops (axis equilibria, the
@@ -51,7 +52,7 @@ import numpy as np
 from .closedform import is_reduced_point, reduced
 from .equilibria import CENTER, Equilibrium, EquilibriumCensus, SADDLE, census
 from .field import FirstIntegral, build_first_integral, eval_f, eval_g, eval_g_prime
-from .orbits import (ANTI_PEAKON, DOUBLE_ROOT, ESCAPE, PEAKON, SINGULAR_LINE, SOLITARY,
+from .levels import (ANTI_PEAKON, DOUBLE_ROOT, ESCAPE, PEAKON, SINGULAR_LINE, SOLITARY,
                      TURNING_POINT, branch_period, level_branch, saddle_level_fn, walk_level)
 from .params import WaveParams
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from .atlas import (ObservedMenu, WaveMenu, family_levels, level_branches, observation_plane,
                     saddle_connections, sweep_singular_line)
-from .closedform import closed_form_menu, is_reduced_point, ode_residual, reduced
+from .closedform import CUBIC_P, closed_form_menu, is_reduced_point, ode_residual, reduced
 from .equilibria import census
 from .field import SingularLineError, build_first_integral
-from .orbits import level_branch
+from .levels import level_branch
 from .params import WaveParams, derive_coriolis, derive_wave_params, parse_theta
 from .svgfig import SvgFigure, resample
 from .verification import CHECKS, DEFAULT_SEED, render_report, run_checks
@@ -411,6 +411,8 @@ def cmd_wave(cfg: RunConfig) -> int:
         raise UsageError("closed-form profiles require theta = 1/2 with |C1| <= 1e-9; "
                          "use `portrait` for other regimes")
     wp = reduced(wp)
+    if float(wp.C3) == 0.0:
+        raise UsageError(CUBIC_P)
     if cfg.h:
         candidates = list(cfg.h)
         stop_at_first = False

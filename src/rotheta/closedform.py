@@ -111,8 +111,14 @@ class OrbitPolynomial:
         return np.polyval(self.coeffs, phi)
 
 
+CUBIC_P = "C3 = 0: the orbit polynomial P is a cubic, and the closed forms need a quartic"
+
+
 def orbit_polynomial(wp: WaveParams, h: float) -> OrbitPolynomial:
+    """P on the level h, factored; ValueError at C3 = 0 (`CUBIC_P`)."""
     coeffs = q_coeffs(wp)[:4] + (-4.0 * h,)
+    if coeffs[0] == 0.0:
+        raise ValueError(CUBIC_P)
     reals, pairs = quartic_roots(*coeffs)
     merged = merge_close_roots(reals)
     _validate_factorization(coeffs, merged, pairs)

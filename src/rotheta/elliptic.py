@@ -11,6 +11,9 @@ constructions all produce m first.
   cn = -2).  There u is first reduced into [-K, K], where sn and cn change
   sign per half period 2K, and one descending Landen step (A&S 16.12.2-4)
   moves the parameter to r^2 <= 1 - 4e-8, below that switch.
+
+Both import `scipy.special` when called, so that importing the package
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ellipj, ellipk
 
 __all__ = ["complete_K", "jacobi"]
 
@@ -27,6 +29,8 @@ _NEAR_ONE = 0.9999999999   # where ellipj switches to its expansion about m = 1
 
 def complete_K(m) -> float:
     """Complete elliptic integral K(m) for parameter m in [0, 1)."""
+    from scipy.special import ellipk
+
     m = float(m)
     if not (0.0 <= m < 1.0):
         raise ValueError(f"complete_K requires 0 <= m < 1, got {m}")
@@ -35,6 +39,8 @@ def complete_K(m) -> float:
 
 def jacobi(u, m):
     """(sn, cn, dn) at real argument(s) u for parameter m in [0, 1]."""
+    from scipy.special import ellipj, ellipk
+
     m = float(m)
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"jacobi requires 0 <= m <= 1, got {m}")

@@ -100,8 +100,8 @@ def find_g_roots(wp: WaveParams):
         roots = cubic_real_roots(*reversed(row))
     except OverflowError:
         raise ValueError(f"the cubic formula for g's roots overflows at C2 = {C2:g}, "
-                         f"C3 = {C3:g}, K = {K:g}: |C3| is too small against C2 "
-                         "and 1/2") from None
+                         f"C3 = {C3:g}, K = {K:g}: |C3| is too small against C2, "
+                         "1/2 and K") from None
     return merge_close_roots(roots)
 
 

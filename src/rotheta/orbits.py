@@ -1,17 +1,14 @@
-"""Numeric orbits of the tau-form system: level curves, saddle connections,
-integration and wave-type classification.
+"""Numeric orbits of the tau-form system: integration, wave-type
+classification, and the references the level walk (`levels`) is tested
+against.
 
-Orbits are read off the level curves of the first integral.  Between two
-equilibria on the axis B is monotone, so y^2 = (h - B)/A changes sign at
-most once there: `walk_level` walks a level one stretch of one sign of y^2
-at a time, from a saddle on its own level (`saddle_level_fn`) to find its
-connections, or over a whole level.  A closed branch of {H = h} off the
-singular line is a periodic orbit; `branch_period` takes its xi-period by
-quadrature.  `trace_level_curve` reads a level on a grid, as the reference
-the tests compare the walk with.  The integrator serves the conservation
-checks, axis periods, and the reference paths the level readings are
-tested against (`integrate` + `classify_orbit` for periodic orbits,
-`shoot_connection` + `classify_orbit` for connections).
+The observer reads orbits off the level curves with no integration
+(`levels.walk_level`); this module holds what integrates.  The integrator
+serves the conservation checks, axis periods, and the reference paths the
+level readings are tested against (`integrate` + `classify_orbit` for
+periodic orbits, `shoot_connection` + `classify_orbit` for connections).
+`trace_level_curve` reads a level on a grid, as the reference the tests
+compare the walk with.
 Every integration runs through `_solve`, the package's one `solve_ivp`
 call, with dense output and no scipy events; the tau-form runs integrate
 `field.tau_rhs`, the package's one tau-form right-hand side.  Its method is
@@ -27,7 +24,9 @@ of times through `Trajectory.at`, which evaluates all of them in one numpy
 pass over the steps' dense-output polynomials, bit for bit as scipy would.
 `integrate` monitors the first integral along the trajectory; if the
 relative drift exceeds the limit the run is retried once at tighter
-tolerances.
+tolerances.  This is the one module that imports scipy on load (the
+benchmark's tracer looks for `solve_ivp` bound here); nothing on the
+observer's path imports it.
 
 Classification vocabulary (the `tag` of :class:`OrbitClass`):
 
@@ -47,42 +46,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, count
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.integrate._ivp.ivp import solve_event_equation
 from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from .equilibria import EquilibriumCensus, SADDLE
-from .field import FirstIntegral, _taylor_shift, regular_jacobian, tau_rhs
+from .field import FirstIntegral, regular_jacobian, tau_rhs
+from .levels import ANTI_PEAKON, PEAKON, SOLITARY, LevelBranch, brentq
 from .params import WaveParams
 
 __all__ = [
     "Trajectory",
     "OrbitClass",
-    "LevelBranch",
     "integrate",
     "trace_level_curve",
     "trace_branches",
     "y_squared_fn",
-    "branch_period",
     "classify_orbit",
-    "saddle_level_fn",
-    "level_branch",
-    "walk_level",
     "shoot_connection",
     "measure_axis_period",
 ]
 
 PERIODIC_SMOOTH = "PeriodicSmooth"
 PERIODIC_PEAKON = "PeriodicPeakon"
-PEAKON = "Peakon"
-ANTI_PEAKON = "AntiPeakon"
-SOLITARY = "Solitary"
 UNBOUNDED = "Unbounded"
 BOUNDARY_DEGENERATE = "BoundaryDegenerate"
 ESCAPE_RADIUS = 50.0   # default radius of the (phi, y) disc integrations may not leave
@@ -482,21 +471,6 @@ def y_squared_fn(fi: FirstIntegral, h: float):
     return y2
 
 
-@dataclass
-class LevelBranch:
-    phi: np.ndarray       # ascending
-    y: np.ndarray         # nonnegative branch; full curve is the +- mirror
-    closed: bool          # y = 0 at both ends: turning points or equilibria
-
-    @property
-    def phi_range(self):
-        return float(self.phi[0]), float(self.phi[-1])
-
-    def interior_point(self):
-        i = int(np.argmax(self.y))
-        return float(self.phi[i]), float(self.y[i])
-
-
 def trace_level_curve(fi: FirstIntegral, h: float, phi_window, n=2001):
     """Branches of {H = h} inside phi_window, each as the y >= 0 half.
 
@@ -564,142 +538,6 @@ class OrbitClass:
     derivative_jump: float | None = None
     min_line_distance: float | None = None
     detail: str = ""
-
-
-@lru_cache(maxsize=8)
-def _gauss_legendre(n):
-    return roots_legendre(n)
-
-
-def branch_period(y2, branch: LevelBranch) -> float | None:
-    """xi-period 2 * integral of dphi / y over a closed branch (dxi = dphi / y
-    off the singular line), or None when the quadrature does not converge or
-    y^2 is not positive and finite at one of its nodes.
-
-    The substitution phi = mid + half sin t removes the inverse-square-root
-    singularity at the turning points.  The t-range is cut into
-    Gauss-Legendre panels at the branch's interior local minima of y, where
-    a level near a saddle pinches the orbit and 1/y peaks; without the cuts
-    a 64-node rule is off by up to 9 % near separatrix levels.  The node count
-    per panel doubles from 32 to at most 1024 until two successive sums agree
-    to 1e-9 relative.  Tiny orbits around a center at a level just off the
-    center's can miss that: there y^2 = (h - B)/A is a difference of nearly
-    equal numbers, and its rounding moves the sums by about 1e-8.
-    """
-    a, b = branch.phi_range
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    y = branch.y
-    dips = np.flatnonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])) + 1
-    cuts = np.arcsin(np.clip((branch.phi[dips] - mid) / half, -1.0, 1.0))
-    edges = np.concatenate(([-0.5 * math.pi], cuts, [0.5 * math.pi]))
-    t0, t1 = edges[:-1, None], edges[1:, None]
-    prev = None
-    n = 32
-    while n <= 1024:
-        x, w = _gauss_legendre(n)
-        t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)       # (panels, n)
-        v = y2(mid + half * np.sin(t))
-        if not np.all((v > 0.0) & (v < math.inf)):
-            return None
-        dphi_over_y = half * np.cos(t) / np.sqrt(v)
-        total = float(np.sum(0.5 * (t1 - t0) * w * dphi_over_y)) * 2.0
-        if prev is not None and abs(total - prev) <= 1e-9 * abs(total):
-            return total
-        prev = total
-        n *= 2
-    return None
-
-
-TURNING_POINT = "turning-point"
-DOUBLE_ROOT = "double-root"
-SINGULAR_LINE = "singular-line"
-ESCAPE = "escape"
-
-
-def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False, h: float = None):
-    """phi -> y^2 on the level H = h (default: the level through phi0, on the
-    axis or, `on_line`, on the line), without the cancellation of h - B next
-    to phi0.  Plain arithmetic on whatever it is given: a float, or an array
-    of phi.
-
-    Through phi0, h = B(phi0) for an axis equilibrium (y = 0), and for the
-    singular-line pair (`on_line`, m >= 0: A vanishes on the line), so
-    y^2 = -(B(phi) - B(phi0))/A(phi).  The difference is taken term by term
-    about phi0: the polynomial part Taylor-shifted to u = phi - phi0 with
-    its constant dropped, the logarithm as log1p(u/w0), each pole's
-    difference w^-j - w0^-j with its factor u taken out.  On the line the
-    quotient is the polynomial -(sum_(i > m) b_i w^(i-m-1))/a, which passes
-    through the line with the pair's own y*^2.  Another level h adds
-    (h - B(phi0))/A(phi).  Nothing guards the line itself, where a float
-    divides by zero: `walk_level` stops 1e-12 (1 + |line|) short of it.
-    """
-    line, a, p = float(fi.line), float(fi.y2_coeff), fi.y2_power
-    poly = [float(c) for c in fi.poly_shifted]
-    if on_line:
-        if fi.singular_on_line:
-            raise ValueError("H has no finite level on the singular line")
-        phi0, d = line, poly[p:][::-1]     # no log, no pole: H is a polynomial
-    else:
-        d = _taylor_shift(poly, phi0 - line)[::-1]
-        d[-1] = 0.0
-    w0 = phi0 - line
-    dh = None if h is None else h - float(fi.eval(phi0, 0.0))
-    log_c = float(fi.log_coeff)
-    poles = [(j, float(c)) for j, c in fi.pole_coeffs]
-
-    def y2(phi):
-        u, w = phi - phi0, phi - line
-        dB = 0.0
-        for c in d:              # Horner, step for step as np.polyval
-            dB = dB * u + c
-        if log_c:
-            dB = dB + log_c * np.log1p(u / w0)
-        for j, c in poles:       # w^-j - w0^-j = -u sum(w^k w0^(j-1-k)) / (w w0)^j
-            dB = dB - c * u * sum(w**k * w0 ** (j - 1 - k) for k in range(j)) / (w * w0) ** j
-        out = -dB / a if on_line else -dB / (a * w**p)
-        return out if dh is None else out + dh / (a * w**p)
-
-    return y2
-
-
-def level_branch(y2, a, b, closed) -> LevelBranch:
-    """The branch y = sqrt(y^2) of a run, at 257 points from a to b gathered at both ends."""
-    phi = a + (b - a) * (0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257))))
-    return LevelBranch(phi=phi, y=np.sqrt(np.maximum(y2(phi), 0.0)), closed=closed)
-
-
-def walk_level(y2, phi0, sgn, *, stops, line, far, on_level):
-    """Walk y^2 from phi0 in the direction sgn (+-1) to the line or to
-    infinity, yielding (sign, end, phi) per stretch of one sign of y^2: it
-    ends at a simple root ("turning-point"), a stop on the level
-    ("double-root"), the line ("singular-line") or infinity ("escape").
-    `stops` are (phi, on the level) for the axis equilibria; between two,
-    h - B is monotone, so y^2 changes sign at most once and brentq refines
-    it; past the last, y^2 tends to the sign `far`, and doubling steps
-    bracket a root.  No orbit crosses `line` (None: none).  A start on the
-    level (a saddle, a turning point) reads the sign at the first gap's
-    midpoint (past the last stop, `far`), as h - B keeps one sign on that
-    gap; any other start reads its own."""
-    marks = [(p, DOUBLE_ROOT if same else None) for p, same in stops]
-    if line is not None:
-        marks.append((line - sgn * 1e-12 * (1.0 + abs(line)), SINGULAR_LINE))
-    end = None
-    while end not in (SINGULAR_LINE, ESCAPE):
-        ahead = sorted((m for m in marks if sgn * (m[0] - phi0) > 0), key=lambda m: sgn * m[0])
-        prev = 0.5 * (phi0 + ahead[0][0]) if on_level and ahead else phi0
-        sign = far if on_level and not ahead else (1.0 if y2(prev) > 0.0 else -1.0)
-        last = ahead[-1][0] if ahead else prev
-        # past the last stop: infinity, or marks at steps 1, 2, 4, ... (1 + |last|) out
-        tail = ([(sgn * math.inf, ESCAPE)] if sign * far > 0.0 else
-                ((last + sgn * (2.0**k - 1.0) * (1.0 + abs(last)), None) for k in count(1)))
-        for phi0, end in chain(ahead, tail):
-            if end not in (DOUBLE_ROOT, ESCAPE) and not sign * y2(phi0) > 0.0:
-                phi0, end = brentq(y2, prev, phi0, xtol=1e-14, rtol=1e-15), TURNING_POINT
-            if end is not None:
-                break
-            prev = phi0
-        yield sign, end, phi0
-        on_level = True
 
 
 def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, *,

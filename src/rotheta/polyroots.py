@@ -113,7 +113,8 @@ def quadratic_roots(a, b, c):
 
 def cubic_real_roots(a, b, c, d):
     """All real roots of a x^3 + b x^2 + c x + d (a may be 0), unsorted,
-    polished on the original polynomial.  Complex pairs are dropped."""
+    polished on the original polynomial.  Complex pairs are dropped.
+    OverflowError when the depressed cubic's q or discriminant overflows."""
     if a == 0.0:
         real, _ = quadratic_roots(b, c, d)
         return real
@@ -126,6 +127,8 @@ def cubic_real_roots(a, b, c, d):
         roots_t = [0.0, 0.0, 0.0]
     else:
         disc = 0.25 * q * q + p**3 / 27.0  # >0: one real root
+        if not (math.isfinite(q) and math.isfinite(disc)):
+            raise OverflowError("the cubic formula overflows")
         if disc > 0.0:
             sq = math.sqrt(disc)
             u3 = -0.5 * q - math.copysign(sq, q)

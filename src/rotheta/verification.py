@@ -5,7 +5,9 @@ runner wraps timing and budget bookkeeping.  The same checks back both the
 `verify` CLI command and the acceptance test suite, so tolerances live here
 and nowhere else.  Reports deliberately contain no wall-clock numbers --
 identical runs must produce identical ledgers (budgets are reported only as
-met/exceeded).
+met/exceeded).  The checks that integrate or take a quadrature import
+`orbits` and scipy when they run, so that importing the package loads no
+scipy module.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .atlas import observe_wave_menu, sweep_singular_line
 from .closedform import (
@@ -29,7 +30,6 @@ from .field import (
     build_first_integral, conservation_defect, eval_f,
     published_first_integral,
 )
-from .orbits import integrate, measure_axis_period
 from .params import WaveParams, derive_coriolis, derive_wave_params
 
 __all__ = ["CheckResult", "CHECKS", "run_checks", "render_report"]
@@ -93,6 +93,8 @@ def _conservation_draw(rng, theta):
 
 
 def check_conservation(seed=DEFAULT_SEED):
+    from .orbits import integrate
+
     rng = np.random.default_rng(seed)
     ok = True
     det = []
@@ -270,6 +272,8 @@ def check_census_oracle(seed=DEFAULT_SEED):
 
 
 def check_elliptic(seed=None):
+    from scipy.integrate import quad
+
     ms = (0.1, 0.5, 0.9, 0.999)
     us = np.linspace(-8.0, 8.0, 500)
     worst1 = worst2 = 0.0
@@ -298,6 +302,8 @@ def check_elliptic(seed=None):
 
 
 def check_closedform(seed=None):
+    from .orbits import measure_axis_period
+
     det = []
     ok = True
 

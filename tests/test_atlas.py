@@ -19,8 +19,9 @@ from rotheta.closedform import (closed_form_menu, is_reduced_point, orbit_polyno
                                 profile_rhs, q_coeffs)
 from rotheta.equilibria import CENTER, SADDLE, census
 from rotheta.field import build_first_integral, eval_f, rhs_singular
-from rotheta.orbits import (branch_period, classify_orbit, integrate, measure_axis_period,
-                            saddle_level_fn, shoot_connection, trace_branches, y_squared_fn)
+from rotheta.levels import branch_period, saddle_level_fn
+from rotheta.orbits import (classify_orbit, integrate, measure_axis_period, shoot_connection,
+                            trace_branches, y_squared_fn)
 from rotheta.params import WaveParams
 from rotheta.verification import T1_BASE, T3_BASE
 

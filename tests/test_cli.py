@@ -172,6 +172,11 @@ def test_wave_usage_errors(capsys):
     assert main(["wave"] + T3 + ["--h", "50"]) == 2   # vacant level
     err = capsys.readouterr().err
     assert "closed-form" in err
+    # C3 = 0: P is a cubic; each level once failed inside the factorization
+    # check, and wave reported that it found no profile
+    assert main(["wave", "--theta", "1/2", "--c1", "0", "--c2", "0.9", "--c3", "0",
+                 "--k", "-0.05"]) == 2
+    assert "usage error: C3 = 0: the orbit polynomial P is a cubic" in capsys.readouterr().err
 
 
 def test_wave_takes_c1_within_rounding_of_zero(tmp_path, monkeypatch, capsys):
@@ -331,14 +336,18 @@ def test_console_script_smoke():
 
 
 # each exited 1 with a traceback once: g's cubic formula overflowed, and the
-# walk of a profile plane with no stop started from the missing line
+# walk of a profile plane with no stop started from the missing line; the
+# huge K once overflowed the formula to a NaN root, which the walk met
 @pytest.mark.parametrize("args, code, message", [
     (["--theta", "1/4", "--c1", "0.3", "--c2", "2", "--c3=-1e-100", "--k", "3"], 2,
      "invalid parameters: the cubic formula for g's roots overflows at "
      "C2 = 2, C3 = -1e-100, K = 3"),
     (["--theta", "1/2", "--c1", "0", "--c2", "1", "--c3", "0", "--k", "1", "--h", "0.5"], 0,
      ""),
-], ids=["overflowing-cubic", "rootless-profile-plane"])
+    (["--theta", "1/4", "--c1", "0.3", "--c2", "2", "--c3", "-1", "--k", "1e300"], 2,
+     "invalid parameters: the cubic formula for g's roots overflows at "
+     "C2 = 2, C3 = -1, K = 1e+300"),
+], ids=["overflowing-cubic", "rootless-profile-plane", "overflowing-cubic-q"])
 def test_portrait_ends_with_a_documented_exit(tmp_path, args, code, message):
     res = _run_entry_point(["portrait"] + args + ["--out", str(tmp_path / "p")])
     assert res.returncode == code

@@ -80,6 +80,12 @@ def test_orbit_polynomial_requires_reduced_parameters():
         orbit_polynomial(WaveParams(Fraction(1, 2), 0.3, 0.0, -1.0, 0.1), 0.0)
 
 
+def test_orbit_polynomial_rejects_a_cubic_naming_c3():
+    # C3 = 0 leaves P a cubic, which no quartic constructor takes
+    with pytest.raises(ValueError, match="C3 = 0"):
+        orbit_polynomial(WaveParams(Fraction(1, 2), 0.0, 0.9, 0.0, -0.05), 0.01)
+
+
 def test_polynomial_matches_level_solve():
     # y^2 from P(phi) equals y^2 solved from H(phi, y) = h
     from rotheta.field import build_first_integral

@@ -18,7 +18,8 @@ from rotheta.field import (SingularLineError, _conservation_spot_check,
                            build_first_integral, conservation_defect, eval_f,
                            eval_g, eval_f_prime, published_first_integral,
                            rhs_singular, tau_rhs)
-from rotheta.orbits import saddle_level_fn, y_squared_fn
+from rotheta.levels import saddle_level_fn
+from rotheta.orbits import y_squared_fn
 from rotheta.params import WaveParams
 
 T14 = Fraction(1, 4)

@@ -23,8 +23,8 @@ from rotheta.atlas import (level_branches, observation_plane, observe_wave_menu,
 from rotheta.closedform import params_from_roots
 from rotheta.equilibria import census, linearization_determinant
 from rotheta.field import build_first_integral, eval_f_prime, rhs_singular, tau_rhs
-from rotheta.orbits import (branch_period, classify_orbit, integrate,
-                            measure_axis_period, saddle_level_fn, shoot_connection,
+from rotheta.levels import branch_period, saddle_level_fn
+from rotheta.orbits import (classify_orbit, integrate, measure_axis_period, shoot_connection,
                             trace_level_curve, y_squared_fn)
 from rotheta.params import WaveParams
 from rotheta.verification import DEFAULT_SEED, T3_BASE, _conservation_draw

@@ -39,6 +39,15 @@ def test_cubic_three_real():
     assert got == pytest.approx([-3.0, 1.0, 2.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("coeffs", [(-1.0, 2.0, 0.5, 1e300), (1e-300, 0.0, 0.0, 1e300)],
+                         ids=["q-squared", "q"])
+def test_cubic_formula_overflow_raises(coeffs):
+    # q = d/a = 1e300 squares past the float range, and 1e300/1e-300 is inf;
+    # either once gave a nan root
+    with pytest.raises(OverflowError):
+        cubic_real_roots(*coeffs)
+
+
 def test_cubic_degenerate_to_quadratic():
     assert sorted(cubic_real_roots(0.0, 1.0, -1.0, -2.0)) == pytest.approx([-1.0, 2.0])
 
