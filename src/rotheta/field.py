@@ -137,9 +137,18 @@ def tau_rhs(wp: WaveParams):
     first-step choice and event location an array, the self-check a pair of
     arrays.  Every coefficient is cast to float once.  That is bitwise what
     mixed float/Fraction arithmetic computes anyway (Fraction rounds itself
-    to float first), so exact and float coefficients give the same steps."""
-    theta, C1 = float(wp.theta), float(wp.C1)
-    K, _, C2, C3 = g_coeffs(wp)
+    to float first), so exact and float coefficients give the same steps.
+
+    `wp` may also be a sequence of WaveParams, one per lane of
+    `orbits.integrate_many`: each coefficient is then an array over the
+    lanes, `x` a pair of lane arrays, and every lane's entry is the float
+    the single-lane right-hand side gives, since numpy rounds + and * as
+    Python does."""
+    if isinstance(wp, WaveParams):
+        theta, C1, (K, _, C2, C3) = float(wp.theta), float(wp.C1), g_coeffs(wp)
+    else:
+        theta, C1, K, _, C2, C3 = np.array(
+            [(float(p.theta), float(p.C1), *g_coeffs(p)) for p in wp]).reshape(-1, 6).T
     y2_c = theta - 0.5
 
     def rhs(_t, x):

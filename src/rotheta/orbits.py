@@ -9,24 +9,35 @@ level readings are tested against (`integrate` + `classify_orbit` for
 periodic orbits, `shoot_connection` + `classify_orbit` for connections).
 `trace_level_curve` reads a level on a grid, as the reference the tests
 compare the walk with.
-Every integration runs through `_solve`, the package's one `solve_ivp`
-call, with dense output and no scipy events; the tau-form runs integrate
-`field.tau_rhs`, the package's one tau-form right-hand side.  Its method is
-`_FloatDOP853`, scipy's DOP853 with each step taken on Python floats, which
-spares the planar system numpy's per-call overhead.  The stepper also tests
-the terminal events (leaving the escape disc, the n-th y = 0 crossing when
-one is asked for, the arrival when shooting) on each accepted step's
-floats and ends the run on the step where one fires; `_solve` then cuts the
-trajectory at that event's root as solve_ivp's event loop would.  A
-trajectory's y = 0 crossing times are located on its steps only when
-`Trajectory.axis_crossings` is first read.  A trajectory is read at any set
-of times through `Trajectory.at`, which evaluates all of them in one numpy
-pass over the steps' dense-output polynomials, bit for bit as scipy would.
-`integrate` monitors the first integral along the trajectory; if the
-relative drift exceeds the limit the run is retried once at tighter
-tolerances.  This is the one module that imports scipy on load (the
-benchmark's tracer looks for `solve_ivp` bound here); nothing on the
-observer's path imports it.
+
+Every integration takes scipy's DOP853 steps, with its tableau, error norm
+and step-size controller written once, on values that are Python floats or
+numpy arrays over lanes.  There are two drivers:
+
+* `_solve`, the package's one `solve_ivp` call, runs one trajectory of any
+  planar right-hand side with dense output and no scipy events.  Its
+  method is `_FloatDOP853`, which takes each step on Python floats and so
+  spares the planar system numpy's per-call overhead.  The stepper also
+  tests the terminal events (leaving the escape disc, the n-th y = 0
+  crossing when one is asked for, the arrival when shooting) on each
+  accepted step's floats and ends the run on the step where one fires;
+  `_cut` then cuts the trajectory at that event's root as solve_ivp's
+  event loop would.  A trajectory's y = 0 crossing times are located on
+  its steps only when `Trajectory.axis_crossings` is first read.
+* `integrate_many` runs many fixed-span tau-form trials at once, as the
+  lanes of numpy arrays (`_Lanes`), each lane stopping at the escape disc
+  with the step, the cut and the answer `_solve` and `integrate` give its
+  trial, bit for bit.  The conservation check runs its trials this way.
+
+The tau-form runs integrate `field.tau_rhs`, the package's one tau-form
+right-hand side.  A trajectory is read at any set of times through
+`Trajectory.at`, which evaluates all of them in one numpy pass over the
+steps' dense-output polynomials, bit for bit as scipy would.
+`integrate` and `integrate_many` monitor the first integral along each
+trajectory; if the relative drift exceeds the limit the run is retried
+once at tighter tolerances.  This is the one module that imports scipy on
+load (the benchmark's tracer looks for `solve_ivp` bound here); nothing on
+the observer's path imports it.
 
 Classification vocabulary (the `tag` of :class:`OrbitClass`):
 
@@ -50,6 +61,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate._ivp.common import select_initial_step, validate_tol
 from scipy.integrate._ivp.ivp import solve_event_equation
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
@@ -62,6 +74,7 @@ __all__ = [
     "Trajectory",
     "OrbitClass",
     "integrate",
+    "integrate_many",
     "trace_level_curve",
     "trace_branches",
     "y_squared_fn",
@@ -75,27 +88,32 @@ PERIODIC_PEAKON = "PeriodicPeakon"
 UNBOUNDED = "Unbounded"
 BOUNDARY_DEGENERATE = "BoundaryDegenerate"
 ESCAPE_RADIUS = 50.0   # default radius of the (phi, y) disc integrations may not leave
+# `integrate`'s defaults, which `integrate_many` always takes: the first
+# run's tolerances, the drift limit, and the retries at 100x tighter ones
+RTOL, ATOL, DRIFT_LIMIT, RETRIES = 1e-10, 1e-12, 1e-8, 1
 
 
 @dataclass
 class Trajectory:
-    """One DOP853 run from `_solve`.  `states` holds the accepted steps;
-    `at` reads the dense solution at any times (`dense`, `xi_of_tau` and
-    `classify_orbit` all sample through it)."""
+    """One DOP853 run, from `_solve` or a lane of `integrate_many`.
+    `states` holds the accepted steps; `at` reads the dense solution at any
+    times (`dense`, `xi_of_tau` and `classify_orbit` all sample through it)."""
 
     wp: WaveParams
     t: np.ndarray
     states: np.ndarray          # shape (n, 2)
-    sol: object                 # scipy OdeSolution (dense); `at` evaluates it
+    sol: object                 # scipy OdeSolution (dense); None from a lane
     escaped: bool
     h0: float | None = None
     h_drift_max: float | None = None   # None: not measured on any sample
     drift_samples: int = 0             # dense samples the drift was measured on
     rtol_used: float = 0.0
     status: str = ""
+    nfev: int = 0                      # right-hand-side evaluations, counted as scipy counts them
     # the run as the stepper took it, for `axis_crossings`: every step's
     # dense output, y at the start and at each step's end, and the (root,
-    # event index) that cut the last step (None: no event did)
+    # event index) that cut the last step (None: no event did).  A lane
+    # keeps no run, so its crossings are never located.
     run: tuple | None = None
 
     @cached_property
@@ -116,9 +134,10 @@ class Trajectory:
 
     @cached_property
     def _segments(self):
-        """Each step's DOP853 interpolant as arrays, gathered on first use:
-        breakpoints, step starts t_old, step lengths h, start states y_old
-        and the coefficient rows F, highest power first."""
+        """Each step's DOP853 interpolant as arrays, gathered on first use
+        (a lane sets them when its run ends): breakpoints, step starts
+        t_old, step lengths h, start states y_old and the coefficient rows
+        F, highest power first."""
         steps = self.sol.interpolants
         return (self.sol.ts, np.array([s.t_old for s in steps]),
                 np.array([s.h for s in steps]), np.array([s.y_old for s in steps]),
@@ -205,44 +224,141 @@ class _Stops:
         return bool(self.hit)
 
 
-def _nonzero(row):
-    """The (index, coefficient) pairs of a tableau row's nonzero entries."""
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+class _Row(tuple):
+    """A DOP853 tableau row's nonzero (index, coefficient) pairs, in order;
+    `js` and `col` hold the same as an index array and a coefficient column
+    for lane stages."""
+
+    def __new__(cls, row):
+        self = super().__new__(cls, ((j, float(a)) for j, a in enumerate(row) if a != 0.0))
+        self.js = np.array([j for j, _ in self], dtype=np.intp)
+        self.col = np.array([a for _, a in self]).reshape(-1, 1, 1)
+        return self
 
 
-def _combine(row, k0, k1):
-    """sum_j a_j K_j over a sparse tableau row's (j, a_j), per component of
-    the stages k0, k1, summed left to right."""
+# DOP853's tableau as sparse rows, with scipy's constants: the (c, row) of
+# stages 1 to 11 and of the dense output's three extra stages, the weights
+# B, the error rows E3 and E5 and the interpolant rows D
+_STAGES = tuple((float(c), _Row(a[:s])) for s, (a, c) in
+                enumerate(zip(DOP853.A[1:], DOP853.C[1:]), 1))
+_EXTRA = tuple((float(c), _Row(a[:s])) for s, (a, c) in
+               enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), DOP853.n_stages + 1))
+_B, _E3, _E5 = _Row(DOP853.B), _Row(DOP853.E3), _Row(DOP853.E5)
+_D = tuple(_Row(row) for row in DOP853.D)
+_FSAL = DOP853.n_stages                    # the stage that holds f at the new state
+_N_STAGES = len(DOP853.A_EXTRA[0])         # stages with the dense output's extra three
+_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy's RungeKutta controller
+
+# The step arithmetic below is written once, on values that are Python
+# floats (`_FloatDOP853`: the stages `k` a list of float pairs) or arrays
+# over lanes (`_Lanes`: `k` an array of shape (stages, 2, lanes)).  Sums run
+# left to right, never through np.dot or `sum()` (compensated from Python
+# 3.12), so a float run differs from scipy's only by rounding, and every
+# lane equals the float run of its trial bit for bit.
+
+
+def _combine(row, k):
+    """sum_j a_j K_j over a tableau row, per component of the stages k,
+    summed left to right from 0.0: in a loop on float pairs, with numpy's
+    add.reduce over the first axis (which adds the products one after the
+    other) on lane stages."""
+    if isinstance(k, np.ndarray):
+        return np.add.reduce(k[row.js] * row.col, axis=0, initial=0.0)
     d0 = d1 = 0.0
     for j, a in row:
-        d0 += k0[j] * a
-        d1 += k1[j] * a
+        k0, k1 = k[j]
+        d0 += k0 * a
+        d1 += k1 * a
     return d0, d1
+
+
+def _larger(a, b):
+    """max(a, b) as Python takes it (a unless b > a), on floats or lane
+    arrays."""
+    return np.where(b > a, b, a) if isinstance(a, np.ndarray) else max(a, b)
+
+
+def _stages(rhs, rows, first, t, h, y0, y1, k):
+    """Stages `first` on of a step of length h from (t, (y0, y1)) into k."""
+    for s, (c, row) in enumerate(rows, first):
+        d0, d1 = _combine(row, k)
+        k[s] = rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h))
+
+
+def _rk_step(rhs, t, h, y0, y1, k):
+    """DOP853's RK step: stages 1 to 11 after f in k[0], the new state, and
+    f there as stage `_FSAL`."""
+    _stages(rhs, _STAGES, 1, t, h, y0, y1, k)
+    d0, d1 = _combine(_B, k)
+    n0, n1 = y0 + h * d0, y1 + h * d1
+    k[_FSAL] = rhs(t + h, (n0, n1))
+    return n0, n1
+
+
+def _error_sums(y0, y1, n0, n1, k, tols):
+    """The step's 5th- and 3rd-order error estimates over the scale
+    atol + rtol * max(|y|, |y_new|), squared and summed over the
+    components."""
+    rtol, atol0, atol1 = tols
+    scale0 = atol0 + _larger(abs(y0), abs(n0)) * rtol
+    scale1 = atol1 + _larger(abs(y1), abs(n1)) * rtol
+    e50, e51 = _combine(_E5, k)
+    e30, e31 = _combine(_E3, k)
+    e50, e51, e30, e31 = e50 / scale0, e51 / scale1, e30 / scale0, e31 / scale1
+    return e50 * e50 + e51 * e51, e30 * e30 + e31 * e31
+
+
+def _control(h_abs, err5, err3, rejected):
+    """DOP853's error norm and scipy's step-size controller, on floats:
+    (whether the step of length h_abs is accepted, the next step length).
+    `rejected` says whether this step was already rejected once."""
+    denom = (err5 + 0.01 * err3) * 2
+    if err5 == 0 and err3 == 0:
+        error_norm = 0.0
+    elif denom == 0:   # underflow: scipy's 0/0 also rejects with factor 0.2
+        error_norm = math.inf
+    else:
+        error_norm = h_abs * err5 / math.sqrt(denom)
+    if error_norm < 1:
+        if error_norm == 0:
+            factor = MAX_FACTOR
+        else:
+            factor = min(MAX_FACTOR, SAFETY * error_norm ** _EXPONENT)
+        if rejected:
+            factor = min(1, factor)
+        return True, h_abs * factor
+    return False, h_abs * max(MIN_FACTOR, SAFETY * error_norm ** _EXPONENT)
+
+
+def _dense_rows(rhs, t_old, h, y0, y1, n0, n1, k):
+    """The three extra stages of an accepted step from (t_old, (y0, y1)) to
+    (n0, n1), and its interpolant's rows F as (row0, row1) pairs, lowest
+    power first (scipy's F)."""
+    _stages(rhs, _EXTRA, _FSAL + 1, t_old, h, y0, y1, k)
+    (f0, f1), (g0, g1) = k[0], k[_FSAL]
+    dy0, dy1 = n0 - y0, n1 - y1
+    F = [(dy0, dy1), (h * f0 - dy0, h * f1 - dy1),
+         (2 * dy0 - h * (g0 + f0), 2 * dy1 - h * (g1 + f1))]
+    for row in _D:
+        d0, d1 = _combine(row, k)
+        F.append((h * d0, h * d1))
+    return F
 
 
 class _FloatDOP853(DOP853):
     """scipy's DOP853 for a planar system, each step taken on Python floats.
 
     `__init__` is scipy's: tolerance checks, the first step and its `nfev`.
-    A step is DOP853's RK step, error norm and step-size controller, with
-    scipy's constants, on the class's own tableau kept as sparse float rows.
-    The RHS gets the state as a tuple of floats, and numpy only holds the
-    accepted state and the dense output, which keeps DOP853's form
+    A step is the shared step arithmetic above on floats: DOP853's RK step,
+    error norm and step-size controller, with scipy's constants.  The RHS
+    gets the state as a tuple of floats, and numpy only holds the accepted
+    state and the dense output, which keeps DOP853's form
     (`Dop853DenseOutput`), so OdeSolution, event location and
-    `Trajectory.at` read it as they read scipy's.  Sums run left to right in
-    plain loops, never through np.dot or `sum()` (compensated from Python
-    3.12), so results differ from scipy's only by rounding.  With `stops`
-    (a `_Stops`) each accepted step is tested for its terminal events, and
-    the step where one fires becomes the last: `t_bound` moves to its end.
+    `Trajectory.at` read it as they read scipy's.  With `stops` (a
+    `_Stops`) each accepted step is tested for its terminal events, and the
+    step where one fires becomes the last: `t_bound` moves to its end.
     """
-
-    _STAGES = tuple((float(c), _nonzero(a[:s])) for s, (a, c) in
-                    enumerate(zip(DOP853.A[1:], DOP853.C[1:]), 1))
-    _EXTRA = tuple((float(c), _nonzero(a[:s])) for s, (a, c) in
-                   enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), DOP853.n_stages + 1))
-    _B, _E3, _E5 = _nonzero(DOP853.B), _nonzero(DOP853.E3), _nonzero(DOP853.E5)
-    _D = tuple(_nonzero(row) for row in DOP853.D)
-    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy's RungeKutta controller
 
     def __init__(self, fun, t0, y0, t_bound, stops=None, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
@@ -250,15 +366,13 @@ class _FloatDOP853(DOP853):
         self._stops = stops
         self._tols = (float(self.rtol), *np.broadcast_to(self.atol, (2,)).tolist())
         self.f = tuple(self.f.tolist())
-        n_ext = len(self.A_EXTRA[0])
-        self._k = ([0.0] * n_ext, [0.0] * n_ext)   # stages per component
+        self._k = [None] * _N_STAGES   # (phi, y) pair per stage
 
     def _step_impl(self):
-        rhs, (k0, k1), (rtol, atol0, atol1) = self._rhs, self._k, self._tols
+        rhs, k, tols = self._rhs, self._k, self._tols
         t, t_bound, direction = self.t, self.t_bound, float(self.direction)
         y0, y1 = self.y.tolist()
-        k0[0], k1[0] = self.f
-        fsal = self.n_stages   # the stage row that holds f at the new state
+        k[0] = self.f
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
@@ -275,65 +389,53 @@ class _FloatDOP853(DOP853):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            for s, (c, row) in enumerate(self._STAGES, 1):
-                d0, d1 = _combine(row, k0, k1)
-                k0[s], k1[s] = rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h))
-            d0, d1 = _combine(self._B, k0, k1)
-            n0, n1 = y0 + h * d0, y1 + h * d1
-            k0[fsal], k1[fsal] = rhs(t + h, (n0, n1))
-            self.nfev += fsal   # stages 1 to 11, and f at the new state
-            scale0 = atol0 + max(abs(y0), abs(n0)) * rtol
-            scale1 = atol1 + max(abs(y1), abs(n1)) * rtol
-            e50, e51 = _combine(self._E5, k0, k1)
-            e30, e31 = _combine(self._E3, k0, k1)
-            e50, e51, e30, e31 = e50 / scale0, e51 / scale1, e30 / scale0, e31 / scale1
-            err5 = e50 * e50 + e51 * e51
-            err3 = e30 * e30 + e31 * e31
-            denom = (err5 + 0.01 * err3) * 2
-            if err5 == 0 and err3 == 0:
-                error_norm = 0.0
-            elif denom == 0:   # underflow: scipy's 0/0 also rejects with factor 0.2
-                error_norm = math.inf
-            else:
-                error_norm = h_abs * err5 / math.sqrt(denom)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = self.MAX_FACTOR
-                else:
-                    factor = min(self.MAX_FACTOR,
-                                 self.SAFETY * error_norm ** self.error_exponent)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
+            n0, n1 = _rk_step(rhs, t, h, y0, y1, k)
+            self.nfev += _FSAL   # stages 1 to 11, and f at the new state
+            accepted, h_abs = _control(h_abs, *_error_sums(y0, y1, n0, n1, k, tols), rejected)
+            if accepted:
                 break
-            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** self.error_exponent)
             rejected = True
         self.h_previous = h
         self.y_old = self.y
         self.t = t_new
         self.y = np.array((n0, n1))
         self.h_abs = h_abs
-        self.f = (k0[fsal], k1[fsal])
+        self.f = k[_FSAL]
         if self._stops is not None and self._stops.reached(t_new, (n0, n1)):
             self.t_bound = t_new
         return True, None
 
     def _dense_output_impl(self):
-        (k0, k1), h, t_old = self._k, self.h_previous, self.t_old
         y0, y1 = self.y_old.tolist()
-        for s, (c, row) in enumerate(self._EXTRA, self.n_stages + 1):
-            d0, d1 = _combine(row, k0, k1)
-            k0[s], k1[s] = self._rhs(t_old + c * h, (y0 + d0 * h, y1 + d1 * h))
-        self.nfev += len(self._EXTRA)
         n0, n1 = self.y.tolist()
-        (f0, f1), (g0, g1) = (k0[0], k1[0]), self.f
-        dy0, dy1 = n0 - y0, n1 - y1
-        F = [(dy0, dy1), (h * f0 - dy0, h * f1 - dy1),
-             (2 * dy0 - h * (g0 + f0), 2 * dy1 - h * (g1 + f1))]
-        for row in self._D:
-            d0, d1 = _combine(row, k0, k1)
-            F.append((h * d0, h * d1))
-        return Dop853DenseOutput(t_old, self.t, self.y_old, np.array(F))
+        F = _dense_rows(self._rhs, self.t_old, self.h_previous, y0, y1, n0, n1, self._k)
+        self.nfev += len(_EXTRA)
+        return Dop853DenseOutput(self.t_old, self.t, self.y_old, np.array(F))
+
+
+def _escape_event(escape_radius):
+    """The terminal event of leaving the disc of `escape_radius`."""
+    r2 = escape_radius * escape_radius
+
+    def ev_escape(_t, x):
+        return x[0] * x[0] + x[1] * x[1] - r2
+    ev_escape.terminal = True
+    return ev_escape
+
+
+def _cut(t, states, step, hit):
+    """A run's times and states cut at the first root, on its last `step`,
+    of the events `hit` ((index, event) pairs), as solve_ivp's
+    `handle_events` cuts them: the last point becomes the root and its
+    state, or, when the root is the step's start, the step is dropped
+    (solve_ivp's `donot_append` rule).  Returns (t, states, whether the
+    step was dropped, (root, index) of the event that cut it; equal
+    roots go to the earlier event)."""
+    stop = min((solve_event_equation(ev, step, step.t_old, step.t), i) for i, ev in hit)
+    if len(t) > 2 and t[-2] == stop[0]:
+        return t[:-1], states[:-1], True, stop
+    return (np.append(t[:-1], stop[0]), np.vstack((states[:-1], step(stop[0]))),
+            False, stop)
 
 
 def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
@@ -349,49 +451,69 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
     *events] (the axis event terminal after `axis_stop` crossings), bit
     for bit, but solve_ivp gets none of them: the stepper tests the
     terminal ones on its floats and ends the run on the step where one
-    fires.  Here the firing events' roots on that step are found with
-    scipy's `solve_event_equation`, and the trajectory is cut at the first
-    of them (equal roots: the earlier event) as solve_ivp's
-    `handle_events` cuts it: the last point becomes the root and its state,
-    or, when the root is the step's start, the step is dropped (solve_ivp's
-    `donot_append` rule).  The axis crossings are located when read.
+    fires, and `_cut` cuts the trajectory at the first root among them.
+    The axis crossings are located when read.
     """
-    r2 = escape_radius * escape_radius
-
-    def ev_escape(_t, x):
-        return x[0] * x[0] + x[1] * x[1] - r2
-    ev_escape.terminal = True
-
     def ev_axis(_t, x):
         return x[1]
     ev_axis.terminal = axis_stop
 
     x0 = (float(start[0]), float(start[1]))
-    stops = _Stops([ev_escape, ev_axis, *events], 0.0, x0)
+    stops = _Stops([_escape_event(escape_radius), ev_axis, *events], 0.0, x0)
     res = solve_ivp(rhs, (0.0, span), list(x0), method=_FloatDOP853, rtol=rtol,
                     atol=atol, dense_output=True, stops=stops)
     t, states, sol, stop = res.t, res.y.T, res.sol, None
     if stops.hit:
-        step = sol.interpolants[-1]
-        stop = min((solve_event_equation(ev, step, step.t_old, step.t), i)
-                   for i, ev in stops.hit)
-        if len(t) > 2 and t[-2] == stop[0]:
-            t, states = t[:-1], states[:-1]
-            sol = OdeSolution(t, sol.interpolants[:-1])
-        else:
-            t = np.append(t[:-1], stop[0])
-            states = np.vstack((states[:-1], step(stop[0])))
-            sol = OdeSolution(t, sol.interpolants)
+        steps = sol.interpolants
+        t, states, dropped, stop = _cut(t, states, steps[-1], stops.hit)
+        sol = OdeSolution(t, steps[:-1] if dropped else steps)
     fired = stop[1] if stop is not None else None
     traj = Trajectory(wp=wp, t=t, states=states, sol=sol, escaped=fired == 0,
-                      rtol_used=rtol, run=(res.sol.interpolants, res.y[1], stop),
+                      rtol_used=rtol, nfev=res.nfev, run=(res.sol.interpolants, res.y[1], stop),
                       status="ok" if res.success else (res.message or "solver failure"))
     return traj, [np.array([stop[0]] if fired == i else []) for i in range(2, 2 + len(events))]
 
 
+def _measure_drift(traj, fi, start, drift_limit):
+    """Measure the relative drift of H along `traj` on 512 dense samples,
+    as `integrate` documents it: set `h0`, `drift_samples` and
+    `h_drift_max` (left None when no sample is measurable)."""
+    _tg, xs = traj.dense(512)
+    p, y = xs[:, 0], xs[:, 1]
+    # next to the line H and grad H overflow to inf or nan; the mask
+    # below drops those samples, so numpy's warnings say nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h0 = fi.eval(*start)
+        traj.h0 = h0
+        if traj.wp.m < 0:
+            cert = drift_limit * max(abs(h0), 1e-9)
+            off = p != float(fi.line)
+            p, y = p[off], y[off]
+            dhp, dhy = fi.partials(p, y)
+            err = (np.abs(dhp) + np.abs(dhy)) * traj.rtol_used * (1.0 + np.hypot(p, y))
+            kept = err <= cert
+            p, y = p[kept], y[kept]
+        hs = fi.eval(p, y)
+    traj.drift_samples = len(hs)
+    if len(hs):
+        traj.h_drift_max = float(np.max(np.abs(hs - h0))) / _h_scale(hs, h0)
+
+
+def _settle(traj, best, drift_limit):
+    """`integrate`'s choice after a measured run: (the run to return, or
+    None to retry at tighter tolerances; the best run so far).  A run is
+    returned when its drift is unmeasured, within the limit, or measured
+    at rtol 1e-13 or below; otherwise it becomes the best run unless an
+    earlier one drifted no more."""
+    if traj.drift_samples == 0 or not (traj.h_drift_max > drift_limit
+                                       and traj.rtol_used > 1e-13):
+        return traj, best
+    return None, traj if best is None or traj.h_drift_max < best.h_drift_max else best
+
+
 def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None = None,
-              rtol=1e-10, atol=1e-12, escape_radius=ESCAPE_RADIUS,
-              drift_limit=1e-8, max_retries=1,
+              rtol=RTOL, atol=ATOL, escape_radius=ESCAPE_RADIUS,
+              drift_limit=DRIFT_LIMIT, max_retries=RETRIES,
               stop_after_crossings: int | None = None) -> Trajectory:
     """Integrate the tau-form from `start` over [0, tau_span].
 
@@ -409,7 +531,8 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
     failure near degenerate points returns the partial orbit with a status.
     `stop_after_crossings=n` ends the run at the n-th y = 0 crossing (a
     closed orbit needs three to exhibit one full period), saving the cost of
-    integrating hundreds of redundant cycles.
+    integrating hundreds of redundant cycles.  `integrate_many` runs many
+    trials at once with the same answers.
     """
     rhs = tau_rhs(wp)
     attempt_rtol, attempt_atol = rtol, atol
@@ -417,34 +540,197 @@ def integrate(wp: WaveParams, start, tau_span=10.0, *, fi: FirstIntegral | None 
     for _ in range(max_retries + 1):
         traj, _ = _solve(wp, rhs, start, tau_span, attempt_rtol, attempt_atol,
                          escape_radius=escape_radius, axis_stop=stop_after_crossings)
-        if fi is not None:
-            _tg, xs = traj.dense(512)
-            p, y = xs[:, 0], xs[:, 1]
-            # next to the line H and grad H overflow to inf or nan; the mask
-            # below drops those samples, so numpy's warnings say nothing
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                h0 = fi.eval(*start)
-                traj.h0 = h0
-                if wp.m < 0:
-                    cert = drift_limit * max(abs(h0), 1e-9)
-                    off = p != float(fi.line)
-                    p, y = p[off], y[off]
-                    dhp, dhy = fi.partials(p, y)
-                    err = (np.abs(dhp) + np.abs(dhy)) * attempt_rtol * (1.0 + np.hypot(p, y))
-                    kept = err <= cert
-                    p, y = p[kept], y[kept]
-                hs = fi.eval(p, y)
-            traj.drift_samples = len(hs)
-            if len(hs) == 0:
-                return traj
-            traj.h_drift_max = float(np.max(np.abs(hs - h0))) / _h_scale(hs, h0)
-            if traj.h_drift_max > drift_limit and attempt_rtol > 1e-13:
-                if best is None or traj.h_drift_max < best.h_drift_max:
-                    best = traj
-                attempt_rtol, attempt_atol = attempt_rtol * 1e-2, attempt_atol * 1e-2
-                continue
+        if fi is None:
+            return traj
+        _measure_drift(traj, fi, start, drift_limit)
+        done, best = _settle(traj, best, drift_limit)
+        if done is not None:
+            return done
+        attempt_rtol, attempt_atol = attempt_rtol * 1e-2, attempt_atol * 1e-2
+    return best
+
+
+class _Lanes:
+    """Forward tau-form DOP853 runs stepped together, one run per lane.
+
+    numpy arrays over the lanes hold each run's t, step length, state,
+    stages and rejection flag.  `step` tries one step on every running
+    lane with the shared step arithmetic; a lane's controller runs on its
+    floats (`_control`: numpy's power differs from Python's in the last
+    bit), and its first step is scipy's `select_initial_step`, as
+    `DOP853.__init__` takes it.  So each lane takes the steps, stops,
+    dense output and `nfev` of `_solve` with the escape event and no other,
+    bit for bit.  Lanes that are not running are stepped too, with length
+    0, and nothing is kept of them.  Accepted steps wait in one table,
+    tagged with their lane, until the lane's run ends; its rows are then
+    freed for the running lanes.
+    """
+
+    # a step's row in the table: t, the state, and the interpolant's rows
+    # F[1:] (F[0] is the state's change)
+    _ROW = 15
+
+    def __init__(self, wps, starts, span, escape_radius):
+        if not span > 0:
+            raise ValueError(f"lanes integrate forward, but tau_span is {span}")
+        n = len(wps)
+        self.wps, self.span = wps, float(span)
+        self.rhs = tau_rhs(wps)
+        self.escape = _escape_event(escape_radius)
+        self.x0 = np.array([(float(s[0]), float(s[1])) for s in starts]).reshape(n, 2)
+        # a lane that is not running sits at the span's end with step 0
+        self.t, self.h_abs, self.g = np.full(n, self.span), np.zeros(n), np.zeros(n)
+        self.y = self.x0.T.copy()
+        self.k = np.zeros((_N_STAGES, 2, n))
+        self.rtol, self.atol = np.ones(n), np.ones(n)
+        self.rejected, self.running = np.zeros(n, bool), np.zeros(n, bool)
+        self.nfev, self.rtol_used = np.zeros(n, int), [None] * n
+        self.table, self.owner, self.rows = np.empty((32 * n, self._ROW)), np.full(32 * n, -1), 0
+
+    def start(self, i, rtol, atol):
+        """Start lane i's run from its start at these tolerances, as
+        `_solve` starts it: scipy's tolerance checks, f there, and scipy's
+        first step."""
+        rhs = tau_rhs(self.wps[i])
+
+        def fun(t, x):   # scipy's wrapped, array-valued right-hand side
+            return np.asarray(rhs(t, x), dtype=float)
+
+        y0 = self.x0[i].copy()
+        checked_rtol, checked_atol = validate_tol(rtol, atol, 2)
+        f = fun(0.0, y0)
+        h_abs = select_initial_step(fun, 0.0, y0, self.span, np.inf, f, 1.0,
+                                    DOP853.error_estimator_order, checked_rtol, checked_atol)
+        self.t[i], self.h_abs[i], self.y[:, i], self.k[0, :, i] = 0.0, h_abs, y0, f
+        self.g[i] = self.escape(0.0, y0.tolist())
+        self.rtol[i], self.atol[i] = float(checked_rtol), float(checked_atol)
+        self.rejected[i], self.running[i] = False, True
+        self.nfev[i], self.rtol_used[i] = 2, rtol   # f at the start and in the first-step choice
+
+    # a rejected trial step may overflow, which Python floats do without a word
+    @np.errstate(all="ignore")
+    def step(self):
+        """Try one step on every running lane; returns (i, Trajectory) for
+        each lane whose run ended on it."""
+        running, rejected, t, k = self.running, self.rejected, self.t, self.k
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(~rejected & (self.h_abs < min_step), min_step, self.h_abs)
+        failed = running & (h_abs < min_step)
+        t_new = t + h_abs
+        t_new = np.where(t_new - self.span > 0, self.span, t_new)
+        h = t_new - t
+        h_abs = np.abs(h)
+        y0, y1 = self.y
+        n0, n1 = _rk_step(self.rhs, t, h, y0, y1, k)
+        err5, err3 = _error_sums(y0, y1, n0, n1, k, (self.rtol, self.atol, self.atol))
+
+        tried = np.flatnonzero(running & ~failed)
+        verdicts = [_control(*lane) for lane in zip(
+            h_abs[tried].tolist(), err5[tried].tolist(), err3[tried].tolist(),
+            rejected[tried].tolist())]
+        accepted = np.zeros(len(t), bool)
+        if verdicts:
+            ok, self.h_abs[tried] = zip(*verdicts)
+            accepted[tried] = ok
+        self.nfev[tried] += _FSAL
+        rejected[tried] = ~accepted[tried]
+
+        acc = np.flatnonzero(accepted)
+        F = np.array(_dense_rows(self.rhs, t, h, y0, y1, n0, n1, k))
+        self.nfev[acc] += len(_EXTRA)
+        self._keep(acc, t_new, n0, n1, F)
+        g_new = self.escape(t_new, (n0, n1))
+        g = self.g
+        escaped = accepted & (((g <= 0) & (0 <= g_new)) | ((g >= 0) & (0 >= g_new)))
+        g[acc] = g_new[acc]
+        t[acc] = t_new[acc]
+        self.y[:, acc] = (n0[acc], n1[acc])
+        k[0][:, acc] = k[_FSAL][:, acc]
+
+        ended = np.flatnonzero(failed | (accepted & ((t_new - self.span >= 0) | escaped)))
+        out = [(i, self._trajectory(i, bool(escaped[i]), bool(failed[i])))
+               for i in ended.tolist()]
+        running[ended] = False
+        t[ended], self.h_abs[ended] = self.span, 0.0
+        return out
+
+    def _keep(self, acc, t_new, n0, n1, F):
+        """Append the accepted steps to the table.  A full table first
+        packs the rows of running lanes at its start, in blocks read before
+        they are overwritten, and grows when that leaves less than a
+        quarter of it free."""
+        n = len(acc)
+        if self.rows + n > len(self.owner):
+            live = np.flatnonzero(self.owner[:self.rows] >= 0)
+            for j in range(0, len(live), 1024):
+                block = live[j:j + 1024]
+                self.table[j:j + len(block)] = self.table[block]
+                self.owner[j:j + len(block)] = self.owner[block]
+            self.rows = len(live)
+            if 4 * (self.rows + n) > 3 * len(self.owner):
+                size = 2 * len(self.owner) + n
+                self.table = np.concatenate((self.table[:self.rows],
+                                             np.empty((size - self.rows, self._ROW))))
+                self.owner = np.concatenate((self.owner[:self.rows], np.full(size - self.rows, -1)))
+        new = self.table[self.rows:self.rows + n]
+        new[:, 0], new[:, 1], new[:, 2] = t_new[acc], n0[acc], n1[acc]
+        new[:, 3:] = F[1:, :, acc].transpose(2, 0, 1).reshape(n, 12)
+        self.owner[self.rows:self.rows + n] = acc
+        self.rows += n
+
+    def _trajectory(self, i, escaped, failed):
+        """Lane i's run as `_solve` returns it, its steps freed from the
+        table; an escaped run is cut at the escape root."""
+        mine = np.flatnonzero(self.owner[:self.rows] == i)
+        steps = self.table[mine]
+        self.owner[mine] = -1
+        t = np.concatenate(([0.0], steps[:, 0]))
+        states = np.concatenate((self.x0[i:i + 1], steps[:, 1:3]))
+        h, F = np.diff(t), np.empty((len(steps), 7, 2))
+        F[:, 0], F[:, 1:] = np.diff(states, axis=0), steps[:, 3:].reshape(-1, 6, 2)
+        if escaped:
+            last = Dop853DenseOutput(t[-2], t[-1], states[-2], F[-1])
+            t, states, dropped, _stop = _cut(t, states, last, [(0, self.escape)])
+            if dropped:
+                h, F = h[:-1], F[:-1]
+        traj = Trajectory(wp=self.wps[i], t=t, states=states, sol=None, escaped=escaped,
+                          rtol_used=self.rtol_used[i], nfev=int(self.nfev[i]),
+                          status=DOP853.TOO_SMALL_STEP if failed else "ok")
+        traj._segments = (t, t[:-1], h, states[:-1], F[:, ::-1])
         return traj
-    return best if best is not None else traj
+
+
+def integrate_many(wps, starts, tau_span=10.0, *, fis, escape_radius=ESCAPE_RADIUS):
+    """`integrate` for many trials at once: trial i integrates the tau-form
+    of wps[i] from starts[i] over [0, tau_span] and measures its drift on
+    fis[i].  Yields (i, Trajectory) as each trial settles, the Trajectory
+    equal to `integrate(wps[i], starts[i], tau_span, fi=fis[i],
+    escape_radius=escape_radius)`'s bit for bit, `nfev` included, except
+    that it has no scipy solution (`sol`) and locates no axis crossings.
+    A caller that keeps only what it needs of each trial holds one trial's
+    steps at a time.
+
+    The trials run as the lanes of one `_Lanes` set.  A trial whose drift
+    is over the limit restarts in its lane at 100x tighter tolerances as
+    soon as its run ends, and its better run is kept as `integrate` keeps
+    it.
+    """
+    lanes = _Lanes(wps, starts, tau_span, escape_radius)
+    tols = [(RTOL, ATOL)] * len(wps)
+    retries, best = [RETRIES] * len(wps), [None] * len(wps)
+    for i, (r, a) in enumerate(tols):
+        lanes.start(i, r, a)
+    while lanes.running.any():
+        for i, traj in lanes.step():
+            _measure_drift(traj, fis[i], starts[i], DRIFT_LIMIT)
+            done, best[i] = _settle(traj, best[i], DRIFT_LIMIT)
+            if done is None and retries[i] > 0:
+                retries[i] -= 1
+                tols[i] = (tols[i][0] * 1e-2, tols[i][1] * 1e-2)
+                lanes.start(i, *tols[i])
+                continue
+            yield i, done if done is not None else best[i]
+            best[i] = None
 
 
 def y_squared_fn(fi: FirstIntegral, h: float):

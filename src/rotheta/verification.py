@@ -92,25 +92,45 @@ def _conservation_draw(rng, theta):
             return wp, start
 
 
+CONSERVATION_THETAS = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 1))
+
+
+def _conservation_trials(rng):
+    """The conservation check's trials as (theta, WaveParams, start), 100 at
+    each theta, drawn in the check's order."""
+    return [(theta, *_conservation_draw(rng, theta))
+            for theta in CONSERVATION_THETAS for _ in range(100)]
+
+
+def _drift_ledger(runs):
+    """(passed, ledger lines) of conservation trials from their (theta,
+    Trajectory) pairs, taken in any order: per theta, the worst relative H
+    drift against 1e-8 and the number of trials whose drift could not be
+    measured (h_drift_max None)."""
+    worst = dict.fromkeys(CONSERVATION_THETAS, 0.0)
+    unverified = dict.fromkeys(CONSERVATION_THETAS, 0)
+    for theta, traj in runs:
+        if traj.h_drift_max is None:
+            unverified[theta] += 1
+        else:
+            worst[theta] = max(worst[theta], traj.h_drift_max)
+    return (all(w <= 1e-8 for w in worst.values()),
+            [f"theta = {theta}: max relative H drift {worst[theta]:.3e} (<= 1e-8) "
+             f"({unverified[theta]} unverified)" for theta in CONSERVATION_THETAS])
+
+
 def check_conservation(seed=DEFAULT_SEED):
-    from .orbits import integrate
+    from .orbits import integrate_many
 
     rng = np.random.default_rng(seed)
-    ok = True
-    det = []
-    for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(1, 1)):
-        worst = 0.0
-        unverified = 0  # trials with no measurable sample (h_drift_max None)
-        for _ in range(100):
-            wp, start = _conservation_draw(rng, theta)
-            traj = integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
-            if traj.h_drift_max is None:
-                unverified += 1
-            else:
-                worst = max(worst, traj.h_drift_max)
-        ok = ok and worst <= 1e-8
-        det.append(f"theta = {theta}: max relative H drift {worst:.3e} (<= 1e-8) "
-                   f"({unverified} unverified)")
+    # The trials draw first, 100 per theta in turn, and the exact draws
+    # below follow them in the rng stream.  The trials then integrate
+    # together as lanes (`integrate_many`), each giving the Trajectory
+    # `integrate` gives it, and the ledger reads each as it settles.
+    trials = _conservation_trials(rng)
+    thetas, wps, starts = zip(*trials)
+    runs = integrate_many(wps, starts, 10.0, fis=[build_first_integral(wp) for wp in wps])
+    ok, det = _drift_ledger((thetas[i], traj) for i, traj in runs)
 
     # theta = 1/4: machine coefficients equal the published polynomial
     # exactly (Fraction arithmetic); the forms differ only by the additive

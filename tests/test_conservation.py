@@ -1,5 +1,6 @@
-"""The conservation check's answers, pinned trial by trial, and the
-integrator they come from checked against scipy's own DOP853.
+"""The conservation check's answers, pinned trial by trial, the
+integrator they come from checked against scipy's own DOP853, and the lane
+driver the check runs them with checked against that integrator.
 
 `PINNED_HALF_THETA` holds the 100 theta = 1/2 trials of
 `check_conservation` at the default seed 7, as the program reports them:
@@ -8,18 +9,23 @@ retried at rtol 1e-12; trial 82 has no measurable sample.  The drift values
 are those of the float stepper `orbits._FloatDOP853`; they sit at the
 rounding of its sums, so any change to its arithmetic moves their last
 digits.  A change that moves them, or anything else here (other
-coordinates, another retry), must update the pin and say so.
+coordinates, another retry), must update the pin and say so.  The check
+runs its trials through `orbits.integrate_many`, whose every lane must give
+what `integrate` gives that trial, bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rotheta import orbits
 from rotheta.field import build_first_integral
-from rotheta.orbits import integrate
-from rotheta.verification import DEFAULT_SEED, _conservation_draw
+from rotheta.orbits import integrate, integrate_many
+from rotheta.params import WaveParams
+from rotheta.verification import DEFAULT_SEED, _conservation_draw, _conservation_trials
 
 PINNED_HALF_THETA = [
     (1.185687058764745e-10, 512, 1e-10, 19),
@@ -125,20 +131,102 @@ PINNED_HALF_THETA = [
 ]
 
 
-def test_conservation_trials_are_pinned():
-    assert DEFAULT_SEED == 7
+def _half_theta_draws():
     rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(100):   # the theta = 1/4 trials draw first
         _conservation_draw(rng, Fraction(1, 4))
-    got = []
-    for _ in range(100):
-        wp, start = _conservation_draw(rng, Fraction(1, 2))
-        traj = integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
-        got.append((traj.h_drift_max, traj.drift_samples, traj.rtol_used, len(traj.t)))
+    return [_conservation_draw(rng, Fraction(1, 2)) for _ in range(100)]
+
+
+def _assert_pinned(got):
     assert got == PINNED_HALF_THETA
     assert [i for i, row in enumerate(got) if row[2] != 1e-10] == [34, 55]
     assert [i for i, row in enumerate(got) if row[0] is None] == [82]
     assert max(r[0] for r in got if r[0] is not None) == pytest.approx(9.827e-9, rel=1e-3)
+
+
+def test_conservation_trials_are_pinned():
+    assert DEFAULT_SEED == 7
+    got = []
+    for wp, start in _half_theta_draws():
+        traj = integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
+        got.append((traj.h_drift_max, traj.drift_samples, traj.rtol_used, len(traj.t)))
+    _assert_pinned(got)
+
+
+def test_pinned_trials_hold_through_the_lanes():
+    wps, starts = zip(*_half_theta_draws())
+    lanes = dict(integrate_many(wps, starts, 10.0,
+                                fis=[build_first_integral(wp) for wp in wps]))
+    assert sorted(lanes) == list(range(100))
+    _assert_pinned([(traj.h_drift_max, traj.drift_samples, traj.rtol_used, len(traj.t))
+                    for _i, traj in sorted(lanes.items())])
+
+
+def _assert_lanes_are_integrate(wps, starts, span, **options):
+    """Every lane of `integrate_many` against `integrate` on its own trial:
+    the same answers, runs and solver work, bit for bit.  Returns the
+    reference trajectories."""
+    fis = [build_first_integral(wp) for wp in wps]
+    lanes = dict(integrate_many(wps, starts, span, fis=fis, **options))
+    assert sorted(lanes) == list(range(len(wps)))
+    refs = [integrate(wp, start, span, fi=fi, **options)
+            for wp, start, fi in zip(wps, starts, fis)]
+    for i, ref in enumerate(refs):
+        lane = lanes[i]
+        assert (lane.h_drift_max, lane.drift_samples, lane.rtol_used, lane.escaped,
+                lane.status, lane.nfev, lane.h0) == \
+            (ref.h_drift_max, ref.drift_samples, ref.rtol_used, ref.escaped,
+             ref.status, ref.nfev, ref.h0), i
+        assert np.array_equal(lane.t, ref.t) and np.array_equal(lane.states, ref.states), i
+        tg = np.linspace(ref.t[0], ref.t[-1], 512)
+        assert np.array_equal(lane.at(tg), ref.at(tg)), i
+    return refs
+
+
+@pytest.mark.parametrize("seed", [7, 16])
+def test_lanes_give_every_trial_what_integrate_gives(seed):
+    # seed 7 retries seven trials and each retry ends under the limit; seed
+    # 16 retries four, and keeps one retry still over the limit and two
+    # first runs that drifted less than their retries
+    trials = _conservation_trials(np.random.default_rng(seed))
+    _thetas, wps, starts = zip(*trials)
+    refs = _assert_lanes_are_integrate(wps, starts, 10.0)
+    over = [i for i, r in enumerate(refs) if r.h_drift_max is not None and r.h_drift_max > 1e-8]
+    retried = [i for i, r in enumerate(refs) if r.rtol_used != 1e-10]
+    assert 70 <= sum(r.escaped for r in refs) <= 90
+    if seed == 7:
+        assert (len(retried), over) == (7, [])
+    else:
+        assert (retried, over) == ([20, 212], [20, 169, 193])
+
+
+def test_a_lane_ends_on_a_too_small_step():
+    # with no escape disc the orbit from (3, 1) runs off to infinity before
+    # tau = 10, and its steps shrink below the spacing of the floats at t;
+    # the lane beside it runs on to the end of the span
+    wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
+    refs = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0,
+                                       escape_radius=math.inf)
+    assert [r.status for r in refs] == [orbits.DOP853.TOO_SMALL_STEP, "ok"]
+
+
+_lane = st.tuples(
+    st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-2.0, -0.2), st.floats(-1.0, 1.0),
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+
+
+@given(st.lists(_lane, min_size=1, max_size=8), st.sampled_from([1e-3, 2.5, 10.0]))
+@settings(max_examples=25, deadline=None)
+def test_small_mixed_lane_sets_are_integrate(lanes, span):
+    # starts out to |phi| = 4 escape within the span, and a span of 1e-3
+    # is one step; as in the check, no start is next to the singular line
+    assume(all(abs(float(theta) * start[0] - C1) >= 0.1
+               for theta, C1, _C2, _C3, _K, start in lanes))
+    wps = [WaveParams(theta=theta, C1=C1, C2=C2, C3=C3, K=K)
+           for theta, C1, C2, C3, K, _start in lanes]
+    _assert_lanes_are_integrate(wps, [start for *_c, start in lanes], span)
 
 
 def _check_solves(monkeypatch, method=None):
