@@ -61,7 +61,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
-from scipy.integrate._ivp.common import select_initial_step, validate_tol
 from scipy.integrate._ivp.ivp import solve_event_equation
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
@@ -557,26 +556,25 @@ class _Lanes:
     stages and rejection flag.  `step` tries one step on every running
     lane with the shared step arithmetic; a lane's controller runs on its
     floats (`_control`: numpy's power differs from Python's in the last
-    bit), and its first step is scipy's `select_initial_step`, as
-    `DOP853.__init__` takes it.  So each lane takes the steps, stops,
-    dense output and `nfev` of `_solve` with the escape event and no other,
-    bit for bit.  Lanes that are not running are stepped too, with length
-    0, and nothing is kept of them.  Accepted steps wait in one table,
-    tagged with their lane, until the lane's run ends; its rows are then
-    freed for the running lanes.
+    bit), and its first step is the one scipy's DOP853 constructor
+    chooses.  So each lane takes the steps, stops, dense output and `nfev`
+    of `_solve` with the escape event (the disc of `ESCAPE_RADIUS`) and no
+    other, bit for bit.  Lanes that are not running are stepped too, with
+    length 0, and nothing is kept of them.  Each lane's accepted steps wait
+    in its own list, as the bytes of their rows, until its run ends.
     """
 
-    # a step's row in the table: t, the state, and the interpolant's rows
-    # F[1:] (F[0] is the state's change)
+    # an accepted step's row: t, the state, and the interpolant's rows F[1:]
+    # (F[0] is the state's change)
     _ROW = 15
 
-    def __init__(self, wps, starts, span, escape_radius):
+    def __init__(self, wps, starts, span):
         if not span > 0:
             raise ValueError(f"lanes integrate forward, but tau_span is {span}")
         n = len(wps)
         self.wps, self.span = wps, float(span)
         self.rhs = tau_rhs(wps)
-        self.escape = _escape_event(escape_radius)
+        self.escape = _escape_event(ESCAPE_RADIUS)
         self.x0 = np.array([(float(s[0]), float(s[1])) for s in starts]).reshape(n, 2)
         # a lane that is not running sits at the span's end with step 0
         self.t, self.h_abs, self.g = np.full(n, self.span), np.zeros(n), np.zeros(n)
@@ -585,27 +583,19 @@ class _Lanes:
         self.rtol, self.atol = np.ones(n), np.ones(n)
         self.rejected, self.running = np.zeros(n, bool), np.zeros(n, bool)
         self.nfev, self.rtol_used = np.zeros(n, int), [None] * n
-        self.table, self.owner, self.rows = np.empty((32 * n, self._ROW)), np.full(32 * n, -1), 0
+        self.steps = [None] * n
 
     def start(self, i, rtol, atol):
         """Start lane i's run from its start at these tolerances, as
-        `_solve` starts it: scipy's tolerance checks, f there, and scipy's
-        first step."""
-        rhs = tau_rhs(self.wps[i])
-
-        def fun(t, x):   # scipy's wrapped, array-valued right-hand side
-            return np.asarray(rhs(t, x), dtype=float)
-
-        y0 = self.x0[i].copy()
-        checked_rtol, checked_atol = validate_tol(rtol, atol, 2)
-        f = fun(0.0, y0)
-        h_abs = select_initial_step(fun, 0.0, y0, self.span, np.inf, f, 1.0,
-                                    DOP853.error_estimator_order, checked_rtol, checked_atol)
-        self.t[i], self.h_abs[i], self.y[:, i], self.k[0, :, i] = 0.0, h_abs, y0, f
-        self.g[i] = self.escape(0.0, y0.tolist())
-        self.rtol[i], self.atol[i] = float(checked_rtol), float(checked_atol)
+        `_solve` starts it: scipy's DOP853 constructor checks the
+        tolerances, takes f there and chooses the first step."""
+        first = DOP853(tau_rhs(self.wps[i]), 0.0, self.x0[i], self.span, rtol=rtol, atol=atol)
+        self.t[i], self.h_abs[i], self.y[:, i], self.k[0, :, i] = 0.0, first.h_abs, first.y, first.f
+        self.g[i] = self.escape(0.0, first.y.tolist())
+        self.rtol[i], self.atol[i] = float(first.rtol), float(first.atol)
         self.rejected[i], self.running[i] = False, True
-        self.nfev[i], self.rtol_used[i] = 2, rtol   # f at the start and in the first-step choice
+        self.nfev[i], self.rtol_used[i] = first.nfev, rtol
+        self.steps[i] = []
 
     # a rejected trial step may overflow, which Python floats do without a word
     @np.errstate(all="ignore")
@@ -638,7 +628,10 @@ class _Lanes:
         acc = np.flatnonzero(accepted)
         F = np.array(_dense_rows(self.rhs, t, h, y0, y1, n0, n1, k))
         self.nfev[acc] += len(_EXTRA)
-        self._keep(acc, t_new, n0, n1, F)
+        rows = np.column_stack((t_new[acc], n0[acc], n1[acc],
+                                F[1:, :, acc].transpose(2, 0, 1).reshape(len(acc), 12)))
+        for i, row in zip(acc.tolist(), rows):
+            self.steps[i].append(row.tobytes())   # a view would keep the whole block alive
         g_new = self.escape(t_new, (n0, n1))
         g = self.g
         escaped = accepted & (((g <= 0) & (0 <= g_new)) | ((g >= 0) & (0 >= g_new)))
@@ -654,36 +647,11 @@ class _Lanes:
         t[ended], self.h_abs[ended] = self.span, 0.0
         return out
 
-    def _keep(self, acc, t_new, n0, n1, F):
-        """Append the accepted steps to the table.  A full table first
-        packs the rows of running lanes at its start, in blocks read before
-        they are overwritten, and grows when that leaves less than a
-        quarter of it free."""
-        n = len(acc)
-        if self.rows + n > len(self.owner):
-            live = np.flatnonzero(self.owner[:self.rows] >= 0)
-            for j in range(0, len(live), 1024):
-                block = live[j:j + 1024]
-                self.table[j:j + len(block)] = self.table[block]
-                self.owner[j:j + len(block)] = self.owner[block]
-            self.rows = len(live)
-            if 4 * (self.rows + n) > 3 * len(self.owner):
-                size = 2 * len(self.owner) + n
-                self.table = np.concatenate((self.table[:self.rows],
-                                             np.empty((size - self.rows, self._ROW))))
-                self.owner = np.concatenate((self.owner[:self.rows], np.full(size - self.rows, -1)))
-        new = self.table[self.rows:self.rows + n]
-        new[:, 0], new[:, 1], new[:, 2] = t_new[acc], n0[acc], n1[acc]
-        new[:, 3:] = F[1:, :, acc].transpose(2, 0, 1).reshape(n, 12)
-        self.owner[self.rows:self.rows + n] = acc
-        self.rows += n
-
     def _trajectory(self, i, escaped, failed):
-        """Lane i's run as `_solve` returns it, its steps freed from the
-        table; an escaped run is cut at the escape root."""
-        mine = np.flatnonzero(self.owner[:self.rows] == i)
-        steps = self.table[mine]
-        self.owner[mine] = -1
+        """Lane i's run as `_solve` returns it, its step list freed; an
+        escaped run is cut at the escape root."""
+        steps = np.frombuffer(b"".join(self.steps[i])).reshape(-1, self._ROW)
+        self.steps[i] = None
         t = np.concatenate(([0.0], steps[:, 0]))
         states = np.concatenate((self.x0[i:i + 1], steps[:, 1:3]))
         h, F = np.diff(t), np.empty((len(steps), 7, 2))
@@ -700,13 +668,13 @@ class _Lanes:
         return traj
 
 
-def integrate_many(wps, starts, tau_span=10.0, *, fis, escape_radius=ESCAPE_RADIUS):
+def integrate_many(wps, starts, tau_span=10.0, *, fis):
     """`integrate` for many trials at once: trial i integrates the tau-form
     of wps[i] from starts[i] over [0, tau_span] and measures its drift on
     fis[i].  Yields (i, Trajectory) as each trial settles, the Trajectory
-    equal to `integrate(wps[i], starts[i], tau_span, fi=fis[i],
-    escape_radius=escape_radius)`'s bit for bit, `nfev` included, except
-    that it has no scipy solution (`sol`) and locates no axis crossings.
+    equal to `integrate(wps[i], starts[i], tau_span, fi=fis[i])`'s bit for
+    bit, `nfev` included, except that it has no scipy solution (`sol`) and
+    locates no axis crossings.
     A caller that keeps only what it needs of each trial holds one trial's
     steps at a time.
 
@@ -715,7 +683,7 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis, escape_radius=ESCAPE_RADI
     soon as its run ends, and its better run is kept as `integrate` keeps
     it.
     """
-    lanes = _Lanes(wps, starts, tau_span, escape_radius)
+    lanes = _Lanes(wps, starts, tau_span)
     tols = [(RTOL, ATOL)] * len(wps)
     retries, best = [RETRIES] * len(wps), [None] * len(wps)
     for i, (r, a) in enumerate(tols):

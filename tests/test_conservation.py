@@ -163,14 +163,14 @@ def test_pinned_trials_hold_through_the_lanes():
                     for _i, traj in sorted(lanes.items())])
 
 
-def _assert_lanes_are_integrate(wps, starts, span, **options):
-    """Every lane of `integrate_many` against `integrate` on its own trial:
-    the same answers, runs and solver work, bit for bit.  Returns the
-    reference trajectories."""
+def _assert_lanes_are_integrate(wps, starts, span):
+    """Every lane of `integrate_many` against `integrate` on its own trial,
+    both escaping at `orbits.ESCAPE_RADIUS`: the same answers, runs and
+    solver work, bit for bit.  Returns the reference trajectories."""
     fis = [build_first_integral(wp) for wp in wps]
-    lanes = dict(integrate_many(wps, starts, span, fis=fis, **options))
+    lanes = dict(integrate_many(wps, starts, span, fis=fis))
     assert sorted(lanes) == list(range(len(wps)))
-    refs = [integrate(wp, start, span, fi=fi, **options)
+    refs = [integrate(wp, start, span, fi=fi, escape_radius=orbits.ESCAPE_RADIUS)
             for wp, start, fi in zip(wps, starts, fis)]
     for i, ref in enumerate(refs):
         lane = lanes[i]
@@ -201,13 +201,13 @@ def test_lanes_give_every_trial_what_integrate_gives(seed):
         assert (retried, over) == ([20, 212], [20, 169, 193])
 
 
-def test_a_lane_ends_on_a_too_small_step():
+def test_a_lane_ends_on_a_too_small_step(monkeypatch):
     # with no escape disc the orbit from (3, 1) runs off to infinity before
     # tau = 10, and its steps shrink below the spacing of the floats at t;
     # the lane beside it runs on to the end of the span
+    monkeypatch.setattr(orbits, "ESCAPE_RADIUS", math.inf)
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
-    refs = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0,
-                                       escape_radius=math.inf)
+    refs = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0)
     assert [r.status for r in refs] == [orbits.DOP853.TOO_SMALL_STEP, "ok"]
 
 
