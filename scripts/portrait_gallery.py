@@ -14,18 +14,19 @@ from pathlib import Path
 
 from rotheta import WaveParams, census, classify_region
 from rotheta.cli import render_portrait_artifacts
+from rotheta.verification import T1_BASE, T3_BASE
 
 REGIMES = {
     # line between 0 and the only positive g-root: arch + periodic peakons
-    "window": WaveParams(Fraction(1, 4), 0.3, 2.0, -1.0, 3.0),
+    "window": WaveParams(C1=0.3, **T1_BASE),
     # line in the left window (phi3, phi2) of a three-root configuration
     "second-window": WaveParams(Fraction(1, 4), -0.5, -0.2, -0.1, 0.6),
     # line right of every root: smooth waves only
-    "outside-window": WaveParams(Fraction(1, 4), 0.8, 2.0, -1.0, 3.0),
+    "outside-window": WaveParams(C1=0.8, **T1_BASE),
     # theta = 1/2, line away from the equilibria
-    "half-theta": WaveParams(Fraction(1, 2), 0.5, 0.9, -1.0, -0.05),
+    "half-theta": WaveParams(C1=0.5, **T3_BASE),
     # theta = 1/2 with C1 = 0: the line passes through an equilibrium
-    "reduced-point": WaveParams(Fraction(1, 2), 0.0, 0.9, -1.0, -0.05),
+    "reduced-point": WaveParams(C1=0.0, **T3_BASE),
     # theta = 1: the first integral has a 1/(phi - C1) pole on the line
     "theta-one": WaveParams(Fraction(1, 1), 0.4, 0.9, -1.0, -0.05),
 }

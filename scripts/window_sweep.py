@@ -11,12 +11,9 @@ Usage: python scripts/window_sweep.py [--samples 48]
 
 import argparse
 from collections import Counter
-from fractions import Fraction
 
 from rotheta import WaveParams, sweep_singular_line
-
-T1_BASE = WaveParams(Fraction(1, 4), 0.3, 2.0, -1.0, 3.0)
-T2_BASE = WaveParams(Fraction(1, 2), 0.3, 0.9, -1.0, -0.05)
+from rotheta.verification import T1_BASE, T3_BASE
 
 
 def summarize(rep):
@@ -45,12 +42,12 @@ def main():
     args = ap.parse_args()
 
     print(f"theta = 1/4 family, C1 from 0.75 to 0.001 ({args.samples} samples)")
-    rep = sweep_singular_line(T1_BASE, (0.75, 0.001), args.samples)
+    rep = sweep_singular_line(WaveParams(C1=0.3, **T1_BASE), (0.75, 0.001), args.samples)
     summarize(rep)
 
     print(f"theta = 1/2 family, C1 from 0.3 to -0.3 across the reduced point")
     n = args.samples if args.samples % 2 == 1 else args.samples + 1
-    rep2 = sweep_singular_line(T2_BASE, (0.3, -0.3), n)
+    rep2 = sweep_singular_line(WaveParams(C1=0.3, **T3_BASE), (0.3, -0.3), n)
     summarize(rep2)
 
 

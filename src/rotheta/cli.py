@@ -73,50 +73,49 @@ def _build_parser() -> argparse.ArgumentParser:
                     "theta-family of shallow-water equations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", metavar="FILE",
-                       help="key=value lines; flags override file values")
-        p.add_argument("--theta", help="exact ratio like 1/4, 1/2 or 1")
-        p.add_argument("--omega", type=float,
-                       help="rotation rate (physical mode, with --c)")
-        p.add_argument("--c", type=float,
-                       help="wave speed (physical mode, with --omega)")
-        p.add_argument("--c1", type=float, help="direct-mode coefficient C1")
-        p.add_argument("--c2", type=float, help="direct-mode coefficient C2")
-        p.add_argument("--c3", type=float, help="direct-mode coefficient C3")
-        p.add_argument("--k", type=float, help="direct-mode coefficient K")
-        p.add_argument("--out", help="output path (extensions added per format)")
-        p.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"],
-                       help="data file format (default csv)")
-        p.add_argument("--seed", type=int, help="seed for randomized suites")
+    # flag groups: each command declares only the ones it reads
+    config, params, out, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config", metavar="FILE",
+                        help="key=value lines; flags override file values")
+    params.add_argument("--theta", help="exact ratio like 1/4, 1/2 or 1")
+    params.add_argument("--omega", type=float,
+                        help="rotation rate (physical mode, with --c)")
+    params.add_argument("--c", type=float,
+                        help="wave speed (physical mode, with --omega)")
+    params.add_argument("--c1", type=float, help="direct-mode coefficient C1")
+    params.add_argument("--c2", type=float, help="direct-mode coefficient C2")
+    params.add_argument("--c3", type=float, help="direct-mode coefficient C3")
+    params.add_argument("--k", type=float, help="direct-mode coefficient K")
+    out.add_argument("--out", help="output path (extensions added per format)")
+    fmt.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"],
+                     help="data file format (default csv)")
 
-    p = sub.add_parser("params", help="echo derived parameters and the "
-                                      "first-integral validity note")
-    add_common(p)
+    sub.add_parser("params", parents=[config, params],
+                   help="echo derived parameters and the first-integral validity note")
 
-    p = sub.add_parser("portrait", help="phase portrait as SVG + curve CSV")
-    add_common(p)
+    p = sub.add_parser("portrait", parents=[config, params, out],
+                       help="phase portrait as SVG + curve CSV")
     p.add_argument("--h", type=float, action="append",
                    help="level value (repeatable; default: levels inside each family)")
 
-    p = sub.add_parser("wave", help="closed-form wave profiles with residuals")
-    add_common(p)
+    p = sub.add_parser("wave", parents=[config, params, out, fmt],
+                       help="closed-form wave profiles with residuals")
     p.add_argument("--h", type=float, action="append",
                    help="level value (repeatable; default: stop and family levels)")
     p.add_argument("--type", dest="wave_type", choices=_CHOICES["wave_type"],
                    help="restrict to one profile family")
 
-    p = sub.add_parser("sweep", help="move the singular line: classify and "
-                                     "observe a C1 range")
-    add_common(p)
+    p = sub.add_parser("sweep", parents=[config, params, out, fmt],
+                       help="move the singular line: classify and observe a C1 range")
     p.add_argument("--c1-from", type=float, dest="c1_from",
                    help="first C1 value (right end)")
     p.add_argument("--c1-to", type=float, dest="c1_to",
                    help="last C1 value (left end, smaller)")
     p.add_argument("--samples", type=int, help="sample count (default 200)")
 
-    p = sub.add_parser("verify", help="run the named verification checks")
-    add_common(p)
+    p = sub.add_parser("verify", parents=[config, out],
+                       help="run the named verification checks")
+    p.add_argument("--seed", type=int, help="seed for randomized suites")
     p.add_argument("--only", help="comma-separated check names")
     return ap
 

@@ -14,20 +14,17 @@ Every integration takes scipy's DOP853 steps, with its tableau, error norm
 and step-size controller written once, on values that are Python floats or
 numpy arrays over lanes.  There are two drivers:
 
-* `_solve`, the package's one `solve_ivp` call, runs one trajectory of any
-  planar right-hand side with dense output and no scipy events.  Its
-  method is `_FloatDOP853`, which takes each step on Python floats and so
-  spares the planar system numpy's per-call overhead.  The stepper also
-  tests the terminal events (leaving the escape disc, the n-th y = 0
-  crossing when one is asked for, the arrival when shooting) on each
-  accepted step's floats and ends the run on the step where one fires;
-  `_cut` then cuts the trajectory at that event's root as solve_ivp's
-  event loop would.  A trajectory's y = 0 crossing times are located on
-  its steps only when `Trajectory.axis_crossings` is first read.
+* `solve_ivp` with `_FloatDOP853`, which takes each step on Python floats
+  and so spares the planar system numpy's per-call overhead, runs one
+  trajectory of any planar right-hand side: through `_solve` (dense
+  output, with the escape disc, the y = 0 crossings and any arrival
+  handed to scipy's event loop as events) and through
+  `measure_axis_period` (its one axis event, no dense output).
 * `integrate_many` runs many fixed-span tau-form trials at once, as the
   lanes of numpy arrays (`_Lanes`), each lane stopping at the escape disc
-  with the step, the cut and the answer `_solve` and `integrate` give its
-  trial, bit for bit.  The conservation check runs its trials this way.
+  with the step, the cut (`_cut`) and the answer `_solve` and `integrate`
+  give its trial, bit for bit.  The conservation check runs its trials
+  this way.
 
 The tau-form runs integrate `field.tau_rhs`, the package's one tau-form
 right-hand side.  A trajectory is read at any set of times through
@@ -60,7 +57,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.ivp import solve_event_equation
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
@@ -96,7 +93,9 @@ RTOL, ATOL, DRIFT_LIMIT, RETRIES = 1e-10, 1e-12, 1e-8, 1
 class Trajectory:
     """One DOP853 run, from `_solve` or a lane of `integrate_many`.
     `states` holds the accepted steps; `at` reads the dense solution at any
-    times (`dense`, `xi_of_tau` and `classify_orbit` all sample through it)."""
+    times (`dense`, `xi_of_tau` and `classify_orbit` all sample through it).
+    `axis_crossings` holds the y = 0 crossing times scipy's event loop
+    found on a `_solve` run."""
 
     wp: WaveParams
     t: np.ndarray
@@ -109,27 +108,7 @@ class Trajectory:
     rtol_used: float = 0.0
     status: str = ""
     nfev: int = 0                      # right-hand-side evaluations, counted as scipy counts them
-    # the run as the stepper took it, for `axis_crossings`: every step's
-    # dense output, y at the start and at each step's end, and the (root,
-    # event index) that cut the last step (None: no event did).  A lane
-    # keeps no run, so its crossings are never located.
-    run: tuple | None = None
-
-    @cached_property
-    def axis_crossings(self):
-        """Times where y = 0, located on first use as solve_ivp locates an
-        event of direction 0: a step whose ends have y of opposite signs,
-        or y = 0 at either end, holds the root brentq finds on its dense
-        output (`solve_event_equation`).  On a step cut by a terminal event
-        a root is kept only when it comes before the cut, ties going to the
-        earlier event (the axis event is scipy's event 1, after escape)."""
-        steps, y, stop = self.run
-        active = np.flatnonzero(((y[:-1] <= 0) & (y[1:] >= 0)) | ((y[:-1] >= 0) & (y[1:] <= 0)))
-        roots = [solve_event_equation(_on_axis, steps[i], steps[i].t_old, steps[i].t)
-                 for i in active]
-        if stop is not None and roots and active[-1] == len(steps) - 1 and (roots[-1], 1) > stop:
-            roots.pop()
-        return np.array(roots)
+    axis_crossings: np.ndarray | None = None   # None from a lane
 
     @cached_property
     def _segments(self):
@@ -188,39 +167,6 @@ def _xi_along(wp: WaveParams, t_grid, phis):
 
 def _h_scale(h_values, h0):
     return max(abs(h0), float(np.max(np.abs(h_values))), 1e-9)
-
-
-def _on_axis(_t, x):
-    return x[1]
-
-
-class _Stops:
-    """The terminal events of one `_solve` run, which `_FloatDOP853` tests
-    on each accepted step's end state by the rule of scipy's
-    `find_active_events`: an event is active on a step when its value has
-    opposite signs at the step's ends, or is 0 at either end, in its
-    `direction` (up, down, or both for 0).  An event stops the run when it
-    has been active `terminal` times.  `hit` lists the (index, event) pairs
-    that reached their count on the step that stopped the run; the index is
-    the event's place in `events`, which orders equal roots."""
-
-    def __init__(self, events, t0, x0):
-        self.watch = [(i, ev, getattr(ev, "direction", 0))
-                      for i, ev in enumerate(events) if ev.terminal]
-        self.left = [int(ev.terminal) for _, ev, _ in self.watch]
-        self.g = [ev(t0, x0) for _, ev, _ in self.watch]
-        self.hit = []
-
-    def reached(self, t, x):
-        """Test the step that ended at (t, x); True when it stops the run."""
-        for k, (i, ev, direction) in enumerate(self.watch):
-            g, g_new = self.g[k], ev(t, x)
-            self.g[k] = g_new
-            if (g <= 0 <= g_new and direction >= 0) or (g >= 0 >= g_new and direction <= 0):
-                self.left[k] -= 1
-                if self.left[k] == 0:
-                    self.hit.append((i, ev))
-        return bool(self.hit)
 
 
 class _Row(tuple):
@@ -346,51 +292,45 @@ def _dense_rows(rhs, t_old, h, y0, y1, n0, n1, k):
 
 
 class _FloatDOP853(DOP853):
-    """scipy's DOP853 for a planar system, each step taken on Python floats.
+    """scipy's DOP853 for a planar system, each step taken forward on
+    Python floats.
 
     `__init__` is scipy's: tolerance checks, the first step and its `nfev`.
     A step is the shared step arithmetic above on floats: DOP853's RK step,
-    error norm and step-size controller, with scipy's constants.  The RHS
-    gets the state as a tuple of floats, and numpy only holds the accepted
-    state and the dense output, which keeps DOP853's form
-    (`Dop853DenseOutput`), so OdeSolution, event location and
-    `Trajectory.at` read it as they read scipy's.  With `stops` (a
-    `_Stops`) each accepted step is tested for its terminal events, and the
-    step where one fires becomes the last: `t_bound` moves to its end.
+    error norm and step-size controller, with scipy's constants, and no
+    maximum step.  The RHS gets the state as a tuple of floats, and numpy
+    only holds the accepted state and the dense output, which keeps
+    DOP853's form (`Dop853DenseOutput`), so OdeSolution, scipy's event
+    location and `Trajectory.at` read it as they read scipy's.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, stops=None, **options):
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        if not t_bound > t0:
+            raise ValueError(f"the float stepper integrates forward, but the span is "
+                             f"{t_bound - t0}")
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun   # scipy keeps only its numpy-wrapped copy
-        self._stops = stops
         self._tols = (float(self.rtol), *np.broadcast_to(self.atol, (2,)).tolist())
         self.f = tuple(self.f.tolist())
         self._k = [None] * _N_STAGES   # (phi, y) pair per stage
 
     def _step_impl(self):
         rhs, k, tols = self._rhs, self._k, self._tols
-        t, t_bound, direction = self.t, self.t_bound, float(self.direction)
+        t, t_bound = self.t, self.t_bound
         y0, y1 = self.y.tolist()
         k[0] = self.f
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = float(self.h_abs)   # the first step comes as np.float64
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        # the first step comes as np.float64
+        h_abs = min_step if self.h_abs < min_step else float(self.h_abs)
         rejected = False
         while True:
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
+            t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = abs(h)
             n0, n1 = _rk_step(rhs, t, h, y0, y1, k)
             self.nfev += _FSAL   # stages 1 to 11, and f at the new state
-            accepted, h_abs = _control(h_abs, *_error_sums(y0, y1, n0, n1, k, tols), rejected)
+            accepted, h_abs = _control(h, *_error_sums(y0, y1, n0, n1, k, tols), rejected)
             if accepted:
                 break
             rejected = True
@@ -400,8 +340,6 @@ class _FloatDOP853(DOP853):
         self.y = np.array((n0, n1))
         self.h_abs = h_abs
         self.f = k[_FSAL]
-        if self._stops is not None and self._stops.reached(t_new, (n0, n1)):
-            self.t_bound = t_new
         return True, None
 
     def _dense_output_impl(self):
@@ -422,19 +360,25 @@ def _escape_event(escape_radius):
     return ev_escape
 
 
-def _cut(t, states, step, hit):
-    """A run's times and states cut at the first root, on its last `step`,
-    of the events `hit` ((index, event) pairs), as solve_ivp's
-    `handle_events` cuts them: the last point becomes the root and its
-    state, or, when the root is the step's start, the step is dropped
-    (solve_ivp's `donot_append` rule).  Returns (t, states, whether the
-    step was dropped, (root, index) of the event that cut it; equal
-    roots go to the earlier event)."""
-    stop = min((solve_event_equation(ev, step, step.t_old, step.t), i) for i, ev in hit)
-    if len(t) > 2 and t[-2] == stop[0]:
-        return t[:-1], states[:-1], True, stop
-    return (np.append(t[:-1], stop[0]), np.vstack((states[:-1], step(stop[0]))),
-            False, stop)
+def _axis_event(terminal):
+    """The event of crossing y = 0, terminal at its `terminal`-th
+    occurrence (never when None)."""
+    def ev_axis(_t, x):
+        return x[1]
+    ev_axis.terminal = terminal
+    return ev_axis
+
+
+def _cut(t, states, step, event):
+    """A run's times and states cut at the root of `event` on its last
+    `step`, as solve_ivp's `handle_events` cuts them: the last point
+    becomes the root and its state, or, when the root is the step's start,
+    the step is dropped (solve_ivp's `donot_append` rule).  Returns (t,
+    states, whether the step was dropped)."""
+    root = solve_event_equation(event, step, step.t_old, step.t)
+    if len(t) > 2 and t[-2] == root:
+        return t[:-1], states[:-1], True
+    return np.append(t[:-1], root), np.vstack((states[:-1], step(root))), False
 
 
 def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
@@ -443,34 +387,19 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
     (`_FloatDOP853`) until it leaves the disc of `escape_radius`, reaches
     the `axis_stop`-th y = 0 crossing (if given) or one of `events`
     (terminal events in scipy's form, each stopping at its first
-    occurrence).  Returns the Trajectory (recording `wp`, read with
-    `Trajectory.at`) and the times each of `events` fired.
-
-    These are the results solve_ivp gives with the events [escape, axis,
-    *events] (the axis event terminal after `axis_stop` crossings), bit
-    for bit, but solve_ivp gets none of them: the stepper tests the
-    terminal ones on its floats and ends the run on the step where one
-    fires, and `_cut` cuts the trajectory at the first root among them.
-    The axis crossings are located when read.
+    occurrence).  Returns the Trajectory (recording `wp` and its y = 0
+    crossing times, read with `Trajectory.at`) and the times each of
+    `events` fired.  scipy's event loop runs the events [escape, axis,
+    *events]; a span <= 0 raises ValueError.
     """
-    def ev_axis(_t, x):
-        return x[1]
-    ev_axis.terminal = axis_stop
-
-    x0 = (float(start[0]), float(start[1]))
-    stops = _Stops([_escape_event(escape_radius), ev_axis, *events], 0.0, x0)
-    res = solve_ivp(rhs, (0.0, span), list(x0), method=_FloatDOP853, rtol=rtol,
-                    atol=atol, dense_output=True, stops=stops)
-    t, states, sol, stop = res.t, res.y.T, res.sol, None
-    if stops.hit:
-        steps = sol.interpolants
-        t, states, dropped, stop = _cut(t, states, steps[-1], stops.hit)
-        sol = OdeSolution(t, steps[:-1] if dropped else steps)
-    fired = stop[1] if stop is not None else None
-    traj = Trajectory(wp=wp, t=t, states=states, sol=sol, escaped=fired == 0,
-                      rtol_used=rtol, nfev=res.nfev, run=(res.sol.interpolants, res.y[1], stop),
+    res = solve_ivp(rhs, (0.0, span), [float(start[0]), float(start[1])],
+                    method=_FloatDOP853, rtol=rtol, atol=atol, dense_output=True,
+                    events=[_escape_event(escape_radius), _axis_event(axis_stop), *events])
+    traj = Trajectory(wp=wp, t=res.t, states=res.y.T, sol=res.sol,
+                      escaped=len(res.t_events[0]) > 0, axis_crossings=res.t_events[1],
+                      rtol_used=rtol, nfev=res.nfev,
                       status="ok" if res.success else (res.message or "solver failure"))
-    return traj, [np.array([stop[0]] if fired == i else []) for i in range(2, 2 + len(events))]
+    return traj, res.t_events[2:]
 
 
 def _measure_drift(traj, fi, start, drift_limit):
@@ -558,10 +487,10 @@ class _Lanes:
     floats (`_control`: numpy's power differs from Python's in the last
     bit), and its first step is the one scipy's DOP853 constructor
     chooses.  So each lane takes the steps, stops, dense output and `nfev`
-    of `_solve` with the escape event (the disc of `ESCAPE_RADIUS`) and no
-    other, bit for bit.  Lanes that are not running are stepped too, with
-    length 0, and nothing is kept of them.  Each lane's accepted steps wait
-    in its own list, as the bytes of their rows, until its run ends.
+    of `_solve` when only the escape event (the disc of `ESCAPE_RADIUS`)
+    can stop it, bit for bit.  Lanes that are not running are stepped too,
+    with length 0, and nothing is kept of them.  Each lane's accepted steps
+    wait in its own list, as the bytes of their rows, until its run ends.
     """
 
     # an accepted step's row: t, the state, and the interpolant's rows F[1:]
@@ -658,7 +587,7 @@ class _Lanes:
         F[:, 0], F[:, 1:] = np.diff(states, axis=0), steps[:, 3:].reshape(-1, 6, 2)
         if escaped:
             last = Dop853DenseOutput(t[-2], t[-1], states[-2], F[-1])
-            t, states, dropped, _stop = _cut(t, states, last, [(0, self.escape)])
+            t, states, dropped = _cut(t, states, last, self.escape)
             if dropped:
                 h, F = h[:-1], F[:-1]
         traj = Trajectory(wp=self.wps[i], t=t, states=states, sol=None, escaped=escaped,
@@ -674,7 +603,7 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis):
     fis[i].  Yields (i, Trajectory) as each trial settles, the Trajectory
     equal to `integrate(wps[i], starts[i], tau_span, fi=fis[i])`'s bit for
     bit, `nfev` included, except that it has no scipy solution (`sol`) and
-    locates no axis crossings.
+    no axis crossings (both None).
     A caller that keeps only what it needs of each trial holds one trial's
     steps at a time.
 
@@ -945,8 +874,9 @@ def measure_axis_period(rhs, start, *, span=200.0, rtol=1e-12, atol=1e-14):
     between the first and third y = 0 crossing starting off-axis.  Returns
     (period, crossing_times); period is None if fewer than 3 crossings."""
     # two periods suffice; don't integrate the full span
-    traj, _ = _solve(None, rhs, start, span, rtol, atol, axis_stop=4)
-    tc = traj.axis_crossings
+    res = solve_ivp(rhs, (0.0, span), [float(start[0]), float(start[1])],
+                    method=_FloatDOP853, rtol=rtol, atol=atol, events=_axis_event(4))
+    tc = res.t_events[0]
     tc = tc[tc > 1e-12]
     if len(tc) < 3:
         return None, tc

@@ -247,6 +247,21 @@ def test_verify_rejects_unknown_check(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    (["portrait"] + D1, ["--format", "jsonl"]),
+    (["verify", "--only", "parameter-identities"], ["--theta", "1/3"]),
+    (["params"] + D1, ["--seed", "1"]),
+], ids=["portrait-format", "verify-theta", "params-out-seed"])
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, command, flags):
+    # params writes no file, so its --out is refused too
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(tmp_path / "x")] + flags)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_validation(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("theta = 1/4\nfrobnicate = 1\n")

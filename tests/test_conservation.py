@@ -211,6 +211,17 @@ def test_a_lane_ends_on_a_too_small_step(monkeypatch):
     assert [r.status for r in refs] == [orbits.DOP853.TOO_SMALL_STEP, "ok"]
 
 
+def test_lanes_escape_from_the_circle_and_from_outside_it(monkeypatch):
+    # a start exactly on the escape circle escapes at once, the root being
+    # the first step's start; a start outside the disc escapes as it
+    # re-enters
+    monkeypatch.setattr(orbits, "ESCAPE_RADIUS", 5.0)
+    wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
+    on, outside = _assert_lanes_are_integrate([wp, wp], [(3.0, 4.0), (0.0, 5.5)], 10.0)
+    assert on.escaped and list(on.t) == [0.0, 0.0]
+    assert outside.escaped and len(outside.t) == 3
+
+
 _lane = st.tuples(
     st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-2.0, -0.2), st.floats(-1.0, 1.0),
@@ -230,29 +241,14 @@ def test_small_mixed_lane_sets_are_integrate(lanes, span):
 
 
 def _check_solves(monkeypatch, method=None):
-    """(Trajectory, nfev, escaped) of every `_solve` call the 300 seed-7
-    conservation trials make, run as the check runs them.  With `method`
-    given, solve_ivp steps with it in place of the package's stepper and
-    runs scipy's own event loop on the events `_solve` stops at: the escape
-    disc of the check's radius and the y = 0 crossings, which never stop
-    these runs; `escaped` then comes from that loop."""
+    """Every `_solve` Trajectory the 300 seed-7 conservation trials make,
+    run as the check runs them.  With `method` given, solve_ivp steps with
+    it in place of the package's stepper, on the same events."""
     solve_ivp, solve = orbits.solve_ivp, orbits._solve
-    runs, trajs = [], []
+    trajs = []
 
-    def ev_escape(_t, x):
-        return x[0] * x[0] + x[1] * x[1] - orbits.ESCAPE_RADIUS * orbits.ESCAPE_RADIUS
-    ev_escape.terminal = True
-
-    def ev_axis(_t, x):
-        return x[1]
-
-    def counting_solve_ivp(*args, **kwargs):
-        if method is not None:
-            del kwargs["stops"]
-            kwargs.update(method=method, events=[ev_escape, ev_axis])
-        res = solve_ivp(*args, **kwargs)
-        runs.append(res)
-        return res
+    def stepping_with_method(*args, **kwargs):
+        return solve_ivp(*args, **{**kwargs, "method": method})
 
     def recording_solve(*args, **kwargs):
         out = solve(*args, **kwargs)
@@ -260,15 +256,15 @@ def _check_solves(monkeypatch, method=None):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(orbits, "solve_ivp", counting_solve_ivp)
+        if method is not None:
+            m.setattr(orbits, "solve_ivp", stepping_with_method)
         m.setattr(orbits, "_solve", recording_solve)
         rng = np.random.default_rng(DEFAULT_SEED)
         for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
             for _ in range(100):
                 wp, start = _conservation_draw(rng, theta)
                 integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
-    return [(traj, res.nfev, traj.escaped if method is None else len(res.t_events[0]) > 0)
-            for traj, res in zip(trajs, runs, strict=True)]
+    return trajs
 
 
 def test_float_stepper_takes_scipys_steps(monkeypatch):
@@ -278,10 +274,10 @@ def test_float_stepper_takes_scipys_steps(monkeypatch):
     got = _check_solves(monkeypatch)
     ref = _check_solves(monkeypatch, method="DOP853")
     assert len(got) == len(ref) == 307
-    for (traj, nfev, escaped), (ref_traj, ref_nfev, ref_escaped) in zip(got, ref):
-        assert (len(traj.t), nfev, escaped, traj.status) == \
-            (len(ref_traj.t), ref_nfev, ref_escaped, ref_traj.status)
-        if not ref_escaped:
+    for traj, ref_traj in zip(got, ref):
+        assert (len(traj.t), traj.nfev, traj.escaped, traj.status) == \
+            (len(ref_traj.t), ref_traj.nfev, ref_traj.escaped, ref_traj.status)
+        if not ref_traj.escaped:
             tg = np.linspace(ref_traj.t[0], ref_traj.t[-1], 512)
             want = ref_traj.at(tg)
             assert np.all(np.abs(traj.at(tg) - want) <= 1e-8 * (1.0 + np.abs(want)))

@@ -27,7 +27,7 @@ from rotheta.levels import branch_period, saddle_level_fn
 from rotheta.orbits import (classify_orbit, integrate, measure_axis_period, shoot_connection,
                             trace_level_curve, y_squared_fn)
 from rotheta.params import WaveParams
-from rotheta.verification import DEFAULT_SEED, T3_BASE, _conservation_draw
+from rotheta.verification import T3_BASE
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +177,9 @@ def solved(monkeypatch):
 
 
 def _run_reading_cases(regime):
-    """Nine `_solve` runs of every kind: a periodic orbit, an escape, a stop
-    at the fourth axis crossing, a retried theta = 1/2 draw, a theta = 1
-    run, a single step, a shot arch and an axis period."""
+    """Eight `_solve` runs of every kind: a periodic orbit, an escape, a
+    stop at the fourth axis crossing, a retried theta = 1/2 draw, a
+    theta = 1 run, a single step and a shot arch."""
     wp, cen, fi = regime
     integrate(wp, (0.05, 0.0), tau_span=30.0, fi=fi)
     assert integrate(wp, (4.5, 0.0), tau_span=20.0, escape_radius=10.0).escaped
@@ -195,7 +195,6 @@ def _run_reading_cases(regime):
     assert len(integrate(wp3, (0.5, 0.2), tau_span=1e-3).t) == 2   # one step
     up, dn = sorted(cen.line_pair, key=lambda e: -e.y)
     assert shoot_connection(wp, up, dn, side="left")[0]
-    measure_axis_period(tau_rhs(wp), (1e-3, 0.0))
 
 
 def test_trajectory_reads_as_scipy_solution(regime, solved):
@@ -203,7 +202,7 @@ def test_trajectory_reads_as_scipy_solution(regime, solved):
     # breakpoint, the same Horner order, the end steps beyond the ends.  This
     # breaks if a scipy release lays the dense segments out differently.
     _run_reading_cases(regime)
-    assert len(solved) == 9
+    assert len(solved) == 8
 
     rng = np.random.default_rng(0)
     for *_, traj in solved:
@@ -239,87 +238,50 @@ def test_trajectory_breakpoint_rule_matches_scipy():
         assert np.array_equal(traj.at(t), sol(t))
 
 
-def _assert_solve_is_scipys_event_loop(wp, rhs, start, span, rtol, atol, *,
-                                       escape_radius=math.inf, axis_stop=None, events=()):
-    # `_solve` against scipy's own event loop on the same stepper, handed
-    # the events `_solve` stops at: bit for bit the same points, escape,
-    # axis crossings, arrival times and status
-    traj, arrivals = orbits._solve(wp, rhs, start, span, rtol, atol, escape_radius=escape_radius,
-                                   axis_stop=axis_stop, events=events)
-    r2 = escape_radius * escape_radius
-
-    def ev_escape(_t, x):
-        return x[0] * x[0] + x[1] * x[1] - r2
-    ev_escape.terminal = True
-
-    def ev_axis(_t, x):
-        return x[1]
-    ev_axis.terminal = axis_stop
-
-    res = solve_ivp(rhs, (0.0, span), [float(start[0]), float(start[1])],
-                    method=orbits._FloatDOP853, rtol=rtol, atol=atol, dense_output=True,
-                    events=[ev_escape, ev_axis, *events])
-    assert np.array_equal(traj.t, res.t)
-    assert np.array_equal(traj.states, res.y.T)
-    assert traj.escaped == (len(res.t_events[0]) > 0)
-    assert np.array_equal(traj.axis_crossings, res.t_events[1])
-    assert len(arrivals) == len(res.t_events) - 2
-    for got, want in zip(arrivals, res.t_events[2:]):
-        assert np.array_equal(got, want)
-    assert traj.status == ("ok" if res.success else res.message)
-    return traj
+def _spiral(_t, x):
+    return (-0.5 * x[0] - x[1], x[0] - 0.5 * x[1])
 
 
-def test_solve_stops_as_scipys_event_loop(regime, solved, monkeypatch):
-    rng = np.random.default_rng(DEFAULT_SEED)
-    for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        for _ in range(100):
-            wp, start = _conservation_draw(rng, theta)
-            integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
-    assert len(solved) == 307
-    _run_reading_cases(regime)
-    assert len(solved) == 316
-    # a homoclinic shot starts inside its arrival disc: leaving it is not
-    # an arrival (direction -1), coming back is
-    wp, _h = params_from_roots([3.0, 1.0, 1.0, -2.0])
-    sad = next(e for e in census(wp).saddles() if abs(e.phi - 1.0) < 1e-6)
-    assert shoot_connection(wp, sad, sad, side="right")[0]
-    monkeypatch.undo()   # stop recording
-    for args, kwargs, _ in solved:
-        _assert_solve_is_scipys_event_loop(*args, **kwargs)
+def _line(c):   # a straight line, which DOP853 takes in steps growing tenfold
+    return lambda _t, _x: (1.0, c)
 
-    def spiral(_t, x):
-        return (-0.5 * x[0] - x[1], x[0] - 0.5 * x[1])
 
-    def line(c):   # a straight line, which DOP853 takes in steps growing tenfold
-        return lambda _t, _x: (1.0, c)
+def test_solve_stops_as_scipys_event_loop():
+    def solve(rhs, start, **stops):
+        return orbits._solve(None, rhs, start, 100.0, 1e-10, 1e-12, **stops)[0]
 
-    # a start outside the disc escapes when it re-enters
-    traj = _assert_solve_is_scipys_event_loop(None, spiral, (12.0, 0.0), 20.0, 1e-10, 1e-12,
-                                              escape_radius=10.0)
-    assert traj.escaped and len(traj.axis_crossings) == 1
     # a start on the circle escapes at once: the root is the step's start
-    traj = _assert_solve_is_scipys_event_loop(None, spiral, (3.0, 4.0), 20.0, 1e-10, 1e-12,
-                                              escape_radius=5.0)
+    traj = solve(_spiral, (3.0, 4.0), escape_radius=5.0)
     assert traj.escaped and list(traj.t) == [0.0, 0.0]
+    # a start outside the disc escapes when it re-enters
+    traj = solve(_spiral, (12.0, 0.0), escape_radius=10.0)
+    assert traj.escaped and len(traj.axis_crossings) == 1
+    assert math.hypot(*traj.states[-1]) == pytest.approx(10.0)
     # one last step holds the axis crossing before the escape root, the
     # other after it
-    traj = _assert_solve_is_scipys_event_loop(None, line(-1.0), (0.0, 3.0), 100.0, 1e-10, 1e-12,
-                                              escape_radius=10.0)
-    assert traj.escaped and traj.axis_crossings[-1] > traj.run[0][-1].t_old
+    traj = solve(_line(-1.0), (0.0, 3.0), escape_radius=10.0)
+    assert traj.escaped and traj.axis_crossings[-1] > traj.sol.interpolants[-1].t_old
+    assert traj.axis_crossings[-1] < traj.t[-1]
     # the same step, with the first crossing terminal too: the earlier root stops it
-    traj = _assert_solve_is_scipys_event_loop(None, line(-1.0), (0.0, 3.0), 100.0, 1e-10, 1e-12,
-                                              escape_radius=10.0, axis_stop=1)
+    traj = solve(_line(-1.0), (0.0, 3.0), escape_radius=10.0, axis_stop=1)
     assert not traj.escaped and traj.t[-1] == pytest.approx(3.0)
-    traj = _assert_solve_is_scipys_event_loop(None, line(-0.2), (0.0, 1.0), 100.0, 1e-10, 1e-12,
-                                              escape_radius=3.0)
+    traj = solve(_line(-0.2), (0.0, 1.0), escape_radius=3.0)
     assert traj.escaped and len(traj.axis_crossings) == 0
-    assert traj.run[0][-1](traj.run[0][-1].t)[1] < 0.0   # y crossed 0 in the last step
+    last = traj.sol.interpolants[-1]
+    assert last(last.t)[1] < 0.0   # y crossed 0 in the last step
     # y stays 0: every step crosses at its start, and the fourth crossing
     # falls on the last breakpoint, so the step it was found on is dropped
-    traj = _assert_solve_is_scipys_event_loop(None, line(0.0), (0.0, 0.0), 100.0, 1e-10, 1e-12,
-                                              axis_stop=4)
+    traj = solve(_line(0.0), (0.0, 0.0), axis_stop=4)
     assert len(traj.t) == 4 and list(traj.axis_crossings) == list(traj.t)
+    assert len(traj.sol.interpolants) == 3
+
+
+@pytest.mark.parametrize("span", [0.0, -1.0])
+def test_float_runs_only_go_forward(span):
+    with pytest.raises(ValueError, match="forward"):
+        orbits._solve(None, _spiral, (1.0, 0.0), span, 1e-10, 1e-12)
+    with pytest.raises(ValueError, match="forward"):
+        measure_axis_period(_spiral, (1.0, 0.0), span=span)
 
 
 def _rhs_as_given(wp, phi, y):
