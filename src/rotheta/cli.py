@@ -1,7 +1,12 @@
 """Command-line front end: parameter reports, phase portraits, closed-form
 wave profiles, singular-line sweeps, and the verification suite.
 
-Determinism contract: output bytes depend only on the resolved configuration
+Each setting is an argparse flag, declared once in the flag groups the
+commands pick from.  A `--config` file's `key = value` lines are read through
+the same flags (keys with `-` or `_`, `h` a comma list), so a file value is
+checked as its flag is; one file may hold the keys of several commands.
+
+Determinism contract: output bytes depend only on the resolved settings
 (flags override config-file values, which override defaults) and the seed.
 CSV/JSONL numbers carry 17 significant digits; SVG comes from the fixed
 viewBox writer in svgfig.  Exit codes: 0 ok, 1 verification/runtime failure,
@@ -14,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,157 +35,109 @@ from .params import WaveParams, derive_coriolis, derive_wave_params, parse_theta
 from .svgfig import SvgFigure, resample
 from .verification import CHECKS, DEFAULT_SEED, render_report, run_checks
 
-__all__ = ["RunConfig", "main", "render_portrait_artifacts"]
+__all__ = ["main", "render_portrait_artifacts"]
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    omega: float | None = None
-    c: float | None = None
-    theta: str | None = None
-    c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
-    k: float | None = None
-    h: tuple | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    wave_type: str | None = None
-    c1_from: float | None = None
-    c1_to: float | None = None
-    samples: int = 200
-    seed: int = DEFAULT_SEED
-    only: tuple = ()
-
-
 def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-# allowed values of the choice-valued settings, for flags and config files
-_CHOICES = {"fmt": ("csv", "jsonl"), "wave_type": ("cn", "sn", "solitary")}
+def _flag_groups(**parser_kw) -> dict:
+    """The flag groups the commands pick from; each flag is declared here
+    once, for the command line and the config file alike."""
+    g = {name: argparse.ArgumentParser(add_help=False, **parser_kw)
+         for name in ("params", "out", "fmt", "h", "wave", "sweep", "verify")}
+    p = g["params"]
+    p.add_argument("--theta", help="exact ratio like 1/4, 1/2 or 1")
+    p.add_argument("--omega", type=float, help="rotation rate (physical mode, with --c)")
+    p.add_argument("--c", type=float, help="wave speed (physical mode, with --omega)")
+    p.add_argument("--c1", type=float, help="direct-mode coefficient C1")
+    p.add_argument("--c2", type=float, help="direct-mode coefficient C2")
+    p.add_argument("--c3", type=float, help="direct-mode coefficient C3")
+    p.add_argument("--k", type=float, help="direct-mode coefficient K")
+    g["out"].add_argument("--out", help="output path (extensions added per format)")
+    g["fmt"].add_argument("--format", dest="fmt", choices=("csv", "jsonl"),
+                          help="data file format (default csv)")
+    g["h"].add_argument("--h", type=float, action="append",
+                        help="level value (repeatable; default: levels inside each "
+                             "family, after the stop levels for wave)")
+    g["wave"].add_argument("--type", dest="wave_type", choices=("cn", "sn", "solitary"),
+                           help="restrict to one profile family")
+    g["sweep"].add_argument("--c1-from", type=float, dest="c1_from",
+                            help="first C1 value (right end)")
+    g["sweep"].add_argument("--c1-to", type=float, dest="c1_to",
+                            help="last C1 value (left end, smaller)")
+    g["sweep"].add_argument("--samples", type=int, help="sample count (default 200)")
+    g["verify"].add_argument("--seed", type=int, help="seed for randomized suites")
+    g["verify"].add_argument("--only", help="comma-separated check names")
+    return g
+
+
+# command: (help, the flag groups it reads besides --config)
+_COMMANDS = {
+    "params": ("echo derived parameters and the first-integral validity note",
+               ("params",)),
+    "portrait": ("phase portrait as SVG + curve CSV", ("params", "out", "h")),
+    "wave": ("closed-form wave profiles with residuals",
+             ("params", "out", "fmt", "h", "wave")),
+    "sweep": ("move the singular line: classify and observe a C1 range",
+              ("params", "out", "fmt", "sweep")),
+    "verify": ("run the named verification checks", ("out", "verify")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser.  A flag that is not given stays out of
+    its namespace, so it can be laid over the config file's settings."""
     ap = argparse.ArgumentParser(
         prog="rotheta",
         description="traveling-wave analysis of the rotation-modified "
                     "theta-family of shallow-water equations")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    # flag groups: each command declares only the ones it reads
-    config, params, out, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     config.add_argument("--config", metavar="FILE",
                         help="key=value lines; flags override file values")
-    params.add_argument("--theta", help="exact ratio like 1/4, 1/2 or 1")
-    params.add_argument("--omega", type=float,
-                        help="rotation rate (physical mode, with --c)")
-    params.add_argument("--c", type=float,
-                        help="wave speed (physical mode, with --omega)")
-    params.add_argument("--c1", type=float, help="direct-mode coefficient C1")
-    params.add_argument("--c2", type=float, help="direct-mode coefficient C2")
-    params.add_argument("--c3", type=float, help="direct-mode coefficient C3")
-    params.add_argument("--k", type=float, help="direct-mode coefficient K")
-    out.add_argument("--out", help="output path (extensions added per format)")
-    fmt.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"],
-                     help="data file format (default csv)")
-
-    sub.add_parser("params", parents=[config, params],
-                   help="echo derived parameters and the first-integral validity note")
-
-    p = sub.add_parser("portrait", parents=[config, params, out],
-                       help="phase portrait as SVG + curve CSV")
-    p.add_argument("--h", type=float, action="append",
-                   help="level value (repeatable; default: levels inside each family)")
-
-    p = sub.add_parser("wave", parents=[config, params, out, fmt],
-                       help="closed-form wave profiles with residuals")
-    p.add_argument("--h", type=float, action="append",
-                   help="level value (repeatable; default: stop and family levels)")
-    p.add_argument("--type", dest="wave_type", choices=_CHOICES["wave_type"],
-                   help="restrict to one profile family")
-
-    p = sub.add_parser("sweep", parents=[config, params, out, fmt],
-                       help="move the singular line: classify and observe a C1 range")
-    p.add_argument("--c1-from", type=float, dest="c1_from",
-                   help="first C1 value (right end)")
-    p.add_argument("--c1-to", type=float, dest="c1_to",
-                   help="last C1 value (left end, smaller)")
-    p.add_argument("--samples", type=int, help="sample count (default 200)")
-
-    p = sub.add_parser("verify", parents=[config, out],
-                       help="run the named verification checks")
-    p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--only", help="comma-separated check names")
+    groups = _flag_groups(argument_default=argparse.SUPPRESS)
+    for name, (help_text, picked) in _COMMANDS.items():
+        sub.add_parser(name, parents=[config] + [groups[g] for g in picked],
+                       help=help_text)
     return ap
 
 
-_KEY_ALIASES = {"format": "fmt", "type": "wave_type"}
-_FILE_KEYS = {v: k for k, v in _KEY_ALIASES.items()}
-
-
-def _read_config_file(path: str) -> dict:
-    out = {}
-    for raw in Path(path).read_text().splitlines():
+def _read_config(path) -> argparse.Namespace:
+    """Every setting, from the defaults and the config file at `path`: each
+    line `key = value` is read as `--key=value` by a parser that declares
+    every command's flags."""
+    argv = []
+    for raw in Path(path).read_text().splitlines() if path else ():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"config line is not key=value: {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        out[_KEY_ALIASES.get(key, key)] = val.strip()
-    return out
-
-
-_FILE_COERCE = {
-    "omega": float, "c": float, "c1": float, "c2": float, "c3": float,
-    "k": float, "c1_from": float, "c1_to": float,
-    "samples": int, "seed": int,
-    "h": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
-    "only": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-}
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if name == "command":
-            continue
-        flag = getattr(args, name, None)
-        if name == "h" and flag is not None:
-            flag = tuple(flag)
-        if name == "only" and flag is not None:
-            flag = tuple(x.strip() for x in flag.split(",") if x.strip())
-        if flag is not None:
-            setattr(cfg, name, flag)
-        elif name in file_cfg:
-            key = _FILE_KEYS.get(name, name)
-            choices = _CHOICES.get(name)
-            if choices is not None and file_cfg[name] not in choices:
-                raise UsageError(f"bad config value for {key}: {file_cfg[name]!r} "
-                                 f"(choose from {', '.join(choices)})")
-            coerce = _FILE_COERCE.get(name, str)
-            try:
-                setattr(cfg, name, coerce(file_cfg[name]))
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {key}: {exc}")
-    unknown = set(file_cfg) - set(vars(cfg))
+        key, val = (s.strip() for s in line.split("=", 1))
+        vals = [v.strip() for v in val.split(",") if v.strip()] if key == "h" else [val]
+        argv += [f"--{key.replace('_', '-')}={v}" for v in vals]
+    union = argparse.ArgumentParser(parents=list(_flag_groups().values()), add_help=False,
+                                    allow_abbrev=False, exit_on_error=False)
+    union.set_defaults(fmt="csv", samples=200, seed=DEFAULT_SEED)
+    try:
+        ns, unknown = union.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        # argparse says "invalid choice: 'xml' (...)" or "invalid float value: 'x'"
+        raise UsageError(f"bad config value for {exc.argument_name.lstrip('-')}: "
+                         f"{exc.message.partition(': ')[2] or exc.message}")
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return cfg
+        keys = {a.split("=", 1)[0][2:].replace("-", "_") for a in unknown}
+        raise UsageError(f"unknown config keys: {', '.join(sorted(keys))}")
+    return ns
 
 
-def _resolve_params(cfg: RunConfig):
+def _resolve_params(cfg: argparse.Namespace):
     """(CoriolisParams or None, WaveParams) from physical or direct mode."""
     physical = [cfg.omega is not None, cfg.c is not None]
     direct = [v is not None for v in (cfg.c1, cfg.c2, cfg.c3, cfg.k)]
@@ -251,7 +208,7 @@ def _cell(v) -> str:
 # params
 
 
-def cmd_params(cfg: RunConfig) -> int:
+def cmd_params(cfg: argparse.Namespace) -> int:
     cor, wp = _resolve_params(cfg)
     lines = []
     if cor is not None:
@@ -389,7 +346,7 @@ def _level_of(fi, phi, y):
         return None
 
 
-def cmd_portrait(cfg: RunConfig) -> int:
+def cmd_portrait(cfg: argparse.Namespace) -> int:
     _cor, wp = _resolve_params(cfg)
     svg, csv_text = render_portrait_artifacts(wp, levels=cfg.h)
     base = Path(cfg.out) if cfg.out else Path("portrait")
@@ -404,7 +361,7 @@ def cmd_portrait(cfg: RunConfig) -> int:
 # wave
 
 
-def cmd_wave(cfg: RunConfig) -> int:
+def cmd_wave(cfg: argparse.Namespace) -> int:
     _cor, wp = _resolve_params(cfg)
     if not is_reduced_point(wp):
         raise UsageError("closed-form profiles require theta = 1/2 with |C1| <= 1e-9; "
@@ -492,7 +449,7 @@ _PREDICTED = tuple(f.name for f in fields(WaveMenu) if f.name != "note")
 _OBSERVED = tuple(f.name for f in fields(ObservedMenu))
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     _cor, base_wp = _resolve_params(cfg)
     if cfg.c1_from is None or cfg.c1_to is None:
         raise UsageError("sweep needs --c1-from and --c1-to")
@@ -553,8 +510,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # verify
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = set(cfg.only) if cfg.only else None
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    names = {x.strip() for x in (cfg.only or "").split(",") if x.strip()} or None
     if names:
         unknown = names - {name for name, _fn, _b in CHECKS}
         if unknown:
@@ -583,7 +540,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _read_config(getattr(args, "config", None))
+        vars(cfg).update(vars(args))        # flags override file values
         return _DISPATCH[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

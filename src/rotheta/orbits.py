@@ -405,7 +405,8 @@ def _solve(wp, rhs, start, span, rtol, atol, *, escape_radius=math.inf,
 def _measure_drift(traj, fi, start, drift_limit):
     """Measure the relative drift of H along `traj` on 512 dense samples,
     as `integrate` documents it: set `h0`, `drift_samples` and
-    `h_drift_max` (left None when no sample is measurable)."""
+    `h_drift_max` (left None when no sample is measurable, or when H is
+    infinite at the start)."""
     _tg, xs = traj.dense(512)
     p, y = xs[:, 0], xs[:, 1]
     # next to the line H and grad H overflow to inf or nan; the mask
@@ -413,6 +414,8 @@ def _measure_drift(traj, fi, start, drift_limit):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h0 = fi.eval(*start)
         traj.h0 = h0
+        if not np.isfinite(h0):
+            return
         if traj.wp.m < 0:
             cert = drift_limit * max(abs(h0), 1e-9)
             off = p != float(fi.line)

@@ -153,7 +153,7 @@ def cubic_real_roots(a, b, c, d):
 
 
 def quartic_roots(a4, a3, a2, a1, a0):
-    """Roots of a quartic (or lower degree if a4 == 0).
+    """Roots of a quartic, a4 != 0.
 
     Returns (real_roots, complex_pairs): real roots as a plain list
     (multiplicities NOT merged -- use merge_close_roots), complex_pairs as a
@@ -162,20 +162,6 @@ def quartic_roots(a4, a3, a2, a1, a0):
     complex Newton polish on the original polynomial; conjugate pairs with
     |Im| below REL_TOL * (1 + |z|) are flattened to real double roots.
     """
-    if a4 == 0.0:
-        if a3 == 0.0:
-            real, pair = quadratic_roots(a2, a1, a0)
-            return real, ([pair] if pair else [])
-        real = cubic_real_roots(a3, a2, a1, a0)
-        if len(real) == 1:
-            # recover the complex pair by deflation (quadratic factor)
-            r = real[0]
-            b = a2 / a3 + r
-            c = -a0 / (a3 * r) if r != 0.0 else a1 / a3 + r * b
-            _, pair = quadratic_roots(1.0, b, c)
-            return real, ([pair] if pair else [])
-        return real, []
-
     b, c, d, e = a3 / a4, a2 / a4, a1 / a4, a0 / a4
     shift = 0.25 * b
     p = c - 3.0 * b * b / 8.0

@@ -167,6 +167,21 @@ def test_wave_jsonl_takes_each_residual_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == len(recs) == stdout.count("ODE residual") >= 2
 
 
+def test_wave_level_flag_replaces_the_config_files_levels(tmp_path, capsys):
+    # --h on the command line replaces the file's comma list, not appends to it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 1/2\nc1 = 0\nc2 = 0.9\nc3 = -1\nk = -0.05\n"
+                   "h = 0.01,0.02\n")
+    assert main(["wave", "--config", str(cfg), "--h", "0.03"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["wave"] + T3 + ["--h", "0.03"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert "(h = 0.029999999999999999)" in from_file and "(h = 0.01)" not in from_file
+    assert main(["wave", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    assert "(h = 0.01)" in stdout and "(h = 0.02)" in stdout
+
+
 def test_wave_usage_errors(capsys):
     assert main(["wave"] + D1) == 2               # not the closed-form regime
     assert main(["wave"] + T3 + ["--h", "50"]) == 2   # vacant level
@@ -289,6 +304,10 @@ def test_portrait_has_no_escape_radius(tmp_path, capsys):
     ("sweep", "mode = fast", "unknown config keys: mode"),
     ("sweep", "eq_tol = 1e-9", "unknown config keys: eq_tol"),
     ("sweep", "escape_radius = 50", "unknown config keys: escape_radius"),
+    # argparse destinations are not keys: only the flag names are
+    ("wave", "fmt = jsonl", "unknown config keys: fmt"),
+    ("wave", "wave_type = sn", "unknown config keys: wave_type"),
+    ("sweep", "command = x", "unknown config keys: command"),
 ])
 def test_config_file_values_are_checked(tmp_path, capsys, command, line, message):
     # a config value is held to the same choices as the flag it stands for

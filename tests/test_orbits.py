@@ -98,17 +98,20 @@ def test_drift_is_unverified_when_no_sample_is_measurable():
 
 @pytest.mark.parametrize("C1, K, start", [(1e-170, 0.0, (0.0, 0.5)),
                                           (2.225073858507e-311, 0.0, (0.0, 0.0)),
-                                          (2.945604540210024e-264, 1.0, (0.0, 0.0))],
-                         ids=["overflow", "invalid", "divide"])
+                                          (2.945604540210024e-264, 1.0, (0.0, 0.0)),
+                                          (0.0, 0.5, (1e-310, 1.0)),
+                                          (0.0, 0.5, (-1e-310, 0.5))],
+                         ids=["overflow", "invalid", "divide", "h0-minus-inf", "h0-plus-inf"])
 def test_drift_filter_next_to_the_line_is_silent(C1, K, start):
     # theta = 1 (m = -2): orbits next to the line phi = C1 overflow H and
     # grad H; those samples are dropped without a numpy warning, and none is
-    # left
+    # left.  A start next to the line can make H itself infinite there
+    # (h0 = -inf or +inf), which leaves no drift to measure.
     wp = WaveParams(Fraction(1, 1), C1, 0.0, -1.0, K)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = integrate(wp, start, tau_span=10.0, fi=build_first_integral(wp))
-    assert traj.h_drift_max is None
+    assert traj.drift_samples == 0 and traj.h_drift_max is None
 
 
 @given(theta=st.sampled_from([Fraction(1, 2), Fraction(1, 1)]),
