@@ -1,5 +1,5 @@
 """Conservation drift at every check seed, through the lane path, checked
-against the trials run one by one.
+trial by trial against the trials run one by one.
 
 For each check seed 0-29, draws the 300 trials of
 `first-integral-conservation` (100 at each of theta = 1/4, 1/2 and 1),
@@ -8,8 +8,11 @@ prints per theta the worst relative H drift, the number of trials whose
 drift could not be measured (unverified) and the number retried at
 tighter tolerances.  A drift over the check's limit of 1e-8 (`integrate`'s
 drift limit) is marked FAIL; such seeds are reported, not mended.  The
-same trials then run one by one through `orbits.integrate`, and the
-script exits 1 if any seed's ledger lines differ between the two.
+same trials then run through `integrate_many` again with no float tail
+(`orbits.FLOAT_TAIL` 0: numpy lanes to the end) and one by one through
+`orbits.integrate`, and the script exits 1 if any trial's drift, drift
+samples, tolerance, right-hand-side evaluations, number of points or
+status differs between the three.
 
 Usage: python scripts/conservation_seeds.py
 """
@@ -18,9 +21,10 @@ import sys
 
 import numpy as np
 
+from rotheta import orbits
 from rotheta.field import build_first_integral
 from rotheta.orbits import DRIFT_LIMIT, RTOL, integrate, integrate_many
-from rotheta.verification import CONSERVATION_THETAS, _conservation_trials, _drift_ledger
+from rotheta.verification import CONSERVATION_THETAS, _conservation_trials
 
 SEEDS = range(30)
 
@@ -31,6 +35,23 @@ def retried(traj):
     return traj.rtol_used != RTOL or (traj.h_drift_max or 0.0) > DRIFT_LIMIT
 
 
+def summary(traj):
+    """What a trial's run is compared on."""
+    return (traj.h_drift_max, traj.drift_samples, traj.rtol_used, traj.nfev, len(traj.t),
+            traj.status)
+
+
+def lane_runs(wps, starts, fis, float_tail):
+    """Each trial's run through `integrate_many`, in trial order, with its
+    float tail at `float_tail`."""
+    default, orbits.FLOAT_TAIL = orbits.FLOAT_TAIL, float_tail
+    try:
+        runs = dict(integrate_many(wps, starts, 10.0, fis=fis))
+    finally:
+        orbits.FLOAT_TAIL = default
+    return [runs[i] for i in range(len(wps))]
+
+
 def main():
     print("    " + "".join(f"{'theta = ' + str(t):>38s}" for t in CONSERVATION_THETAS))
     print("seed" + "   worst drift     unverified  retried" * len(CONSERVATION_THETAS))
@@ -39,26 +60,27 @@ def main():
         trials = _conservation_trials(np.random.default_rng(seed))
         thetas, wps, starts = zip(*trials)
         fis = [build_first_integral(wp) for wp in wps]
-        lanes = sorted(integrate_many(wps, starts, 10.0, fis=fis), key=lambda run: run[0])
-        _ok, ledger = _drift_ledger((thetas[i], traj) for i, traj in lanes)
+        lanes = lane_runs(wps, starts, fis, orbits.FLOAT_TAIL)
         cells = []
         for theta in CONSERVATION_THETAS:
-            mine = [traj for i, traj in lanes if thetas[i] == theta]
+            mine = [traj for i, traj in enumerate(lanes) if thetas[i] == theta]
             worst = max((t.h_drift_max for t in mine if t.h_drift_max is not None), default=0.0)
             cells.append(f"   {worst:.3e}{' FAIL' if worst > DRIFT_LIMIT else '':5s}"
                          f"{sum(t.h_drift_max is None for t in mine):12d}"
                          f"{sum(map(retried, mine)):9d}")
-        one_by_one = _drift_ledger(
-            (theta, integrate(wp, start, 10.0, fi=fi))
-            for theta, wp, start, fi in zip(thetas, wps, starts, fis))[1]
-        if one_by_one != ledger:
+        got = [summary(traj) for traj in lanes]
+        no_tail = [summary(traj) for traj in lane_runs(wps, starts, fis, 0)]
+        one_by_one = [summary(integrate(wp, start, 10.0, fi=fi))
+                      for wp, start, fi in zip(wps, starts, fis)]
+        bad = [i for i, row in enumerate(got) if not row == no_tail[i] == one_by_one[i]]
+        if bad:
             differ.append(seed)
-        print(f"{seed:4d}" + "".join(cells)
-              + ("" if one_by_one == ledger else "  LEDGER DIFFERS"))
+        print(f"{seed:4d}" + "".join(cells) + (f"  TRIALS DIFFER: {bad}" if bad else ""))
     if differ:
-        print(f"ledger lines differ from integrate's at seeds {differ}")
+        print(f"trials differ from integrate's at seeds {differ}")
         return 1
-    print(f"ledger lines equal integrate's at all {len(SEEDS)} seeds")
+    print(f"every trial equals integrate's, with and without the float tail, at all "
+          f"{len(SEEDS)} seeds")
     return 0
 
 

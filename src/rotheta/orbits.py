@@ -23,8 +23,9 @@ numpy arrays over lanes.  There are two drivers:
 * `integrate_many` runs many fixed-span tau-form trials at once, as the
   lanes of numpy arrays (`_Lanes`), each lane stopping at the escape disc
   with the step, the cut (`_cut`) and the answer `_solve` and `integrate`
-  give its trial, bit for bit.  The conservation check runs its trials
-  this way.
+  give its trial, bit for bit.  Once `FLOAT_TAIL` or fewer runs are left,
+  it finishes them one by one on floats with the float stepper's own step
+  (`_float_step`).  The conservation check runs its trials this way.
 
 The tau-form runs integrate `field.tau_rhs`, the package's one tau-form
 right-hand side.  A trajectory is read at any set of times through
@@ -55,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
@@ -87,6 +89,11 @@ ESCAPE_RADIUS = 50.0   # default radius of the (phi, y) disc integrations may no
 # `integrate`'s defaults, which `integrate_many` always takes: the first
 # run's tolerances, the drift limit, and the retries at 100x tighter ones
 RTOL, ATOL, DRIFT_LIMIT, RETRIES = 1e-10, 1e-12, 1e-8, 1
+# `integrate_many` finishes its runs one by one on floats once this many or
+# fewer are left: a lane step costs numpy's per-call overhead whatever the
+# number of running lanes (0.6-0.9 ms on a 2-core host), a float step about
+# 50 us a lane
+FLOAT_TAIL = 16
 
 
 @dataclass
@@ -113,13 +120,15 @@ class Trajectory:
     @cached_property
     def _segments(self):
         """Each step's DOP853 interpolant as arrays, gathered on first use
-        (a lane sets them when its run ends): breakpoints, step starts
-        t_old, step lengths h, start states y_old and the coefficient rows
-        F, highest power first."""
+        (a lane sets them when its run ends), the step innermost:
+        breakpoints, step starts t_old, step lengths h, start states y_old
+        (2, steps) and the coefficient rows F (7, 2, steps), highest power
+        first."""
         steps = self.sol.interpolants
         return (self.sol.ts, np.array([s.t_old for s in steps]),
-                np.array([s.h for s in steps]), np.array([s.y_old for s in steps]),
-                np.array([s.F[::-1] for s in steps]))
+                np.array([s.h for s in steps]),
+                np.ascontiguousarray(np.array([s.y_old for s in steps]).T),
+                np.ascontiguousarray(np.array([s.F[::-1] for s in steps]).transpose(1, 2, 0)))
 
     def at(self, t):
         """The state at a time t, shape (2,), or at an array of times, shape
@@ -132,15 +141,16 @@ class Trajectory:
         ts, t_old, h, y_old, F = self._segments
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
-        x = ((t - t_old[seg]) / h[seg])[..., None]
+        x = (t - t_old[seg]) / h[seg]
         factors = (x, 1 - x)
-        coeffs = F[seg]
-        y = np.zeros_like(y_old[seg])
-        for i in range(coeffs.shape[-2]):
-            y += coeffs[..., i, :]
+        # take gives C-ordered rows, where F[:, :, seg] would not
+        y0 = y_old.take(seg, axis=1)
+        y = np.zeros_like(y0)
+        for i, row in enumerate(F.take(seg, axis=2)):
+            y += row
             y *= factors[i % 2]
-        y += y_old[seg]
-        return y.T
+        y += y0
+        return y
 
     def dense(self, n=2001):
         tg = np.linspace(self.t[0], self.t[-1], n)
@@ -291,16 +301,42 @@ def _dense_rows(rhs, t_old, h, y0, y1, n0, n1, k):
     return F
 
 
+def _float_step(rhs, t, t_bound, h_abs, y0, y1, k, tols, rejected):
+    """DOP853's step from (t, (y0, y1)) towards t_bound on Python floats,
+    with f there in k[0]: scipy's minimum step, then attempts with the
+    shared RK step, error norm and controller until one is accepted.
+    `rejected` says whether an attempt from t was already rejected; only a
+    fresh step is first raised to the minimum.  Returns (t_new, h, the new
+    state, the next step length, right-hand-side evaluations), f at the new
+    state in k[_FSAL]; t_new, h and the state are None when the step falls
+    below the minimum."""
+    min_step = 10 * (math.nextafter(t, math.inf) - t)
+    if not rejected and h_abs < min_step:
+        h_abs = min_step
+    nfev = 0
+    while True:
+        if h_abs < min_step:
+            return None, None, None, h_abs, nfev
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        n0, n1 = _rk_step(rhs, t, h, y0, y1, k)
+        nfev += _FSAL   # stages 1 to 11, and f at the new state
+        accepted, h_abs = _control(h, *_error_sums(y0, y1, n0, n1, k, tols), rejected)
+        if accepted:
+            return t_new, h, (n0, n1), h_abs, nfev
+        rejected = True
+
+
 class _FloatDOP853(DOP853):
     """scipy's DOP853 for a planar system, each step taken forward on
     Python floats.
 
     `__init__` is scipy's: tolerance checks, the first step and its `nfev`.
-    A step is the shared step arithmetic above on floats: DOP853's RK step,
-    error norm and step-size controller, with scipy's constants, and no
-    maximum step.  The RHS gets the state as a tuple of floats, and numpy
-    only holds the accepted state and the dense output, which keeps
-    DOP853's form (`Dop853DenseOutput`), so OdeSolution, scipy's event
+    A step is `_float_step`, the shared step arithmetic above on floats:
+    DOP853's RK step, error norm and step-size controller, with scipy's
+    constants, and no maximum step.  The RHS gets the state as a tuple of
+    floats, and numpy only holds the accepted state and the dense output,
+    which keeps DOP853's form (`Dop853DenseOutput`), so OdeSolution, scipy's event
     location and `Trajectory.at` read it as they read scipy's.
     """
 
@@ -315,29 +351,19 @@ class _FloatDOP853(DOP853):
         self._k = [None] * _N_STAGES   # (phi, y) pair per stage
 
     def _step_impl(self):
-        rhs, k, tols = self._rhs, self._k, self._tols
-        t, t_bound = self.t, self.t_bound
-        y0, y1 = self.y.tolist()
+        k = self._k
         k[0] = self.f
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        # the first step comes as np.float64
-        h_abs = min_step if self.h_abs < min_step else float(self.h_abs)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            n0, n1 = _rk_step(rhs, t, h, y0, y1, k)
-            self.nfev += _FSAL   # stages 1 to 11, and f at the new state
-            accepted, h_abs = _control(h, *_error_sums(y0, y1, n0, n1, k, tols), rejected)
-            if accepted:
-                break
-            rejected = True
+        # the first step length comes as np.float64
+        t_new, h, new, h_abs, nfev = _float_step(
+            self._rhs, self.t, self.t_bound, float(self.h_abs), *self.y.tolist(), k,
+            self._tols, False)
+        self.nfev += nfev
+        if t_new is None:
+            return False, self.TOO_SMALL_STEP
         self.h_previous = h
         self.y_old = self.y
         self.t = t_new
-        self.y = np.array((n0, n1))
+        self.y = np.array(new)
         self.h_abs = h_abs
         self.f = k[_FSAL]
         return True, None
@@ -492,8 +518,11 @@ class _Lanes:
     chooses.  So each lane takes the steps, stops, dense output and `nfev`
     of `_solve` when only the escape event (the disc of `ESCAPE_RADIUS`)
     can stop it, bit for bit.  Lanes that are not running are stepped too,
-    with length 0, and nothing is kept of them.  Each lane's accepted steps
-    wait in its own list, as the bytes of their rows, until its run ends.
+    with length 0, and nothing is kept of them.  `finish_on_floats` takes
+    one lane on from wherever `step` left it to its run's end on Python
+    floats, with the same arithmetic and so the same answer.  Each lane's
+    accepted steps wait in its own list, as the bytes of their rows, until
+    its run ends.
     """
 
     # an accepted step's row: t, the state, and the interpolant's rows F[1:]
@@ -579,6 +608,40 @@ class _Lanes:
         t[ended], self.h_abs[ended] = self.span, 0.0
         return out
 
+    def finish_on_floats(self, i):
+        """Step running lane i to its run's end one step after another on
+        Python floats, with the float stepper's `_float_step` taking on the
+        lane's t, step length, state, f, rejection flag and `nfev`, and the
+        escape crossing found as `step` finds it; each accepted step's
+        dense rows are stored as `step` stores them.  Returns the run's
+        Trajectory (`_trajectory`)."""
+        rhs = tau_rhs(self.wps[i])
+        tols = (float(self.rtol[i]), float(self.atol[i]), float(self.atol[i]))
+        t, h_abs, g, nfev = float(self.t[i]), float(self.h_abs[i]), float(self.g[i]), 0
+        (y0, y1), rejected = self.y[:, i].tolist(), bool(self.rejected[i])
+        k = [None] * _N_STAGES
+        k[0] = tuple(self.k[0, :, i].tolist())
+        steps = self.steps[i]
+        escaped = False
+        while True:
+            t_new, h, new, h_abs, n = _float_step(rhs, t, self.span, h_abs, y0, y1, k, tols,
+                                                  rejected)
+            nfev += n
+            if t_new is None:
+                break
+            F = _dense_rows(rhs, t, h, y0, y1, *new, k)
+            nfev += len(_EXTRA)
+            steps.append(np.array((t_new, *new, *chain.from_iterable(F[1:]))).tobytes())
+            g_new = self.escape(t_new, new)
+            escaped = (g <= 0 and 0 <= g_new) or (g >= 0 and 0 >= g_new)
+            t, (y0, y1), g, rejected, k[0] = t_new, new, g_new, False, k[_FSAL]
+            if t_new - self.span >= 0 or escaped:
+                break
+        self.nfev[i] += nfev
+        self.running[i] = False
+        self.t[i], self.h_abs[i] = self.span, 0.0
+        return self._trajectory(i, escaped, t_new is None)
+
     def _trajectory(self, i, escaped, failed):
         """Lane i's run as `_solve` returns it, its step list freed; an
         escaped run is cut at the escape root."""
@@ -586,17 +649,19 @@ class _Lanes:
         self.steps[i] = None
         t = np.concatenate(([0.0], steps[:, 0]))
         states = np.concatenate((self.x0[i:i + 1], steps[:, 1:3]))
-        h, F = np.diff(t), np.empty((len(steps), 7, 2))
-        F[:, 0], F[:, 1:] = np.diff(states, axis=0), steps[:, 3:].reshape(-1, 6, 2)
+        h, dy = np.diff(t), np.diff(states, axis=0)
         if escaped:
-            last = Dop853DenseOutput(t[-2], t[-1], states[-2], F[-1])
+            last = Dop853DenseOutput(t[-2], t[-1], states[-2],
+                                     np.vstack((dy[-1], steps[-1, 3:].reshape(6, 2))))
             t, states, dropped = _cut(t, states, last, self.escape)
             if dropped:
-                h, F = h[:-1], F[:-1]
+                steps, h, dy = steps[:-1], h[:-1], dy[:-1]
+        F = np.empty((7, 2, len(h)))   # highest power first, as `Trajectory._segments`
+        F[:6], F[6] = steps[:, 3:].T.reshape(6, 2, -1)[::-1], dy.T
         traj = Trajectory(wp=self.wps[i], t=t, states=states, sol=None, escaped=escaped,
                           rtol_used=self.rtol_used[i], nfev=int(self.nfev[i]),
                           status=DOP853.TOO_SMALL_STEP if failed else "ok")
-        traj._segments = (t, t[:-1], h, states[:-1], F[:, ::-1])
+        traj._segments = (t, t[:-1], h, np.ascontiguousarray(states[:-1].T), F)
         return traj
 
 
@@ -610,10 +675,14 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis):
     A caller that keeps only what it needs of each trial holds one trial's
     steps at a time.
 
-    The trials run as the lanes of one `_Lanes` set.  A trial whose drift
-    is over the limit restarts in its lane at 100x tighter tolerances as
-    soon as its run ends, and its better run is kept as `integrate` keeps
-    it.
+    The trials run as the lanes of one `_Lanes` set.  A lane step costs
+    numpy's per-call overhead at any number of running lanes, so once
+    `FLOAT_TAIL` or fewer are running, each is finished on floats, one
+    after another (`_Lanes.finish_on_floats`).  A trial whose drift is over
+    the limit restarts in its lane at 100x tighter tolerances as soon as
+    its run ends, on floats if the lanes have reached their float tail, and
+    its better run is kept as `integrate` keeps it.  Trials settle in any
+    order.
     """
     lanes = _Lanes(wps, starts, tau_span)
     tols = [(RTOL, ATOL)] * len(wps)
@@ -621,7 +690,13 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis):
     for i, (r, a) in enumerate(tols):
         lanes.start(i, r, a)
     while lanes.running.any():
-        for i, traj in lanes.step():
+        running = np.flatnonzero(lanes.running)
+        if len(running) > FLOAT_TAIL:
+            ended = lanes.step()
+        else:
+            i = int(running[0])
+            ended = [(i, lanes.finish_on_floats(i))]
+        for i, traj in ended:
             _measure_drift(traj, fis[i], starts[i], DRIFT_LIMIT)
             done, best[i] = _settle(traj, best[i], DRIFT_LIMIT)
             if done is None and retries[i] > 0:

@@ -11,7 +11,9 @@ rounding of its sums, so any change to its arithmetic moves their last
 digits.  A change that moves them, or anything else here (other
 coordinates, another retry), must update the pin and say so.  The check
 runs its trials through `orbits.integrate_many`, whose every lane must give
-what `integrate` gives that trial, bit for bit.
+what `integrate` gives that trial, bit for bit, whether it runs as a
+numpy lane to its end, goes on to floats for the tail of the set
+(`orbits.FLOAT_TAIL`), or runs on floats from its start.
 """
 
 import math
@@ -166,32 +168,59 @@ def test_pinned_trials_hold_through_the_lanes():
 def _assert_lanes_are_integrate(wps, starts, span):
     """Every lane of `integrate_many` against `integrate` on its own trial,
     both escaping at `orbits.ESCAPE_RADIUS`: the same answers, runs and
-    solver work, bit for bit.  Returns the reference trajectories."""
+    solver work, bit for bit.  The lanes run three times, with their float
+    tail (`orbits.FLOAT_TAIL`) at 0 (numpy lanes to the end), at its
+    default and at the number of trials (every run on floats from its
+    start).  Returns the reference trajectories and the trials that went on
+    to floats right after a rejected attempt at the default tail."""
     fis = [build_first_integral(wp) for wp in wps]
-    lanes = dict(integrate_many(wps, starts, span, fis=fis))
-    assert sorted(lanes) == list(range(len(wps)))
     refs = [integrate(wp, start, span, fi=fi, escape_radius=orbits.ESCAPE_RADIUS)
             for wp, start, fi in zip(wps, starts, fis)]
-    for i, ref in enumerate(refs):
-        lane = lanes[i]
-        assert (lane.h_drift_max, lane.drift_samples, lane.rtol_used, lane.escaped,
-                lane.status, lane.nfev, lane.h0) == \
-            (ref.h_drift_max, ref.drift_samples, ref.rtol_used, ref.escaped,
-             ref.status, ref.nfev, ref.h0), i
-        assert np.array_equal(lane.t, ref.t) and np.array_equal(lane.states, ref.states), i
-        tg = np.linspace(ref.t[0], ref.t[-1], 512)
-        assert np.array_equal(lane.at(tg), ref.at(tg)), i
-    return refs
+    finish, default = orbits._Lanes.finish_on_floats, orbits.FLOAT_TAIL
+    for tail in (0, default, len(wps)):
+        switched = []
+
+        def recording_finish(lanes, i):
+            switched.append((i, bool(lanes.rejected[i])))
+            return finish(lanes, i)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(orbits, "FLOAT_TAIL", tail)
+            m.setattr(orbits._Lanes, "finish_on_floats", recording_finish)
+            lanes = dict(integrate_many(wps, starts, span, fis=fis))
+        assert sorted(lanes) == list(range(len(wps)))
+        for i, ref in enumerate(refs):
+            lane = lanes[i]
+            assert (lane.h_drift_max, lane.drift_samples, lane.rtol_used, lane.escaped,
+                    lane.status, lane.nfev, lane.h0) == \
+                (ref.h_drift_max, ref.drift_samples, ref.rtol_used, ref.escaped,
+                 ref.status, ref.nfev, ref.h0), (tail, i)
+            assert np.array_equal(lane.t, ref.t), (tail, i)
+            assert np.array_equal(lane.states, ref.states), (tail, i)
+            tg = np.linspace(ref.t[0], ref.t[-1], 512)
+            assert np.array_equal(lane.at(tg), ref.at(tg)), (tail, i)
+        if tail == 0:
+            assert switched == []
+        if tail >= len(wps):
+            # every run, retries included, on floats from its start
+            assert {i for i, _rejected in switched} == set(range(len(wps)))
+            assert not any(rejected for _i, rejected in switched)
+        if tail == default:
+            after_rejection = [i for i, rejected in switched if rejected]
+    return refs, after_rejection
 
 
 @pytest.mark.parametrize("seed", [7, 16])
 def test_lanes_give_every_trial_what_integrate_gives(seed):
     # seed 7 retries seven trials and each retry ends under the limit; seed
     # 16 retries four, and keeps one retry still over the limit and two
-    # first runs that drifted less than their retries
+    # first runs that drifted less than their retries.  At the default
+    # float tail one trial of each goes on to floats with its next attempt
+    # already rejected once, a state the float stepper never starts from
     trials = _conservation_trials(np.random.default_rng(seed))
     _thetas, wps, starts = zip(*trials)
-    refs = _assert_lanes_are_integrate(wps, starts, 10.0)
+    refs, after_rejection = _assert_lanes_are_integrate(wps, starts, 10.0)
+    assert after_rejection == {7: [299], 16: [107]}[seed]
     over = [i for i, r in enumerate(refs) if r.h_drift_max is not None and r.h_drift_max > 1e-8]
     retried = [i for i, r in enumerate(refs) if r.rtol_used != 1e-10]
     assert 70 <= sum(r.escaped for r in refs) <= 90
@@ -207,7 +236,7 @@ def test_a_lane_ends_on_a_too_small_step(monkeypatch):
     # the lane beside it runs on to the end of the span
     monkeypatch.setattr(orbits, "ESCAPE_RADIUS", math.inf)
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
-    refs = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0)
+    refs, _ = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0)
     assert [r.status for r in refs] == [orbits.DOP853.TOO_SMALL_STEP, "ok"]
 
 
@@ -217,7 +246,7 @@ def test_lanes_escape_from_the_circle_and_from_outside_it(monkeypatch):
     # re-enters
     monkeypatch.setattr(orbits, "ESCAPE_RADIUS", 5.0)
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
-    on, outside = _assert_lanes_are_integrate([wp, wp], [(3.0, 4.0), (0.0, 5.5)], 10.0)
+    (on, outside), _ = _assert_lanes_are_integrate([wp, wp], [(3.0, 4.0), (0.0, 5.5)], 10.0)
     assert on.escaped and list(on.t) == [0.0, 0.0]
     assert outside.escaped and len(outside.t) == 3
 
@@ -238,6 +267,31 @@ def test_small_mixed_lane_sets_are_integrate(lanes, span):
     wps = [WaveParams(theta=theta, C1=C1, C2=C2, C3=C3, K=K)
            for theta, C1, C2, C3, K, _start in lanes]
     _assert_lanes_are_integrate(wps, [start for *_c, start in lanes], span)
+
+
+def test_a_lane_drops_a_step_whose_start_is_the_escape_root():
+    # solve_ivp drops a run's last step when the terminal event's root is
+    # that step's start (its `donot_append` rule), and so does `_cut` on a
+    # lane.  The escape disc ends a run on the step where g changes sign,
+    # so here an event that vanishes at the last step's start stands in.
+    wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
+    runs = []
+    for _ in range(2):
+        lanes = orbits._Lanes([wp], [(0.5, 0.2)], 10.0)
+        lanes.start(0, orbits.RTOL, orbits.ATOL)
+        while len(lanes.steps[0]) < 3:
+            assert lanes.step() == []
+        runs.append(lanes)
+    kept, cut = runs
+    last_start = np.frombuffer(cut.steps[0][-2])[0]
+    cut.escape = lambda t, _x: t - last_start
+    ref, traj = kept._trajectory(0, False, False), cut._trajectory(0, True, False)
+    assert traj.escaped and len(ref.t) == 4 and traj.t[-1] == last_start
+    assert np.array_equal(traj.t, ref.t[:-1]) and np.array_equal(traj.states, ref.states[:-1])
+    _ts, _t_old, h, _y_old, F = traj._segments
+    assert len(h) == F.shape[-1] == len(traj.t) - 1
+    for got, want in zip(traj._segments, ref._segments):
+        assert np.array_equal(got, want[..., :-1])
 
 
 def _check_solves(monkeypatch, method=None):
