@@ -3,16 +3,17 @@ trial by trial against the trials run one by one.
 
 For each check seed 0-29, draws the 300 trials of
 `first-integral-conservation` (100 at each of theta = 1/4, 1/2 and 1),
-runs them together through `orbits.integrate_many` as the check does, and
+runs them together through `dop853.integrate_many` as the check does, and
 prints per theta the worst relative H drift, the number of trials whose
 drift could not be measured (unverified) and the number retried at
 tighter tolerances.  A drift over the check's limit of 1e-8 (`integrate`'s
 drift limit) is marked FAIL; such seeds are reported, not mended.  The
 same trials then run through `integrate_many` again with no float tail
-(`orbits.FLOAT_TAIL` 0: numpy lanes to the end) and one by one through
+(`dop853.FLOAT_TAIL` 0: numpy lanes to the end) and one by one through
 `orbits.integrate`, and the script exits 1 if any trial's drift, drift
 samples, tolerance, right-hand-side evaluations, number of points or
-status differs between the three.
+status differs between the three, or if the run with no float tail
+finished any trial on floats.
 
 Usage: python scripts/conservation_seeds.py
 """
@@ -21,9 +22,10 @@ import sys
 
 import numpy as np
 
-from rotheta import orbits
+from rotheta import dop853
+from rotheta.dop853 import DRIFT_LIMIT, RTOL, integrate_many
 from rotheta.field import build_first_integral
-from rotheta.orbits import DRIFT_LIMIT, RTOL, integrate, integrate_many
+from rotheta.orbits import integrate
 from rotheta.verification import CONSERVATION_THETAS, _conservation_trials
 
 SEEDS = range(30)
@@ -43,24 +45,34 @@ def summary(traj):
 
 def lane_runs(wps, starts, fis, float_tail):
     """Each trial's run through `integrate_many`, in trial order, with its
-    float tail at `float_tail`."""
-    default, orbits.FLOAT_TAIL = orbits.FLOAT_TAIL, float_tail
+    float tail at `float_tail`, and the number of runs it finished on
+    floats."""
+    finish = dop853._Lanes.finish_on_floats
+    finished = []
+
+    def counted(lanes, i):
+        finished.append(i)
+        return finish(lanes, i)
+
+    default, dop853.FLOAT_TAIL = dop853.FLOAT_TAIL, float_tail
+    dop853._Lanes.finish_on_floats = counted
     try:
         runs = dict(integrate_many(wps, starts, 10.0, fis=fis))
     finally:
-        orbits.FLOAT_TAIL = default
-    return [runs[i] for i in range(len(wps))]
+        dop853.FLOAT_TAIL = default
+        dop853._Lanes.finish_on_floats = finish
+    return [runs[i] for i in range(len(wps))], len(finished)
 
 
 def main():
     print("    " + "".join(f"{'theta = ' + str(t):>38s}" for t in CONSERVATION_THETAS))
     print("seed" + "   worst drift     unverified  retried" * len(CONSERVATION_THETAS))
-    differ = []
+    differ, tailed = [], []
     for seed in SEEDS:
         trials = _conservation_trials(np.random.default_rng(seed))
         thetas, wps, starts = zip(*trials)
         fis = [build_first_integral(wp) for wp in wps]
-        lanes = lane_runs(wps, starts, fis, orbits.FLOAT_TAIL)
+        lanes, _finished = lane_runs(wps, starts, fis, dop853.FLOAT_TAIL)
         cells = []
         for theta in CONSERVATION_THETAS:
             mine = [traj for i, traj in enumerate(lanes) if thetas[i] == theta]
@@ -69,15 +81,22 @@ def main():
                          f"{sum(t.h_drift_max is None for t in mine):12d}"
                          f"{sum(map(retried, mine)):9d}")
         got = [summary(traj) for traj in lanes]
-        no_tail = [summary(traj) for traj in lane_runs(wps, starts, fis, 0)]
+        no_tail_runs, on_floats = lane_runs(wps, starts, fis, 0)
+        no_tail = [summary(traj) for traj in no_tail_runs]
+        if on_floats:
+            tailed.append(seed)
         one_by_one = [summary(integrate(wp, start, 10.0, fi=fi))
                       for wp, start, fi in zip(wps, starts, fis)]
         bad = [i for i, row in enumerate(got) if not row == no_tail[i] == one_by_one[i]]
         if bad:
             differ.append(seed)
-        print(f"{seed:4d}" + "".join(cells) + (f"  TRIALS DIFFER: {bad}" if bad else ""))
+        print(f"{seed:4d}" + "".join(cells) + (f"  TRIALS DIFFER: {bad}" if bad else "")
+              + (f"  NO-TAIL RUN FINISHED {on_floats} ON FLOATS" if on_floats else ""))
     if differ:
         print(f"trials differ from integrate's at seeds {differ}")
+    if tailed:
+        print(f"the run with no float tail finished trials on floats at seeds {tailed}")
+    if differ or tailed:
         return 1
     print(f"every trial equals integrate's, with and without the float tail, at all "
           f"{len(SEEDS)} seeds")

@@ -133,14 +133,14 @@ def tau_rhs(wp: WaveParams):
     """The tau-form right-hand side (t, x) -> (phidot, ydot), on plain floats;
     polynomial, defined everywhere.
 
-    `x` is any 2-sequence: the stepper passes a tuple of floats, scipy's
-    first-step choice and event location an array, the self-check a pair of
-    arrays.  Every coefficient is cast to float once.  That is bitwise what
+    `x` is any 2-sequence: the stepper passes a tuple of floats, the first
+    step choice (scipy's, or its port `dop853._first_step`) and scipy's
+    event location an array, the self-check a pair of arrays.  Every coefficient is cast to float once.  That is bitwise what
     mixed float/Fraction arithmetic computes anyway (Fraction rounds itself
     to float first), so exact and float coefficients give the same steps.
 
     `wp` may also be a sequence of WaveParams, one per lane of
-    `orbits.integrate_many`: each coefficient is then an array over the
+    `dop853.integrate_many`: each coefficient is then an array over the
     lanes, `x` a pair of lane arrays, and every lane's entry is the float
     the single-lane right-hand side gives, since numpy rounds + and * as
     Python does."""

@@ -5,9 +5,10 @@ runner wraps timing and budget bookkeeping.  The same checks back both the
 `verify` CLI command and the acceptance test suite, so tolerances live here
 and nowhere else.  Reports deliberately contain no wall-clock numbers --
 identical runs must produce identical ledgers (budgets are reported only as
-met/exceeded).  The checks that integrate or take a quadrature import
-`orbits` and scipy when they run, so that importing the package loads no
-scipy module.
+met/exceeded).  The checks that integrate import `dop853`, which needs
+numpy alone, when they run, and the elliptic checks load `scipy.special`
+through `elliptic` when they run: importing the package loads no scipy
+module, and a full run loads `scipy.special` alone.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .field import (
     build_first_integral, conservation_defect, eval_f,
     published_first_integral,
 )
+from .levels import _gauss_legendre
 from .params import WaveParams, derive_coriolis, derive_wave_params
 
 __all__ = ["CheckResult", "CHECKS", "run_checks", "render_report"]
@@ -120,7 +122,7 @@ def _drift_ledger(runs):
 
 
 def check_conservation(seed=DEFAULT_SEED):
-    from .orbits import integrate_many
+    from .dop853 import integrate_many
 
     rng = np.random.default_rng(seed)
     # The trials draw first, 100 per theta in turn, and the exact draws
@@ -291,9 +293,17 @@ def check_census_oracle(seed=DEFAULT_SEED):
 # 5. elliptic kernel
 
 
-def check_elliptic(seed=None):
-    from scipy.integrate import quad
+def _quadrature_K_half():
+    """K(0.5) = integral over [0, pi/2] of dt / sqrt(1 - sin(t)^2 / 2), by
+    the 64-node Gauss-Legendre rule (numpy's `leggauss`, cached by
+    `levels`), with no elliptic kernel: the integrand is analytic well
+    beyond the interval, so the rule has converged to rounding."""
+    x, w = _gauss_legendre(64)
+    t = 0.25 * math.pi * (x + 1.0)
+    return float(0.25 * math.pi * np.sum(w / np.sqrt(1.0 - 0.5 * np.sin(t) ** 2)))
 
+
+def check_elliptic(seed=None):
     ms = (0.1, 0.5, 0.9, 0.999)
     us = np.linspace(-8.0, 8.0, 500)
     worst1 = worst2 = 0.0
@@ -307,9 +317,7 @@ def check_elliptic(seed=None):
         s0 = jacobi(us, m)[0]
         s1 = jacobi(us + 4.0 * complete_K(m), m)[0]
         per = max(per, float(np.max(np.abs(s1 - s0))))
-    Kq, _err = quad(lambda t: 1.0 / math.sqrt(1.0 - 0.5 * math.sin(t) ** 2),
-                    0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-14)
-    dK = abs(complete_K(0.5) - Kq)
+    dK = abs(complete_K(0.5) - _quadrature_K_half())
     ok = worst1 <= 1e-12 and worst2 <= 1e-12 and per <= 1e-10 and dK <= 1e-12
     det = [f"identity residuals {worst1:.3e}, {worst2:.3e} (<= 1e-12) on 2000 points",
            f"sn periodicity over 4K: {per:.3e} (<= 1e-10)",
@@ -322,7 +330,7 @@ def check_elliptic(seed=None):
 
 
 def check_closedform(seed=None):
-    from .orbits import measure_axis_period
+    from .dop853 import measure_axis_period
 
     det = []
     ok = True

@@ -10,10 +10,10 @@ are those of the float stepper `orbits._FloatDOP853`; they sit at the
 rounding of its sums, so any change to its arithmetic moves their last
 digits.  A change that moves them, or anything else here (other
 coordinates, another retry), must update the pin and say so.  The check
-runs its trials through `orbits.integrate_many`, whose every lane must give
-what `integrate` gives that trial, bit for bit, whether it runs as a
+runs its trials through `dop853.integrate_many`, whose every lane must
+give what `integrate` gives that trial, bit for bit, whether it runs as a
 numpy lane to its end, goes on to floats for the tail of the set
-(`orbits.FLOAT_TAIL`), or runs on floats from its start.
+(`dop853.FLOAT_TAIL`), or runs on floats from its start.
 """
 
 import math
@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rotheta import orbits
+from rotheta import dop853, orbits
+from rotheta.dop853 import integrate_many
 from rotheta.field import build_first_integral
-from rotheta.orbits import integrate, integrate_many
+from rotheta.orbits import integrate
 from rotheta.params import WaveParams
 from rotheta.verification import DEFAULT_SEED, _conservation_draw, _conservation_trials
 
@@ -167,16 +168,16 @@ def test_pinned_trials_hold_through_the_lanes():
 
 def _assert_lanes_are_integrate(wps, starts, span):
     """Every lane of `integrate_many` against `integrate` on its own trial,
-    both escaping at `orbits.ESCAPE_RADIUS`: the same answers, runs and
+    both escaping at `dop853.ESCAPE_RADIUS`: the same answers, runs and
     solver work, bit for bit.  The lanes run three times, with their float
-    tail (`orbits.FLOAT_TAIL`) at 0 (numpy lanes to the end), at its
+    tail (`dop853.FLOAT_TAIL`) at 0 (numpy lanes to the end), at its
     default and at the number of trials (every run on floats from its
     start).  Returns the reference trajectories and the trials that went on
     to floats right after a rejected attempt at the default tail."""
     fis = [build_first_integral(wp) for wp in wps]
-    refs = [integrate(wp, start, span, fi=fi, escape_radius=orbits.ESCAPE_RADIUS)
+    refs = [integrate(wp, start, span, fi=fi, escape_radius=dop853.ESCAPE_RADIUS)
             for wp, start, fi in zip(wps, starts, fis)]
-    finish, default = orbits._Lanes.finish_on_floats, orbits.FLOAT_TAIL
+    finish, default = dop853._Lanes.finish_on_floats, dop853.FLOAT_TAIL
     for tail in (0, default, len(wps)):
         switched = []
 
@@ -185,8 +186,8 @@ def _assert_lanes_are_integrate(wps, starts, span):
             return finish(lanes, i)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(orbits, "FLOAT_TAIL", tail)
-            m.setattr(orbits._Lanes, "finish_on_floats", recording_finish)
+            m.setattr(dop853, "FLOAT_TAIL", tail)
+            m.setattr(dop853._Lanes, "finish_on_floats", recording_finish)
             lanes = dict(integrate_many(wps, starts, span, fis=fis))
         assert sorted(lanes) == list(range(len(wps)))
         for i, ref in enumerate(refs):
@@ -234,7 +235,7 @@ def test_a_lane_ends_on_a_too_small_step(monkeypatch):
     # with no escape disc the orbit from (3, 1) runs off to infinity before
     # tau = 10, and its steps shrink below the spacing of the floats at t;
     # the lane beside it runs on to the end of the span
-    monkeypatch.setattr(orbits, "ESCAPE_RADIUS", math.inf)
+    monkeypatch.setattr(dop853, "ESCAPE_RADIUS", math.inf)
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
     refs, _ = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0)
     assert [r.status for r in refs] == [orbits.DOP853.TOO_SMALL_STEP, "ok"]
@@ -244,7 +245,7 @@ def test_lanes_escape_from_the_circle_and_from_outside_it(monkeypatch):
     # a start exactly on the escape circle escapes at once, the root being
     # the first step's start; a start outside the disc escapes as it
     # re-enters
-    monkeypatch.setattr(orbits, "ESCAPE_RADIUS", 5.0)
+    monkeypatch.setattr(dop853, "ESCAPE_RADIUS", 5.0)
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
     (on, outside), _ = _assert_lanes_are_integrate([wp, wp], [(3.0, 4.0), (0.0, 5.5)], 10.0)
     assert on.escaped and list(on.t) == [0.0, 0.0]
@@ -277,8 +278,8 @@ def test_a_lane_drops_a_step_whose_start_is_the_escape_root():
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
     runs = []
     for _ in range(2):
-        lanes = orbits._Lanes([wp], [(0.5, 0.2)], 10.0)
-        lanes.start(0, orbits.RTOL, orbits.ATOL)
+        lanes = dop853._Lanes([wp], [(0.5, 0.2)], 10.0)
+        lanes.start(0, dop853.RTOL, dop853.ATOL)
         while len(lanes.steps[0]) < 3:
             assert lanes.step() == []
         runs.append(lanes)

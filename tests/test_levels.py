@@ -1,5 +1,5 @@
-"""The level walk's root finder is scipy's brentq to the bit, and observing
-loads no scipy module."""
+"""The level walk's root finder is scipy's brentq to the bit, observing
+loads no scipy module, and verifying loads `scipy.special` alone."""
 
 import ast
 import math
@@ -124,3 +124,27 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_core_loads_scipy_special_alone():
+    # the benchmark's verify-core checks (every check but atlas-agreement,
+    # which only observes) integrate with `dop853` and take K and sn/cn/dn
+    # from `scipy.special`; no other scipy package may load
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from rotheta.verification import CHECKS, run_checks
+results = run_checks(names=[name for name, _fn, _b in CHECKS if name != "atlas-agreement"])
+assert len(results) == 8 and all(r.passed for r in results), results
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(rotheta.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, src],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    loaded = ast.literal_eval(out.stdout.strip())
+    assert "scipy.special" in loaded
+    for package in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
+        assert not any(m == package or m.startswith(package + ".") for m in loaded), package
+    public = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
+    assert public <= {"special", "version"}, public
