@@ -13,7 +13,8 @@ same trials then run through `integrate_many` again with no float tail
 `orbits.integrate`, and the script exits 1 if any trial's drift, drift
 samples, tolerance, right-hand-side evaluations, number of points or
 status differs between the three, or if the run with no float tail
-finished any trial on floats.
+finished any trial on floats or never dropped its stopped lanes from the
+lane arrays.
 
 Usage: python scripts/conservation_seeds.py
 """
@@ -45,34 +46,39 @@ def summary(traj):
 
 def lane_runs(wps, starts, fis, float_tail):
     """Each trial's run through `integrate_many`, in trial order, with its
-    float tail at `float_tail`, and the number of runs it finished on
-    floats."""
-    finish = dop853._Lanes.finish_on_floats
-    finished = []
+    float tail at `float_tail`, the number of runs it finished on floats,
+    and whether a lane step left the lane arrays narrower than the trials."""
+    finish, step = dop853._Lanes.finish_on_floats, dop853._Lanes.step
+    finished, widths = [], []
 
     def counted(lanes, i):
         finished.append(i)
         return finish(lanes, i)
 
+    def measured(lanes):
+        out = step(lanes)
+        widths.append(len(lanes.running))
+        return out
+
     default, dop853.FLOAT_TAIL = dop853.FLOAT_TAIL, float_tail
-    dop853._Lanes.finish_on_floats = counted
+    dop853._Lanes.finish_on_floats, dop853._Lanes.step = counted, measured
     try:
         runs = dict(integrate_many(wps, starts, 10.0, fis=fis))
     finally:
         dop853.FLOAT_TAIL = default
-        dop853._Lanes.finish_on_floats = finish
-    return [runs[i] for i in range(len(wps))], len(finished)
+        dop853._Lanes.finish_on_floats, dop853._Lanes.step = finish, step
+    return [runs[i] for i in range(len(wps))], len(finished), min(widths) < len(wps)
 
 
 def main():
     print("    " + "".join(f"{'theta = ' + str(t):>38s}" for t in CONSERVATION_THETAS))
     print("seed" + "   worst drift     unverified  retried" * len(CONSERVATION_THETAS))
-    differ, tailed = [], []
+    differ, tailed, unpacked = [], [], []
     for seed in SEEDS:
         trials = _conservation_trials(np.random.default_rng(seed))
         thetas, wps, starts = zip(*trials)
         fis = [build_first_integral(wp) for wp in wps]
-        lanes, _finished = lane_runs(wps, starts, fis, dop853.FLOAT_TAIL)
+        lanes, _finished, _packed = lane_runs(wps, starts, fis, dop853.FLOAT_TAIL)
         cells = []
         for theta in CONSERVATION_THETAS:
             mine = [traj for i, traj in enumerate(lanes) if thetas[i] == theta]
@@ -81,22 +87,27 @@ def main():
                          f"{sum(t.h_drift_max is None for t in mine):12d}"
                          f"{sum(map(retried, mine)):9d}")
         got = [summary(traj) for traj in lanes]
-        no_tail_runs, on_floats = lane_runs(wps, starts, fis, 0)
+        no_tail_runs, on_floats, packed = lane_runs(wps, starts, fis, 0)
         no_tail = [summary(traj) for traj in no_tail_runs]
         if on_floats:
             tailed.append(seed)
+        if not packed:
+            unpacked.append(seed)
         one_by_one = [summary(integrate(wp, start, 10.0, fi=fi))
                       for wp, start, fi in zip(wps, starts, fis)]
         bad = [i for i, row in enumerate(got) if not row == no_tail[i] == one_by_one[i]]
         if bad:
             differ.append(seed)
         print(f"{seed:4d}" + "".join(cells) + (f"  TRIALS DIFFER: {bad}" if bad else "")
-              + (f"  NO-TAIL RUN FINISHED {on_floats} ON FLOATS" if on_floats else ""))
+              + (f"  NO-TAIL RUN FINISHED {on_floats} ON FLOATS" if on_floats else "")
+              + ("" if packed else "  NO-TAIL RUN NEVER DROPPED A LANE"))
     if differ:
         print(f"trials differ from integrate's at seeds {differ}")
     if tailed:
         print(f"the run with no float tail finished trials on floats at seeds {tailed}")
-    if differ or tailed:
+    if unpacked:
+        print(f"the run with no float tail never dropped a stopped lane at seeds {unpacked}")
+    if differ or tailed or unpacked:
         return 1
     print(f"every trial equals integrate's, with and without the float tail, at all "
           f"{len(SEEDS)} seeds")

@@ -317,9 +317,8 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     svg = fig.render()
 
     rows = ["orbit_id,branch_id,kind,h,phi,y"]
-    for o, b, kind, h, xs, ys in curves:
-        for x, y in zip(xs, ys):
-            rows.append(f"{o},{b},{kind},{_cell(h)},{_fmt(x)},{_fmt(y)}")
+    for curve in curves:
+        rows += _curve_rows(*curve)
     for i, eq in enumerate(cen.equilibria):
         h = _level_of(fi, eq.phi, eq.y)
         rows.append(f"{oid + i},0,equilibrium/{eq.kind},{_cell(h)},"
@@ -328,6 +327,15 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     for j, y in enumerate(ylim):
         rows.append(f"{base},{j},singular-line,,{_fmt(s)},{_fmt(y)}")
     return svg, "\n".join(rows) + "\n"
+
+
+def _curve_rows(o, b, kind, h, xs, ys):
+    """A portrait curve's CSV rows: the curve's cells, then each point's phi
+    and y as `_fmt` writes them, from floats taken for the whole curve at
+    once."""
+    prefix = f"{o},{b},{kind},{_cell(h)},"
+    return [f"{prefix}{x:.17g},{y:.17g}" for x, y in
+            zip(np.asarray(xs, dtype=float).tolist(), np.asarray(ys, dtype=float).tolist())]
 
 
 def _separatrix_curve(conn):

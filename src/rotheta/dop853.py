@@ -4,16 +4,18 @@ run, each taking scipy's steps bit for bit without loading any scipy module.
 DOP853 (Hairer, Norsett & Wanner's 8(5,3) pair) is taken as scipy writes
 it: its tableau is read from scipy's standalone coefficient file, loaded by
 its path so that no scipy package is imported; its step arithmetic
-(stages, error norm, step-size controller, dense rows) is written once
-here, on values that are Python floats or numpy arrays over lanes; its
-first step (`_first_step`) is scipy's constructor, ported line for line;
-and an event's root is cut by `levels.brentq`, a port of scipy's, on the
-step's own interpolant (`_dense_at`).  Two drivers run it:
+(stages, error norm, dense rows) is written once here, on values that are
+Python floats or numpy arrays over lanes, and its step-size controller
+twice, on floats (`_control`) and on lane arrays (`_control_lanes`), with
+the same bits; its first step (`_first_step`) is scipy's constructor,
+ported line for line; and an event's root is cut by `levels.brentq`, a
+port of scipy's, on the step's own interpolant (`_dense_at`).  Two drivers run it:
 
 * `integrate_many` runs many fixed-span tau-form trials at once, as the
   lanes of numpy arrays (`_Lanes`), each lane stopping at the escape disc
   with the step, the cut (`_cut`) and the answer `orbits.integrate` gives
-  its trial, bit for bit.  Once `FLOAT_TAIL` or fewer runs are left, it
+  its trial, bit for bit.  The arrays drop their stopped lanes once fewer
+  than half of them run, and once `FLOAT_TAIL` or fewer runs are left, it
   finishes them one by one on floats (`_float_step`).  The conservation
   check runs its trials this way.
 * `measure_axis_period` runs one trajectory of any planar right-hand side
@@ -50,9 +52,11 @@ ESCAPE_RADIUS = 50.0   # radius of the (phi, y) disc the lanes may not leave
 # ones
 RTOL, ATOL, DRIFT_LIMIT, RETRIES = 1e-10, 1e-12, 1e-8, 1
 # `integrate_many` finishes its runs one by one on floats once this many or
-# fewer are left: a lane step costs numpy's per-call overhead whatever the
-# number of running lanes (0.6-0.9 ms on a 2-core host), a float step about
-# 50 us a lane
+# fewer are left: with its stopped lanes dropped, a lane step still costs
+# numpy's per-call overhead, about 0.7 ms at 1-16 lanes against 1.3 ms at
+# 300 (2-core host), where a float step costs about 50 us a lane; tails
+# from 4 to 64 take the check's trials in the same time, within the host's
+# noise
 FLOAT_TAIL = 16
 EPS = float(np.finfo(float).eps)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."   # scipy's status
@@ -186,11 +190,15 @@ def _h_scale(h_values, h0):
 
 # The step arithmetic below is written once, on values that are Python
 # floats (`_float_step`, and `orbits._FloatDOP853` through it: the stages
-# `k` a list of float pairs) or arrays over lanes (`_Lanes`: `k` an array of
-# shape (stages, 2, lanes)).  Sums run left to right, never through np.dot
-# or `sum()` (compensated from Python 3.12), so a float run differs from
-# scipy's only by rounding, and every lane equals the float run of its
-# trial bit for bit.
+# `k` a list of float pairs, a state a float pair) or arrays over lanes
+# (`_Lanes`: `k` an array of shape (stages, 2, lanes), a state one array of
+# shape (2, lanes)).  `_stages` branches on the kind: on lanes it shifts
+# the state in whole-array operations and forms no stage time, since the
+# lanes run `tau_rhs` alone, which is autonomous.  The controller alone is
+# written twice (`_control`, `_control_lanes`).  Sums run left to right,
+# never through np.dot or `sum()` (compensated from Python 3.12), so a
+# float run differs from scipy's only by rounding, and every lane equals
+# the float run of its trial bit for bit.
 
 
 def _combine(row, k):
@@ -214,28 +222,40 @@ def _larger(a, b):
     return np.where(b > a, b, a) if isinstance(a, np.ndarray) else max(a, b)
 
 
-def _stages(rhs, rows, first, t, h, y0, y1, k):
-    """Stages `first` on of a step of length h from (t, (y0, y1)) into k."""
+def _stages(rhs, rows, first, t, h, y, k):
+    """Stages `first` on of a step of length h from (t, y) into k; returns
+    the state the last of them was taken at.  Each shifted state is
+    y + (sum_j a_j K_j) h per component: one array expression on lanes,
+    which pass `rhs` the step's start time t for every stage."""
+    if isinstance(k, np.ndarray):
+        for s, (_c, row) in enumerate(rows, first):
+            x = y + _combine(row, k) * h
+            k[s] = rhs(t, x)
+        return x
+    y0, y1 = y
     for s, (c, row) in enumerate(rows, first):
         d0, d1 = _combine(row, k)
-        k[s] = rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h))
+        x = (y0 + d0 * h, y1 + d1 * h)
+        k[s] = rhs(t + c * h, x)
+    return x
 
 
-def _rk_step(rhs, t, h, y0, y1, k):
-    """DOP853's RK step: stages 1 to 11 after f in k[0], the new state, and
-    f there as stage `_FSAL`."""
-    _stages(rhs, _STAGES, 1, t, h, y0, y1, k)
-    d0, d1 = _combine(_B, k)
-    n0, n1 = y0 + h * d0, y1 + h * d1
-    k[_FSAL] = rhs(t + h, (n0, n1))
-    return n0, n1
+# stages 1 to 11, then the new state (c = 1, the weights B), where f is
+# stage `_FSAL`
+_STEP = (*_STAGES, (1.0, _B))
 
 
-def _error_sums(y0, y1, n0, n1, k, tols):
+def _rk_step(rhs, t, h, y, k):
+    """DOP853's RK step from (t, y): stages 1 to 11 after f in k[0], and
+    f at the new state as stage `_FSAL`; returns the new state."""
+    return _stages(rhs, _STEP, 1, t, h, y, k)
+
+
+def _error_sums(y, n, k, tols):
     """The step's 5th- and 3rd-order error estimates over the scale
     atol + rtol * max(|y|, |y_new|), squared and summed over the
     components."""
-    rtol, atol0, atol1 = tols
+    (y0, y1), (n0, n1), (rtol, atol0, atol1) = y, n, tols
     scale0 = atol0 + _larger(abs(y0), abs(n0)) * rtol
     scale1 = atol1 + _larger(abs(y1), abs(n1)) * rtol
     e50, e51 = _combine(_E5, k)
@@ -266,11 +286,33 @@ def _control(h_abs, err5, err3, rejected):
     return False, h_abs * max(MIN_FACTOR, SAFETY * error_norm ** _EXPONENT)
 
 
-def _dense_rows(rhs, t_old, h, y0, y1, n0, n1, k):
-    """The three extra stages of an accepted step from (t_old, (y0, y1)) to
-    (n0, n1), and its interpolant's rows F as (row0, row1) pairs, lowest
+def _control_lanes(h_abs, err5, err3, rejected):
+    """`_control` on lane arrays, bit for bit: (accepted, next step length),
+    each an array over the lanes.  The branches are numpy's; only the power
+    is taken on Python floats, since numpy's differs from C's pow in the
+    last bit.  A zero norm is given the power inf, which C's pow gives it
+    and which makes the factor `MAX_FACTOR`; numpy's comparisons take
+    Python's min and max, nan included (max(MIN_FACTOR, nan) is
+    MIN_FACTOR).  Division by a zero or nan denominator is left to the
+    caller's np.errstate."""
+    denom = (err5 + 0.01 * err3) * 2
+    error_norm = np.where((err5 == 0) & (err3 == 0), 0.0,
+                          np.where(denom == 0, math.inf, h_abs * err5 / np.sqrt(denom)))
+    scaled = SAFETY * np.array([e ** _EXPONENT if e else math.inf
+                                for e in error_norm.tolist()])
+    accepted = error_norm < 1
+    grow = np.where(scaled < MAX_FACTOR, scaled, MAX_FACTOR)
+    grow = np.where(rejected & ~(grow < 1), 1.0, grow)
+    shrink = np.where(scaled > MIN_FACTOR, scaled, MIN_FACTOR)
+    return accepted, h_abs * np.where(accepted, grow, shrink)
+
+
+def _dense_rows(rhs, t_old, h, y, n, k):
+    """The three extra stages of an accepted step from (t_old, y) to the
+    state n, and its interpolant's rows F as (row0, row1) pairs, lowest
     power first (scipy's F)."""
-    _stages(rhs, _EXTRA, _FSAL + 1, t_old, h, y0, y1, k)
+    _stages(rhs, _EXTRA, _FSAL + 1, t_old, h, y, k)
+    (y0, y1), (n0, n1) = y, n
     (f0, f1), (g0, g1) = k[0], k[_FSAL]
     dy0, dy1 = n0 - y0, n1 - y1
     F = [(dy0, dy1), (h * f0 - dy0, h * f1 - dy1),
@@ -313,11 +355,11 @@ def _float_step(rhs, t, t_bound, h_abs, y0, y1, k, tols, rejected):
             return None, None, None, h_abs, nfev
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
-        n0, n1 = _rk_step(rhs, t, h, y0, y1, k)
+        new = _rk_step(rhs, t, h, (y0, y1), k)
         nfev += _FSAL   # stages 1 to 11, and f at the new state
-        accepted, h_abs = _control(h, *_error_sums(y0, y1, n0, n1, k, tols), rejected)
+        accepted, h_abs = _control(h, *_error_sums((y0, y1), new, k, tols), rejected)
         if accepted:
-            return t_new, h, (n0, n1), h_abs, nfev
+            return t_new, h, new, h_abs, nfev
         rejected = True
 
 
@@ -441,21 +483,27 @@ def _settle(traj, best, drift_limit):
 
 
 class _Lanes:
-    """Forward tau-form DOP853 runs stepped together, one run per lane.
+    """Forward tau-form DOP853 runs stepped together, one trial's run per
+    lane.
 
-    numpy arrays over the lanes hold each run's t, step length, state,
-    stages and rejection flag.  `step` tries one step on every running
-    lane with the shared step arithmetic; a lane's controller runs on its
-    floats (`_control`: numpy's power differs from Python's in the last
-    bit), and its first step is the one scipy's DOP853 constructor
-    chooses (`_first_step`).  So each lane takes the steps, stops, dense
-    output and `nfev` of `orbits._solve` when only the escape event (the
-    disc of `ESCAPE_RADIUS`) can stop it, bit for bit.  Lanes that are not
-    running are stepped too, with length 0, and nothing is kept of them.
-    `finish_on_floats` takes one lane on from wherever `step` left it to
-    its run's end on Python floats, with the same arithmetic and so the
-    same answer.  Each lane's accepted steps wait in its own list, as the
-    bytes of their rows, until its run ends.
+    numpy arrays over the lanes (the columns) hold each run's t, step
+    length, escape value, state, stages, tolerances, rejection flag,
+    running flag and `nfev`; `trial` names each column's trial and `col`
+    each trial's column (-1 once its column is dropped).  `step` tries one
+    step on every column with the shared step arithmetic and the lanes'
+    controller (`_control_lanes`), and a run's first step is the one scipy's DOP853
+    constructor chooses (`_first_step`).  So each lane takes the steps,
+    stops, dense output and `nfev` of `orbits._solve` when only the escape
+    event (the disc of `ESCAPE_RADIUS`) can stop it, bit for bit.  A
+    column that is not running is stepped with length 0 and nothing is
+    kept of it, until fewer than half the columns are running: `step` then
+    drops the stopped columns (`_pack`), so a step costs what its running
+    lanes cost.  A trial restarted by `start` still has its column, since
+    runs end only in `step` and `finish_on_floats`, and a restart comes
+    before the next `step`.  `finish_on_floats` takes one trial on from
+    wherever `step` left it to its run's end on Python floats, with the
+    same arithmetic and so the same answer.  Each trial's accepted steps
+    wait in its own list, as the bytes of their rows, until its run ends.
     """
 
     # an accepted step's row: t, the state, and the interpolant's rows F[1:]
@@ -470,7 +518,8 @@ class _Lanes:
         self.rhs = tau_rhs(wps)
         self.escape = _escape_event(ESCAPE_RADIUS)
         self.x0 = np.array([(float(s[0]), float(s[1])) for s in starts]).reshape(n, 2)
-        # a lane that is not running sits at the span's end with step 0
+        self.trial, self.col = np.arange(n), np.arange(n)
+        # a column that is not running sits at the span's end with step 0
         self.t, self.h_abs, self.g = np.full(n, self.span), np.zeros(n), np.zeros(n)
         self.y = self.x0.T.copy()
         self.k = np.zeros((_N_STAGES, 2, n))
@@ -480,25 +529,44 @@ class _Lanes:
         self.steps = [None] * n
 
     def start(self, i, rtol, atol):
-        """Start lane i's run from its start at these tolerances, as
+        """Start trial i's run from its start at these tolerances, as
         `orbits._solve` starts it: scipy's DOP853 constructor
         (`_first_step`) checks the tolerances, takes f there and chooses
         the first step."""
+        c = self.col[i]
+        assert c >= 0, f"trial {i} restarts after its column was dropped"
         y, f, h_abs, checked_rtol, checked_atol, nfev = _first_step(
             tau_rhs(self.wps[i]), self.x0[i], self.span, rtol, atol)
-        self.t[i], self.h_abs[i], self.y[:, i], self.k[0, :, i] = 0.0, h_abs, y, f
-        self.g[i] = self.escape(0.0, y.tolist())
-        self.rtol[i], self.atol[i] = checked_rtol, checked_atol
-        self.rejected[i], self.running[i] = False, True
-        self.nfev[i], self.rtol_used[i] = nfev, rtol
+        self.t[c], self.h_abs[c], self.y[:, c], self.k[0, :, c] = 0.0, h_abs, y, f
+        self.g[c] = self.escape(0.0, y.tolist())
+        self.rtol[c], self.atol[c] = checked_rtol, checked_atol
+        self.rejected[c], self.running[c] = False, True
+        self.nfev[c], self.rtol_used[i] = nfev, rtol
         self.steps[i] = []
+
+    def _pack(self):
+        """Drop the stopped columns from every per-lane array, and build the
+        right-hand side of the trials kept."""
+        keep = np.flatnonzero(self.running)
+        self.trial = self.trial[keep]
+        self.col[:] = -1
+        self.col[self.trial] = np.arange(len(keep))
+        self.t, self.h_abs, self.g = self.t[keep], self.h_abs[keep], self.g[keep]
+        self.y, self.k = self.y.take(keep, axis=1), self.k.take(keep, axis=2)
+        self.rtol, self.atol = self.rtol[keep], self.atol[keep]
+        self.rejected, self.running, self.nfev = \
+            self.rejected[keep], self.running[keep], self.nfev[keep]
+        self.rhs = tau_rhs([self.wps[i] for i in self.trial.tolist()])
 
     # a rejected trial step may overflow, which Python floats do without a word
     @np.errstate(all="ignore")
     def step(self):
-        """Try one step on every running lane; returns (i, Trajectory) for
-        each lane whose run ended on it."""
-        running, rejected, t, k = self.running, self.rejected, self.t, self.k
+        """Try one step on every column, the stopped ones first dropped when
+        fewer than half the columns are running; returns (i, Trajectory)
+        for each trial i whose run ended on it."""
+        if 2 * np.count_nonzero(self.running) < len(self.running):
+            self._pack()
+        running, rejected, t, y, k = self.running, self.rejected, self.t, self.y, self.k
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(~rejected & (self.h_abs < min_step), min_step, self.h_abs)
         failed = running & (h_abs < min_step)
@@ -506,56 +574,54 @@ class _Lanes:
         t_new = np.where(t_new - self.span > 0, self.span, t_new)
         h = t_new - t
         h_abs = np.abs(h)
-        y0, y1 = self.y
-        n0, n1 = _rk_step(self.rhs, t, h, y0, y1, k)
-        err5, err3 = _error_sums(y0, y1, n0, n1, k, (self.rtol, self.atol, self.atol))
+        n = _rk_step(self.rhs, t, h, y, k)
+        err5, err3 = _error_sums(y, n, k, (self.rtol, self.atol, self.atol))
 
         tried = np.flatnonzero(running & ~failed)
-        verdicts = [_control(*lane) for lane in zip(
-            h_abs[tried].tolist(), err5[tried].tolist(), err3[tried].tolist(),
-            rejected[tried].tolist())]
+        ok, self.h_abs[tried] = _control_lanes(h_abs[tried], err5[tried], err3[tried],
+                                               rejected[tried])
         accepted = np.zeros(len(t), bool)
-        if verdicts:
-            ok, self.h_abs[tried] = zip(*verdicts)
-            accepted[tried] = ok
+        accepted[tried] = ok
         self.nfev[tried] += _FSAL
-        rejected[tried] = ~accepted[tried]
+        rejected[tried] = ~ok
 
         acc = np.flatnonzero(accepted)
-        F = np.array(_dense_rows(self.rhs, t, h, y0, y1, n0, n1, k))
+        F = np.array(_dense_rows(self.rhs, t, h, y, n, k))
         self.nfev[acc] += len(_EXTRA)
-        rows = np.column_stack((t_new[acc], n0[acc], n1[acc],
+        rows = np.column_stack((t_new[acc], n[:, acc].T,
                                 F[1:, :, acc].transpose(2, 0, 1).reshape(len(acc), 12)))
-        for i, row in zip(acc.tolist(), rows):
-            self.steps[i].append(row.tobytes())   # a view would keep the whole block alive
-        g_new = self.escape(t_new, (n0, n1))
+        block, size = rows.tobytes(), 8 * self._ROW
+        for i, at in zip(self.trial[acc].tolist(), range(0, len(block), size)):
+            self.steps[i].append(block[at:at + size])
+        g_new = self.escape(t_new, n)
         g = self.g
         escaped = accepted & (((g <= 0) & (0 <= g_new)) | ((g >= 0) & (0 >= g_new)))
         g[acc] = g_new[acc]
         t[acc] = t_new[acc]
-        self.y[:, acc] = (n0[acc], n1[acc])
+        y[:, acc] = n[:, acc]
         k[0][:, acc] = k[_FSAL][:, acc]
 
         ended = np.flatnonzero(failed | (accepted & ((t_new - self.span >= 0) | escaped)))
-        out = [(i, self._trajectory(i, bool(escaped[i]), bool(failed[i])))
-               for i in ended.tolist()]
+        out = [(i, self._trajectory(i, bool(escaped[c]), bool(failed[c])))
+               for c, i in zip(ended.tolist(), self.trial[ended].tolist())]
         running[ended] = False
         t[ended], self.h_abs[ended] = self.span, 0.0
         return out
 
     def finish_on_floats(self, i):
-        """Step running lane i to its run's end one step after another on
-        Python floats, with `_float_step` taking on the lane's t, step
-        length, state, f, rejection flag and `nfev`, and the escape
+        """Step trial i's running lane to its run's end one step after
+        another on Python floats, with `_float_step` taking on the lane's
+        t, step length, state, f, rejection flag and `nfev`, and the escape
         crossing found as `step` finds it; each accepted step's dense rows
         are stored as `step` stores them.  Returns the run's Trajectory
         (`_trajectory`)."""
+        c = self.col[i]
         rhs = tau_rhs(self.wps[i])
-        tols = (float(self.rtol[i]), float(self.atol[i]), float(self.atol[i]))
-        t, h_abs, g, nfev = float(self.t[i]), float(self.h_abs[i]), float(self.g[i]), 0
-        (y0, y1), rejected = self.y[:, i].tolist(), bool(self.rejected[i])
+        tols = (float(self.rtol[c]), float(self.atol[c]), float(self.atol[c]))
+        t, h_abs, g, nfev = float(self.t[c]), float(self.h_abs[c]), float(self.g[c]), 0
+        (y0, y1), rejected = self.y[:, c].tolist(), bool(self.rejected[c])
         k = [None] * _N_STAGES
-        k[0] = tuple(self.k[0, :, i].tolist())
+        k[0] = tuple(self.k[0, :, c].tolist())
         steps = self.steps[i]
         escaped = False
         while True:
@@ -564,7 +630,7 @@ class _Lanes:
             nfev += n
             if t_new is None:
                 break
-            F = _dense_rows(rhs, t, h, y0, y1, *new, k)
+            F = _dense_rows(rhs, t, h, (y0, y1), new, k)
             nfev += len(_EXTRA)
             steps.append(np.array((t_new, *new, *chain.from_iterable(F[1:]))).tobytes())
             g_new = self.escape(t_new, new)
@@ -572,13 +638,13 @@ class _Lanes:
             t, (y0, y1), g, rejected, k[0] = t_new, new, g_new, False, k[_FSAL]
             if t_new - self.span >= 0 or escaped:
                 break
-        self.nfev[i] += nfev
-        self.running[i] = False
-        self.t[i], self.h_abs[i] = self.span, 0.0
+        self.nfev[c] += nfev
+        self.running[c] = False
+        self.t[c], self.h_abs[c] = self.span, 0.0
         return self._trajectory(i, escaped, t_new is None)
 
     def _trajectory(self, i, escaped, failed):
-        """Lane i's run as `orbits._solve` returns it, its step list freed;
+        """Trial i's run as `orbits._solve` returns it, its step list freed;
         an escaped run is cut at the escape root."""
         steps = np.frombuffer(b"".join(self.steps[i])).reshape(-1, self._ROW)
         self.steps[i] = None
@@ -593,7 +659,7 @@ class _Lanes:
         F = np.empty((7, 2, len(h)))   # highest power first, as `Trajectory._segments`
         F[:6], F[6] = steps[:, 3:].T.reshape(6, 2, -1)[::-1], dy.T
         traj = Trajectory(wp=self.wps[i], t=t, states=states, sol=None, escaped=escaped,
-                          rtol_used=self.rtol_used[i], nfev=int(self.nfev[i]),
+                          rtol_used=self.rtol_used[i], nfev=int(self.nfev[self.col[i]]),
                           status=TOO_SMALL_STEP if failed else "ok")
         traj._segments = (t, t[:-1], h, np.ascontiguousarray(states[:-1].T), F)
         return traj
@@ -609,8 +675,9 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis):
     A caller that keeps only what it needs of each trial holds one trial's
     steps at a time.
 
-    The trials run as the lanes of one `_Lanes` set.  A lane step costs
-    numpy's per-call overhead at any number of running lanes, so once
+    The trials run as the lanes of one `_Lanes` set, which drops its
+    stopped lanes once fewer than half of them run.  A lane step still
+    costs numpy's per-call overhead however few lanes run, so once
     `FLOAT_TAIL` or fewer are running, each is finished on floats, one
     after another (`_Lanes.finish_on_floats`).  A trial whose drift is over
     the limit restarts in its lane at 100x tighter tolerances as soon as
@@ -628,7 +695,7 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis):
         if len(running) > FLOAT_TAIL:
             ended = lanes.step()
         else:
-            i = int(running[0])
+            i = int(lanes.trial[running[0]])
             ended = [(i, lanes.finish_on_floats(i))]
         for i, traj in ended:
             _measure_drift(traj, fis[i], starts[i], DRIFT_LIMIT)
@@ -669,7 +736,7 @@ def measure_axis_period(rhs, start, *, span=200.0, rtol=1e-12, atol=1e-14):
             break
         g, g_new = y1, new[1]
         if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
-            F = _dense_rows(rhs, t, h, y0, y1, *new, k)
+            F = _dense_rows(rhs, t, h, (y0, y1), new, k)
             crossings.append(_event_root(lambda _t, x: x[1], t, h, (y0, y1), F, t_new))
         t, (y0, y1), k[0] = t_new, new, k[_FSAL]
         if t - span >= 0:

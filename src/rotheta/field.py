@@ -141,9 +141,9 @@ def tau_rhs(wp: WaveParams):
 
     `wp` may also be a sequence of WaveParams, one per lane of
     `dop853.integrate_many`: each coefficient is then an array over the
-    lanes, `x` a pair of lane arrays, and every lane's entry is the float
-    the single-lane right-hand side gives, since numpy rounds + and * as
-    Python does."""
+    lanes, `x` an array of shape (2, lanes), and every lane's entry is the
+    float the single-lane right-hand side gives, since numpy rounds + and *
+    as Python does."""
     if isinstance(wp, WaveParams):
         theta, C1, (K, _, C2, C3) = float(wp.theta), float(wp.C1), g_coeffs(wp)
     else:

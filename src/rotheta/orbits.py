@@ -116,9 +116,8 @@ class _FloatDOP853(DOP853):
         return True, None
 
     def _dense_output_impl(self):
-        y0, y1 = self.y_old.tolist()
-        n0, n1 = self.y.tolist()
-        F = _dense_rows(self._rhs, self.t_old, self.h_previous, y0, y1, n0, n1, self._k)
+        F = _dense_rows(self._rhs, self.t_old, self.h_previous, self.y_old.tolist(),
+                        self.y.tolist(), self._k)
         self.nfev += len(_EXTRA)
         return Dop853DenseOutput(self.t_old, self.t, self.y_old, np.array(F))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Number = Union[float, Fraction]
@@ -91,6 +92,14 @@ class WaveParams:
 def _reduction_exponent(theta: Fraction) -> int:
     if not isinstance(theta, Fraction):
         raise TypeError("theta must be a Fraction; use parse_theta()")
+    return _exponent_of(theta)
+
+
+@lru_cache(maxsize=64)
+def _exponent_of(theta: Fraction) -> int:
+    """m = (1 - 3 theta)/theta, which must be an integer; cached, since every
+    WaveParams asks for it and its Fraction arithmetic costs more than the
+    rest of the constructor."""
     if theta == 0:
         raise ValueError("theta = 0 is not admissible")
     m = (1 - 3 * theta) / theta

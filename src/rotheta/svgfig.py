@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # glyph per equilibrium kind (stroke-only shapes read better over curves)
 _GLYPHS = {
     "Saddle": "cross",
@@ -85,7 +87,13 @@ class SvgFigure:
                 f'text-anchor="{anchor}" fill="#555555">{s}</text>')
 
     def polyline(self, xs, ys, *, color="#2a6fb0", width=1.2):
-        pts = " ".join(f"{_n(self._tx(x))},{_n(self._ty(y))}" for x, y in zip(xs, ys))
+        # the curve is mapped as arrays, in `_tx`'s and `_ty`'s order of
+        # operations, which gives every point the floats they give it; numpy
+        # overflows without a word, as Python floats do
+        with np.errstate(all="ignore"):
+            vx = self._tx(np.asarray(xs, dtype=float)).tolist()
+            vy = self._ty(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join(f"{_n(x)},{_n(y)}" for x, y in zip(vx, vy))
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{_n(width)}"/>')
@@ -141,8 +149,6 @@ def _escape(s: str) -> str:
 def resample(xs, ys):
     """Arc-length resampling of a polyline to 400 points (keeps files small
     and byte-stable regardless of how the curve was sampled)."""
-    import numpy as np
-
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = 400

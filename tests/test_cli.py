@@ -9,13 +9,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rotheta
 from rotheta.atlas import observe_wave_menu
-from rotheta.cli import main, render_portrait_artifacts
+from rotheta.cli import _cell, _curve_rows, _fmt, main, render_portrait_artifacts
 from rotheta.equilibria import SADDLE, census
 from rotheta.params import WaveParams
+from rotheta.svgfig import SvgFigure, _n
 from rotheta.verification import T1_BASE
 
 
@@ -105,6 +107,37 @@ def test_portrait_separatrices_are_the_observed_connections(wp):
         drawn.append(("arch" if eq.on_singular_line else "loop",
                       "left" if phi < eq.phi else "right"))
     assert drawn == counted
+
+
+# curves as lists and as np.float64 arrays, with -0.0, a point drawn at
+# x = -0.0004 (written 0.000), and values out to 1e-300 and 1e300
+_CURVES = [
+    ([0.0, -0.0, 1.0, 2.5], [-0.0, 0.25, 1.0, -1.0]),
+    (np.array([-0.0, 0.1, 0.7, 3.0]), np.array([0.3, -0.0, -0.2, 1.0])),
+    ([-48.0004 / 624 * 4], [0.0]),
+    (np.array([1e-300, -1e-300, 1e300, -1e300]), np.array([1e300, 1e-300, -1e-300, 0.0])),
+]
+
+
+@pytest.mark.parametrize("xs, ys", _CURVES)
+def test_portrait_curves_are_written_as_point_by_point(xs, ys):
+    # the per-point formatting the array forms replace, kept as the reference
+    fig = SvgFigure((0.0, 4.0), (-1.5, 1.5))
+    fig.polyline(xs, ys, color="#123456", width=1.0)
+    pts = " ".join(f"{_n(fig._tx(x))},{_n(fig._ty(y))}" for x, y in zip(xs, ys))
+    assert fig.elements[-1] == (f'<polyline points="{pts}" fill="none" stroke="#123456" '
+                                f'stroke-width="1.000"/>')
+    for h in (0.5, np.float64(-0.0), None, 3):
+        assert _curve_rows(2, 1, "level", h, xs, ys) == \
+            [f"2,1,level,{_cell(h)},{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
+
+
+def test_a_point_just_left_of_the_frame_is_written_at_zero():
+    fig = SvgFigure((0.0, 4.0), (-1.5, 1.5))
+    x = _CURVES[2][0][0]
+    assert -0.0005 < fig._tx(x) < 0.0
+    fig.polyline([x], [0.0])
+    assert fig.elements[-1].startswith('<polyline points="0.000,270.000"')
 
 
 def test_portrait_with_vacant_level(tmp_path, capsys):

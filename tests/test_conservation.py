@@ -166,28 +166,48 @@ def test_pinned_trials_hold_through_the_lanes():
                     for _i, traj in sorted(lanes.items())])
 
 
-def _assert_lanes_are_integrate(wps, starts, span):
+def _assert_lanes_are_integrate(wps, starts, span, drift_limit=dop853.DRIFT_LIMIT):
     """Every lane of `integrate_many` against `integrate` on its own trial,
-    both escaping at `dop853.ESCAPE_RADIUS`: the same answers, runs and
-    solver work, bit for bit.  The lanes run three times, with their float
-    tail (`dop853.FLOAT_TAIL`) at 0 (numpy lanes to the end), at its
-    default and at the number of trials (every run on floats from its
-    start).  Returns the reference trajectories and the trials that went on
-    to floats right after a rejected attempt at the default tail."""
+    both escaping at `dop853.ESCAPE_RADIUS` and retrying over `drift_limit`:
+    the same answers, runs and solver work, bit for bit.  The lanes run
+    three times, with their float tail (`dop853.FLOAT_TAIL`) at 0 (numpy
+    lanes to the end), at its default and at the number of trials (every
+    run on floats from its start).  Every lane step must drop the stopped
+    lanes exactly when fewer than half are running.  Returns the reference
+    trajectories, the trials that went on to floats right after a rejected
+    attempt at the default tail, the lanes' width after their last step at
+    tail 0, and the trials restarted right after a step that dropped
+    lanes, at tail 0."""
     fis = [build_first_integral(wp) for wp in wps]
-    refs = [integrate(wp, start, span, fi=fi, escape_radius=dop853.ESCAPE_RADIUS)
+    refs = [integrate(wp, start, span, fi=fi, escape_radius=dop853.ESCAPE_RADIUS,
+                      drift_limit=drift_limit)
             for wp, start, fi in zip(wps, starts, fis)]
     finish, default = dop853._Lanes.finish_on_floats, dop853.FLOAT_TAIL
+    step, start = dop853._Lanes.step, dop853._Lanes.start
     for tail in (0, default, len(wps)):
-        switched = []
+        switched, widths, restarted = [], [], []
 
         def recording_finish(lanes, i):
-            switched.append((i, bool(lanes.rejected[i])))
+            switched.append((i, bool(lanes.rejected[lanes.col[i]])))
             return finish(lanes, i)
+
+        def recording_step(lanes):
+            width, running = len(lanes.running), int(np.count_nonzero(lanes.running))
+            out = step(lanes)
+            widths.append((width, running, len(lanes.running)))
+            return out
+
+        def recording_start(lanes, i, rtol, atol):
+            if widths:
+                restarted.append((i, widths[-1][2] < widths[-1][0]))
+            return start(lanes, i, rtol, atol)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(dop853, "FLOAT_TAIL", tail)
+            m.setattr(dop853, "DRIFT_LIMIT", drift_limit)
             m.setattr(dop853._Lanes, "finish_on_floats", recording_finish)
+            m.setattr(dop853._Lanes, "step", recording_step)
+            m.setattr(dop853._Lanes, "start", recording_start)
             lanes = dict(integrate_many(wps, starts, span, fis=fis))
         assert sorted(lanes) == list(range(len(wps)))
         for i, ref in enumerate(refs):
@@ -200,15 +220,19 @@ def _assert_lanes_are_integrate(wps, starts, span):
             assert np.array_equal(lane.states, ref.states), (tail, i)
             tg = np.linspace(ref.t[0], ref.t[-1], 512)
             assert np.array_equal(lane.at(tg), ref.at(tg)), (tail, i)
+        for width, running, after in widths:
+            assert after == (running if 2 * running < width else width), (tail, widths)
         if tail == 0:
             assert switched == []
+            last_width = widths[-1][2]
+            after_pack = [i for i, packed in restarted if packed]
         if tail >= len(wps):
             # every run, retries included, on floats from its start
             assert {i for i, _rejected in switched} == set(range(len(wps)))
             assert not any(rejected for _i, rejected in switched)
         if tail == default:
             after_rejection = [i for i, rejected in switched if rejected]
-    return refs, after_rejection
+    return refs, after_rejection, last_width, after_pack
 
 
 @pytest.mark.parametrize("seed", [7, 16])
@@ -220,8 +244,11 @@ def test_lanes_give_every_trial_what_integrate_gives(seed):
     # already rejected once, a state the float stepper never starts from
     trials = _conservation_trials(np.random.default_rng(seed))
     _thetas, wps, starts = zip(*trials)
-    refs, after_rejection = _assert_lanes_are_integrate(wps, starts, 10.0)
+    refs, after_rejection, last_width, _after_pack = _assert_lanes_are_integrate(
+        wps, starts, 10.0)
     assert after_rejection == {7: [299], 16: [107]}[seed]
+    # with no float tail the lanes drop their stopped columns as they go
+    assert last_width < len(wps)
     over = [i for i, r in enumerate(refs) if r.h_drift_max is not None and r.h_drift_max > 1e-8]
     retried = [i for i, r in enumerate(refs) if r.rtol_used != 1e-10]
     assert 70 <= sum(r.escaped for r in refs) <= 90
@@ -237,7 +264,7 @@ def test_a_lane_ends_on_a_too_small_step(monkeypatch):
     # the lane beside it runs on to the end of the span
     monkeypatch.setattr(dop853, "ESCAPE_RADIUS", math.inf)
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
-    refs, _ = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0)
+    refs, *_ = _assert_lanes_are_integrate([wp, wp], [(3.0, 1.0), (0.5, 0.2)], 10.0)
     assert [r.status for r in refs] == [orbits.DOP853.TOO_SMALL_STEP, "ok"]
 
 
@@ -247,9 +274,22 @@ def test_lanes_escape_from_the_circle_and_from_outside_it(monkeypatch):
     # re-enters
     monkeypatch.setattr(dop853, "ESCAPE_RADIUS", 5.0)
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
-    (on, outside), _ = _assert_lanes_are_integrate([wp, wp], [(3.0, 4.0), (0.0, 5.5)], 10.0)
+    (on, outside), *_ = _assert_lanes_are_integrate([wp, wp], [(3.0, 4.0), (0.0, 5.5)], 10.0)
     assert on.escaped and list(on.t) == [0.0, 0.0]
     assert outside.escaped and len(outside.t) == 3
+
+
+def test_a_trial_retries_in_its_column_after_the_lanes_drop_others():
+    # twelve theta = 1/4 trials of the check at seed 7, retried over a
+    # drift of 3e-10: at no float tail, trial 10's first run ends on the
+    # step that first drops the stopped lanes, and its retry starts in the
+    # column it kept
+    rng = np.random.default_rng(DEFAULT_SEED)
+    wps, starts = zip(*(_conservation_draw(rng, Fraction(1, 4)) for _ in range(12)))
+    refs, _rejected, _width, after_pack = _assert_lanes_are_integrate(
+        wps, starts, 10.0, drift_limit=3e-10)
+    assert after_pack == [10]
+    assert refs[10].rtol_used == 1e-12
 
 
 _lane = st.tuples(
@@ -268,6 +308,56 @@ def test_small_mixed_lane_sets_are_integrate(lanes, span):
     wps = [WaveParams(theta=theta, C1=C1, C2=C2, C3=C3, K=K)
            for theta, C1, C2, C3, K, _start in lanes]
     _assert_lanes_are_integrate(wps, [start for *_c, start in lanes], span)
+
+
+# a squared error sum: 0, subnormal, finite, inf or nan
+_error_sum = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, math.inf, math.nan]),
+                       st.floats(0.0, 1e-300), st.floats(0.0, allow_infinity=False))
+
+
+@st.composite
+def _controller_lane(draw):
+    """(h_abs, err5, err3, rejected) for `_control`: any step length, or
+    one that puts the error norm at 1 or next to it, or between the norms
+    at which the factor reaches its bounds (where the power's last bit
+    shows)."""
+    err5, err3 = draw(_error_sum), draw(_error_sum)
+    denom = (err5 + 0.01 * err3) * 2
+    lengths = [draw(st.floats(0.0, 100.0))]
+    if 0 < err5 < math.inf and 0 < denom < math.inf:
+        unit = math.sqrt(denom) / err5   # h_abs * err5 / sqrt(denom) is about 1
+        if unit < math.inf:
+            lengths += [unit, math.nextafter(unit, 0.0), math.nextafter(unit, math.inf),
+                        unit * draw(st.floats(1e-9, 2e5))]
+    return draw(st.sampled_from(lengths)), err5, err3, draw(st.booleans())
+
+
+@given(st.lists(_controller_lane(), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_lane_controller_is_the_float_controller(lanes):
+    want = [dop853._control(*lane) for lane in lanes]
+    with np.errstate(all="ignore"):   # as in `_Lanes.step`
+        accepted, h_next = dop853._control_lanes(*(np.array(c) for c in zip(*lanes)))
+    assert accepted.tolist() == [ok for ok, _h in want]
+    assert h_next.tobytes() == np.array([h for _ok, h in want]).tobytes()
+
+
+def test_lane_controller_at_norms_of_one_and_across_the_factors_range():
+    # the lengths drawn around `unit` reach an error norm of exactly 1
+    # (rejected) and norms a rounding either side of it; 2,000 norms spread
+    # log-uniformly between the factor's bounds take the power at values
+    # where numpy's power and C's pow part in the last bit, on some hosts
+    err5, err3 = 2.0, 3.0
+    unit = math.sqrt((err5 + 0.01 * err3) * 2) / err5
+    lengths = [unit, math.nextafter(unit, 0.0), math.nextafter(unit, math.inf)]
+    norms = sorted(h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) for h in lengths)
+    assert norms == [1 - dop853.EPS, 1.0, 1 + dop853.EPS]
+    lengths += (unit * np.exp(np.random.default_rng(5).uniform(-20.0, 12.0, 2000))).tolist()
+    for rejected in (False, True):
+        lanes = [(h, err5, err3, rejected) for h in lengths]
+        accepted, h_next = dop853._control_lanes(*(np.array(c) for c in zip(*lanes)))
+        assert list(zip(accepted.tolist(), h_next.tolist())) == \
+            [dop853._control(*lane) for lane in lanes]
 
 
 def test_a_lane_drops_a_step_whose_start_is_the_escape_root():
