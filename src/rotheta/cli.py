@@ -46,6 +46,13 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def finite(text: str) -> float:
+    """The type of a level value: a float that is finite."""
+    if not math.isfinite(v := float(text)):
+        raise ValueError(text)
+    return v
+
+
 def _flag_groups(**parser_kw) -> dict:
     """The flag groups the commands pick from; each flag is declared here
     once, for the command line and the config file alike."""
@@ -62,7 +69,7 @@ def _flag_groups(**parser_kw) -> dict:
     g["out"].add_argument("--out", help="output path (extensions added per format)")
     g["fmt"].add_argument("--format", dest="fmt", choices=("csv", "jsonl"),
                           help="data file format (default csv)")
-    g["h"].add_argument("--h", type=float, action="append",
+    g["h"].add_argument("--h", type=finite, action="append",
                         help="level value (repeatable; default: levels inside each "
                              "family, after the stop levels for wave)")
     g["wave"].add_argument("--type", dest="wave_type", choices=("cn", "sn", "solitary"),

@@ -9,7 +9,8 @@ the profile equation collapses to phi'' = 2 g(phi) with the orbit polynomial
 
 on the level H = h.  Q = P + 4h and the profile equation are both taken
 from g's coefficient row (`field.g_coeffs`), Q by integrating 4 g term by
-term.  The root configuration of P dictates the wave family:
+term.  The root configuration of P dictates the wave family, and
+`closed_form_menu` alone reads it, once per level:
 
 * two simple real roots + a complex pair  -> one periodic orbit, cn-shaped;
 * four simple real roots                  -> two periodic orbits, sn-shaped
@@ -17,17 +18,18 @@ term.  The root configuration of P dictates the wave family:
 * a double middle root                    -> two solitary waves homoclinic
   to the double root (right hump to p1, left dip to p3).
 
-All profiles are expressed through Jacobi elliptic functions with modulus
-and frequency derived from the roots, and evaluate a whole array of xi in
-one `elliptic.jacobi` call; `ode_residual` provides the
-finite-difference check that a constructed profile actually satisfies the
-equation, independent of how it was derived.
+Each pair's two sides share one formula, with the modulus, frequency and
+period derived from the roots once per pair.  Periodic profiles evaluate a
+whole array of xi in one `elliptic.jacobi` call, solitary ones in one
+`np.cosh`; `ode_residual` provides the finite-difference check that a
+profile actually satisfies the equation, independent of how it was derived.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,9 +48,6 @@ __all__ = [
     "params_from_roots",
     "orbit_polynomial",
     "closed_form_menu",
-    "construct_cn",
-    "construct_sn",
-    "construct_solitary",
     "ode_residual",
     "profile_rhs",
 ]
@@ -153,142 +152,11 @@ class WaveSolution:
     period: float | None       # in xi; None for solitary waves
     phi_range: tuple           # (min, max) attained by the profile
     roots: tuple               # the roots entering the formula, descending
+    profile: Callable = field(repr=False, compare=False)   # float array xi -> phi
     detail: str = ""
 
     def __call__(self, xi):
-        return self.profile(xi)
-
-    def profile(self, xi):
-        raise NotImplementedError  # bound per-instance by the constructors
-
-
-def _bind(sol: WaveSolution, fn):
-    sol.profile = fn
-    return sol
-
-
-def construct_cn(wp: WaveParams, pol: OrbitPolynomial) -> WaveSolution:
-    """Periodic orbit between the two real roots, complex pair present.
-
-    With p1 > p2 real, b +- a i complex, A = |lead|:
-        A1 = sqrt((p1-b)^2 + a^2),  B1 = sqrt((p2-b)^2 + a^2),
-        m  = ((p1-p2)^2 - (A1-B1)^2) / (4 A1 B1),
-        omega = sqrt(A * A1 * B1),
-        phi = (p1 B1 (1-cn) + p2 A1 (1+cn)) / ((A1+B1) + (A1-B1) cn),
-    cn = cn(omega xi | m); phi(0) = p2, phi(2K/omega) = p1, period 4K/omega.
-    """
-    reals = [r for r, _ in pol.real_roots]
-    if len(reals) != 2 or not pol.complex_pairs:
-        raise ValueError("cn form needs exactly two simple real roots and a complex pair")
-    p2, p1 = sorted(reals)
-    z = pol.complex_pairs[0]
-    b1, a1 = z.real, abs(z.imag)
-    A = abs(pol.lead)
-    A1 = math.hypot(p1 - b1, a1)
-    B1 = math.hypot(p2 - b1, a1)
-    m = ((p1 - p2) ** 2 - (A1 - B1) ** 2) / (4.0 * A1 * B1)
-    m = min(max(m, 0.0), 1.0)
-    omega = math.sqrt(A * A1 * B1)
-    period = 4.0 * complete_K(m) / omega
-
-    def fn(xi):
-        xi = np.asarray(xi, dtype=float)
-        cn = jacobi(omega * xi, m)[1]
-        return (p1 * B1 * (1.0 - cn) + p2 * A1 * (1.0 + cn)) / \
-               ((A1 + B1) + (A1 - B1) * cn)
-
-    sol = WaveSolution(kind="cn-periodic", wp=wp, h=pol.h, modulus_m=m,
-                       omega=omega, period=period, phi_range=(p2, p1),
-                       roots=(p1, p2, complex(b1, a1)),
-                       detail="oscillates between the two real turning points")
-    return _bind(sol, fn)
-
-
-def construct_sn(wp: WaveParams, pol: OrbitPolynomial, side: str) -> WaveSolution:
-    """Periodic orbit for four simple real roots p1 > p2 > p3 > p4.
-
-    Both orbits share
-        m = (p1-p2)(p3-p4) / ((p1-p3)(p2-p4)),
-        omega = sqrt(A (p1-p3)(p2-p4)) / 2,   A = |lead|,
-    and have period 2K(m)/omega (the formulas depend on sn^2).
-    Right orbit on [p2, p1]:
-        phi = (p2 (p1-p3) - p3 (p1-p2) sn^2) / ((p1-p3) - (p1-p2) sn^2).
-    Left orbit on [p4, p3]:
-        phi = (p4 (p1-p3) + p1 (p3-p4) sn^2) / ((p1-p3) + (p3-p4) sn^2).
-    """
-    reals = [r for r, _ in pol.real_roots]
-    if len(reals) != 4:
-        raise ValueError("sn form needs four simple real roots")
-    p4, p3, p2, p1 = sorted(reals)
-    A = abs(pol.lead)
-    m = (p1 - p2) * (p3 - p4) / ((p1 - p3) * (p2 - p4))
-    m = min(max(m, 0.0), 1.0)
-    omega = 0.5 * math.sqrt(A * (p1 - p3) * (p2 - p4))
-    period = 2.0 * complete_K(m) / omega
-
-    if side == "right":
-        def fn(xi):
-            xi = np.asarray(xi, dtype=float)
-            sn2 = jacobi(omega * xi, m)[0] ** 2
-            return (p2 * (p1 - p3) - p3 * (p1 - p2) * sn2) / \
-                   ((p1 - p3) - (p1 - p2) * sn2)
-        rng = (p2, p1)
-    elif side == "left":
-        def fn(xi):
-            xi = np.asarray(xi, dtype=float)
-            sn2 = jacobi(omega * xi, m)[0] ** 2
-            return (p4 * (p1 - p3) + p1 * (p3 - p4) * sn2) / \
-                   ((p1 - p3) + (p3 - p4) * sn2)
-        rng = (p4, p3)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-
-    sol = WaveSolution(kind=f"sn-periodic-{side}", wp=wp, h=pol.h, modulus_m=m,
-                       omega=omega, period=period, phi_range=rng,
-                       roots=(p1, p2, p3, p4),
-                       detail=f"{side} orbit of the four-real-root level")
-    return _bind(sol, fn)
-
-
-def construct_solitary(wp: WaveParams, pol: OrbitPolynomial, side: str) -> WaveSolution:
-    """Homoclinic profiles for roots p1 > d (double) > p3, A = |lead|.
-
-    With a = (p1-d)(d-p3), b = p1 - 2d + p3, omega = sqrt(A a):
-        right hump: phi = d + 2a / ((p1-p3) cosh(omega xi) - b),  phi(0) = p1,
-        left dip:   phi = d - 2a / ((p1-p3) cosh(omega xi) + b),  phi(0) = p3,
-    both tending to the double root d as |xi| -> infinity.
-    """
-    dbl = [r for r, mult in pol.real_roots if mult == 2]
-    simples = sorted(r for r, mult in pol.real_roots if mult == 1)
-    if len(dbl) != 1 or len(simples) != 2:
-        raise ValueError("solitary form needs one double root between two simple roots")
-    d = dbl[0]
-    p3, p1 = simples
-    if not p3 < d < p1:
-        raise ValueError("double root must lie between the simple roots")
-    A = abs(pol.lead)
-    a = (p1 - d) * (d - p3)
-    b = p1 - 2.0 * d + p3
-    omega = math.sqrt(A * a)
-
-    if side == "right":
-        def fn(xi):
-            xi = np.asarray(xi, dtype=float)
-            return d + 2.0 * a / ((p1 - p3) * np.cosh(omega * xi) - b)
-        rng = (d, p1)
-    elif side == "left":
-        def fn(xi):
-            xi = np.asarray(xi, dtype=float)
-            return d - 2.0 * a / ((p1 - p3) * np.cosh(omega * xi) + b)
-        rng = (p3, d)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-
-    sol = WaveSolution(kind=f"solitary-{side}", wp=wp, h=pol.h,
-                       modulus_m=float("nan"), omega=omega, period=None,
-                       phi_range=rng, roots=(p1, d, p3),
-                       detail=f"homoclinic to phi = {d:.6g}, decay rate {omega:.6g}")
-    return _bind(sol, fn)
+        return self.profile(np.asarray(xi, dtype=float))
 
 
 def closed_form_menu(wp: WaveParams, h: float):
@@ -296,28 +164,100 @@ def closed_form_menu(wp: WaveParams, h: float):
 
     Returns a list of WaveSolution (possibly empty: levels whose bounded
     component degenerates to a point, or root patterns outside the three
-    catalogued configurations, yield no profile).
+    catalogued configurations, yield no profile).  This is the one place
+    that reads the level's root pattern.
     """
     wp = reduced(wp)
     pol = orbit_polynomial(wp, h)
-    reals = pol.real_roots
-    n_simple = sum(1 for _, mult in reals if mult == 1)
-    n_double = sum(1 for _, mult in reals if mult == 2)
+    simple = sorted(r for r, mult in pol.real_roots if mult == 1)
+    double = [r for r, mult in pol.real_roots if mult == 2]
+    if not double and len(simple) == 2 and pol.complex_pairs:
+        return [_cn(wp, pol, *simple)]
+    if not double and len(simple) == 4:
+        return _sn_pair(wp, pol, *simple)
+    if len(double) == 1 and len(simple) == 2 and simple[0] < double[0] < simple[1]:
+        return _solitary_pair(wp, pol, simple[0], double[0], simple[1])
+    return []   # an outermost double root bounds no orbit of positive length
 
-    out = []
-    if n_double == 0 and n_simple == 2 and pol.complex_pairs:
-        out.append(construct_cn(wp, pol))
-    elif n_double == 0 and n_simple == 4:
-        out.append(construct_sn(wp, pol, "right"))
-        out.append(construct_sn(wp, pol, "left"))
-    elif n_double == 1 and n_simple == 2:
-        d = next(r for r, mult in reals if mult == 2)
-        lo, hi = (r for r, mult in reals if mult == 1)
-        if lo < d < hi:
-            out.append(construct_solitary(wp, pol, "right"))
-            out.append(construct_solitary(wp, pol, "left"))
-        # an outermost double root bounds no orbit of positive length
-    return out
+
+def _cn(wp: WaveParams, pol: OrbitPolynomial, p2, p1) -> WaveSolution:
+    """Periodic orbit between the real roots p1 > p2, complex pair present.
+
+    With b +- a i the complex pair, A = |lead|:
+        A1 = sqrt((p1-b)^2 + a^2),  B1 = sqrt((p2-b)^2 + a^2),
+        m  = ((p1-p2)^2 - (A1-B1)^2) / (4 A1 B1),
+        omega = sqrt(A * A1 * B1),
+        phi = (p1 B1 (1-cn) + p2 A1 (1+cn)) / ((A1+B1) + (A1-B1) cn),
+    cn = cn(omega xi | m); phi(0) = p2, phi(2K/omega) = p1, period 4K/omega.
+    """
+    z = pol.complex_pairs[0]
+    b1, a1 = z.real, abs(z.imag)
+    A1, B1 = math.hypot(p1 - b1, a1), math.hypot(p2 - b1, a1)
+    m = min(max(((p1 - p2) ** 2 - (A1 - B1) ** 2) / (4.0 * A1 * B1), 0.0), 1.0)
+    omega = math.sqrt(abs(pol.lead) * A1 * B1)
+
+    def profile(xi):
+        cn = jacobi(omega * xi, m)[1]
+        return (p1 * B1 * (1.0 - cn) + p2 * A1 * (1.0 + cn)) / \
+               ((A1 + B1) + (A1 - B1) * cn)
+
+    return WaveSolution(kind="cn-periodic", wp=wp, h=pol.h, modulus_m=m,
+                        omega=omega, period=4.0 * complete_K(m) / omega,
+                        phi_range=(p2, p1), roots=(p1, p2, complex(b1, a1)),
+                        profile=profile,
+                        detail="oscillates between the two real turning points")
+
+
+def _sn_pair(wp: WaveParams, pol: OrbitPolynomial, p4, p3, p2, p1) -> list:
+    """The two periodic orbits of four simple real roots p1 > p2 > p3 > p4.
+
+    Both share
+        m = (p1-p2)(p3-p4) / ((p1-p3)(p2-p4)),
+        omega = sqrt(A (p1-p3)(p2-p4)) / 2,   A = |lead|,
+    and period 2K(m)/omega (the formulas depend on sn^2), and each is
+        phi = (a + b sn^2) / ((p1-p3) + d sn^2):
+    right orbit on [p2, p1]: a = p2 (p1-p3), b = -p3 (p1-p2), d = -(p1-p2);
+    left orbit on [p4, p3]:  a = p4 (p1-p3), b = p1 (p3-p4),  d = p3-p4.
+    """
+    m = min(max((p1 - p2) * (p3 - p4) / ((p1 - p3) * (p2 - p4)), 0.0), 1.0)
+    omega = 0.5 * math.sqrt(abs(pol.lead) * (p1 - p3) * (p2 - p4))
+    period = 2.0 * complete_K(m) / omega
+
+    def side(name, a, b, d, phi_range):
+        def profile(xi):
+            sn2 = jacobi(omega * xi, m)[0] ** 2
+            return (a + b * sn2) / ((p1 - p3) + d * sn2)
+
+        return WaveSolution(kind=f"sn-periodic-{name}", wp=wp, h=pol.h, modulus_m=m,
+                            omega=omega, period=period, phi_range=phi_range,
+                            roots=(p1, p2, p3, p4), profile=profile,
+                            detail=f"{name} orbit of the four-real-root level")
+
+    return [side("right", p2 * (p1 - p3), -(p3 * (p1 - p2)), -(p1 - p2), (p2, p1)),
+            side("left", p4 * (p1 - p3), p1 * (p3 - p4), p3 - p4, (p4, p3))]
+
+
+def _solitary_pair(wp: WaveParams, pol: OrbitPolynomial, p3, d, p1) -> list:
+    """The two homoclinic profiles of roots p1 > d (double) > p3, A = |lead|.
+
+    With a = (p1-d)(d-p3), b = p1 - 2d + p3, omega = sqrt(A a):
+        phi = d + s 2a / ((p1-p3) cosh(omega xi) - s b),
+    the right hump (s = 1, phi(0) = p1) and the left dip (s = -1,
+    phi(0) = p3), both tending to the double root d as |xi| -> infinity.
+    """
+    a, b = (p1 - d) * (d - p3), p1 - 2.0 * d + p3
+    omega = math.sqrt(abs(pol.lead) * a)
+
+    def side(name, s, phi_range):
+        def profile(xi):
+            return d + s * (2.0 * a / ((p1 - p3) * np.cosh(omega * xi) - s * b))
+
+        return WaveSolution(kind=f"solitary-{name}", wp=wp, h=pol.h,
+                            modulus_m=float("nan"), omega=omega, period=None,
+                            phi_range=phi_range, roots=(p1, d, p3), profile=profile,
+                            detail=f"homoclinic to phi = {d:.6g}, decay rate {omega:.6g}")
+
+    return [side("right", 1.0, (d, p1)), side("left", -1.0, (p3, d))]
 
 
 def ode_residual(sol: WaveSolution, halfwidth: float = None) -> float:

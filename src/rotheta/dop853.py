@@ -51,6 +51,8 @@ ESCAPE_RADIUS = 50.0   # radius of the (phi, y) disc the lanes may not leave
 # first run's tolerances, the drift limit, and the retries at 100x tighter
 # ones
 RTOL, ATOL, DRIFT_LIMIT, RETRIES = 1e-10, 1e-12, 1e-8, 1
+# the tolerances of `measure_axis_period` and of `orbits.shoot_connection`
+TIGHT_RTOL, TIGHT_ATOL = 1e-12, 1e-14
 # `integrate_many` finishes its runs one by one on floats once this many or
 # fewer are left: with its stopped lanes dropped, a lane step still costs
 # numpy's per-call overhead, about 0.7 ms at 1-16 lanes against 1.3 ms at
@@ -161,7 +163,7 @@ class Trajectory:
         y += y0
         return y
 
-    def dense(self, n=2001):
+    def dense(self, n):
         tg = np.linspace(self.t[0], self.t[-1], n)
         return tg, self.at(tg).T
 
@@ -709,24 +711,25 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis):
             best[i] = None
 
 
-def measure_axis_period(rhs, start, *, span=200.0, rtol=1e-12, atol=1e-14):
+def measure_axis_period(rhs, start, *, span=200.0):
     """Period of a closed orbit of a generic planar `rhs`, via the time
     between the first and third y = 0 crossing starting off-axis.  Returns
     (period, crossing_times); period is None if fewer than 3 crossings.
 
-    The run over [0, span] stops at its fourth crossing (two periods
-    suffice), at the span's end or at a too-small step, with the crossing
-    times `solve_ivp` gives it on `orbits._FloatDOP853` with a y = 0 event
-    terminal at its fourth occurrence, bit for bit: scipy's first step
-    (`_first_step`), then `_float_step`s, and a step on which y changes
-    sign or reaches 0 (scipy's `find_active_events`, y at the start
-    counting as the event's first value) gets its dense rows and its
-    crossing is that step's event root (`_event_root`).  Crossings at the
-    start are dropped from the times; a span <= 0 raises ValueError."""
+    The run over [0, span], at `TIGHT_RTOL` and `TIGHT_ATOL`, stops at its
+    fourth crossing (two periods suffice), at the span's end or at a
+    too-small step, with the crossing times `solve_ivp` gives it on
+    `orbits._FloatDOP853` with a y = 0 event terminal at its fourth
+    occurrence, bit for bit: scipy's first step (`_first_step`), then
+    `_float_step`s, and a step on which y changes sign or reaches 0
+    (scipy's `find_active_events`, y at the start counting as the event's
+    first value) gets its dense rows and its crossing is that step's event
+    root (`_event_root`).  Crossings at the start are dropped from the
+    times; a span <= 0 raises ValueError."""
     span = float(span)
     if not span > 0:
         raise ValueError(f"the axis-period run integrates forward, but the span is {span}")
-    y, f, h_abs, rtol, atol, _nfev = _first_step(rhs, start, span, rtol, atol)
+    y, f, h_abs, rtol, atol, _nfev = _first_step(rhs, start, span, TIGHT_RTOL, TIGHT_ATOL)
     (y0, y1), tols = y.tolist(), (rtol, atol, atol)
     k = [f, *[None] * (_N_STAGES - 1)]
     t, crossings = 0.0, []

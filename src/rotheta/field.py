@@ -378,13 +378,14 @@ def published_first_integral(wp: WaveParams) -> Callable[[float, float], float]:
 
 
 def conservation_defect(H: Callable[[float, float], float], wp: WaveParams,
-                        points: Sequence[PhasePoint], step: float = 1e-5) -> float:
+                        points: Sequence[PhasePoint]) -> float:
     """Max relative |dH/dxi| over probe points, with H treated as a black box.
 
-    Partials by central differences (independent of FirstIntegral.partials),
-    flow from rhs_singular.  A conserved H gives ~1e-9 or less on O(1)
-    probes; the defective published forms give O(1).
+    Partials by central differences at step 1e-5 (independent of
+    FirstIntegral.partials), flow from rhs_singular.  A conserved H gives
+    ~1e-9 or less on O(1) probes; the defective published forms give O(1).
     """
+    step = 1e-5
     worst = 0.0
     for phi, y in points:
         hphi = (H(phi + step, y) - H(phi - step, y)) / (2.0 * step)

@@ -46,7 +46,8 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from .dop853 import (
-    ATOL, DRIFT_LIMIT, ESCAPE_RADIUS, RETRIES, RTOL, _EXTRA, _FSAL, _N_STAGES, Trajectory,
+    ATOL, DRIFT_LIMIT, ESCAPE_RADIUS, RETRIES, RTOL, TIGHT_ATOL, TIGHT_RTOL, _EXTRA, _FSAL,
+    _N_STAGES, Trajectory,
     _dense_rows, _escape_event, _float_step, _measure_drift, _settle, _xi_along,
     integrate_many, measure_axis_period,
 )
@@ -215,13 +216,13 @@ def y_squared_fn(fi: FirstIntegral, h: float):
     return y2
 
 
-def trace_level_curve(fi: FirstIntegral, h: float, phi_window, n=2001):
+def trace_level_curve(fi: FirstIntegral, h: float, phi_window):
     """Branches of {H = h} inside phi_window, each as the y >= 0 half.
 
     The grid run is split at the singular line (level curves only meet the
     line at the critical level); see `trace_branches`.
     """
-    return trace_branches(y_squared_fn(fi, h), phi_window, n, line=float(fi.line))
+    return trace_branches(y_squared_fn(fi, h), phi_window, line=float(fi.line))
 
 
 def trace_branches(y2, phi_window, n=2001, line=None):
@@ -284,12 +285,11 @@ class OrbitClass:
     detail: str = ""
 
 
-def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, *,
-                   sep_tol=1e-3, close_tol=1e-5) -> OrbitClass:
+def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus) -> OrbitClass:
     """Assign a wave-type label to an integrated trajectory.
 
     Closed orbits (two same-direction axis crossings returning to the same
-    state within close_tol * scale) are PeriodicPeakon when (a) the singular
+    state within CLOSE_TOL * scale) are PeriodicPeakon when (a) the singular
     line carries a saddle pair, (b) the closest approach to the line is
     within PROX_FRAC of the orbit diameter and (c) the slope jumps across the
     near-line strip by at least JUMP_FRAC of the phi-amplitude (the finite
@@ -300,6 +300,8 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
     """
     PROX_FRAC = 0.05   # closest approach to the line, per unit of orbit diameter
     JUMP_FRAC = 0.1    # near-line slope jump, per unit of phi-amplitude
+    CLOSE_TOL = 1e-5   # recurrence distance, per unit of the orbit's scale
+    SEP_TOL = 1e-3     # arrival distance at a saddle, as shoot_connection's default
     s = float(wp.singular_line)
     if traj.escaped:
         return OrbitClass(tag=UNBOUNDED, amplitude=float("nan"),
@@ -322,7 +324,7 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
     if len(tc) >= 3:
         t1, t3 = tc[0], tc[2]
         s1, s3 = traj.at(t1), traj.at(t3)
-        if np.hypot(*(s3 - s1)) <= close_tol * scale:
+        if np.hypot(*(s3 - s1)) <= CLOSE_TOL * scale:
             tg = np.linspace(t1, t3, 4001)
             phis, ys = traj.at(tg)
             line_dist = np.abs(phis - s)
@@ -353,7 +355,7 @@ def classify_orbit(wp: WaveParams, traj: Trajectory, census: EquilibriumCensus, 
         return math.hypot(pt[0] - eq.phi, pt[1] - eq.y) <= tol
 
     start_sad = next((e for e in saddles if near(e, start, 1e-3)), None)
-    end_sad = next((e for e in saddles if near(e, end, 1.01 * sep_tol)), None)
+    end_sad = next((e for e in saddles if near(e, end, 1.01 * SEP_TOL)), None)
     if start_sad is not None and end_sad is not None:
         if pair is not None and {id(start_sad), id(end_sad)} == {id(pair[0]), id(pair[1])}:
             jump = abs(pair[0].y - pair[1].y)
@@ -387,9 +389,7 @@ def _unstable_ray(jacobian):
     return (v[0] / nv, v[1] / nv), lam
 
 
-def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
-                     span=None, sep_tol=1e-3, escape_radius=ESCAPE_RADIUS,
-                     rtol=1e-12, atol=1e-14):
+def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, span=None, sep_tol=1e-3):
     """Shoot along the unstable manifold of `from_eq` in the tau plane, stop
     near `to_eq`.  The observer finds connections on the level set instead
     (`atlas.saddle_connections`); this is the integrated reference it is tested
@@ -398,10 +398,12 @@ def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
     `side` picks the ray whose initial phi displacement has that sign
     ("left"/"right"); with side=None both rays are tried.  Returns
     (hit, Trajectory) for the first ray that lands within sep_tol of the
-    target (scaled), else (False, last trajectory).  The default span covers
-    the ~ln(1/offset)/lambda departure and arrival transients plus one sweep
-    of the loop itself.
+    target (scaled), else (False, last trajectory).  Each ray starts OFFSET
+    off the saddle and runs at `TIGHT_RTOL` and `TIGHT_ATOL` inside the disc
+    of ESCAPE_RADIUS.  The default span covers the ~ln(1/OFFSET)/lambda
+    departure and arrival transients plus one sweep of the loop itself.
     """
+    OFFSET = 1e-8
     ray, lam = _unstable_ray(regular_jacobian(wp, from_eq.point))
     if lam <= 0:
         return False, None
@@ -422,9 +424,9 @@ def shoot_connection(wp: WaveParams, from_eq, to_eq, *, side=None, offset=1e-8,
     rhs = tau_rhs(wp)
     traj = None
     for v in rays:
-        start = (from_eq.phi + offset * v[0], from_eq.y + offset * v[1])
-        traj, (arrivals,) = _solve(wp, rhs, start, span, rtol, atol,
-                                   escape_radius=escape_radius, events=[ev_arrive])
+        start = (from_eq.phi + OFFSET * v[0], from_eq.y + OFFSET * v[1])
+        traj, (arrivals,) = _solve(wp, rhs, start, span, TIGHT_RTOL, TIGHT_ATOL,
+                                   escape_radius=ESCAPE_RADIUS, events=[ev_arrive])
         if len(arrivals) > 0 and not traj.escaped:
             return True, traj
     return False, traj

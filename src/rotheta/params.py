@@ -83,11 +83,6 @@ class WaveParams:
         """Abscissa phi = C1/theta of the singular line."""
         return self.C1 / self.theta
 
-    @classmethod
-    def from_coefficients(cls, theta, C1, C2, C3, K) -> "WaveParams":
-        """Direct-coefficient mode: bypass the physical Omega/c derivation."""
-        return cls(theta=parse_theta(theta), C1=C1, C2=C2, C3=C3, K=K)
-
 
 def _reduction_exponent(theta: Fraction) -> int:
     if not isinstance(theta, Fraction):

@@ -22,8 +22,7 @@ import numpy as np
 
 from .atlas import observe_wave_menu, sweep_singular_line
 from .closedform import (
-    closed_form_menu, construct_sn, construct_solitary, ode_residual,
-    orbit_polynomial, params_from_roots, profile_rhs,
+    closed_form_menu, ode_residual, orbit_polynomial, params_from_roots, profile_rhs,
 )
 from .elliptic import complete_K, jacobi
 from .equilibria import census
@@ -374,10 +373,10 @@ def check_closedform(seed=None):
 
     # modulus -> 1 degeneration at root gap 1e-6
     gap = 1e-6
-    wp_sn, h_sn = params_from_roots([3.0, 1.0 + gap / 2, 1.0 - gap / 2, -2.0])
-    wp_so, h_so = params_from_roots([3.0, 1.0, 1.0, -2.0])
-    sn_wave = construct_sn(wp_sn, orbit_polynomial(wp_sn, h_sn), "right")
-    so_wave = construct_solitary(wp_so, orbit_polynomial(wp_so, h_so), "right")
+    sn_menu = closed_form_menu(*params_from_roots([3.0, 1.0 + gap / 2, 1.0 - gap / 2, -2.0]))
+    so_menu = closed_form_menu(*params_from_roots([3.0, 1.0, 1.0, -2.0]))
+    sn_wave, = (s for s in sn_menu if s.kind == "sn-periodic-right")
+    so_wave, = (s for s in so_menu if s.kind == "solitary-right")
     shift = complete_K(sn_wave.modulus_m) / sn_wave.omega
     xs = np.linspace(-8.0, 8.0, 401)
     sup = float(np.max(np.abs(sn_wave(xs + shift) - so_wave(xs))))

@@ -227,6 +227,22 @@ def test_wave_usage_errors(capsys):
     assert "usage error: C3 = 0: the orbit polynomial P is a cubic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, params", [("portrait", D1), ("wave", T3)])
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+def test_a_level_that_is_not_finite_is_a_usage_error(tmp_path, capsys, command, params, level):
+    # once: portrait exited 2 with the root finder's message at nan and drew
+    # no curve at inf; wave found no closed-form profile at either
+    with pytest.raises(SystemExit) as exc:
+        main([command] + params + [f"--h={level}", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"argument --h: invalid finite value: '{level}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h = 0.03, {level}\nout = {tmp_path / 'x'}\n")
+    assert main([command, "--config", str(cfg)] + params) == 2
+    assert f"usage error: bad config value for h: '{level}'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_wave_takes_c1_within_rounding_of_zero(tmp_path, monkeypatch, capsys):
     # |C1| <= 1e-9 is the reduced point: same stdout and CSV as C1 = 0
     rest = ["--theta", "1/2", "--c2", "0.9", "--c3", "-1", "--k", "-0.05",

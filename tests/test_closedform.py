@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rotheta.closedform import (closed_form_menu, ode_residual, orbit_polynomial,
                                 params_from_roots, profile_rhs, q_coeffs)
-from rotheta.elliptic import complete_K
+from rotheta.elliptic import complete_K, jacobi
 from rotheta.orbits import measure_axis_period
 from rotheta.params import WaveParams
 
@@ -185,10 +185,10 @@ def test_constant_equilibrium_profile_has_zero_residual():
     from rotheta.field import build_first_integral
     h_eq = float(build_first_integral(wp).eval(r, 0.0))
     # a constant WaveSolution built through the public dataclass
-    from rotheta.closedform import WaveSolution, _bind
+    from rotheta.closedform import WaveSolution
     sol = WaveSolution(kind="constant", wp=wp, h=h_eq, modulus_m=float("nan"),
-                       omega=1.0, period=None, phi_range=(r, r), roots=(r,))
-    _bind(sol, lambda xi: np.full_like(np.asarray(xi, dtype=float), r))
+                       omega=1.0, period=None, phi_range=(r, r), roots=(r,),
+                       profile=lambda xi: np.full_like(xi, r))
     assert ode_residual(sol, halfwidth=5.0) <= 1e-10
 
 
@@ -237,3 +237,70 @@ def test_profiles_even_and_confined(roots):
         plus, minus = w(xi), w(-xi)
         assert np.allclose(plus, minus, atol=1e-9)          # even profiles
         assert np.all(plus >= lo - 1e-7) and np.all(plus <= hi + 1e-7)
+
+
+# --- each profile keeps the bits of its formula written out per side ----------
+
+
+def _written_out(w, xi):
+    """The five profile formulas, one per side, on the roots, omega and m
+    the WaveSolution carries."""
+    if w.kind == "cn-periodic":
+        p1, p2, z = w.roots
+        b1, a1 = z.real, z.imag
+        A1, B1 = math.hypot(p1 - b1, a1), math.hypot(p2 - b1, a1)
+        cn = jacobi(w.omega * xi, w.modulus_m)[1]
+        return (p1 * B1 * (1.0 - cn) + p2 * A1 * (1.0 + cn)) / \
+               ((A1 + B1) + (A1 - B1) * cn)
+    if w.kind.startswith("sn"):
+        p1, p2, p3, p4 = w.roots
+        sn2 = jacobi(w.omega * xi, w.modulus_m)[0] ** 2
+        if w.kind == "sn-periodic-right":
+            return (p2 * (p1 - p3) - p3 * (p1 - p2) * sn2) / \
+                   ((p1 - p3) - (p1 - p2) * sn2)
+        return (p4 * (p1 - p3) + p1 * (p3 - p4) * sn2) / \
+               ((p1 - p3) + (p3 - p4) * sn2)
+    p1, d, p3 = w.roots
+    a, b = (p1 - d) * (d - p3), p1 - 2.0 * d + p3
+    if w.kind == "solitary-right":
+        return d + 2.0 * a / ((p1 - p3) * np.cosh(w.omega * xi) - b)
+    return d - 2.0 * a / ((p1 - p3) * np.cosh(w.omega * xi) + b)
+
+
+@st.composite
+def _pattern_roots(draw):
+    """(family, roots) for a drawn root set of one of the three patterns."""
+    family = draw(st.sampled_from(["cn", "sn", "solitary"]))
+    if family == "cn":
+        p1, p2, b = draw(simple_root), draw(simple_root), draw(simple_root)
+        c = draw(st.floats(0.01, 3.0))
+        return family, [p1, p2, complex(b, c), complex(b, -c)]
+    if family == "sn":
+        return family, draw(st.lists(simple_root, min_size=4, max_size=4))
+    p3, d, p1 = sorted(draw(st.lists(simple_root, min_size=3, max_size=3)))
+    return family, [p1, d, d, p3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_pattern_roots(), x=st.floats(-20.0, 20.0))
+@example(drawn=("cn", [2.3, -1.1, complex(0.4, 0.7), complex(0.4, -0.7)]), x=1.9)
+@example(drawn=("sn", [2.9, 1.3, 0.7, -2.1]), x=0.3)
+@example(drawn=("solitary", [0.1, 0.0, 0.0, -0.1]), x=0.5)
+def test_profiles_are_bitwise_their_written_out_formulas(drawn, x):
+    family, roots = drawn
+    reals = sorted({r for r in roots if not isinstance(r, complex)})
+    assume(min(np.diff(reals), default=1.0) >= 0.05)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            waves = closed_form_menu(*params_from_roots(roots))
+    except (ValueError, ArithmeticError):
+        assume(False)
+    assume(waves and all(w.kind.startswith(family) for w in waves))
+    for w in waves:
+        # omega xi in [700, 709] takes a solitary wave's a / X below the
+        # normal range, the one place where (2 a) / X and 2 (a / X) round
+        # apart; a double root d = 0 lets that show in phi
+        xi = np.concatenate((np.linspace(-12.0, 12.0, 97),
+                             np.linspace(700.0, 709.0, 19) / w.omega))
+        assert np.array_equal(w(xi), _written_out(w, xi)), w.kind
+        assert w(x) == _written_out(w, np.asarray(x)), w.kind

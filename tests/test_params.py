@@ -151,4 +151,3 @@ def test_reduction_exponent():
 def test_singular_line_position():
     wp = WaveParams(Fraction(1, 4), Fraction(3, 10), 0.0, 0.0, 0.0)
     assert wp.singular_line == Fraction(6, 5)    # C1/theta = 4 C1, exact
-    assert WaveParams.from_coefficients("1/2", 0.7, 0, 0, 0).singular_line == pytest.approx(1.4)
