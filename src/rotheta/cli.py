@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -40,6 +41,12 @@ __all__ = ["main", "render_portrait_artifacts"]
 
 class UsageError(Exception):
     pass
+
+
+# argparse takes an argument for a negative number, not an option, only
+# where it matches its pattern `^-\d+$|^-\d*\.\d+$`, which has no exponent:
+# so `--k -1e-3` would read `-1e-3` as an option.  This pattern takes one.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(v) -> str:
@@ -110,8 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key=value lines; flags override file values")
     groups = _flag_groups(argument_default=argparse.SUPPRESS)
     for name, (help_text, picked) in _COMMANDS.items():
-        sub.add_parser(name, parents=[config] + [groups[g] for g in picked],
-                       help=help_text)
+        command = sub.add_parser(name, parents=[config] + [groups[g] for g in picked],
+                                 help=help_text)
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 

@@ -2,10 +2,10 @@
 run, each taking scipy's steps bit for bit without loading any scipy module.
 
 DOP853 (Hairer, Norsett & Wanner's 8(5,3) pair) is taken as scipy writes
-it: its tableau is read from scipy's standalone coefficient file, loaded by
-its path so that no scipy package is imported; its step arithmetic
-(stages, error norm, dense rows) is written once here, on values that are
-Python floats or numpy arrays over lanes, and its step-size controller
+it: its tableau is written out below as scipy's coefficient file gives it
+(a test compares the two); its step arithmetic (stages, error norm, dense
+rows) is written once here, on values that are Python floats or numpy
+arrays over lanes, and its step-size controller
 twice, on floats (`_control`) and on lane arrays (`_control_lanes`), with
 the same bits; its first step (`_first_step`) is scipy's constructor,
 ported line for line; and an event's root is cut by `levels.brentq`, a
@@ -30,9 +30,7 @@ pass over its steps' dense-output polynomials, bit for bit as scipy would.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,44 +62,84 @@ EPS = float(np.finfo(float).eps)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."   # scipy's status
 
 
-def _scipy_coefficients():
-    """scipy's `integrate/_ivp/dop853_coefficients.py`, a module that
-    imports numpy alone, run from its file: finding scipy's directory loads
-    no scipy module."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = os.path.join(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
-    spec = importlib.util.spec_from_file_location("_dop853_coefficients", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class _Row(tuple):
     """A DOP853 tableau row's nonzero (index, coefficient) pairs, in order;
     `js` and `col` hold the same as an index array and a coefficient column
     for lane stages."""
 
     def __new__(cls, row):
-        self = super().__new__(cls, ((j, float(a)) for j, a in enumerate(row) if a != 0.0))
+        self = super().__new__(cls, row.items())
         self.js = np.array([j for j, _ in self], dtype=np.intp)
         self.col = np.array([a for _, a in self]).reshape(-1, 1, 1)
         return self
 
 
-# DOP853's tableau, sliced as scipy's DOP853 class slices it, as sparse
-# rows: the (c, row) of stages 1 to 11 and of the dense output's three
-# extra stages, the weights B, the error rows E3 and E5 and the interpolant
-# rows D
-_COEFFS = _scipy_coefficients()
-_FSAL = _COEFFS.N_STAGES                   # the stage that holds f at the new state
-_N_STAGES = _COEFFS.N_STAGES_EXTENDED      # stages with the dense output's extra three
-_STAGES = tuple((float(c), _Row(a[:s])) for s, (a, c) in
-                enumerate(zip(_COEFFS.A[1:_FSAL, :_FSAL], _COEFFS.C[1:_FSAL]), 1))
-_EXTRA = tuple((float(c), _Row(a[:s])) for s, (a, c) in
-               enumerate(zip(_COEFFS.A[_FSAL + 1:], _COEFFS.C[_FSAL + 1:]), _FSAL + 1))
-_B, _E3, _E5 = _Row(_COEFFS.B), _Row(_COEFFS.E3), _Row(_COEFFS.E5)
-_D = tuple(_Row(row) for row in _COEFFS.D)
-del _COEFFS
+# DOP853's tableau as scipy's `integrate/_ivp/dop853_coefficients.py` writes
+# it and its DOP853 class slices it, as sparse rows {index: coefficient}: the
+# (c, row) of stages 1 to 11 and of the dense output's three extra stages,
+# the weights B, the error rows E3 and E5 and the interpolant rows D
+_FSAL = 12                                 # the stage that holds f at the new state
+_N_STAGES = 16                             # stages with the dense output's extra three
+_STAGES = tuple((c, _Row(row)) for c, row in (
+    (0.05260015195876773, {0: 0.05260015195876773}),
+    (0.0789002279381516, {0: 0.0197250569845379, 1: 0.0591751709536137}),
+    (0.1183503419072274, {0: 0.02958758547680685, 2: 0.08876275643042054}),
+    (0.2816496580927726, {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792}),
+    (0.3333333333333333, {0: 0.037037037037037035, 3: 0.17082860872947386,
+                          4: 0.12546768756682242}),
+    (0.25, {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125}),
+    (0.3076923076923077, {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+                          5: -0.015319437748624402, 6: 0.008273789163814023}),
+    (0.6512820512820513, {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+                          5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996}),
+    (0.6, {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+           5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+           8: -0.020331201708508627}),
+    (0.8571428571428571, {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+                          5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+                          8: 2.4936055526796523, 9: -3.0467644718982196}),
+    (1.0, {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+           5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+           8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636}),
+))
+_EXTRA = tuple((c, _Row(row)) for c, row in (
+    (0.1, {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+           8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+           11: 0.007567897660545699, 12: -0.008298}),
+    (0.2, {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+           7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+           12: -0.00034046500868740456, 13: 0.1413124436746325}),
+    (0.7777777777777778, {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+                          7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+                          13: 2.9475147891527724, 14: -9.15095847217987}),
+))
+_B = _Row({0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+           7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+           10: 0.20136540080403034, 11: 0.04471061572777259})
+_E3 = _Row({0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+            7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+            10: 0.20136540080403034, 11: 0.02265179219836082})
+_E5 = _Row({0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+            7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+            10: 0.08192320648511571, 11: -0.022355307863886294})
+_D = tuple(_Row(row) for row in (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
+     8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883, 11: 0.6315787787694688,
+     12: -0.08899033645133331, 13: 18.148505520854727, 14: -9.194632392478356,
+     15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
+     8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398, 11: -9.332130526430229,
+     12: 15.697238121770845, 13: -31.139403219565178, 14: -9.35292435884448,
+     15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
+     8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
+     12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
+     15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
+     8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
+     12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
+     15: -149.72683625798564},
+))
 _ERROR_ORDER = 7                           # DOP853's error estimator order
 _EXPONENT = -1 / (_ERROR_ORDER + 1)
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy's RungeKutta controller

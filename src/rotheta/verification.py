@@ -5,10 +5,9 @@ runner wraps timing and budget bookkeeping.  The same checks back both the
 `verify` CLI command and the acceptance test suite, so tolerances live here
 and nowhere else.  Reports deliberately contain no wall-clock numbers --
 identical runs must produce identical ledgers (budgets are reported only as
-met/exceeded).  The checks that integrate import `dop853`, which needs
-numpy alone, when they run, and the elliptic checks load `scipy.special`
-through `elliptic` when they run: importing the package loads no scipy
-module, and a full run loads `scipy.special` alone.
+met/exceeded).  The checks that integrate import `dop853` when they run,
+and the elliptic checks take K and sn/cn/dn from `elliptic`; both need
+numpy alone, so a full run loads no scipy module.
 """
 
 from __future__ import annotations

@@ -272,6 +272,24 @@ def test_wave_finds_the_solitary_pair_at_zero_k(capsys):
     assert "wave 2:" not in out
 
 
+@pytest.mark.parametrize("command, args, flag", [
+    ("wave", ["--theta", "1/2", "--c1", "0", "--c2", "0.9", "--c3", "-1"], "--k"),
+    ("wave", T3, "--h"),
+    ("sweep", D1 + ["--c1-to", "-0.05", "--samples", "3"], "--c1-from"),
+])
+def test_a_negative_value_with_an_exponent_is_the_flags_value(tmp_path, monkeypatch, capsys,
+                                                             command, args, flag):
+    # argparse once read the `-1e-3` of `--k -1e-3` as an option and exited 2
+    runs = []
+    for form in ([flag, "-1e-3"], [f"{flag}=-1e-3"]):
+        run_dir = tmp_path / str(len(runs))
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main([command] + args + form + ["--out", "w"]) == 0
+        runs.append((capsys.readouterr().out, Path("w.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_sweep_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "s"
     args = ["sweep"] + D1 + ["--c1-from", "0.75", "--c1-to", "0.05",

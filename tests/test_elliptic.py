@@ -1,13 +1,14 @@
-"""Jacobi kernel: identities, limits, periodicity, and adaptive quadrature
-of the defining integral as an independent oracle."""
+"""Jacobi kernel: scipy.special's bits, identities, limits, periodicity,
+and adaptive quadrature of the defining integral as an independent oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ellipj, ellipk
 
 from rotheta.elliptic import complete_K, jacobi
 
@@ -15,6 +16,60 @@ params = st.floats(min_value=0.0, max_value=0.999, allow_nan=False)
 # where scipy's ellipj would switch to its expansion about m = 1
 near_one = st.floats(min_value=0.9999999999, max_value=1.0, exclude_max=True)
 args = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+
+
+def _scipy_jacobi(u, m):
+    """`jacobi` as it was written on `scipy.special`: `ellipj`, and near
+    m = 1 its reduction into [-K, K] and one descending Landen step."""
+    if not 0.9999999999 <= m < 1.0:
+        return ellipj(u, m)[:3]
+    half = 2.0 * float(ellipk(m))
+    n = np.rint(np.divide(u, half))
+    sign = 1.0 - 2.0 * (n % 2.0)
+    kp = math.sqrt(1.0 - m)
+    r = (1.0 - kp) / (1.0 + kp)
+    sv, cv, dv, _ph = ellipj((u - n * half) / (1.0 + r), r * r)
+    d = 1.0 + r * sv * sv
+    return sign * (1.0 + r) * sv / d, sign * cv * dv / d, (1.0 - r * sv * sv) / d
+
+
+def _assert_same_bits(ours, theirs):
+    """Same type, shape and bits; any nan matches any nan."""
+    assert type(ours) is type(theirs)
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    assert ours.shape == theirs.shape
+    nan = np.isnan(ours)
+    assert np.array_equal(nan, np.isnan(theirs))
+    assert np.array_equal(ours[~nan].view(np.uint64), theirs[~nan].view(np.uint64))
+
+
+# m uniform, log-spaced next to 0 and to 1, and each branch's edge
+bit_params = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-17.0, -1.0).map(lambda e: 10.0 ** e),
+    st.floats(-17.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+    st.sampled_from([0.0, 1e-9, 0.9999999999, 1.0]))
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@given(m=bit_params, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_jacobi_and_K_are_scipys_bit_for_bit(m, data):
+    # |u| up to 800 at m = 1, where cosh u and sinh u overflow past 710
+    span = 800.0 if m == 1.0 else 40.0
+    us = data.draw(st.lists(st.one_of(st.floats(-span, span), non_finite), max_size=12))
+    # each drawn u as a scalar, all of them as 1-D and 2-D arrays, an empty
+    # array, and with grids that meet dn's rarer branch and, log-spaced,
+    # small u (where the AGM's eighth step shows, next to m = 1 - 1e-8)
+    small = np.geomspace(1e-6, span, 500)
+    grid = np.concatenate([us, np.linspace(-span, span, 2001), -small, small])
+    for u in [*us, np.array(us), np.array(us + us).reshape(2, -1), np.array([]), grid]:
+        with np.errstate(invalid="ignore"):   # an infinite u reduced near m = 1
+            pairs = list(zip(jacobi(u, m), _scipy_jacobi(u, m)))
+        for ours, theirs in pairs:
+            _assert_same_bits(ours, theirs)
+    if m < 1.0:
+        assert complete_K(m).hex() == float(ellipk(m)).hex()
 
 
 def test_complete_K_trivial_and_edges():

@@ -1,5 +1,6 @@
-"""The level walk's root finder is scipy's brentq to the bit, observing
-loads no scipy module, and verifying loads `scipy.special` alone."""
+"""The level walk's root finder is scipy's brentq to the bit, and observing,
+verifying and `rotheta wave` load no scipy module: `rotheta verify` passes
+9/9 with scipy's import blocked."""
 
 import ast
 import math
@@ -109,6 +110,16 @@ def _setup_snippet():
     raise AssertionError("no SETUP_SNIPPET in perfbench/run.py")
 
 
+def _child(script, *args):
+    """The stdout of `script`, run in a fresh interpreter with this tree's
+    src/ and `args` as its arguments."""
+    src = str(Path(rotheta.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, src, *map(str, args)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_cold_start_loads_no_scipy():
     # the set-up, the README portrait and a sweep per regime read levels only
     script = _setup_snippet() + """
@@ -119,32 +130,42 @@ for base, c1_range in ((T1_BASE, (0.85, -0.1)), (T3_BASE, (0.2, -0.198))):
     rotheta.sweep_singular_line(rotheta.WaveParams(C1=0.0, **base), c1_range, 10)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    src = str(Path(rotheta.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", script, src],
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _child(script).strip() == "[]"
 
 
-def test_verify_core_loads_scipy_special_alone():
-    # the benchmark's verify-core checks (every check but atlas-agreement,
-    # which only observes) integrate with `dop853` and take K and sn/cn/dn
-    # from `scipy.special`; no other scipy package may load
-    script = """
+_ON_PATH = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from rotheta.verification import CHECKS, run_checks
-results = run_checks(names=[name for name, _fn, _b in CHECKS if name != "atlas-agreement"])
-assert len(results) == 8 and all(r.passed for r in results), results
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    src = str(Path(rotheta.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", script, src],
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    loaded = ast.literal_eval(out.stdout.strip())
-    assert "scipy.special" in loaded
-    for package in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
-        assert not any(m == package or m.startswith(package + ".") for m in loaded), package
-    public = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
-    assert public <= {"special", "version"}, public
+
+
+def test_verify_and_wave_load_no_scipy(tmp_path):
+    # all nine checks (the conservation lanes integrate with `dop853`, the
+    # elliptic ones take K and sn/cn/dn from `elliptic`) and every closed-form
+    # wave at the README's reduced point
+    loaded = _child(_ON_PATH + """
+from rotheta.cli import main
+from rotheta.verification import run_checks
+results = run_checks()
+assert len(results) == 9 and all(r.passed for r in results), results
+assert main(["wave", "--theta", "1/2", "--c1", "0", "--c2", "0.9", "--c3", "-1", "--k", "-0.05",
+             "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""", tmp_path / "waves")
+    assert loaded.splitlines()[-1] == "[]"
+    assert (tmp_path / "waves.csv").exists()
+
+
+def test_verify_passes_with_scipy_blocked():
+    out = _child(_ON_PATH + """
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+from rotheta.verification import run_checks
+results = run_checks()
+print(sum(r.passed for r in results), len(results))
+""")
+    assert out.split() == ["9", "9"]
