@@ -47,17 +47,18 @@ def summary(traj):
 def lane_runs(wps, starts, fis, float_tail):
     """Each trial's run through `integrate_many`, in trial order, with its
     float tail at `float_tail`, the number of runs it finished on floats,
-    and whether a lane step left the lane arrays narrower than the trials."""
+    and whether a lane step left its lane arrays narrower than before."""
     finish, step = dop853._Lanes.finish_on_floats, dop853._Lanes.step
-    finished, widths = [], []
+    finished, packed = [], []
 
-    def counted(lanes, i):
-        finished.append(i)
-        return finish(lanes, i)
+    def counted(lanes, c):
+        finished.append(c)
+        return finish(lanes, c)
 
     def measured(lanes):
+        width = len(lanes.running)
         out = step(lanes)
-        widths.append(len(lanes.running))
+        packed.append(len(lanes.running) < width)
         return out
 
     default, dop853.FLOAT_TAIL = dop853.FLOAT_TAIL, float_tail
@@ -67,7 +68,7 @@ def lane_runs(wps, starts, fis, float_tail):
     finally:
         dop853.FLOAT_TAIL = default
         dop853._Lanes.finish_on_floats, dop853._Lanes.step = finish, step
-    return [runs[i] for i in range(len(wps))], len(finished), min(widths) < len(wps)
+    return [runs[i] for i in range(len(wps))], len(finished), any(packed)
 
 
 def main():

@@ -91,19 +91,6 @@ def _flag_groups(**parser_kw) -> dict:
     return g
 
 
-# command: (help, the flag groups it reads besides --config)
-_COMMANDS = {
-    "params": ("echo derived parameters and the first-integral validity note",
-               ("params",)),
-    "portrait": ("phase portrait as SVG + curve CSV", ("params", "out", "h")),
-    "wave": ("closed-form wave profiles with residuals",
-             ("params", "out", "fmt", "h", "wave")),
-    "sweep": ("move the singular line: classify and observe a C1 range",
-              ("params", "out", "fmt", "sweep")),
-    "verify": ("run the named verification checks", ("out", "verify")),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The command line's parser.  A flag that is not given stays out of
     its namespace, so it can be laid over the config file's settings."""
@@ -116,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", metavar="FILE",
                         help="key=value lines; flags override file values")
     groups = _flag_groups(argument_default=argparse.SUPPRESS)
-    for name, (help_text, picked) in _COMMANDS.items():
+    for name, (help_text, picked, _handler) in _COMMANDS.items():
         command = sub.add_parser(name, parents=[config] + [groups[g] for g in picked],
                                  help=help_text)
         command._negative_number_matcher = _NEGATIVE_NUMBER
@@ -247,21 +234,13 @@ def cmd_params(cfg: argparse.Namespace) -> int:
 
 
 def _clip_runs(xs, ys, xlim, ylim):
-    """Split a curve into runs of points inside the window (for drawing;
-    the CSV keeps the full curve)."""
+    """Split a curve into runs of at least two points inside the window
+    (for drawing; the CSV keeps the full curve)."""
     inside = ((xs >= xlim[0]) & (xs <= xlim[1])
               & (ys >= ylim[0]) & (ys <= ylim[1]))
-    runs = []
-    start = None
-    for i, ok in enumerate(inside):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(xs)))
-    return [(xs[a:b], ys[a:b]) for a, b in runs if b - a >= 2]
+    # runs of consecutive points inside, as [start, stop) pairs
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
+    return [(xs[a:b], ys[a:b]) for a, b in zip(edges[::2], edges[1::2]) if b - a >= 2]
 
 
 def render_portrait_artifacts(wp: WaveParams, levels=None):
@@ -551,12 +530,16 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-_DISPATCH = {
-    "params": cmd_params,
-    "portrait": cmd_portrait,
-    "wave": cmd_wave,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
+# command: (help, the flag groups it reads besides --config, handler)
+_COMMANDS = {
+    "params": ("echo derived parameters and the first-integral validity note",
+               ("params",), cmd_params),
+    "portrait": ("phase portrait as SVG + curve CSV", ("params", "out", "h"), cmd_portrait),
+    "wave": ("closed-form wave profiles with residuals",
+             ("params", "out", "fmt", "h", "wave"), cmd_wave),
+    "sweep": ("move the singular line: classify and observe a C1 range",
+              ("params", "out", "fmt", "sweep"), cmd_sweep),
+    "verify": ("run the named verification checks", ("out", "verify"), cmd_verify),
 }
 
 
@@ -565,7 +548,7 @@ def main(argv=None) -> int:
     try:
         cfg = _read_config(getattr(args, "config", None))
         vars(cfg).update(vars(args))        # flags override file values
-        return _DISPATCH[cfg.command](cfg)
+        return _COMMANDS[cfg.command][2](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

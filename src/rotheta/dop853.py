@@ -523,77 +523,57 @@ def _settle(traj, best, drift_limit):
 
 
 class _Lanes:
-    """Forward tau-form DOP853 runs stepped together, one trial's run per
-    lane.
+    """Forward tau-form DOP853 runs stepped together at one pair of
+    tolerances, one trial's run per lane.
 
     numpy arrays over the lanes (the columns) hold each run's t, step
-    length, escape value, state, stages, tolerances, rejection flag,
-    running flag and `nfev`; `trial` names each column's trial and `col`
-    each trial's column (-1 once its column is dropped).  `step` tries one
-    step on every column with the shared step arithmetic and the lanes'
-    controller (`_control_lanes`), and a run's first step is the one scipy's DOP853
-    constructor chooses (`_first_step`).  So each lane takes the steps,
-    stops, dense output and `nfev` of `orbits._solve` when only the escape
-    event (the disc of `ESCAPE_RADIUS`) can stop it, bit for bit.  A
-    column that is not running is stepped with length 0 and nothing is
-    kept of it, until fewer than half the columns are running: `step` then
-    drops the stopped columns (`_pack`), so a step costs what its running
-    lanes cost.  A trial restarted by `start` still has its column, since
-    runs end only in `step` and `finish_on_floats`, and a restart comes
-    before the next `step`.  `finish_on_floats` takes one trial on from
-    wherever `step` left it to its run's end on Python floats, with the
-    same arithmetic and so the same answer.  Each trial's accepted steps
-    wait in its own list, as the bytes of their rows, until its run ends.
+    length, escape value, state, stages, rejection flag, running flag and
+    `nfev`; `trial` names each column's trial, an index into `wps`.  Every
+    run starts in the constructor as `orbits._solve` starts it: scipy's
+    DOP853 constructor (`_first_step`) checks the tolerances, takes f at the
+    start and chooses the first step, once per trial.  `step` tries one step
+    on every column with the shared step arithmetic and the lanes'
+    controller (`_control_lanes`).  So each lane takes the steps, stops,
+    dense output and `nfev` of `orbits._solve` when only the escape event
+    (the disc of `ESCAPE_RADIUS`) can stop it, bit for bit.  A column that
+    is not running is stepped with length 0 and nothing is kept of it,
+    until fewer than half the columns are running: `step` then drops the
+    stopped columns (`_pack`), so a step costs what its running lanes cost.
+    `finish_on_floats` takes one column on from wherever `step` left it to
+    its run's end on Python floats, with the same arithmetic and so the
+    same answer.  Each trial's accepted steps wait in its own list, as the
+    bytes of their rows, until its run ends.
     """
 
     # an accepted step's row: t, the state, and the interpolant's rows F[1:]
     # (F[0] is the state's change)
     _ROW = 15
 
-    def __init__(self, wps, starts, span):
+    def __init__(self, wps, starts, span, rtol, atol):
         if not span > 0:
             raise ValueError(f"lanes integrate forward, but tau_span is {span}")
         n = len(wps)
-        self.wps, self.span = wps, float(span)
+        self.wps, self.span, self.rtol_used = wps, float(span), rtol
         self.rhs = tau_rhs(wps)
         self.escape = _escape_event(ESCAPE_RADIUS)
         self.x0 = np.array([(float(s[0]), float(s[1])) for s in starts]).reshape(n, 2)
-        self.trial, self.col = np.arange(n), np.arange(n)
-        # a column that is not running sits at the span's end with step 0
-        self.t, self.h_abs, self.g = np.full(n, self.span), np.zeros(n), np.zeros(n)
+        self.trial, self.t, self.h_abs = np.arange(n), np.zeros(n), np.zeros(n)
         self.y = self.x0.T.copy()
+        self.g = self.escape(0.0, self.y)
         self.k = np.zeros((_N_STAGES, 2, n))
-        self.rtol, self.atol = np.ones(n), np.ones(n)
-        self.rejected, self.running = np.zeros(n, bool), np.zeros(n, bool)
-        self.nfev, self.rtol_used = np.zeros(n, int), [None] * n
-        self.steps = [None] * n
-
-    def start(self, i, rtol, atol):
-        """Start trial i's run from its start at these tolerances, as
-        `orbits._solve` starts it: scipy's DOP853 constructor
-        (`_first_step`) checks the tolerances, takes f there and chooses
-        the first step."""
-        c = self.col[i]
-        assert c >= 0, f"trial {i} restarts after its column was dropped"
-        y, f, h_abs, checked_rtol, checked_atol, nfev = _first_step(
-            tau_rhs(self.wps[i]), self.x0[i], self.span, rtol, atol)
-        self.t[c], self.h_abs[c], self.y[:, c], self.k[0, :, c] = 0.0, h_abs, y, f
-        self.g[c] = self.escape(0.0, y.tolist())
-        self.rtol[c], self.atol[c] = checked_rtol, checked_atol
-        self.rejected[c], self.running[c] = False, True
-        self.nfev[c], self.rtol_used[i] = nfev, rtol
-        self.steps[i] = []
+        self.rejected, self.running = np.zeros(n, bool), np.ones(n, bool)
+        self.nfev, self.steps = np.zeros(n, int), [[] for _ in range(n)]
+        for c, wp in enumerate(wps):
+            _y, self.k[0, :, c], self.h_abs[c], self.rtol, self.atol, self.nfev[c] = \
+                _first_step(tau_rhs(wp), self.x0[c], self.span, rtol, atol)
 
     def _pack(self):
         """Drop the stopped columns from every per-lane array, and build the
         right-hand side of the trials kept."""
         keep = np.flatnonzero(self.running)
         self.trial = self.trial[keep]
-        self.col[:] = -1
-        self.col[self.trial] = np.arange(len(keep))
         self.t, self.h_abs, self.g = self.t[keep], self.h_abs[keep], self.g[keep]
         self.y, self.k = self.y.take(keep, axis=1), self.k.take(keep, axis=2)
-        self.rtol, self.atol = self.rtol[keep], self.atol[keep]
         self.rejected, self.running, self.nfev = \
             self.rejected[keep], self.running[keep], self.nfev[keep]
         self.rhs = tau_rhs([self.wps[i] for i in self.trial.tolist()])
@@ -642,27 +622,26 @@ class _Lanes:
         k[0][:, acc] = k[_FSAL][:, acc]
 
         ended = np.flatnonzero(failed | (accepted & ((t_new - self.span >= 0) | escaped)))
-        out = [(i, self._trajectory(i, bool(escaped[c]), bool(failed[c])))
-               for c, i in zip(ended.tolist(), self.trial[ended].tolist())]
+        out = [(int(self.trial[c]), self._trajectory(c, bool(escaped[c]), bool(failed[c])))
+               for c in ended.tolist()]
         running[ended] = False
         t[ended], self.h_abs[ended] = self.span, 0.0
         return out
 
-    def finish_on_floats(self, i):
-        """Step trial i's running lane to its run's end one step after
+    def finish_on_floats(self, c):
+        """Step column c's running lane to its run's end one step after
         another on Python floats, with `_float_step` taking on the lane's
         t, step length, state, f, rejection flag and `nfev`, and the escape
         crossing found as `step` finds it; each accepted step's dense rows
         are stored as `step` stores them.  Returns the run's Trajectory
         (`_trajectory`)."""
-        c = self.col[i]
-        rhs = tau_rhs(self.wps[i])
-        tols = (float(self.rtol[c]), float(self.atol[c]), float(self.atol[c]))
+        rhs = tau_rhs(self.wps[self.trial[c]])
+        tols = (self.rtol, self.atol, self.atol)
         t, h_abs, g, nfev = float(self.t[c]), float(self.h_abs[c]), float(self.g[c]), 0
         (y0, y1), rejected = self.y[:, c].tolist(), bool(self.rejected[c])
         k = [None] * _N_STAGES
         k[0] = tuple(self.k[0, :, c].tolist())
-        steps = self.steps[i]
+        steps = self.steps[self.trial[c]]
         escaped = False
         while True:
             t_new, h, new, h_abs, n = _float_step(rhs, t, self.span, h_abs, y0, y1, k, tols,
@@ -681,11 +660,12 @@ class _Lanes:
         self.nfev[c] += nfev
         self.running[c] = False
         self.t[c], self.h_abs[c] = self.span, 0.0
-        return self._trajectory(i, escaped, t_new is None)
+        return self._trajectory(c, escaped, t_new is None)
 
-    def _trajectory(self, i, escaped, failed):
-        """Trial i's run as `orbits._solve` returns it, its step list freed;
-        an escaped run is cut at the escape root."""
+    def _trajectory(self, c, escaped, failed):
+        """Column c's run as `orbits._solve` returns it, its trial's step
+        list freed; an escaped run is cut at the escape root."""
+        i = self.trial[c]
         steps = np.frombuffer(b"".join(self.steps[i])).reshape(-1, self._ROW)
         self.steps[i] = None
         t = np.concatenate(([0.0], steps[:, 0]))
@@ -699,7 +679,7 @@ class _Lanes:
         F = np.empty((7, 2, len(h)))   # highest power first, as `Trajectory._segments`
         F[:6], F[6] = steps[:, 3:].T.reshape(6, 2, -1)[::-1], dy.T
         traj = Trajectory(wp=self.wps[i], t=t, states=states, sol=None, escaped=escaped,
-                          rtol_used=self.rtol_used[i], nfev=int(self.nfev[self.col[i]]),
+                          rtol_used=self.rtol_used, nfev=int(self.nfev[c]),
                           status=TOO_SMALL_STEP if failed else "ok")
         traj._segments = (t, t[:-1], h, np.ascontiguousarray(states[:-1].T), F)
         return traj
@@ -713,40 +693,45 @@ def integrate_many(wps, starts, tau_span=10.0, *, fis):
     fi=fis[i])`'s bit for bit, `nfev` included, except that it has no scipy
     solution (`sol`) and no axis crossings (both None).
     A caller that keeps only what it needs of each trial holds one trial's
-    steps at a time.
+    steps at a time, besides the best runs held for a later pass.
 
-    The trials run as the lanes of one `_Lanes` set, which drops its
-    stopped lanes once fewer than half of them run.  A lane step still
-    costs numpy's per-call overhead however few lanes run, so once
+    The trials are retried in passes, as `integrate` retries one trial:
+    pass k runs the trials still pending, in trial order, as the lanes of
+    one `_Lanes` set at one pair of tolerances, 100x tighter than the pass
+    before.  The set
+    drops its stopped lanes once fewer than half of them run.  A lane step
+    still costs numpy's per-call overhead however few lanes run, so once
     `FLOAT_TAIL` or fewer are running, each is finished on floats, one
-    after another (`_Lanes.finish_on_floats`).  A trial whose drift is over
-    the limit restarts in its lane at 100x tighter tolerances as soon as
-    its run ends, on floats if the lanes have reached their float tail, and
-    its better run is kept as `integrate` keeps it.  Trials settle in any
-    order.
+    after another (`_Lanes.finish_on_floats`).  Each run is measured and
+    settled as `integrate` settles it (`_measure_drift`, `_settle`); a
+    trial whose drift is over the limit joins the next pass, and after
+    pass `RETRIES` it yields its best run.  Trials settle in any order.
     """
-    lanes = _Lanes(wps, starts, tau_span)
-    tols = [(RTOL, ATOL)] * len(wps)
-    retries, best = [RETRIES] * len(wps), [None] * len(wps)
-    for i, (r, a) in enumerate(tols):
-        lanes.start(i, r, a)
-    while lanes.running.any():
-        running = np.flatnonzero(lanes.running)
-        if len(running) > FLOAT_TAIL:
-            ended = lanes.step()
-        else:
-            i = int(lanes.trial[running[0]])
-            ended = [(i, lanes.finish_on_floats(i))]
-        for i, traj in ended:
-            _measure_drift(traj, fis[i], starts[i], DRIFT_LIMIT)
-            done, best[i] = _settle(traj, best[i], DRIFT_LIMIT)
-            if done is None and retries[i] > 0:
-                retries[i] -= 1
-                tols[i] = (tols[i][0] * 1e-2, tols[i][1] * 1e-2)
-                lanes.start(i, *tols[i])
-                continue
-            yield i, done if done is not None else best[i]
-            best[i] = None
+    pending, best = list(range(len(wps))), {}
+    rtol, atol = RTOL, ATOL
+    for attempt in range(RETRIES + 1):
+        if not pending:
+            return
+        lanes = _Lanes([wps[i] for i in pending], [starts[i] for i in pending], tau_span,
+                       rtol, atol)
+        retry = []
+        while lanes.running.any():
+            running = np.flatnonzero(lanes.running)
+            if len(running) > FLOAT_TAIL:
+                ended = lanes.step()
+            else:
+                c = int(running[0])
+                ended = [(int(lanes.trial[c]), lanes.finish_on_floats(c))]
+            for j, traj in ended:
+                i = pending[j]
+                _measure_drift(traj, fis[i], starts[i], DRIFT_LIMIT)
+                done, held = _settle(traj, best.pop(i, None), DRIFT_LIMIT)
+                if done is None and attempt < RETRIES:
+                    best[i] = held
+                    retry.append(i)
+                else:
+                    yield i, done if done is not None else held
+        pending, rtol, atol = sorted(retry), rtol * 1e-2, atol * 1e-2
 
 
 def measure_axis_period(rhs, start, *, span=200.0):

@@ -143,7 +143,11 @@ def complete_K(m) -> float:
 
 
 def jacobi(u, m):
-    """(sn, cn, dn) at real argument(s) u for parameter m in [0, 1]."""
+    """(sn, cn, dn) at real argument(s) u for parameter m in [0, 1].
+
+    At m = 1 and |u| > 355.58 it gives (nan, nan, nan), as `ellipj` does,
+    though sn = tanh u and cn = dn = sech u there: Cephes's expansion about
+    m = 1 divides by cosh(u)^2, which overflows."""
     m = float(m)
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"jacobi requires 0 <= m <= 1, got {m}")

@@ -11,12 +11,13 @@ rounding of its sums, so any change to its arithmetic moves their last
 digits.  A change that moves them, or anything else here (other
 coordinates, another retry), must update the pin and say so.  The check
 runs its trials through `dop853.integrate_many`, whose every lane must
-give what `integrate` gives that trial, bit for bit, whether it runs as a
-numpy lane to its end, goes on to floats for the tail of the set
-(`dop853.FLOAT_TAIL`), or runs on floats from its start.
+give what `integrate` gives that trial, bit for bit, in every retry pass,
+whether it runs as a numpy lane to its end, goes on to floats for the
+tail of the set (`dop853.FLOAT_TAIL`), or runs on floats from its start.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -166,50 +167,68 @@ def test_pinned_trials_hold_through_the_lanes():
                     for _i, traj in sorted(lanes.items())])
 
 
-def _assert_lanes_are_integrate(wps, starts, span, drift_limit=dop853.DRIFT_LIMIT):
+def _rtol_warnings(caught):
+    """The rtol-clamp warnings among `caught`, scipy's and `_first_step`'s."""
+    return sorted(str(w.message) for w in caught if "`rtol` is too small" in str(w.message))
+
+
+def _assert_lanes_are_integrate(wps, starts, span, drift_limit=dop853.DRIFT_LIMIT,
+                                retries=dop853.RETRIES):
     """Every lane of `integrate_many` against `integrate` on its own trial,
-    both escaping at `dop853.ESCAPE_RADIUS` and retrying over `drift_limit`:
-    the same answers, runs and solver work, bit for bit.  The lanes run
-    three times, with their float tail (`dop853.FLOAT_TAIL`) at 0 (numpy
-    lanes to the end), at its default and at the number of trials (every
-    run on floats from its start).  Every lane step must drop the stopped
-    lanes exactly when fewer than half are running.  Returns the reference
-    trajectories, the trials that went on to floats right after a rejected
-    attempt at the default tail, the lanes' width after their last step at
-    tail 0, and the trials restarted right after a step that dropped
-    lanes, at tail 0."""
+    both escaping at `dop853.ESCAPE_RADIUS` and retrying `retries` times
+    over `drift_limit`: the same answers, runs, solver work and rtol-clamp
+    warnings, bit for bit.  The lanes run three times, with their float
+    tail (`dop853.FLOAT_TAIL`) at 0 (numpy lanes to the end), at its
+    default and at the number of trials (every run on floats from its
+    start).  Each pass must run, in trial order, the trials not yet
+    settled, and every lane step must drop the stopped lanes exactly when
+    fewer than half are running.  Returns the reference trajectories, the
+    trials that went on to floats right after a rejected attempt at the
+    default tail, the lanes' width after their last step at tail 0, and
+    the number of rtol-clamp warnings on each side."""
     fis = [build_first_integral(wp) for wp in wps]
-    refs = [integrate(wp, start, span, fi=fi, escape_radius=dop853.ESCAPE_RADIUS,
-                      drift_limit=drift_limit)
-            for wp, start, fi in zip(wps, starts, fis)]
-    finish, default = dop853._Lanes.finish_on_floats, dop853.FLOAT_TAIL
-    step, start = dop853._Lanes.step, dop853._Lanes.start
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        refs = [integrate(wp, start, span, fi=fi, escape_radius=dop853.ESCAPE_RADIUS,
+                          drift_limit=drift_limit, max_retries=retries)
+                for wp, start, fi in zip(wps, starts, fis)]
+    clamped = _rtol_warnings(caught)
+    init, finish, default = dop853._Lanes.__init__, dop853._Lanes.finish_on_floats, \
+        dop853.FLOAT_TAIL
+    step = dop853._Lanes.step
     for tail in (0, default, len(wps)):
-        switched, widths, restarted = [], [], []
+        lanes, passes, switched, widths = {}, [], [], []
 
-        def recording_finish(lanes, i):
-            switched.append((i, bool(lanes.rejected[lanes.col[i]])))
-            return finish(lanes, i)
+        def recording_init(self, set_wps, *args):
+            pending = sorted(set(range(len(wps))) - lanes.keys())
+            assert len(set_wps) == len(pending)
+            assert all(a is wps[i] for a, i in zip(set_wps, pending))
+            passes.append(pending)
+            init(self, set_wps, *args)
 
-        def recording_step(lanes):
-            width, running = len(lanes.running), int(np.count_nonzero(lanes.running))
-            out = step(lanes)
-            widths.append((width, running, len(lanes.running)))
+        def recording_finish(self, c):
+            switched.append((passes[-1][self.trial[c]], bool(self.rejected[c])))
+            return finish(self, c)
+
+        def recording_step(self):
+            width, running = len(self.running), int(np.count_nonzero(self.running))
+            out = step(self)
+            widths.append((width, running, len(self.running)))
             return out
 
-        def recording_start(lanes, i, rtol, atol):
-            if widths:
-                restarted.append((i, widths[-1][2] < widths[-1][0]))
-            return start(lanes, i, rtol, atol)
-
-        with pytest.MonkeyPatch.context() as m:
+        with pytest.MonkeyPatch.context() as m, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             m.setattr(dop853, "FLOAT_TAIL", tail)
             m.setattr(dop853, "DRIFT_LIMIT", drift_limit)
+            m.setattr(dop853, "RETRIES", retries)
+            m.setattr(dop853._Lanes, "__init__", recording_init)
             m.setattr(dop853._Lanes, "finish_on_floats", recording_finish)
             m.setattr(dop853._Lanes, "step", recording_step)
-            m.setattr(dop853._Lanes, "start", recording_start)
-            lanes = dict(integrate_many(wps, starts, span, fis=fis))
+            for i, traj in integrate_many(wps, starts, span, fis=fis):
+                lanes[i] = traj
+        assert _rtol_warnings(caught) == clamped, tail
         assert sorted(lanes) == list(range(len(wps)))
+        assert len(passes) <= retries + 1
         for i, ref in enumerate(refs):
             lane = lanes[i]
             assert (lane.h_drift_max, lane.drift_samples, lane.rtol_used, lane.escaped,
@@ -225,14 +244,13 @@ def _assert_lanes_are_integrate(wps, starts, span, drift_limit=dop853.DRIFT_LIMI
         if tail == 0:
             assert switched == []
             last_width = widths[-1][2]
-            after_pack = [i for i, packed in restarted if packed]
         if tail >= len(wps):
             # every run, retries included, on floats from its start
-            assert {i for i, _rejected in switched} == set(range(len(wps)))
+            assert [i for i, _rejected in switched] == [i for pending in passes for i in pending]
             assert not any(rejected for _i, rejected in switched)
         if tail == default:
             after_rejection = [i for i, rejected in switched if rejected]
-    return refs, after_rejection, last_width, after_pack
+    return refs, after_rejection, last_width, len(clamped)
 
 
 @pytest.mark.parametrize("seed", [7, 16])
@@ -240,13 +258,13 @@ def test_lanes_give_every_trial_what_integrate_gives(seed):
     # seed 7 retries seven trials and each retry ends under the limit; seed
     # 16 retries four, and keeps one retry still over the limit and two
     # first runs that drifted less than their retries.  At the default
-    # float tail one trial of each goes on to floats with its next attempt
+    # float tail some trials go on to floats with their next attempt
     # already rejected once, a state the float stepper never starts from
     trials = _conservation_trials(np.random.default_rng(seed))
     _thetas, wps, starts = zip(*trials)
-    refs, after_rejection, last_width, _after_pack = _assert_lanes_are_integrate(
+    refs, after_rejection, last_width, _clamped = _assert_lanes_are_integrate(
         wps, starts, 10.0)
-    assert after_rejection == {7: [299], 16: [107]}[seed]
+    assert after_rejection == {7: [207, 245, 254, 299], 16: [58, 114]}[seed]
     # with no float tail the lanes drop their stopped columns as they go
     assert last_width < len(wps)
     over = [i for i, r in enumerate(refs) if r.h_drift_max is not None and r.h_drift_max > 1e-8]
@@ -279,17 +297,29 @@ def test_lanes_escape_from_the_circle_and_from_outside_it(monkeypatch):
     assert outside.escaped and len(outside.t) == 3
 
 
-def test_a_trial_retries_in_its_column_after_the_lanes_drop_others():
-    # twelve theta = 1/4 trials of the check at seed 7, retried over a
-    # drift of 3e-10: at no float tail, trial 10's first run ends on the
-    # step that first drops the stopped lanes, and its retry starts in the
-    # column it kept
+def _quarter_theta_draws():
+    """The first twelve theta = 1/4 trials of the check at seed 7."""
     rng = np.random.default_rng(DEFAULT_SEED)
-    wps, starts = zip(*(_conservation_draw(rng, Fraction(1, 4)) for _ in range(12)))
-    refs, _rejected, _width, after_pack = _assert_lanes_are_integrate(
-        wps, starts, 10.0, drift_limit=3e-10)
-    assert after_pack == [10]
+    return zip(*(_conservation_draw(rng, Fraction(1, 4)) for _ in range(12)))
+
+
+def test_a_trial_retries_in_the_next_pass():
+    # retried over a drift of 3e-10, trials 0, 6, 8 and 10 run a second
+    # pass, at rtol 1e-12
+    wps, starts = _quarter_theta_draws()
+    refs, *_ = _assert_lanes_are_integrate(wps, starts, 10.0, drift_limit=3e-10)
     assert refs[10].rtol_used == 1e-12
+
+
+def test_a_trial_retries_in_a_third_pass():
+    # retried twice over a drift of 3e-12, six trials end at rtol 1e-14,
+    # which scipy's constructor and `_first_step` both clamp to 100 EPS
+    # with one warning a run; the other six end at 1e-12
+    wps, starts = _quarter_theta_draws()
+    refs, _rejected, _width, clamped = _assert_lanes_are_integrate(
+        wps, starts, 10.0, drift_limit=3e-12, retries=2)
+    assert sorted(r.rtol_used for r in refs) == [1e-14] * 6 + [1e-12] * 6
+    assert clamped == 6
 
 
 _lane = st.tuples(
@@ -368,8 +398,7 @@ def test_a_lane_drops_a_step_whose_start_is_the_escape_root():
     wp = WaveParams(theta=Fraction(1, 4), C1=0.1, C2=0.3, C3=-1.0, K=0.2)
     runs = []
     for _ in range(2):
-        lanes = dop853._Lanes([wp], [(0.5, 0.2)], 10.0)
-        lanes.start(0, dop853.RTOL, dop853.ATOL)
+        lanes = dop853._Lanes([wp], [(0.5, 0.2)], 10.0, dop853.RTOL, dop853.ATOL)
         while len(lanes.steps[0]) < 3:
             assert lanes.step() == []
         runs.append(lanes)

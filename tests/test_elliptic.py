@@ -72,6 +72,17 @@ def test_jacobi_and_K_are_scipys_bit_for_bit(m, data):
         assert complete_K(m).hex() == float(ellipk(m)).hex()
 
 
+@pytest.mark.parametrize("m", [1.0 - 2.5e-10, 1.0 - 2e-8])
+def test_jacobi_takes_the_agms_eighth_step(m):
+    # next to m = 1 the AGM takes all eight of its steps, directly at
+    # 1 - 2e-8 and after the Landen step at 1 - 2.5e-10; on the Hypothesis
+    # test's grid an AGM capped at seven steps gives hundreds of mismatches
+    small = np.geomspace(1e-6, 40.0, 500)
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 2001), -small, small])
+    for ours, theirs in zip(jacobi(grid, m), _scipy_jacobi(grid, m)):
+        _assert_same_bits(ours, theirs)
+
+
 def test_complete_K_trivial_and_edges():
     assert complete_K(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
     with pytest.raises(ValueError):
