@@ -313,6 +313,7 @@ class Plane:
     there, +-inf unless H is finite on the line."""
 
     fi: FirstIntegral          # H, whose levels the plane reads
+    equilibria: tuple          # every equilibrium of the plane, the line's included
     pair: tuple                # saddles on the singular line, upper first
     saddles: tuple             # saddles off the line
     stops: tuple               # (phi, level) of every equilibrium on the axis
@@ -349,6 +350,7 @@ def _plane(fi: FirstIntegral, equilibria, line) -> Plane:
     off = [e for e in equilibria if not e.on_singular_line]
     return Plane(
         fi=fi,
+        equilibria=tuple(equilibria),
         pair=tuple(sorted((e for e in equilibria if e.on_singular_line and e.kind == SADDLE),
                           key=lambda e: -e.y)),
         saddles=tuple(e for e in off if e.kind == SADDLE),
@@ -590,6 +592,14 @@ class SweepSample:
     agreement: bool | None       # None when boundary-excluded
     boundary: bool
     diagnostics: tuple = ()
+
+    def describe(self) -> str:
+        """C1, the label and the observed counts on one line, as the sweep's
+        disagreement listing and the atlas-agreement ledger write them."""
+        o = self.observed
+        return (f"C1 = {self.c1:.17g}: {self.label.theorem}/{self.label.domain} "
+                f"[{self.label.singular_line_position}] observed "
+                f"pk={o.peakon} pp={o.periodic_peakon} sol={o.solitary} ps={o.periodic_smooth}")
 
 
 @dataclass

@@ -21,7 +21,6 @@ import math
 import re
 import sys
 from dataclasses import fields
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from .atlas import (ObservedMenu, WaveMenu, family_levels, level_branches, observation_plane,
                     saddle_connections, sweep_singular_line)
 from .closedform import CUBIC_P, closed_form_menu, is_reduced_point, ode_residual, reduced
-from .equilibria import census
 from .field import SingularLineError, build_first_integral
 from .levels import level_branch
 from .params import WaveParams, derive_coriolis, derive_wave_params, parse_theta
@@ -176,18 +174,11 @@ def _json_token(v) -> str:
         return f"{float(v):.17g}" if math.isfinite(v) else "null"
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, Fraction):
-        return json.dumps(str(v))
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json_token(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_json_token(x)}"
-                              for k, x in v.items()) + "}"
-    return json.dumps(str(v))
-
-
-def _jsonl_line(record: dict) -> str:
-    return _json_token(record) + "\n"
+    # a dict, the one other type a record holds
+    return "{" + ",".join(f"{json.dumps(k)}:{_json_token(x)}"
+                          for k, x in v.items()) + "}"
 
 
 def _write_text(path: Path, text: str):
@@ -204,6 +195,21 @@ def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return _fmt(v)
     return str(v)
+
+
+def _write_data(cfg: argparse.Namespace, records, header, rows):
+    """Write the `--out` data file, if asked for, as `--format` says: JSONL,
+    a line per record, or CSV, the `header` then a line per row of cells.
+    Only the chosen iterable is read, so the other can be a lazy generator."""
+    if not cfg.out:
+        return
+    path = Path(cfg.out).with_suffix(f".{cfg.fmt}")
+    if cfg.fmt == "jsonl":
+        lines = [_json_token(r) for r in records]
+    else:
+        lines = [",".join(header)] + [",".join(_cell(c) for c in row) for row in rows]
+    _write_text(path, "".join(line + "\n" for line in lines))
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +254,15 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     (`observation_plane`).
 
     Level curves of the plane's first integral at the requested (default:
-    family) levels, separatrices from the saddle connections, the
-    singular line, and glyph-coded equilibria.  Fully deterministic.
+    family) levels, separatrices from the saddle connections, and the
+    plane's own line and glyph-coded equilibria: the profile plane of the
+    reduced point has g's roots and no line.  Fully deterministic.
     """
-    cen = census(wp)
-    plane = observation_plane(wp, cen)
-    fi = plane.fi
+    plane = observation_plane(wp)
+    fi, line = plane.fi, plane.line
     hs = sorted(set(levels or family_levels(plane, (0.25, 0.5, 0.75))))
-    phis = [e.phi for e in cen.equilibria] + [float(wp.singular_line)]
+    # the line, or phi = 0 in a plane without one, stays in the window
+    phis = [e.phi for e in plane.equilibria] + [0.0 if line is None else line]
     pad = 1.0 + 0.5 * (max(phis) - min(phis))
     window = (min(phis) - pad, max(phis) + pad)
 
@@ -285,7 +292,7 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
 
     # vertical extent: bounded structures only (escaping level branches are
     # clipped at drawing time, the CSV keeps them whole)
-    y_ext = [abs(e.y) for e in cen.equilibria]
+    y_ext = [abs(e.y) for e in plane.equilibria]
     y_ext += [float(np.max(np.abs(ys))) for o, b, kind, h, xs, ys in curves
               if kind == "separatrix"]
     y_ext += [float(np.max(np.abs(ys))) for o, b, kind, h, xs, ys in curves
@@ -293,7 +300,6 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     ymax = 1.25 * max(y_ext, default=1.0) + 0.25
     xlim, ylim = window, (-ymax, ymax)
 
-    s = float(wp.singular_line)
     title = (f"theta = {wp.theta}   C1 = {float(wp.C1):.6g}   "
              f"C2 = {float(wp.C2):.6g}   C3 = {float(wp.C3):.6g}   "
              f"K = {float(wp.K):.6g}")
@@ -303,9 +309,9 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
                         else ("#2a6fb4", 1.0))
         for cx, cy in _clip_runs(xs, ys, xlim, ylim):
             fig.polyline(cx, cy, color=color, width=width)
-    if xlim[0] < s < xlim[1]:
-        fig.vline(s)
-    for eq in cen.equilibria:
+    if line is not None and xlim[0] < line < xlim[1]:
+        fig.vline(line)
+    for eq in plane.equilibria:
         if ylim[0] <= eq.y <= ylim[1]:
             fig.marker(eq.phi, eq.y, eq.kind)
     svg = fig.render()
@@ -313,13 +319,13 @@ def render_portrait_artifacts(wp: WaveParams, levels=None):
     rows = ["orbit_id,branch_id,kind,h,phi,y"]
     for curve in curves:
         rows += _curve_rows(*curve)
-    for i, eq in enumerate(cen.equilibria):
+    for i, eq in enumerate(plane.equilibria):
         h = _level_of(fi, eq.phi, eq.y)
         rows.append(f"{oid + i},0,equilibrium/{eq.kind},{_cell(h)},"
                     f"{_fmt(eq.phi)},{_fmt(eq.y)}")
-    base = oid + len(cen.equilibria)
-    for j, y in enumerate(ylim):
-        rows.append(f"{base},{j},singular-line,,{_fmt(s)},{_fmt(y)}")
+    if line is not None:
+        base = oid + len(plane.equilibria)
+        rows += [f"{base},{j},singular-line,,{_fmt(line)},{_fmt(y)}" for j, y in enumerate(ylim)]
     return svg, "\n".join(rows) + "\n"
 
 
@@ -418,27 +424,14 @@ def cmd_wave(cfg: argparse.Namespace) -> int:
         profiles.append((i, sol, res, xi, sol(xi)))
     print("\n".join(lines))
 
-    if cfg.out:
-        base = Path(cfg.out)
-        if cfg.fmt == "jsonl":
-            recs = []
-            for i, sol, res, xi, phi in profiles:
-                recs.append(_jsonl_line({
-                    "kind": "wave-profile", "wave_id": i,
-                    "wave_kind": sol.kind, "h": sol.h,
-                    "modulus_m": sol.modulus_m, "omega": sol.omega,
-                    "period": sol.period, "residual": res,
-                    "xi": xi, "phi": phi,
-                }))
-            _write_text(base.with_suffix(".jsonl"), "".join(recs))
-            print(f"wrote {base.with_suffix('.jsonl')}")
-        else:
-            rows = ["wave_id,kind,h,xi,phi"]
-            for i, sol, _res, xi, phi in profiles:
-                for u, v in zip(xi, phi):
-                    rows.append(f"{i},{sol.kind},{_fmt(sol.h)},{_fmt(u)},{_fmt(v)}")
-            _write_text(base.with_suffix(".csv"), "\n".join(rows) + "\n")
-            print(f"wrote {base.with_suffix('.csv')}")
+    _write_data(cfg,
+                ({"kind": "wave-profile", "wave_id": i, "wave_kind": sol.kind, "h": sol.h,
+                  "modulus_m": sol.modulus_m, "omega": sol.omega, "period": sol.period,
+                  "residual": res, "xi": xi, "phi": phi}
+                 for i, sol, res, xi, phi in profiles),
+                ("wave_id", "kind", "h", "xi", "phi"),
+                ((i, sol.kind, sol.h, u, v)
+                 for i, sol, _res, xi, phi in profiles for u, v in zip(xi, phi)))
     return 0
 
 
@@ -468,43 +461,25 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if bad:
         print("disagreements:")
         for s in bad:
-            o = s.observed
-            print(f"  C1 = {_fmt(s.c1)}: {s.label.theorem}/{s.label.domain} "
-                  f"[{s.label.singular_line_position}] observed "
-                  f"pk={o.peakon} pp={o.periodic_peakon} "
-                  f"sol={o.solitary} ps={o.periodic_smooth}")
+            print("  " + s.describe())
 
-    if cfg.out:
-        base = Path(cfg.out)
-        if cfg.fmt == "jsonl":
-            recs = []
-            for s in rep.samples:
-                recs.append(_jsonl_line({
-                    "kind": "sweep-sample", "c1": s.c1,
-                    "theorem": s.label.theorem, "domain": s.label.domain,
-                    "line_position": s.label.singular_line_position,
-                    "boundary": s.boundary,
-                    "predicted": None if s.predicted is None else {
-                        n: getattr(s.predicted, n) for n in _PREDICTED},
-                    "observed": {n: getattr(s.observed, n) for n in _OBSERVED},
-                    "agreement": s.agreement,
-                }))
-            _write_text(base.with_suffix(".jsonl"), "".join(recs))
-            print(f"wrote {base.with_suffix('.jsonl')}")
-        else:
-            rows = [",".join(["c1", "theorem", "domain", "line_position", "boundary",
-                              *(f"pred_{n}" for n in _PREDICTED),
-                              *(f"obs_{n}" for n in _OBSERVED), "agreement"])]
-            for s in rep.samples:
-                cells = [_fmt(s.c1), s.label.theorem, s.label.domain,
-                         s.label.singular_line_position, s.boundary]
-                cells += [None if s.predicted is None else getattr(s.predicted, n)
-                          for n in _PREDICTED]
-                cells += [getattr(s.observed, n) for n in _OBSERVED]
-                cells.append(s.agreement)
-                rows.append(",".join(_cell(c) for c in cells))
-            _write_text(base.with_suffix(".csv"), "\n".join(rows) + "\n")
-            print(f"wrote {base.with_suffix('.csv')}")
+    _write_data(cfg,
+                ({"kind": "sweep-sample", "c1": s.c1, "theorem": s.label.theorem,
+                  "domain": s.label.domain, "line_position": s.label.singular_line_position,
+                  "boundary": s.boundary,
+                  "predicted": None if s.predicted is None else {
+                      n: getattr(s.predicted, n) for n in _PREDICTED},
+                  "observed": {n: getattr(s.observed, n) for n in _OBSERVED},
+                  "agreement": s.agreement}
+                 for s in rep.samples),
+                ("c1", "theorem", "domain", "line_position", "boundary",
+                 *(f"pred_{n}" for n in _PREDICTED), *(f"obs_{n}" for n in _OBSERVED),
+                 "agreement"),
+                # a boundary label predicts no menu: its pred_ cells are empty
+                ((s.c1, s.label.theorem, s.label.domain, s.label.singular_line_position,
+                  s.boundary, *(getattr(s.predicted, n, None) for n in _PREDICTED),
+                  *(getattr(s.observed, n) for n in _OBSERVED), s.agreement)
+                 for s in rep.samples))
     return 0
 
 

@@ -421,13 +421,7 @@ def check_atlas_agreement(seed=None):
         ok = ok and frac >= 0.95
         det.append(f"{name} sweep: agreement {frac:.4f} "
                    f"({rep.n_boundary} boundary-excluded of 200)")
-        for s in rep.disagreements():
-            o = s.observed
-            det.append(f"  disagreement at C1 = {s.c1:.17g}: "
-                       f"{s.label.theorem}/{s.label.domain} "
-                       f"[{s.label.singular_line_position}] observed "
-                       f"pk={o.peakon} pp={o.periodic_peakon} "
-                       f"sol={o.solitary} ps={o.periodic_smooth}")
+        det += ["  disagreement at " + s.describe() for s in rep.disagreements()]
     return ok, det
 
 

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import rotheta
-from rotheta.atlas import observe_wave_menu
+from rotheta.atlas import observation_plane, observe_wave_menu, sweep_singular_line
 from rotheta.cli import _cell, _curve_rows, _fmt, main, render_portrait_artifacts
 from rotheta.equilibria import SADDLE, census
-from rotheta.params import WaveParams
+from rotheta.params import WaveParams, derive_coriolis, derive_wave_params
 from rotheta.svgfig import SvgFigure, _n
-from rotheta.verification import T1_BASE
+from rotheta.verification import T1_BASE, T3_BASE, check_atlas_agreement
 
 
 D1 = ["--theta", "1/4", "--c1", "0.3", "--c2", "2", "--c3", "-1", "--k", "3"]
@@ -148,6 +148,25 @@ def test_portrait_with_vacant_level(tmp_path, capsys):
     assert ",level," not in text                  # nothing at that height
     assert ",equilibrium/" in text
     assert ",singular-line," in text
+
+
+def test_reduced_point_portrait_draws_its_planes_equilibria_and_no_line():
+    # the profile plane's equilibria are g's roots and it has no line; its
+    # portrait once drew the tau census's degenerate point at (0, 0) and the
+    # singular line through it
+    wp = WaveParams(C1=0.0, **T3_BASE)
+    svg, csv_text = render_portrait_artifacts(wp)
+    rows = [row.split(",") for row in csv_text.splitlines()[1:]]
+    drawn = [(kind, phi, y) for _o, _b, kind, _h, phi, y in rows
+             if kind.startswith("equilibrium/")]
+    assert drawn == [(f"equilibrium/{e.kind}", _fmt(e.phi), _fmt(e.y))
+                     for e in observation_plane(wp).equilibria]
+    assert "equilibrium/Degenerate" not in {kind for kind, _phi, _y in drawn}
+    assert not any(kind == "singular-line" for _o, _b, kind, *_rest in rows)
+    assert "stroke-dasharray" not in svg
+    # off the reduced point the tau plane keeps its line
+    svg, csv_text = render_portrait_artifacts(WaveParams(C1=0.5, **T3_BASE))
+    assert ",singular-line," in csv_text and "stroke-dasharray" in svg
 
 
 def test_wave_from_config_with_flag_override(tmp_path, capsys):
@@ -307,6 +326,79 @@ def test_sweep_csv_and_summary(tmp_path, capsys):
 
 def test_sweep_requires_range(capsys):
     assert main(["sweep"] + D1 + ["--samples", "5"]) == 2
+
+
+def test_sweep_and_check_8_list_each_disagreement_as_the_sample_describes_it(
+        monkeypatch, capsys):
+    # theta = 1/2, Omega = 1.4, c = 1: every sample of this C3 > 0 stretch
+    # disagrees with T2's smooth_any claim
+    args = ["--theta", "1/2", "--omega", "1.4", "--c", "1",
+            "--c1-from", "0.195", "--c1-to", "0.175", "--samples", "5"]
+    assert main(["sweep"] + args) == 0
+    stdout = capsys.readouterr().out
+    rep = sweep_singular_line(derive_wave_params(derive_coriolis(1.4), 1.0, "1/2"),
+                              (0.195, 0.175), 5)
+    assert rep.disagreements() == rep.samples
+    assert stdout.endswith("disagreements:\n"
+                           + "".join(f"  {s.describe()}\n" for s in rep.samples))
+    assert rep.samples[1].describe() == \
+        "C1 = 0.19: T2/D4 [0 < 2C1 < phi1] observed pk=0 pp=0 sol=0 ps=0"
+    monkeypatch.setattr(rotheta.verification, "sweep_singular_line", lambda *a: rep)
+    ok, det = check_atlas_agreement()
+    assert not ok
+    assert [d for d in det if d.startswith("  ")] == \
+        2 * [f"  disagreement at {s.describe()}" for s in rep.samples]
+
+
+def _text(v):
+    """A JSON value as the CSV writes its cell."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _write_both(tmp_path, args):
+    """The command's CSV rows (header first) and JSONL records."""
+    for fmt in ("csv", "jsonl"):
+        assert main(args + ["--format", fmt, "--out", str(tmp_path / "d")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "d.csv").read_text().splitlines()]
+    recs = [json.loads(line) for line in (tmp_path / "d.jsonl").read_text().splitlines()]
+    return rows, recs
+
+
+@pytest.mark.parametrize("k", ["3", "1e-8"])
+def test_sweep_csv_and_jsonl_carry_the_same_samples(tmp_path, capsys, k):
+    # at K = 1e-8 every label is boundary: no predicted menu, empty pred_ cells
+    args = ["sweep"] + D1[:-1] + [k, "--c1-from", "0.75", "--c1-to", "0.05", "--samples", "5"]
+    (header, *rows), recs = _write_both(tmp_path, args)
+    capsys.readouterr()
+    assert len(rows) == len(recs) == 5
+    assert all((r["predicted"] is None) == (k == "1e-8") for r in recs)
+    for row, rec in zip(rows, recs):
+        assert rec["kind"] == "sweep-sample"
+        menus = {"pred_": rec["predicted"], "obs_": rec["observed"]}
+        for prefix, menu in menus.items():
+            if menu is not None:
+                assert [f"{prefix}{n}" for n in menu] == [n for n in header
+                                                          if n.startswith(prefix)]
+        assert set(rec) == {"kind", "predicted", "observed"} | {
+            n for n in header if not n.startswith(tuple(menus))}
+        for name, cell in zip(header, row, strict=True):
+            prefix = next((p for p in menus if name.startswith(p)), None)
+            value = rec[name] if prefix is None else (menus[prefix] or {}).get(name[len(prefix):])
+            assert cell == _text(value), name
+
+
+def test_wave_csv_and_jsonl_carry_the_same_points(tmp_path, capsys):
+    (header, *rows), recs = _write_both(tmp_path, ["wave"] + T3)
+    capsys.readouterr()
+    assert header == ["wave_id", "kind", "h", "xi", "phi"]
+    assert len(recs) >= 2
+    expected = [[str(r["wave_id"]), r["wave_kind"], _text(r["h"]), _text(u), _text(v)]
+                for r in recs for u, v in zip(r["xi"], r["phi"], strict=True)]
+    assert rows == expected
 
 
 def test_verify_subset_is_deterministic(tmp_path, capsys):
