@@ -1,35 +1,42 @@
 """Conservation drift at every check seed, through the lane path, checked
 trial by trial against the trials run one by one.
 
-For each check seed 0-29, draws the 300 trials of
-`first-integral-conservation` (100 at each of theta = 1/4, 1/2 and 1),
-runs them together through `dop853.integrate_many` as the check does, and
-prints per theta the worst relative H drift, the number of trials whose
-drift could not be measured (unverified) and the number retried at
-tighter tolerances.  A drift over the check's limit of 1e-8 (`integrate`'s
-drift limit) is marked FAIL; such seeds are reported, not mended.  The
-same trials then run through `integrate_many` again with no float tail
-(`dop853.FLOAT_TAIL` 0: numpy lanes to the end) and one by one through
-`orbits.integrate`, and the script exits 1 if any trial's drift, drift
-samples, tolerance, right-hand-side evaluations, number of points or
-status differs between the three, or if the run with no float tail
-finished any trial on floats or never dropped its stopped lanes from the
-lane arrays.
+For each check seed in a range (0-29 unless `--seeds A-B` says otherwise,
+both ends included), draws the 300 trials of `first-integral-conservation`
+(100 at each of theta = 1/4, 1/2 and 1) with the check's own generator
+(`pcg64.default_rng`), runs them together through `dop853.integrate_many`
+as the check does, and prints per theta the worst relative H drift, the
+number of trials whose drift could not be measured (unverified) and the
+number retried at tighter tolerances.  A drift over the check's limit of
+1e-8 (`integrate`'s drift limit) is marked FAIL; such seeds are reported,
+not mended.  The same trials then run through `integrate_many` again with
+no float tail (`dop853.FLOAT_TAIL` 0: numpy lanes to the end) and one by
+one through `orbits.integrate`, and the script exits 1 if any trial's
+drift, drift samples, tolerance, right-hand-side evaluations, number of
+points or status differs between the three, or if the run with no float
+tail finished any trial on floats or never dropped its stopped lanes from
+the lane arrays.
 
-Usage: python scripts/conservation_seeds.py
+Usage: python scripts/conservation_seeds.py [--seeds A-B]
 """
 
+import argparse
 import sys
-
-import numpy as np
 
 from rotheta import dop853
 from rotheta.dop853 import DRIFT_LIMIT, RTOL, integrate_many
 from rotheta.field import build_first_integral
 from rotheta.orbits import integrate
+from rotheta.pcg64 import default_rng
 from rotheta.verification import CONSERVATION_THETAS, _conservation_trials
 
-SEEDS = range(30)
+
+def seed_range(text):
+    """`A-B` as the seeds A to B, both included."""
+    first, last = map(int, text.split("-"))
+    if not 0 <= first <= last:
+        raise ValueError(text)
+    return range(first, last + 1)
 
 
 def retried(traj):
@@ -72,11 +79,15 @@ def lane_runs(wps, starts, fis, float_tail):
 
 
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=seed_range, default=range(30), metavar="A-B",
+                    help="check seeds A to B, both included (default 0-29)")
+    seeds = ap.parse_args().seeds
     print("    " + "".join(f"{'theta = ' + str(t):>38s}" for t in CONSERVATION_THETAS))
     print("seed" + "   worst drift     unverified  retried" * len(CONSERVATION_THETAS))
     differ, tailed, unpacked = [], [], []
-    for seed in SEEDS:
-        trials = _conservation_trials(np.random.default_rng(seed))
+    for seed in seeds:
+        trials = _conservation_trials(default_rng(seed))
         thetas, wps, starts = zip(*trials)
         fis = [build_first_integral(wp) for wp in wps]
         lanes, _finished, _packed = lane_runs(wps, starts, fis, dop853.FLOAT_TAIL)
@@ -111,7 +122,7 @@ def main():
     if differ or tailed or unpacked:
         return 1
     print(f"every trial equals integrate's, with and without the float tail, at all "
-          f"{len(SEEDS)} seeds")
+          f"{len(seeds)} seeds")
     return 0
 
 

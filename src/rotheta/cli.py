@@ -58,6 +58,14 @@ def finite(text: str) -> float:
     return v
 
 
+def non_negative(text: str) -> int:
+    """The type of a seed: an int that is not negative, as numpy's
+    `default_rng` and its port in `pcg64` take."""
+    if (v := int(text)) < 0:
+        raise ValueError(text)
+    return v
+
+
 def _flag_groups(**parser_kw) -> dict:
     """The flag groups the commands pick from; each flag is declared here
     once, for the command line and the config file alike."""
@@ -84,7 +92,7 @@ def _flag_groups(**parser_kw) -> dict:
     g["sweep"].add_argument("--c1-to", type=float, dest="c1_to",
                             help="last C1 value (left end, smaller)")
     g["sweep"].add_argument("--samples", type=int, help="sample count (default 200)")
-    g["verify"].add_argument("--seed", type=int, help="seed for randomized suites")
+    g["verify"].add_argument("--seed", type=non_negative, help="seed for randomized suites")
     g["verify"].add_argument("--only", help="comma-separated check names")
     return g
 

@@ -7,7 +7,9 @@ and nowhere else.  Reports deliberately contain no wall-clock numbers --
 identical runs must produce identical ledgers (budgets are reported only as
 met/exceeded).  The checks that integrate import `dop853` when they run,
 and the elliptic checks take K and sn/cn/dn from `elliptic`; both need
-numpy alone, so a full run loads no scipy module.
+numpy alone, so a full run loads no scipy module.  The seeded checks draw
+with `pcg64`, numpy's `default_rng` ported bit for bit, imported when they
+run; so a full run loads no `numpy.random` module and no OpenSSL either.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ def _drift_ledger(runs):
 
 def check_conservation(seed=DEFAULT_SEED):
     from .dop853 import integrate_many
+    from .pcg64 import default_rng
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     # The trials draw first, 100 per theta in turn, and the exact draws
     # below follow them in the rng stream.  The trials then integrate
     # together as lanes (`integrate_many`), each giving the Trajectory
@@ -249,7 +252,9 @@ def _scan_real_root_count(coeffs):
 
 
 def check_census_oracle(seed=DEFAULT_SEED):
-    rng = np.random.default_rng(seed)
+    from .pcg64 import default_rng
+
+    rng = default_rng(seed)
     theta = Fraction(1, 4)
     mismatch = 0
     unflagged = 0

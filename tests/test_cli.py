@@ -421,6 +421,22 @@ def test_verify_rejects_unknown_check(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["elliptic-kernel", "equilibrium-census"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, check):
+    # once: elliptic-kernel passed and printed "verification ledger (seed -1)",
+    # while equilibrium-census exited 2 from inside numpy's generator
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", check, "--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --seed: invalid non_negative value: '-1'" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    assert main(["verify", "--only", check, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage error: bad config value for seed: '-1'" in err
+
+
 @pytest.mark.parametrize("command, flags", [
     (["portrait"] + D1, ["--format", "jsonl"]),
     (["verify", "--only", "parameter-identities"], ["--theta", "1/3"]),

@@ -1,6 +1,7 @@
 """The level walk's root finder is scipy's brentq to the bit, and observing,
-verifying and `rotheta wave` load no scipy module: `rotheta verify` passes
-9/9 with scipy's import blocked."""
+verifying and `rotheta wave` load no scipy module; verifying loads no
+`numpy.random` module and no OpenSSL either: `rotheta verify` passes 9/9
+with scipy's import blocked, and with `numpy.random`'s and `hashlib`'s."""
 
 import ast
 import math
@@ -139,10 +140,15 @@ sys.path.insert(0, sys.argv[1])
 """
 
 
+# what a verify run must not load: scipy, and numpy's generator, which
+# reaches OpenSSL's libcrypto through `secrets` and `hashlib`
+_NOT_LOADED = ("scipy", "numpy.random", "secrets", "hashlib", "_hashlib")
+
+
 def test_verify_and_wave_load_no_scipy(tmp_path):
     # all nine checks (the conservation lanes integrate with `dop853`, the
-    # elliptic ones take K and sn/cn/dn from `elliptic`) and every closed-form
-    # wave at the README's reduced point
+    # elliptic ones take K and sn/cn/dn from `elliptic`, the seeded ones draw
+    # with `pcg64`) and every closed-form wave at the README's reduced point
     loaded = _child(_ON_PATH + """
 from rotheta.cli import main
 from rotheta.verification import run_checks
@@ -150,22 +156,34 @@ results = run_checks()
 assert len(results) == 9 and all(r.passed for r in results), results
 assert main(["wave", "--theta", "1/2", "--c1", "0", "--c2", "0.9", "--c3", "-1", "--k", "-0.05",
              "--out", sys.argv[2]]) == 0
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-""", tmp_path / "waves")
+names = sys.argv[3].split(",")
+print(sorted(m for m in sys.modules if m in names or m.startswith(tuple(n + "." for n in names))))
+""", tmp_path / "waves", ",".join(_NOT_LOADED))
     assert loaded.splitlines()[-1] == "[]"
     assert (tmp_path / "waves.csv").exists()
 
 
-def test_verify_passes_with_scipy_blocked():
-    out = _child(_ON_PATH + """
-class NoScipy:
+_BLOCKED_VERIFY = _ON_PATH + """
+names = sys.argv[2].split(",")
+assert not any(m in sys.modules for m in names), names
+
+class Blocked:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name in names or name.startswith(tuple(n + "." for n in names)):
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
 
-sys.meta_path.insert(0, NoScipy())
+sys.meta_path.insert(0, Blocked())
 from rotheta.verification import run_checks
 results = run_checks()
 print(sum(r.passed for r in results), len(results))
-""")
+"""
+
+
+def test_verify_passes_with_scipy_blocked():
+    assert _child(_BLOCKED_VERIFY, "scipy").split() == ["9", "9"]
+
+
+def test_verify_passes_with_numpy_random_and_openssl_blocked():
+    # the seeded checks draw with `pcg64`, numpy's generator ported
+    out = _child(_BLOCKED_VERIFY, "numpy.random,secrets,hashlib,_hashlib")
     assert out.split() == ["9", "9"]
