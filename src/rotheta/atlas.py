@@ -11,11 +11,14 @@ Three regimes are covered:
 * T3 (theta = 1/2, C1 = 0): three domains with exact periodic / solitary
   counts backed by the closed forms.
 
-Domains defined by an equality (e.g. "g at its minimum vanishes") are
-genuine measure-zero regions: parameters within `_EQ_TOL` (relative) of
-the equality get that label cleanly, while parameters in the wider
-`_BOUNDARY_TOL` band around it keep the adjacent open-domain label but are
-flagged boundary.
+The theorems are two tables.  In `_DOMAINS` each theorem's domains are
+ordered rows (domain, condition, band, note) over three entries, g_min and
+g_max (g at its local minimum and maximum) and K, each with its scale; an
+entry's sign is 0 within `_EQ_TOL` of its scale, so a domain defined by an
+equality is a genuine measure-zero region.  The first row whose condition
+(entry, sign) holds names the domain, and one rule flags a boundary: an
+entry of the row's band lies within the wider `_BOUNDARY_TOL` of its scale.
+`_CLAIMS` maps (theorem, domain or None, in peakon window) to a `WaveMenu`.
 Other theta values have no theorem coverage and classification raises.
 
 Observation runs in the tau plane, where the singular line is invariant,
@@ -122,6 +125,47 @@ class ObservedMenu:
         return self.solitary + self.periodic_smooth
 
 
+def _t12_rows(k_zero, negative, mixed, negative_note=""):
+    """T1's and T2's rows, which differ in three domain names and in the
+    note where g is negative at both critical points."""
+    g_and_k = ("g_min", "g_max", "K")
+    return ((k_zero, ("K", 0), (), ""),
+            ("D2", ("g_min", 0), ("K",), ""),
+            ("D3", ("g_max", 0), ("K",), ""),
+            ("D1", ("g_min", 1), g_and_k, ""),
+            (negative, ("g_max", -1), g_and_k, negative_note),
+            (mixed, None, g_and_k, ""))
+
+
+# per theorem, rows (domain, condition, band, note): the first row whose
+# condition (entry, sign) holds, or is None, gives the domain; T3's g_min = 0
+# row holds g_min in its band, so it is always a boundary
+_DOMAINS = {
+    "T1": _t12_rows("D5", "UNCOVERED", "D4",
+                    "g negative at both critical points (no catalogued portrait)"),
+    "T2": _t12_rows("D6", "D4", "D5"),
+    "T3": (("D1", ("g_min", 0), ("g_min",), "g_min = 0: shared edge of D1 and D2"),
+           ("D1", ("g_min", 1), ("g_min",), ""),
+           ("D3", ("g_max", 1), ("g_max",), ""),
+           ("D2", None, ("g_max",), "")),
+}
+
+# (theorem, domain or None for its other domains, in_peakon_window) -> claim
+_SMOOTH = dict(peakon=0, periodic_peakon=0, smooth_any=True)
+_CLAIMS = {
+    ("T1", None, False): WaveMenu(**_SMOOTH, note="singular line outside the peakon windows"),
+    ("T1", None, True): WaveMenu(peakon=1, periodic_peakon=2, smooth_any=True,
+                                 note="peakon window active"),
+    ("T1", "D2", True): WaveMenu(peakon=0, periodic_peakon=2, smooth_any=True,
+                                 note="two periodic peakons, no peakon"),
+    ("T2", None, False): WaveMenu(**_SMOOTH, note="all waves smooth at theta = 1/2"),
+    ("T3", None, False): WaveMenu(**_SMOOTH, solitary=0, periodic_smooth=1,
+                                  note="one periodic wave"),
+    ("T3", "D3", False): WaveMenu(**_SMOOTH, solitary=2, periodic_smooth=2,
+                                  note="two periodic and two solitary waves"),
+}
+
+
 def _line_symbol(wp: WaveParams) -> str:
     inv = 1 / wp.theta
     return f"{inv.numerator}C1" if inv.denominator == 1 else "C1/theta"
@@ -153,10 +197,12 @@ def _peakon_window(wp: WaveParams, domain: str, roots_desc) -> bool:
     phi3 < 4C1 < phi2 for D4/D5) describe where f(4C1) > 0 in the
     canonical root configuration phi3 < phi2 < 0 < phi1; the f > 0 guard
     keeps the prediction truthful in every configuration, and C3 < 0
-    ensures the level sets are bounded so arches actually close.
+    ensures the level sets are bounded so arches actually close.  The
+    windows are T1's alone: at theta = 1/2 the line carries no equilibria,
+    so no arch can terminate on it.
     """
     s = float(wp.singular_line)
-    if float(wp.C3) >= 0.0 or eval_f(wp, s) <= 0.0:
+    if wp.theta != Fraction(1, 4) or float(wp.C3) >= 0.0 or eval_f(wp, s) <= 0.0:
         return False
     lit = False
     if roots_desc:
@@ -170,11 +216,12 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
     """Theorem/domain label for the parameter point, with boundary flagging.
 
     theta = 1/4 -> T1; theta = 1/2 -> T3 when |C1| <= 1e-9 else T2; any
-    other theta raises ValueError (no theorem covers it).  Domains follow
-    the sign of g at its local minimum (g_min) and maximum (g_max), with
-    K = 0 taking precedence (T1/D5, T2/D6); delta = 4 C2^2 - 6 C3 <= 0 or
-    a sign pattern outside the catalogue yields UNCOVERED.  g's roots and
-    critical points come from `cen`.
+    other theta raises ValueError (no theorem covers it).  delta = 4 C2^2 -
+    6 C3 <= 0 or a missing critical point of g yields UNCOVERED; otherwise
+    the theorem's first `_DOMAINS` row whose condition holds gives the
+    domain, flagged boundary when an entry in the row's band lies within
+    `_BOUNDARY_TOL` of its scale.  g's roots and critical points come from
+    `cen`.
     """
     theta = wp.theta
     if theta == Fraction(1, 4):
@@ -188,7 +235,7 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
     roots_desc = tuple(sorted((r for r, _ in cen.g_roots), reverse=True))
     pos = _position_descriptor(wp, roots_desc)
 
-    def label(domain, boundary=False, note="", window=False):
+    def label(domain, boundary, note, window=False):
         return RegionLabel(theorem=theorem, domain=domain, boundary=boundary,
                            singular_line_position=pos, phi_roots=roots_desc,
                            in_peakon_window=window, note=note)
@@ -205,77 +252,25 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
                      note="critical points of g numerically degenerate")
     gmin, gmax = eval_g(wp, phi_min), eval_g(wp, phi_max)
     gscale = 1.0 + max(abs(gmin), abs(gmax))
-
-    kscale = 1.0 + abs(float(wp.C2)) + abs(float(wp.C3))
-    k_is_zero = abs(float(wp.K)) <= _EQ_TOL * kscale
-    k_near_zero = abs(float(wp.K)) <= _BOUNDARY_TOL * kscale
-
-    if theorem in ("T1", "T2"):
-        # the window concept is T1-only: at theta = 1/2 the line carries
-        # no equilibria, so no arch can terminate on it
-        def window(domain):
-            return (_peakon_window(wp, domain, roots_desc)
-                    if theorem == "T1" else False)
-
-        if k_is_zero:
-            kdom = "D5" if theorem == "T1" else "D6"
-            return label(kdom, window=window("D5"))
-        if abs(gmin) <= _EQ_TOL * gscale:
-            return label("D2", boundary=k_near_zero, window=window("D2"))
-        if abs(gmax) <= _EQ_TOL * gscale:
-            return label("D3", boundary=k_near_zero, window=window("D3"))
-        near = min(abs(gmin), abs(gmax)) <= _BOUNDARY_TOL * gscale
-        if gmin > 0.0:
-            dom = "D1"
-        elif gmax < 0.0:
-            dom = "D4" if theorem == "T2" else "UNCOVERED"
-        else:
-            dom = "D5" if theorem == "T2" else "D4"
-        note = "" if dom != "UNCOVERED" else \
-            "g negative at both critical points (no catalogued portrait)"
-        return label(dom, boundary=near or k_near_zero, note=note,
-                     window=window(dom))
-
-    # T3
-    if abs(gmin) <= _EQ_TOL * gscale:
-        return label("D1", boundary=True,
-                     note="g_min = 0: shared edge of D1 and D2")
-    if gmin > 0.0:
-        return label("D1", boundary=gmin <= _BOUNDARY_TOL * gscale)
-    if gmax > _EQ_TOL * gscale:
-        return label("D3", boundary=gmax <= _BOUNDARY_TOL * gscale)
-    return label("D2", boundary=abs(gmax) <= _BOUNDARY_TOL * gscale)
+    entries = {"g_min": (gmin, gscale), "g_max": (gmax, gscale),
+               "K": (float(wp.K), 1.0 + abs(float(wp.C2)) + abs(float(wp.C3)))}
+    sign = {e: 0 if abs(v) <= _EQ_TOL * scale else 1 if v > 0.0 else -1
+            for e, (v, scale) in entries.items()}
+    domain, _, band, note = next(row for row in _DOMAINS[theorem]
+                                 if row[1] is None or sign[row[1][0]] == row[1][1])
+    boundary = any(abs(entries[e][0]) <= _BOUNDARY_TOL * entries[e][1] for e in band)
+    return label(domain, boundary, note, _peakon_window(wp, domain, roots_desc))
 
 
 def predict_wave_menu(label: RegionLabel) -> WaveMenu:
-    """The theorem's asserted menu for a non-boundary region label."""
+    """The theorem's asserted menu for a non-boundary region label: its
+    domain's `_CLAIMS` entry, else its theorem's entry for other domains."""
     if label.boundary:
         raise ValueError(f"boundary label has no clean prediction: {label}")
     if label.domain == "UNCOVERED":
         return WaveMenu(note="no theorem claim here")
-
-    if label.theorem == "T1":
-        if not label.in_peakon_window:
-            return WaveMenu(peakon=0, periodic_peakon=0, smooth_any=True,
-                            note="singular line outside the peakon windows")
-        if label.domain == "D2":
-            return WaveMenu(peakon=0, periodic_peakon=2, smooth_any=True,
-                            note="two periodic peakons, no peakon")
-        return WaveMenu(peakon=1, periodic_peakon=2, smooth_any=True,
-                        note="peakon window active")
-
-    if label.theorem == "T2":
-        return WaveMenu(peakon=0, periodic_peakon=0, smooth_any=True,
-                        note="all waves smooth at theta = 1/2")
-
-    # T3
-    if label.domain == "D3":
-        return WaveMenu(peakon=0, periodic_peakon=0, solitary=2,
-                        periodic_smooth=2, smooth_any=True,
-                        note="two periodic and two solitary waves")
-    return WaveMenu(peakon=0, periodic_peakon=0, solitary=0,
-                    periodic_smooth=1, smooth_any=True,
-                    note="one periodic wave")
+    theorem, window = label.theorem, label.in_peakon_window
+    return _CLAIMS.get((theorem, label.domain, window)) or _CLAIMS[theorem, None, window]
 
 
 def menu_agrees(pred: WaveMenu, obs: ObservedMenu) -> bool:

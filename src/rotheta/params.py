@@ -11,7 +11,7 @@ Conventions
 * ``theta`` is an exact :class:`fractions.Fraction`.  The reduction exponent
   ``m = (1 - 3 theta)/theta`` must be an integer, which holds iff 1/theta is
   a nonzero integer (theta = 1/4 -> m = 1, theta = 1/2 -> m = -1,
-  theta = 1 -> m = -2).
+  theta = 1 -> m = -2); theta must also be positive.
 * The singular line of the reduced system sits at phi = C1/theta.
 * Coefficients may be exact (Fraction) or float; arithmetic is generic.
 """
@@ -95,8 +95,8 @@ def _exponent_of(theta: Fraction) -> int:
     """m = (1 - 3 theta)/theta, which must be an integer; cached, since every
     WaveParams asks for it and its Fraction arithmetic costs more than the
     rest of the constructor."""
-    if theta == 0:
-        raise ValueError("theta = 0 is not admissible")
+    if theta <= 0:
+        raise ValueError(f"theta = {theta} is not admissible; theta must be positive")
     m = (1 - 3 * theta) / theta
     if m.denominator != 1:
         raise ValueError(
@@ -179,7 +179,8 @@ def derive_wave_params(cor: CoriolisParams, c: float, theta) -> WaveParams:
     ------
     ValueError
         If beta vanishes (happens at a real rotation rate, the root of
-        3 k^4 + 8 k^2 = 1) or c is not finite.
+        3 k^4 + 8 k^2 = 1), alpha^3 underflows to 0 (Omega past about
+        4e107) or c is not finite.
     """
     theta = parse_theta(theta)
     if not math.isfinite(c):
@@ -190,6 +191,11 @@ def derive_wave_params(cor: CoriolisParams, c: float, theta) -> WaveParams:
         raise ValueError(
             f"beta = {cor.beta} at Omega = {cor.omega_rot}: C1 = c - beta0/beta "
             "is undefined at this rotation rate"
+        )
+    if cor.alpha**3 == 0.0:
+        raise ValueError(
+            f"alpha^3 underflows to 0 at Omega = {cor.omega_rot}: C2 = omega1/(3 alpha^2) "
+            "and C3 = omega2/(4 alpha^3) are undefined at this rotation rate"
         )
     C1 = c - cor.beta0 / cor.beta
     C2 = cor.omega1 / (3.0 * cor.alpha**2)

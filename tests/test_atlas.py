@@ -1,5 +1,6 @@
 """Region classification, menu prediction, and numeric observation."""
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -17,12 +18,12 @@ from rotheta.atlas import (ObservedMenu, PRESENT, WaveMenu, _sweep_one, classify
                            sweep_singular_line)
 from rotheta.closedform import (closed_form_menu, is_reduced_point, orbit_polynomial,
                                 profile_rhs, q_coeffs)
-from rotheta.equilibria import CENTER, SADDLE, census
-from rotheta.field import build_first_integral, eval_f, rhs_singular
+from rotheta.equilibria import CENTER, SADDLE, census, g_critical_points
+from rotheta.field import build_first_integral, eval_f, eval_g, rhs_singular
 from rotheta.levels import branch_period, saddle_level_fn
 from rotheta.orbits import (classify_orbit, integrate, measure_axis_period, shoot_connection,
                             trace_branches, y_squared_fn)
-from rotheta.params import WaveParams
+from rotheta.params import WaveParams, derive_coriolis, derive_wave_params
 from rotheta.verification import T1_BASE, T3_BASE
 
 
@@ -141,6 +142,69 @@ def test_boundary_label_refuses_prediction():
     assert lab.boundary
     with pytest.raises(ValueError):
         predict_wave_menu(lab)
+
+
+def _label_points():
+    """Both atlas grids, then the 30 x 61 (Omega, c) grids at theta = 1/4
+    and 1/2."""
+    yield from _atlas_grid(T1_BASE, (0.85, -0.1), 1)
+    yield from _atlas_grid(T3_BASE, (0.2, -0.198), 1)
+    for theta in (Fraction(1, 4), Fraction(1, 2)):
+        for omega in np.linspace(0.05, 3.0, 30):
+            cor = derive_coriolis(float(omega))
+            for c in np.linspace(-3.0, 3.0, 61):
+                yield derive_wave_params(cor, float(c), theta)
+
+
+# sha256 of the discrete label fields and the prediction at every
+# `_label_points` point
+LABEL_DIGEST = "50c197bac245d8e026dc00fc3b5cde0886273447aa0323f85cf153f3e823c6cf"
+
+
+def test_labels_and_predictions_are_pinned():
+    digest, n = hashlib.sha256(), 0
+    for wp in _label_points():
+        lab = classify_region(wp, census(wp))
+        try:
+            pred = repr(predict_wave_menu(lab))
+        except ValueError:
+            pred = "boundary"
+        digest.update(repr((lab.theorem, lab.domain, lab.boundary, lab.singular_line_position,
+                            lab.in_peakon_window, lab.note, pred)).encode())
+        n += 1
+    assert n == 400 + 2 * 30 * 61
+    assert digest.hexdigest() == LABEL_DIGEST
+
+
+# domain at K set so the entry is 0, +1e-8 and -1e-8 (C2 = 0.9, C3 = -1),
+# "*" marking a boundary; T3 reads no K, and its D3 row bands g_max alone,
+# so g_min = -1e-8 is a clean D3
+EDGE_LABELS = {
+    ("T1", 0.3, "K"): ("D5", "D4*", "D4*"),
+    ("T1", 0.3, "g_min"): ("D2", "D1*", "D4*"),
+    ("T1", 0.3, "g_max"): ("D3", "D4*", "UNCOVERED*"),
+    ("T2", 0.5, "K"): ("D6", "D5*", "D5*"),
+    ("T2", 0.5, "g_min"): ("D2", "D1*", "D5*"),
+    ("T2", 0.5, "g_max"): ("D3", "D5*", "D4*"),
+    ("T3", 0.0, "K"): ("D3", "D3", "D3"),
+    ("T3", 0.0, "g_min"): ("D1*", "D1*", "D3"),
+    ("T3", 0.0, "g_max"): ("D2*", "D3*", "D2*"),
+}
+
+
+@pytest.mark.parametrize("theorem, c1, entry", EDGE_LABELS)
+def test_labels_at_each_entrys_zero(theorem, c1, entry):
+    theta = Fraction(1, 4) if theorem == "T1" else Fraction(1, 2)
+    base = WaveParams(theta, c1, 0.9, -1.0, 0.0)
+    phi = dict(zip(("g_min", "g_max"), g_critical_points(base)))
+    k0 = -eval_g(base, phi[entry]) if entry in phi else 0.0
+    got = []
+    for offset in (0.0, 1e-8, -1e-8):
+        wp = replace(base, K=k0 + offset)
+        lab = classify_region(wp, census(wp))
+        assert lab.theorem == theorem
+        got.append(lab.domain + "*" * lab.boundary)
+    assert tuple(got) == EDGE_LABELS[theorem, c1, entry]
 
 
 @given(st.floats(min_value=0.05, max_value=0.55))

@@ -62,6 +62,18 @@ def test_nonfinite_coefficients_are_rejected(tmp_path, capsys):
     assert captured.err.count("invalid parameters") == 2
 
 
+def test_nonpositive_theta_and_underflowing_alpha_are_rejected(tmp_path, capsys):
+    direct = ["--c1", "0.3", "--c2", "2", "--c3", "-1", "--k", "3"]
+    out = ["--out", str(tmp_path / "p")]
+    assert main(["params", "--theta=-1"] + direct) == 2
+    assert main(["portrait", "--theta=-1/2"] + direct + out) == 2
+    assert main(["portrait", "--theta", "1/4", "--omega", "1e200", "--c", "1"] + out) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.count("invalid parameters") == 3
+    assert "Omega = 1e+200" in err
+
+
 def test_portrait_writes_deterministic_artifacts(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["portrait"] + D1 + ["--out", str(out)]) == 0

@@ -6,6 +6,7 @@ that shares no code with the implementation.
 """
 
 import math
+import re
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -126,6 +127,15 @@ def test_wave_params_rejects_beta_zero_rotation():
         derive_wave_params(cor, 1.0, "1/2")
 
 
+@pytest.mark.parametrize("omega", [1e108, 1e153, 1e200])
+def test_wave_params_rejects_underflowing_alpha(omega):
+    # alpha ~ 1/(2 Omega), so alpha^3 underflows to 0 past Omega ~ 3.7e107
+    cor = derive_coriolis(omega)
+    assert cor.alpha**3 == 0.0
+    with pytest.raises(ValueError, match=re.escape(f"Omega = {omega}")):
+        derive_wave_params(cor, 1.0, "1/4")
+
+
 def test_parse_theta():
     assert parse_theta("1/4") == Fraction(1, 4)
     assert parse_theta(Fraction(1, 2)) == Fraction(1, 2)
@@ -144,8 +154,9 @@ def test_reduction_exponent():
     assert WaveParams(Fraction(1, 3), 0.0, 0.0, 0.0, 0.0).m == 0
     with pytest.raises(ValueError):
         WaveParams(Fraction(2, 5), 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        WaveParams(Fraction(0), 0.0, 0.0, 0.0, 0.0)
+    for theta in (Fraction(0), Fraction(-1), Fraction(-1, 2)):   # m = -3, -4, -5
+        with pytest.raises(ValueError, match="not admissible"):
+            WaveParams(theta, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_singular_line_position():
