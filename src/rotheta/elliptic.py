@@ -20,7 +20,10 @@ constructions all produce m first.
 Both run on Python floats, whose `math` functions are the C library's, and
 give `scipy.special`'s bits (the tests pin them against it); so no scipy
 module is needed.  Where C's arithmetic gives inf or nan, `math` raises;
-the ports give C's value there instead.
+the ports give C's value there instead.  One nan of scipy's is not
+followed: at m = 1 and finite |u| > 355.58, where cosh(u)^2 overflows and
+`ellipj` gives (nan, nan, nan), `jacobi` gives the limits tanh u and
+1/cosh u, the values that m = 1 gives at every smaller |u|.
 """
 
 from __future__ import annotations
@@ -86,6 +89,9 @@ def _near_one(us, m):
         b, s = _cosh_sinh(u)
         t = math.tanh(u)
         phi = 1.0 / b
+        if b * b == math.inf:   # only m = 1 comes here (`jacobi`): the limits, where C gives nan
+            out.append((t, phi, phi))
+            continue
         twon = b * s
         ai = q * (t * phi)
         out.append((t + q * (twon - u) / (b * b), phi - ai * (twon - u), phi + ai * (twon + u)))
@@ -145,9 +151,9 @@ def complete_K(m) -> float:
 def jacobi(u, m):
     """(sn, cn, dn) at real argument(s) u for parameter m in [0, 1].
 
-    At m = 1 and |u| > 355.58 it gives (nan, nan, nan), as `ellipj` does,
-    though sn = tanh u and cn = dn = sech u there: Cephes's expansion about
-    m = 1 divides by cosh(u)^2, which overflows."""
+    At m = 1 it gives (tanh u, sech u, sech u) for every finite u, also
+    past |u| = 355.58, where `ellipj` gives (nan, nan, nan): Cephes's
+    expansion about m = 1 divides by cosh(u)^2, which overflows there."""
     m = float(m)
     if not (0.0 <= m <= 1.0):
         raise ValueError(f"jacobi requires 0 <= m <= 1, got {m}")

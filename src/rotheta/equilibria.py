@@ -95,13 +95,17 @@ def find_g_roots(wp: WaveParams):
     (`merge_close_roots`).  Every observation starts from these roots, so
     coefficients whose cubic formula overflows are rejected here, with a
     ValueError that names them."""
-    K, _, C2, C3 = row = g_coeffs(wp)
+    K, half, C2, C3 = row = g_coeffs(wp)
     try:
         roots = cubic_real_roots(*reversed(row))
     except OverflowError:
+        # the depressed cubic's discriminant holds (C2/C3)^6, (1/(2 C3))^3 and
+        # (K/C3)^2: name the ratio whose power is the largest
+        _size, ratio = max((power * (math.log(abs(c)) - math.log(abs(C3))), name)
+                          for c, power, name in ((C2, 6, "C2/C3"), (half, 3, "1/(2 C3)"),
+                                                 (K, 2, "K/C3")) if c)
         raise ValueError(f"the cubic formula for g's roots overflows at C2 = {C2:g}, "
-                         f"C3 = {C3:g}, K = {K:g}: |C3| is too small against C2, "
-                         "1/2 and K") from None
+                         f"C3 = {C3:g}, K = {K:g}: |{ratio}| is too large") from None
     return merge_close_roots(roots)
 
 

@@ -5,10 +5,12 @@ Between two equilibria on the axis B is monotone, so y^2 = (h - B)/A changes
 sign at most once there: `walk_level` walks a level one stretch of one sign
 of y^2 at a time, from a saddle on its own level (`saddle_level_fn`) to find
 its connections, or over a whole level.  `level_branch` samples a run of
-y^2 > 0 as a `LevelBranch`; a closed branch off the singular line is a
-periodic orbit, and `branch_period` takes its xi-period by Gauss-Legendre
-quadrature.  Turning points are bracketed and refined by `brentq`, a port
-of scipy's, so that reading a level loads no scipy module.
+y^2 > 0 as a `LevelBranch` on one fixed grid; a closed branch off the
+singular line is a periodic orbit, and `branch_period` takes its xi-period
+by Gauss-Legendre quadrature, from rules tabulated once per node count and
+panel edges, with the first two rules' y^2 taken in one call.  Turning
+points are bracketed and refined by `brentq`, a port of scipy's, so that
+reading a level loads no scipy module.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ ESCAPE = "escape"
 PEAKON = "Peakon"
 ANTI_PEAKON = "AntiPeakon"
 SOLITARY = "Solitary"
+
+# `level_branch`'s 257 points from 0 to 1, gathered at both ends
+_BRANCH_GRID = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257)))
+_BRANCH_GRID.flags.writeable = False
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
@@ -123,6 +129,19 @@ def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+@lru_cache(maxsize=16)
+def _panel_rule(n, edges):
+    """The n-node rule on each t-panel between successive `edges`: sin t and
+    cos t at its nodes and its weights 0.5 (t1 - t0) w, (panels, n) each."""
+    x, w = _gauss_legendre(n)
+    t0, t1 = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
+    rule = np.sin(t), np.cos(t), 0.5 * (t1 - t0) * w
+    for table in rule:
+        table.flags.writeable = False
+    return rule
+
+
 def branch_period(y2, branch: LevelBranch) -> float | None:
     """xi-period 2 * integral of dphi / y over a closed branch (dxi = dphi / y
     off the singular line), or None when the quadrature does not converge or
@@ -134,31 +153,31 @@ def branch_period(y2, branch: LevelBranch) -> float | None:
     a level near a saddle pinches the orbit and 1/y peaks; without the cuts
     a 64-node rule is off by up to 9 % near separatrix levels.  The node count
     per panel doubles from 32 to at most 1024 until two successive sums agree
-    to 1e-9 relative.  Tiny orbits around a center at a level just off the
-    center's can miss that: there y^2 = (h - B)/A is a difference of nearly
-    equal numbers, and its rounding moves the sums by about 1e-8.
+    to 1e-9 relative; the rules are tabulated once per (n, panel edges)
+    (`_panel_rule`), y^2 is taken on the first two rules' nodes in one call,
+    and each rule sums its own (panels, n) product.  Tiny orbits around a
+    center at a level just off the center's can miss that: there y^2 =
+    (h - B)/A is a difference of nearly equal numbers, and its rounding
+    moves the sums by about 1e-8.
     """
     a, b = branch.phi_range
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     y = branch.y
     dips = np.flatnonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])) + 1
     cuts = np.arcsin(np.clip((branch.phi[dips] - mid) / half, -1.0, 1.0))
-    edges = np.concatenate(([-0.5 * math.pi], cuts, [0.5 * math.pi]))
-    t0, t1 = edges[:-1, None], edges[1:, None]
+    edges = (-0.5 * math.pi, *cuts.tolist(), 0.5 * math.pi)
+    nodes = np.concatenate([_panel_rule(n, edges)[0] for n in (32, 64)], axis=1)
+    first = np.split(y2(mid + half * nodes), [32], axis=1)
     prev = None
-    n = 32
-    while n <= 1024:
-        x, w = _gauss_legendre(n)
-        t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)       # (panels, n)
-        v = y2(mid + half * np.sin(t))
+    for n in (32, 64, 128, 256, 512, 1024):
+        sin_t, cos_t, weights = _panel_rule(n, edges)
+        v = first.pop(0) if first else y2(mid + half * sin_t)
         if not np.all((v > 0.0) & (v < math.inf)):
             return None
-        dphi_over_y = half * np.cos(t) / np.sqrt(v)
-        total = float(np.sum(0.5 * (t1 - t0) * w * dphi_over_y)) * 2.0
+        total = float(np.sum(weights * (half * cos_t / np.sqrt(v)))) * 2.0
         if prev is not None and abs(total - prev) <= 1e-9 * abs(total):
             return total
         prev = total
-        n *= 2
     return None
 
 
@@ -209,8 +228,9 @@ def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False, h: fl
 
 
 def level_branch(y2, a, b, closed) -> LevelBranch:
-    """The branch y = sqrt(y^2) of a run, at 257 points from a to b gathered at both ends."""
-    phi = a + (b - a) * (0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257))))
+    """The branch y = sqrt(y^2) of a run, at 257 points from a to b gathered
+    at both ends (`_BRANCH_GRID`)."""
+    phi = a + (b - a) * _BRANCH_GRID
     return LevelBranch(phi=phi, y=np.sqrt(np.maximum(y2(phi), 0.0)), closed=closed)
 
 

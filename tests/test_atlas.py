@@ -20,7 +20,7 @@ from rotheta.closedform import (closed_form_menu, is_reduced_point, orbit_polyno
                                 profile_rhs, q_coeffs)
 from rotheta.equilibria import CENTER, SADDLE, census, g_critical_points
 from rotheta.field import build_first_integral, eval_f, eval_g, rhs_singular
-from rotheta.levels import branch_period, saddle_level_fn
+from rotheta.levels import _gauss_legendre, branch_period, level_branch, saddle_level_fn
 from rotheta.orbits import (classify_orbit, integrate, measure_axis_period, shoot_connection,
                             trace_branches, y_squared_fn)
 from rotheta.params import WaveParams, derive_coriolis, derive_wave_params
@@ -661,6 +661,73 @@ def test_branch_period_is_none_at_an_unresolved_node():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert branch_period(y_squared_fn(fi, h), br) is None
+
+
+def _fresh_branch_period(y2, branch):
+    """`branch_period` written plainly: every rule mapped onto the panels
+    afresh (nodes, sines, cosines, weights) from numpy's `leggauss`, as
+    cached by `levels`, and y^2 taken on one rule at a time: (period or
+    None, why)."""
+    a, b = branch.phi_range
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    y = branch.y
+    dips = np.flatnonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])) + 1
+    cuts = np.arcsin(np.clip((branch.phi[dips] - mid) / half, -1.0, 1.0))
+    edges = np.concatenate(([-0.5 * math.pi], cuts, [0.5 * math.pi]))
+    t0, t1 = edges[:-1, None], edges[1:, None]
+    prev = None
+    n = 32
+    while n <= 1024:
+        x, w = _gauss_legendre(n)
+        t = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
+        v = y2(mid + half * np.sin(t))
+        if not np.all((v > 0.0) & (v < math.inf)):
+            return None, "bad node"
+        dphi_over_y = half * np.cos(t) / np.sqrt(v)
+        total = float(np.sum(0.5 * (t1 - t0) * w * dphi_over_y)) * 2.0
+        if prev is not None and abs(total - prev) <= 1e-9 * abs(total):
+            return total, f"{len(edges) - 1} panels, {n} nodes"
+        prev = total
+        n *= 2
+    return None, "no convergence"
+
+
+def test_branch_period_is_the_fresh_loops_bit_for_bit():
+    # every arch of both atlas-agreement grids, as the observer prices it,
+    # and periodic branches of every 7th sample at levels a fraction
+    # 1 - 1e-3 and 1 - 1e-6 of the way from each family's top to its bound
+    # (multi-panel next to a separatrix) and 1e-7 and 1e-9 of the way (tiny
+    # orbits around a center, where both None cases occur)
+    seen = {}
+    for base, c1_range in ((T1_BASE, (0.85, -0.1)), (T3_BASE, (0.2, -0.198))):
+        for k, wp in enumerate(_atlas_grid(base, c1_range, 1)):
+            plane = observation_plane(wp)
+            cases = [(conn.y2, level_branch(conn.y2, *sorted((conn.saddle.phi, conn.phi_end)), True))
+                     for conn in saddle_connections(plane) if conn.kind == "arch" and conn.hit]
+            if k % 7 == 0:
+                for h in family_levels(plane, (1.0 - 1e-3, 1.0 - 1e-6, 1e-7, 1e-9)):
+                    q = min(plane.stops, key=lambda s: abs(s[1] - h))[0]
+                    y2 = saddle_level_fn(plane.fi, q, h=h)
+                    cases += [(y2, br) for br in level_branches(plane, h, (-50.0, 50.0))
+                              if br.closed]
+            for y2, br in cases:
+                with np.errstate(all="ignore"):
+                    want, why = _fresh_branch_period(y2, br)
+                    got = branch_period(y2, br)
+                assert (got is None if want is None else got.hex() == want.hex()), (wp.C1, why)
+                seen[why] = seen.get(why, 0) + 1
+    assert sum(n for why, n in seen.items() if why.startswith("2 panels")) >= 20, seen
+    assert seen.get("bad node", 0) >= 5 and seen.get("no convergence", 0) >= 5, seen
+    assert seen["1 panels, 64 nodes"] >= 500, seen
+
+
+def test_level_branch_grid_is_the_fresh_expression():
+    y2 = lambda phi: 1.0 - phi * phi   # noqa: E731
+    for a, b in ((-1.0, 1.0), (-0.3, 0.7), (2.5, 2.5 + 1e-9), (-1e6, 3.0)):
+        br = level_branch(y2, a, b, True)
+        phi = a + (b - a) * (0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, 257))))
+        assert br.phi.tobytes() == phi.tobytes()
+        assert br.y.tobytes() == np.sqrt(np.maximum(y2(phi), 0.0)).tobytes()
 
 
 # --- saddle connections on the level set against shooting -----------------------

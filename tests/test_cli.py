@@ -562,12 +562,12 @@ def test_console_script_smoke():
 @pytest.mark.parametrize("args, code, message", [
     (["--theta", "1/4", "--c1", "0.3", "--c2", "2", "--c3=-1e-100", "--k", "3"], 2,
      "invalid parameters: the cubic formula for g's roots overflows at "
-     "C2 = 2, C3 = -1e-100, K = 3"),
+     "C2 = 2, C3 = -1e-100, K = 3: |C2/C3| is too large"),
     (["--theta", "1/2", "--c1", "0", "--c2", "1", "--c3", "0", "--k", "1", "--h", "0.5"], 0,
      ""),
     (["--theta", "1/4", "--c1", "0.3", "--c2", "2", "--c3", "-1", "--k", "1e300"], 2,
      "invalid parameters: the cubic formula for g's roots overflows at "
-     "C2 = 2, C3 = -1, K = 1e+300"),
+     "C2 = 2, C3 = -1, K = 1e+300: |K/C3| is too large"),
 ], ids=["overflowing-cubic", "rootless-profile-plane", "overflowing-cubic-q"])
 def test_portrait_ends_with_a_documented_exit(tmp_path, args, code, message):
     res = _run_entry_point(["portrait"] + args + ["--out", str(tmp_path / "p")])

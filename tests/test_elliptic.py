@@ -18,9 +18,24 @@ near_one = st.floats(min_value=0.9999999999, max_value=1.0, exclude_max=True)
 args = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 
+def _sech(u):
+    try:
+        return 1.0 / math.cosh(u)
+    except OverflowError:
+        return 0.0
+
+
 def _scipy_jacobi(u, m):
     """`jacobi` as it was written on `scipy.special`: `ellipj`, and near
-    m = 1 its reduction into [-K, K] and one descending Landen step."""
+    m = 1 its reduction into [-K, K] and one descending Landen step.  At
+    m = 1, where `ellipj` gives nan at a finite u (|u| > 355.58), the limits
+    tanh u and 1/cosh u instead."""
+    if m == 1.0:
+        cols = [np.array(col, dtype=float) for col in ellipj(u, m)[:3]]
+        over = np.isfinite(u) & np.isnan(cols[0])
+        for col, limit in zip(cols, (math.tanh, _sech, _sech)):
+            col[over] = [limit(x) for x in np.asarray(u, dtype=float)[over]]
+        return tuple(col[()] for col in cols)
     if not 0.9999999999 <= m < 1.0:
         return ellipj(u, m)[:3]
     half = 2.0 * float(ellipk(m))
@@ -104,6 +119,22 @@ def test_complete_K_matches_quadrature():
 def test_jacobi_at_zero():
     for m in (0.0, 0.3, 0.8, 1.0):
         assert jacobi(0.0, m) == (0.0, 1.0, 1.0)
+
+
+def test_jacobi_at_m_one_past_cosh_overflow():
+    # cosh(u)^2 overflows past |u| = 355.58, and cosh u itself past 710.5;
+    # scipy's ellipj gives nan in both ranges
+    sech400 = 1.0 / math.cosh(400.0)
+    assert jacobi(400.0, 1.0) == (1.0, sech400, sech400)
+    assert jacobi(-400.0, 1.0) == (-1.0, sech400, sech400)
+    u = np.array([-800.0, -400.0, -355.0, -1.0, -0.0, 0.5, 355.0, 356.0, 400.0, 800.0,
+                  math.inf, math.nan])
+    sn, cn, dn = jacobi(u, 1.0)
+    finite = u[:-2].tolist()
+    assert sn[:-2].tolist() == [math.tanh(x) for x in finite]
+    assert cn[:-2].tolist() == dn[:-2].tolist() == [_sech(x) for x in finite]
+    assert np.isnan([sn[-2:], cn[-2:], dn[-2:]]).all()
+    assert np.isnan(ellipj(400.0, 1.0)[:3]).all()
 
 
 def test_jacobi_degenerate_limits():

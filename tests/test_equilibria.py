@@ -215,10 +215,14 @@ def test_saddles_centers_partition():
 @pytest.mark.parametrize("theta", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
 def test_overflowing_cubic_is_rejected_naming_the_coefficients(theta):
     # |C2/C3|, 1/|C3| or |K/C3| so large that g's cubic formula overflows;
-    # at K = 1e300 it once gave g the root nan, and the census case 1v
-    for C3, K in ((-1e-100, 3.0), (-1e-300, 3.0), (-1.0, 1e300)):
-        wp = WaveParams(theta=theta, C1=0.3, C2=2.0, C3=C3, K=K)
-        with pytest.raises(ValueError, match=re.escape(f"C2 = 2, C3 = {C3:g}, K = {K:g}")):
+    # at K = 1e300 it once gave g the root nan, and the census case 1v.  The
+    # message names the ratio to C3 whose power dominates the discriminant
+    for C2, C3, K, ratio in ((2.0, -1e-100, 3.0, "C2/C3"), (2.0, -1e-300, 3.0, "C2/C3"),
+                             (2.0, -1.0, 1e300, "K/C3"), (0.0, -1e-200, 0.0, "1/(2 C3)"),
+                             (1e-100, 1e-200, 1e110, "K/C3")):
+        wp = WaveParams(theta=theta, C1=0.3, C2=C2, C3=C3, K=K)
+        with pytest.raises(ValueError, match=re.escape(
+                f"C2 = {C2:g}, C3 = {C3:g}, K = {K:g}: |{ratio}| is too large")):
             census(wp)
         with pytest.raises(ValueError, match="cubic formula"):
             observe_wave_menu(wp)
