@@ -20,6 +20,11 @@ equality is a genuine measure-zero region.  The first row whose condition
 entry of the row's band lies within the wider `_BOUNDARY_TOL` of its scale.
 `_CLAIMS` maps (theorem, domain or None, in peakon window) to a `WaveMenu`.
 Other theta values have no theorem coverage and classification raises.
+Each label orders the singular line's marks once: 0 and g's roots,
+descending.  The position descriptor names the mark the line is on (within
+`_EQ_TOL`) or its neighbours there, T1's peakon windows are pairs of mark
+names (`_WINDOWS`), and a sweep leaves unscored a T1 line within 1e-3 of a
+mark.
 
 Observation runs in the tau plane, where the singular line is invariant,
 except at the T3 point: there the line passes through an equilibrium and
@@ -83,7 +88,7 @@ __all__ = [
 # and (or) periodic"): no per-tag claim; the disjunction lives in smooth_any.
 PRESENT = "present"
 
-_EQ_TOL = 1e-9         # a domain's defining equality holds (relative)
+_EQ_TOL = 1e-9         # an equality holds, a domain's or the line's on a mark (relative)
 _BOUNDARY_TOL = 1e-6   # band around a domain edge flagged boundary (relative)
 
 
@@ -166,50 +171,35 @@ _CLAIMS = {
 }
 
 
-def _line_symbol(wp: WaveParams) -> str:
+# T1's peakon windows: per domain, (lower, upper) pairs of marks the line
+# lies strictly between, a pair counting only when both marks exist.  The
+# printed windows are where f(4C1) > 0 in the canonical configuration
+# phi3 < phi2 < 0 < phi1, so a label is in one only where f(s) > 0 too, and
+# only where C3 < 0 bounds the level sets, so arches close.  They are T1's
+# alone: at theta = 1/2 the line carries no equilibria for an arch to end on.
+_WINDOW = (("0", "phi1"),)
+_WINDOWS = dict.fromkeys(("D4", "D5"), _WINDOW + (("phi3", "phi2"),))
+
+
+def _on_mark(s: float, v: float, tol: float) -> bool:
+    """The line at s sits on the mark at v, to `tol` relative to 1 + |v|."""
+    return abs(s - v) <= tol * (1.0 + abs(v))
+
+
+def _position_descriptor(wp: WaveParams, s: float, marks) -> str:
+    """Where the line at s sits among the `marks`, (name, value) descending:
+    on the first it is on, else between its neighbours below and above."""
     inv = 1 / wp.theta
-    return f"{inv.numerator}C1" if inv.denominator == 1 else "C1/theta"
-
-
-def _position_descriptor(wp: WaveParams, roots_desc) -> str:
-    """Ordering descriptor of the singular line among {0} U g-roots."""
-    sym = _line_symbol(wp)
-    s = float(wp.singular_line)
-    marks = [(f"phi{i + 1}", r) for i, r in enumerate(roots_desc)]
-    marks.append(("0", 0.0))
-    marks.sort(key=lambda kv: -kv[1])
-    for name, v in marks:
-        if abs(s - v) <= 1e-9 * (1.0 + abs(v)):
-            return f"{sym} = {name}"
-    above = [name for name, v in marks if v > s]
-    below = [name for name, v in marks if v < s]
-    if not above:
+    sym = f"{inv.numerator}C1" if inv.denominator == 1 else "C1/theta"
+    on = [name for name, v in marks if _on_mark(s, v, _EQ_TOL)]
+    n = sum(v > s for _, v in marks)   # the marks above s lead the list
+    if on:
+        return f"{sym} = {on[0]}"
+    if n == 0:
         return f"{sym} > {marks[0][0]}"
-    if not below:
+    if n == len(marks):
         return f"{sym} < {marks[-1][0]}"
-    return f"{below[0]} < {sym} < {above[-1]}"
-
-
-def _peakon_window(wp: WaveParams, domain: str, roots_desc) -> bool:
-    """Literal theorem windows, guarded by existence of the line pair.
-
-    The printed windows (0 < 4C1 < phi1 for D1-D3; that or
-    phi3 < 4C1 < phi2 for D4/D5) describe where f(4C1) > 0 in the
-    canonical root configuration phi3 < phi2 < 0 < phi1; the f > 0 guard
-    keeps the prediction truthful in every configuration, and C3 < 0
-    ensures the level sets are bounded so arches actually close.  The
-    windows are T1's alone: at theta = 1/2 the line carries no equilibria,
-    so no arch can terminate on it.
-    """
-    s = float(wp.singular_line)
-    if wp.theta != Fraction(1, 4) or float(wp.C3) >= 0.0 or eval_f(wp, s) <= 0.0:
-        return False
-    lit = False
-    if roots_desc:
-        lit = 0.0 < s < roots_desc[0]
-    if domain in ("D4", "D5") and len(roots_desc) >= 3 and not lit:
-        lit = roots_desc[2] < s < roots_desc[1]
-    return lit
+    return f"{marks[n][0]} < {sym} < {marks[n - 1][0]}"
 
 
 def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
@@ -223,6 +213,12 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
     `_BOUNDARY_TOL` of its scale.  g's roots and critical points come from
     `cen`.
     """
+    return _classify(wp, cen)[0]
+
+
+def _classify(wp: WaveParams, cen: EquilibriumCensus):
+    """(`classify_region`'s label, the marks it places the line among): 0
+    and g's roots as (name, value), descending, a root at 0 before "0"."""
     theta = wp.theta
     if theta == Fraction(1, 4):
         theorem = "T1"
@@ -232,13 +228,16 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
         raise ValueError(f"no theorem covers theta = {theta}")
 
     delta = 4.0 * float(wp.C2) ** 2 - 6.0 * float(wp.C3)
+    s = float(wp.singular_line)
     roots_desc = tuple(sorted((r for r, _ in cen.g_roots), reverse=True))
-    pos = _position_descriptor(wp, roots_desc)
+    marks = sorted([(f"phi{i + 1}", r) for i, r in enumerate(roots_desc)] + [("0", 0.0)],
+                   key=lambda mark: -mark[1])
+    pos = _position_descriptor(wp, s, marks)
 
     def label(domain, boundary, note, window=False):
         return RegionLabel(theorem=theorem, domain=domain, boundary=boundary,
                            singular_line_position=pos, phi_roots=roots_desc,
-                           in_peakon_window=window, note=note)
+                           in_peakon_window=window, note=note), marks
 
     dscale = 1.0 + 4.0 * float(wp.C2) ** 2 + 6.0 * abs(float(wp.C3))
     if delta <= _BOUNDARY_TOL * dscale:
@@ -259,7 +258,11 @@ def classify_region(wp: WaveParams, cen: EquilibriumCensus) -> RegionLabel:
     domain, _, band, note = next(row for row in _DOMAINS[theorem]
                                  if row[1] is None or sign[row[1][0]] == row[1][1])
     boundary = any(abs(entries[e][0]) <= _BOUNDARY_TOL * entries[e][1] for e in band)
-    return label(domain, boundary, note, _peakon_window(wp, domain, roots_desc))
+    at = dict(marks)
+    window = (theorem == "T1" and float(wp.C3) < 0.0 and eval_f(wp, s) > 0.0
+              and any(lo in at and hi in at and at[lo] < s < at[hi]
+                      for lo, hi in _WINDOWS.get(domain, _WINDOW)))
+    return label(domain, boundary, note, window)
 
 
 def predict_wave_menu(label: RegionLabel) -> WaveMenu:
@@ -617,31 +620,25 @@ class SweepReport:
         return [s for s in self.samples if s.agreement is False]
 
 
-def _near_window_edge(wp: WaveParams, label: RegionLabel) -> bool:
-    """T1 samples whose singular line sits within 1e-3 of a window edge
-    have marginal geometry (vanishing arches); flagged, not scored."""
-    if label.theorem != "T1":
-        return False
+def _near_window_edge(wp: WaveParams, label: RegionLabel, marks) -> bool:
+    """T1 samples whose singular line sits within 1e-3 of a mark (a window
+    edge) have marginal geometry (vanishing arches); flagged, not scored."""
     s = float(wp.singular_line)
-    edges = [0.0] + list(label.phi_roots)
-    return any(abs(s - e) <= 1e-3 * (1.0 + abs(e)) for e in edges)
+    return label.theorem == "T1" and any(_on_mark(s, v, 1e-3) for _, v in marks)
 
 
 def _sweep_one(base, c1):
     wp = replace(base, C1=float(c1))
     cen = census(wp)
-    label = classify_region(wp, cen)
+    label, marks = _classify(wp, cen)
     # census boundaries are degenerate portraits -- except at T3, where the
     # line-through-equilibrium configuration is the covered case itself
     structural = cen.is_boundary and label.theorem != "T3"
-    boundary = label.boundary or structural or _near_window_edge(wp, label)
+    boundary = label.boundary or structural or _near_window_edge(wp, label, marks)
     predicted = None if label.boundary else predict_wave_menu(label)
     observed, diag = observe_wave_menu(wp, cen)
-    agreement = None
-    if not boundary and predicted is not None:
-        agreement = menu_agrees(predicted, observed)
-    return SweepSample(c1=float(c1), label=label, predicted=predicted,
-                       observed=observed, agreement=agreement,
+    return SweepSample(c1=float(c1), label=label, predicted=predicted, observed=observed,
+                       agreement=None if boundary else menu_agrees(predicted, observed),
                        boundary=boundary, diagnostics=tuple(diag))
 
 

@@ -5,11 +5,14 @@ DOP853 (Hairer, Norsett & Wanner's 8(5,3) pair) is taken as scipy writes
 it: its tableau is written out below as scipy's coefficient file gives it
 (a test compares the two); its step arithmetic (stages, error norm, dense
 rows) is written once here, on values that are Python floats or numpy
-arrays over lanes, and its step-size controller
-twice, on floats (`_control`) and on lane arrays (`_control_lanes`), with
-the same bits; its first step (`_first_step`) is scipy's constructor,
-ported line for line; and an event's root is cut by `levels.brentq`, a
-port of scipy's, on the step's own interpolant (`_dense_at`).  Two drivers run it:
+arrays over lanes, and its step-size controller twice, on floats
+(`_control`) and on lane arrays (`_control_lanes`), with the same bits; its
+first step (`_first_step`) is scipy's constructor, ported line for line;
+and an event's root is cut by `levels.brentq`, a port of scipy's, on the
+step's own interpolant (`_dense_at`).  The controller is written twice for
+speed: mapping `_control` over the lanes keeps every bit, but a call on 300
+lanes then takes 259 us against 60 us (90 against 35 on 100 lanes; timeit,
+2-core host), about 15 % more per 1.3 ms lane step.  Two drivers run it:
 
 * `integrate_many` runs many fixed-span tau-form trials at once, as the
   lanes of numpy arrays (`_Lanes`), each lane stopping at the escape disc
@@ -235,7 +238,10 @@ def _h_scale(h_values, h0):
 # shape (2, lanes)).  `_stages` branches on the kind: on lanes it shifts
 # the state in whole-array operations and forms no stage time, since the
 # lanes run `tau_rhs` alone, which is autonomous.  The controller alone is
-# written twice (`_control`, `_control_lanes`).  Sums run left to right,
+# written twice (`_control`, `_control_lanes`): its branches cost a Python
+# call per lane if `_control` is mapped over the lanes, about 200 us of a
+# 1.3 ms step on 300 lanes, and numpy's branches cost one call for them
+# all.  Sums run left to right,
 # never through np.dot or `sum()` (compensated from Python 3.12), so a
 # float run differs from scipy's only by rounding, and every lane equals
 # the float run of its trial bit for bit.

@@ -225,9 +225,15 @@ def census(wp: WaveParams) -> EquilibriumCensus:
         eqs.append(Equilibrium(phi=phi_i, y=0.0, kind=kind, J=J, trace=0.0,
                                multiplicity=mult, on_singular_line=on_line))
 
+    try:
+        s2 = max(1.0, abs(s)) ** 2     # f(s)'s scale
+    except OverflowError:
+        # |s| > 1.3e154: `build_first_integral`, which builds every plane,
+        # rejects such a line, so the census need only return
+        s2 = math.inf
     if theta != 0.5:
         v = eval_f(wp, s) / (0.5 - theta)
-        vscale = REL_TOL * max(1.0, abs(s)) ** 2
+        vscale = REL_TOL * s2
         if v > vscale:
             ystar = math.sqrt(v)
             J = 2.0 * theta * (theta - 0.5) * v
@@ -244,7 +250,7 @@ def census(wp: WaveParams) -> EquilibriumCensus:
             notes.append("singular-line pair collapses onto the axis (f(s) ~ 0)")
     else:
         fs = eval_f(wp, s)
-        if abs(fs) <= REL_TOL * max(1.0, abs(s)) ** 2:
+        if abs(fs) <= REL_TOL * s2:
             boundary = True
             notes.append("f vanishes on the singular line (whole-line degeneracy)")
 

@@ -271,12 +271,16 @@ def build_first_integral(wp: WaveParams) -> FirstIntegral:
     integrates to a_j ln|w|.
 
     A float spot-check of dH/dtau = 0 runs on a probe grid before returning;
-    failure raises RuntimeError (it would mean a defect in this derivation).
+    failure raises RuntimeError (it would mean a defect in this derivation),
+    unless floats cannot hold the line's neighbourhood: then, as when the
+    Taylor shift overflows, a ValueError names C1 and theta.
     """
     theta = wp.theta
     m = wp.m
     s = wp.C1 / theta if _is_exact(wp.C1) else float(wp.C1) / float(theta)
     shifted = _taylor_shift(_f_coeffs(wp), s)  # f(w + s), ascending in w
+    if not all(map(math.isfinite, shifted)):
+        raise _line_too_far(wp, "f's Taylor shift to the line overflows")
 
     npoly = max(len(shifted) + m + 1, 1)
     zero = shifted[0] - shifted[0]
@@ -314,19 +318,42 @@ _PROBE_W, _PROBE_Y = (v.ravel() for v in np.meshgrid(
 _SPOT_CHECK_TOL = 1e-9
 
 
+def _line_too_far(wp: WaveParams, why: str) -> ValueError:
+    return ValueError(f"C1 = {float(wp.C1):.6g} puts the singular line at theta = {wp.theta} "
+                      f"too far out for floats: {why}")
+
+
 def _conservation_spot_check(fi: FirstIntegral, wp: WaveParams):
-    """dH/dtau = grad H . (tau-form field) at the probes, in one array call:
-    a residual above the tolerance of max(1, |each term|), or nan, raises
-    RuntimeError."""
-    phi = float(fi.line) + _PROBE_W
+    """dH/dtau = grad H . (tau-form field) at the probes, in one array call.
+
+    A residual above the tolerance of max(1, |each term|), or nan, raises
+    RuntimeError, unless rounding explains it, which raises ValueError
+    (`_line_too_far`): a probe rounded onto a line where H is undefined, or
+    every residual within the rounding bound of the sums the check adds.
+    Those are theta phi - C1, whose terms are |C1| in size while their sum
+    is theta (phi - line), and along + across."""
+    line = float(fi.line)
+    phi = line + _PROBE_W
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hphi, hy = fi.partials(phi, _PROBE_Y)
         pdot, ydot = tau_rhs(wp)(0.0, (phi, _PROBE_Y))
         along, across = hphi * pdot, hy * ydot
         scale = np.maximum(1.0, np.maximum(np.abs(along), np.abs(across)))
-        worst = float(np.max(np.abs(along + across) / scale))  # propagates a nan residual
-    if not worst <= _SPOT_CHECK_TOL:
-        raise RuntimeError(f"first-integral self-check failed: dH/dtau relative residual {worst:.3e}")
+        residual = np.abs(along + across)
+        worst = float(np.max(residual / scale))  # propagates a nan residual
+        if worst <= _SPOT_CHECK_TOL:
+            return
+        # a few ulps of each term: theta phi and C1, times the rest of along
+        offset_terms = float(fi.theta) * np.abs(phi) + abs(float(wp.C1))
+        bound = 4.0 * math.ulp(1.0) * (np.abs(hphi * _PROBE_Y) * offset_terms
+                                       + np.abs(along) + np.abs(across))
+    if fi.singular_on_line and np.any(phi == line):
+        raise _line_too_far(wp, "a probe of the first integral's self-check rounds onto "
+                                "the line, where H is undefined")
+    if np.all(residual <= np.maximum(_SPOT_CHECK_TOL * scale, bound)):
+        raise _line_too_far(wp, f"the first integral's self-check residual {worst:.3e} "
+                                "is rounding in theta phi - C1")
+    raise RuntimeError(f"first-integral self-check failed: dH/dtau relative residual {worst:.3e}")
 
 
 def _validity_note(wp: WaveParams) -> str:

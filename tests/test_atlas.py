@@ -220,6 +220,92 @@ def test_label_is_locally_constant(c1):
     assert classify_region(wp2, census(wp2)) == lab
 
 
+# --- where the singular line sits among 0 and g's roots ------------------------
+
+# theta = 1/4 bases: one root; three roots (2, -1, -3), the second window in
+# D4; K = 0, where the root at 0 ties with the mark "0" and is named first
+LINE_BASES = {
+    "D1": WaveParams(Fraction(1, 4), 0.0, 2.0, -1.0, 3.0),
+    "D4": WaveParams(Fraction(1, 4), 0.0, -0.2, -0.1, 0.6),
+    "D5": WaveParams(Fraction(1, 4), 0.0, 0.9, -1.0, 0.0),
+}
+# (base, mark's name): (in a window 1e-12 below the mark, 1e-12 above it)
+MARK_WINDOWS = {
+    ("D1", "0"): (False, True), ("D1", "phi1"): (True, False),
+    ("D4", "phi1"): (True, False), ("D4", "0"): (False, True),
+    ("D4", "phi2"): (True, False), ("D4", "phi3"): (False, True),
+    ("D5", "phi1"): (True, False), ("D5", "phi2"): (True, True),
+    ("D5", "phi3"): (False, True),
+}
+
+
+def _marks(base):
+    """0 and g's roots by name, as the descriptor names them."""
+    roots = sorted((r for r, _ in census(base).g_roots), reverse=True)
+    return {"0": 0.0, **{f"phi{i + 1}": r for i, r in enumerate(roots)}}
+
+
+def _at_line(base, s):
+    wp = replace(base, C1=s / 4.0)
+    return classify_region(wp, census(wp))
+
+
+@pytest.mark.parametrize("domain, mark", MARK_WINDOWS)
+def test_line_on_a_mark_and_1e12_either_side(domain, mark):
+    base = LINE_BASES[domain]
+    v = _marks(base)[mark]
+    for offset, window in zip((0.0, -1e-12, 1e-12), (False, *MARK_WINDOWS[domain, mark])):
+        lab = _at_line(base, v + offset)
+        assert lab.domain == domain
+        assert lab.singular_line_position == f"4C1 = {mark}"
+        assert lab.in_peakon_window == window, offset
+
+
+def test_root_at_zero_is_named_before_the_zero_mark():
+    marks = _marks(LINE_BASES["D5"])
+    assert marks["phi2"] == 0.0
+    assert _at_line(LINE_BASES["D5"], 0.0).singular_line_position == "4C1 = phi2"
+
+
+@pytest.mark.parametrize("domain", ["D1", "D4"])
+def test_window_edge_band_is_1e3_of_each_mark(domain):
+    base = LINE_BASES[domain]
+    for v in _marks(base).values():
+        band = 1e-3 * (1.0 + abs(v))
+        for f in (-1.1, -0.9, 0.9, 1.1):
+            sample = _sweep_one(base, (v + f * band) / 4.0)
+            assert not sample.label.boundary
+            assert sample.boundary == (abs(f) < 1.0), (v, f)
+            assert (sample.agreement is None) == sample.boundary
+
+
+def test_window_edge_band_is_t1_only():
+    base = WaveParams(Fraction(1, 2), 0.0, 0.9, -1.0, -0.05)
+    for r, _ in census(base).g_roots:
+        sample = _sweep_one(base, (r + 0.5e-3 * (1.0 + abs(r))) / 2.0)
+        assert sample.label.theorem == "T2"
+        assert not sample.boundary
+
+
+def test_window_guards_c3_and_f():
+    # g = (phi - 1)(phi - 2)(phi - 3)/22: C3 > 0, the line at 1.5 in
+    # (phi3, phi2) and (0, phi1) with f > 0 there
+    wp = WaveParams(Fraction(1, 4), 0.375, -6.0 / 22.0, 1.0 / 22.0, -6.0 / 22.0)
+    lab = classify_region(wp, census(wp))
+    assert lab.domain == "D4"
+    assert lab.singular_line_position == "phi3 < 4C1 < phi2"
+    assert eval_f(wp, 1.5) > 0.0
+    assert not lab.in_peakon_window
+    # g = -(phi - 2)(phi - 1)(phi + 3)/14: the line at 0.5 in (0, phi1) and
+    # (phi3, phi2), where f < 0
+    wp = WaveParams(Fraction(1, 4), 0.125, 0.0, -1.0 / 14.0, -3.0 / 7.0)
+    lab = classify_region(wp, census(wp))
+    assert lab.domain == "D4"
+    assert lab.singular_line_position == "0 < 4C1 < phi2"
+    assert eval_f(wp, 0.5) < 0.0
+    assert not lab.in_peakon_window
+
+
 def test_menu_agreement_semantics():
     claim = WaveMenu(peakon=1, periodic_peakon=2, smooth_any=True)
     assert menu_agrees(claim, ObservedMenu(peakon=2, periodic_peakon=2,

@@ -74,6 +74,37 @@ def test_nonpositive_theta_and_underflowing_alpha_are_rejected(tmp_path, capsys)
     assert "Omega = 1e+200" in err
 
 
+# lines too far out for floats: rounding in theta phi - C1 (theta = 1/3),
+# a probe on the log line (1/2), f's Taylor shift overflowing (1/4), and
+# past |C1/theta| = 1.3e154, where the census's scale of f(s) overflows
+FAR_LINE_ARGS = [["--theta", "1/3", "--omega", "1.27264802", "--c", "1"],
+                 ["--theta", "1/2", "--c1", "1e16", "--c2", "2", "--c3", "-1", "--k", "3"],
+                 ["--theta", "1/4", "--c1", "1e80", "--c2", "2", "--c3", "-1", "--k", "3"],
+                 ["--theta", "1/4", "--c1", "1e200", "--c2", "2", "--c3", "-1", "--k", "3"]]
+
+
+@pytest.mark.parametrize("args", FAR_LINE_ARGS, ids=lambda a: " ".join(a[:4]))
+def test_far_line_is_invalid_parameters(args, tmp_path, capsys):
+    assert main(["params"] + args) == 2
+    assert main(["portrait"] + args + ["--out", str(tmp_path / "p")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("invalid parameters: C1 = ") == 2
+
+
+def test_far_line_sweep_is_invalid_parameters(capsys):
+    assert main(["sweep", "--theta", "1/4", "--c1", "0", "--c2", "2", "--c3", "-1", "--k", "3",
+                 "--c1-from", "1e200", "--c1-to", "-1e200", "--samples", "3"]) == 2
+    assert "invalid parameters: C1 = 1e+200" in capsys.readouterr().err
+
+
+def test_far_line_that_floats_hold_still_draws(tmp_path):
+    args = ["--theta", "1/4", "--c1", "1e40", "--c2", "2", "--c3", "-1", "--k", "3"]
+    assert main(["params"] + args) == 0
+    assert main(["portrait"] + args + ["--out", str(tmp_path / "p")]) == 0
+
+
 def test_portrait_writes_deterministic_artifacts(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["portrait"] + D1 + ["--out", str(out)]) == 0

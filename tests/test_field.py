@@ -242,6 +242,39 @@ def test_spot_check_rejects_nan_residual():
         _conservation_spot_check(broken, wp)
 
 
+# --- a line too far out for floats is rejected as invalid parameters --------
+
+# theta, |C1| and how the self-check tells rounding from a defect: theta phi
+# - C1 rounds to the residual (1/3 has no exact binary form), a probe rounds
+# onto a log (1/2) or pole (1) line, or f's Taylor shift overflows (1/4)
+FAR_LINES = [(Fraction(1, 3), 2e7, "is rounding in theta phi - C1"),
+             (T12, 1e16, "rounds onto the line, where H is undefined"),
+             (T11, 6e15, "rounds onto the line, where H is undefined"),
+             (T14, 1e80, "Taylor shift to the line overflows"),
+             (T14, 1e200, "Taylor shift to the line overflows")]
+
+
+@pytest.mark.parametrize("theta, c1, why", FAR_LINES)
+def test_far_line_raises_value_error_naming_c1_and_theta(theta, c1, why):
+    for c in (c1, -c1):
+        with pytest.raises(ValueError) as exc:
+            build_first_integral(wp_of(theta, c, 2.0, -1.0, 3.0))
+        assert f"C1 = {c:.6g} puts the singular line at theta = {theta}" in str(exc.value)
+        assert why in str(exc.value)
+
+
+def test_spot_check_tells_a_defect_from_rounding_far_out():
+    # at theta = 1/3, C1 = 1e5 rounding leaves about 1e-10: H's f(s) w term
+    # off by 1e-6 is still a defect
+    wp = wp_of(Fraction(1, 3), 1e5, 2.0, -1.0, 3.0)
+    fi = build_first_integral(wp)
+    poly = list(fi.poly_shifted)
+    poly[1] *= 1.0 + 1e-6
+    broken = replace(fi, poly_shifted=tuple(poly))
+    with pytest.raises(RuntimeError):
+        _conservation_spot_check(broken, wp)
+
+
 # --- array calls agree with the per-point scalar calls ----------------------
 
 ARRAY_THETAS = (T14, Fraction(1, 3), T12, T11)       # m = 1, 0, -1, -2
