@@ -319,32 +319,19 @@ class Plane:
     sides: tuple               # (side, sign of A, ((phi, level) of each end)) per side
 
 
-def _limit(terms, w_sign, rest):
-    """+-inf, the limit of sum c w^k as w of sign w_sign goes to the end
-    where the nonzero term of largest |k| dominates; `rest` when all are 0."""
-    k, c = max(((k, c) for k, c in terms if c), key=lambda kc: abs(kc[0]), default=(0, 0.0))
-    return math.copysign(math.inf, c * w_sign ** k) if c else rest
-
-
 def _plane(fi: FirstIntegral, equilibria, line) -> Plane:
     """The plane over `fi` with the given equilibria: the line pair's
     saddles, the saddles off the line and a stop at every axis equilibrium
     off it.  Its sides are split at `line`, or form one side when `line` is
     None; each end's level is B's limit there."""
     a = float(fi.y2_coeff)
-    # B's limits: far out its powers dominate (f's phi^2 term keeps one
-    # nonzero); at the line its poles, then its log
-    powers = [(k, float(c)) for k, c in enumerate(fi.poly_shifted) if k]
-    far = ((-math.inf, _limit(powers, -1.0, None)), (math.inf, _limit(powers, 1.0, None)))
+    far = ((-math.inf, fi.end_level(-1.0, far=True)), (math.inf, fi.end_level(1.0, far=True)))
     if line is None:
         sides = ((None, math.copysign(1.0, a), far),)
     else:
-        poles = [(-j, float(c)) for j, c in fi.pole_coeffs]
-        log_c = float(fi.log_coeff)
-        at_line = math.copysign(math.inf, -log_c) if log_c else float(fi.poly_shifted[0])
         sides = (("left", math.copysign(1.0, a * (-1.0) ** fi.y2_power),
-                  (far[0], (line, _limit(poles, -1.0, at_line)))),
-                 ("right", math.copysign(1.0, a), ((line, _limit(poles, 1.0, at_line)), far[1])))
+                  (far[0], (line, fi.end_level(-1.0)))),
+                 ("right", math.copysign(1.0, a), ((line, fi.end_level(1.0)), far[1])))
     off = [e for e in equilibria if not e.on_singular_line]
     return Plane(
         fi=fi,

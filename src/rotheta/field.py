@@ -24,10 +24,11 @@ s = C1/theta and m = (1 - 3 theta)/theta:
     H(phi, y) = -(theta/2) (phi - s)^(m+1) y^2 + integral of f(phi) (phi - s)^m dphi
 
 The antiderivative is computed by an exact Taylor shift of f to powers of
-(phi - s) (plain long division, no truncation), so for m < 0 the integral
-picks up a log term (exponent -1) and/or simple poles.  With Fraction
-coefficients the construction is exact, which is how the theta = 1/4 result
-is compared coefficient-by-coefficient against its published closed form.
+w = phi - s (plain long division, no truncation) and held as one list of
+power terms c w^k, with ln|w| where k = 0 (for m < 0, a log and/or a simple
+pole), which only `FirstIntegral` reads.  With Fraction coefficients the
+construction is exact, which is how the theta = 1/4 result is compared
+coefficient-by-coefficient against its published closed form.
 
 For theta = 1/2 and theta = 1 the published closed forms fail the
 conservation identity dH/dxi = 0; `published_first_integral` reproduces them
@@ -183,32 +184,42 @@ def _taylor_shift(coeffs: Sequence, s):
 class FirstIntegral:
     """Conserved quantity H of the tau-form (and xi-form off the line).
 
-    H(phi, y) = y2_coeff * w^(m+1) * y^2
-                + sum_i poly_shifted[i] * w^i
-                + log_coeff * ln|w|
-                + sum_(j, c) c * w^(-j)
-    with w = phi - line.  Coefficients keep the arithmetic type of the input
-    parameters (exact with Fraction parameters).
+    H(phi, y) = y2_coeff * w^y2_power * y^2 + B(w),   w = phi - line,
+    B(w) = sum_j terms[j] * w^(j + y2_power) over f's Taylor row about the
+    line (j = 0 .. 4), with ln|w| in place of w^0; B's constant is 0.
+    Coefficients keep the arithmetic type of the input parameters (exact
+    with Fraction parameters).  Only this class reads `terms`.
     """
 
     theta: Fraction
-    m: int
     line: object           # s = C1/theta
     y2_coeff: object       # -(theta/2)
-    poly_shifted: tuple    # ascending in w, constant term always 0
-    log_coeff: object
-    pole_coeffs: tuple     # ((j, c) ...) for c * w^(-j), j >= 1
+    y2_power: int          # m + 1
+    terms: tuple
     validity_note: str = ""
 
-    @property
-    def y2_power(self) -> int:
-        return self.m + 1
+    def __post_init__(self):
+        # B's terms and its slope's (k c w^(k-1) of each c w^k, L/w of L ln|w|),
+        # as floats taken once
+        powers, log_c, poles = floats = self._split(float)
+        object.__setattr__(self, "_floats", floats)
+        object.__setattr__(self, "_slopes", ([i * c for i, c in enumerate(powers)][1:], 0.0,
+                                             [(-1, log_c)] * bool(log_c)
+                                             + [(k - 1, k * c) for k, c in poles]))
+
+    def _split(self, cast):
+        """The terms by how `_sum` adds them: the powers k >= 0 as one
+        ascending row (0 in the constant's slot and each below y2_power),
+        the log's coefficient, and the nonzero poles (k, c), k = -1 first."""
+        p, t = self.y2_power, [cast(c) for c in self.terms]
+        return ([cast(0)] * max(p, 1) + t[max(1 - p, 0):], t[-p] if p <= 0 else cast(0),
+                [(k, t[k - p]) for k in range(-1, p - 1, -1) if t[k - p]])
 
     @property
     def singular_on_line(self) -> bool:
-        """True when H itself (log, pole or negative y^2 power) is undefined
-        on the singular line."""
-        return bool(self.log_coeff or self.pole_coeffs or self.y2_power < 0)
+        """True when H itself (a log, or the negative y^2 power that comes
+        with every pole) is undefined on the singular line."""
+        return self.y2_power < 0 or bool(self.y2_power == 0 and self.terms[0])
 
     def eval(self, phi, y):
         """H(phi, y) for floats or broadcasting numpy arrays.
@@ -217,35 +228,79 @@ class FirstIntegral:
         there; array callers mask the line themselves (it yields inf or nan).
         """
         w = _line_offset(self, phi, self.singular_on_line)
-        acc = 0.0
-        for c in reversed(self.poly_shifted):
-            acc = acc * w + float(c)
-        if self.log_coeff:
-            acc = acc + float(self.log_coeff) * np.log(np.abs(w))
-        for j, c in self.pole_coeffs:
-            acc = acc + float(c) / w**j
-        return _as_float(acc + float(self.y2_coeff) * w**self.y2_power * y * y)
+        return _as_float(_sum(w, self._floats) + float(self.y2_coeff) * w**self.y2_power * y * y)
 
     def partials(self, phi, y):
         """(dH/dphi, dH/dy), analytic; takes floats or arrays like `eval`."""
         p = self.y2_power
         w = _line_offset(self, phi, self.singular_on_line or p < 1)
-        dphi = 0.0
-        for i in range(len(self.poly_shifted) - 1, 0, -1):
-            dphi = dphi * w + i * float(self.poly_shifted[i])
-        if self.log_coeff:
-            dphi = dphi + float(self.log_coeff) / w
-        for j, c in self.pole_coeffs:
-            dphi = dphi - j * float(c) / w ** (j + 1)
+        dphi = _sum(w, self._slopes)
         if p != 0:
             dphi = dphi + float(self.y2_coeff) * p * w ** (p - 1) * y * y
         dy = 2.0 * float(self.y2_coeff) * w**p * y
         return (_as_float(dphi), _as_float(dy))
 
+    def end_level(self, w_sign, far=False):
+        """B's limit as w of sign w_sign goes to infinity (`far`) or to 0:
+        +-inf from the nonzero power that dominates, the highest far out and
+        the most negative at the line; else +-inf from the log, else 0."""
+        powers, log_c, poles = self._floats
+        for k, c in ([(k, c) for k, c in enumerate(powers) if c] if far else poles)[-1:]:
+            return math.copysign(math.inf, c * w_sign**k)
+        return math.copysign(math.inf, -log_c) if log_c else 0.0
+
+    def rise_from(self, phi0, on_line=False):
+        """phi -> (B(phi) - B(phi0), A(phi) = y2_coeff w^y2_power), the same
+        bits on a float as on an array, without the cancellation next to
+        phi0: the powers Taylor-shifted to u = phi - phi0, their constant
+        dropped, the log as log1p(u/w0), the pole's w^-1 - w0^-1 as
+        -u/(w w0) (m >= -2 at every admissible theta, so a pole is simple).
+        `on_line` (phi0 on the line, where H must be finite) gives the
+        polynomial B/w^y2_power in place of the difference."""
+        line, a, p = float(self.line), float(self.y2_coeff), self.y2_power
+        powers, log_c, poles = self._floats
+        if on_line:
+            if self.singular_on_line:
+                raise ValueError("H has no finite level on the singular line")
+            phi0, d = line, powers[p:][::-1]     # no log, no pole: B is a polynomial
+        else:
+            d = _taylor_shift(powers, phi0 - line)[::-1]
+            d[-1] = 0.0
+        w0, more = phi0 - line, range(abs(p) - 1)
+
+        def rise(phi):
+            u, w = phi - phi0, phi - line
+            dB = 0.0
+            for c in d:              # Horner, step for step as np.polyval
+                dB = dB * u + c
+            if log_c:
+                dB = dB + log_c * np.log1p(u / w0)
+            for _k, c in poles:      # k = -1
+                dB = dB - c * u / (w * w0)
+            wp = w if p else 1.0     # w^|p| by repeated products, as numpy's ** is not
+            for _ in more:           # Python's (libm's pow) in the last bit
+                wp = wp * w
+            return dB, a * wp if p >= 0 else a * (1.0 / wp)
+        return rise
+
     def phi_poly_coeffs(self) -> list:
-        """Polynomial part re-expanded in plain powers of phi (exact for
-        Fraction inputs).  Log/pole parts are not included."""
-        return _taylor_shift(list(self.poly_shifted), -self.line)
+        """B's powers re-expanded in plain powers of phi (exact for Fraction
+        inputs).  Its log and poles are not included."""
+        return _taylor_shift(self._split(lambda c: c)[0], -self.line)
+
+
+def _sum(w, parts):
+    """Sum of split terms (`FirstIntegral._split`) at w: Horner over the
+    powers, then the log, then the poles."""
+    powers, log_c, poles = parts
+    acc = 0.0
+    for c in reversed(powers):
+        acc = acc * w + c
+    if log_c:
+        acc = acc + log_c * np.log(np.abs(w))
+    for k, c in poles:
+        acc = acc + c / w**-k
+    return acc
 
 
 def _line_offset(fi: FirstIntegral, phi, singular: bool):
@@ -265,50 +320,30 @@ def _as_float(v):
 def build_first_integral(wp: WaveParams) -> FirstIntegral:
     """Construct the first integral for any admissible theta.
 
-    The polynomial part is the exact antiderivative of f(phi) (phi-s)^m
-    obtained by Taylor-shifting f to the w = phi - s basis: the term
-    a_j w^(j+m) integrates to a_j w^(j+m+1)/(j+m+1), except j+m = -1 which
-    integrates to a_j ln|w|.
+    B is the exact antiderivative of f(phi) (phi-s)^m, obtained by
+    Taylor-shifting f to the w = phi - s basis: the term a_j w^(j+m)
+    integrates to a_j w^k / k with k = j+m+1, or to a_j ln|w| where k = 0.
 
     A float spot-check of dH/dtau = 0 runs on a probe grid before returning;
     failure raises RuntimeError (it would mean a defect in this derivation),
     unless floats cannot hold the line's neighbourhood: then, as when the
-    Taylor shift overflows, a ValueError names C1 and theta.
+    Taylor shift overflows or H does at the origin (an equilibrium of every
+    member, so a level every plane reads), a ValueError names C1 and theta.
     """
-    theta = wp.theta
-    m = wp.m
+    theta, p = wp.theta, wp.m + 1
     s = wp.C1 / theta if _is_exact(wp.C1) else float(wp.C1) / float(theta)
     shifted = _taylor_shift(_f_coeffs(wp), s)  # f(w + s), ascending in w
     if not all(map(math.isfinite, shifted)):
         raise _line_too_far(wp, "f's Taylor shift to the line overflows")
-
-    npoly = max(len(shifted) + m + 1, 1)
-    zero = shifted[0] - shifted[0]
-    poly = [zero] * npoly
-    log_coeff = zero
-    poles = []
-    for j, a in enumerate(shifted):
-        if a == 0:
-            continue
-        e = j + m
-        if e == -1:
-            log_coeff = a
-        elif e >= 0:
-            poly[e + 1] = a / (e + 1) if _is_exact(a) else a / float(e + 1)
-        else:
-            # integrates to a/(e+1) * w^(e+1), a pole of order -(e+1)
-            c = a / (e + 1) if _is_exact(a) else a / float(e + 1)
-            poles.append((-(e + 1), c))
-
     y2c = -theta / 2 if _is_exact(wp.C1, wp.C2, wp.C3, wp.K) else -float(theta) / 2.0
-
     fi = FirstIntegral(
-        theta=theta, m=m, line=s, y2_coeff=y2c,
-        poly_shifted=tuple(poly), log_coeff=log_coeff,
-        pole_coeffs=tuple(sorted(poles)),
+        theta=theta, line=s, y2_coeff=y2c, y2_power=p,
+        terms=tuple(a / (j + p) if j + p else a for j, a in enumerate(shifted)),
         validity_note=_validity_note(wp),
     )
     _conservation_spot_check(fi, wp)
+    if float(s) and not math.isfinite(_sum(-float(s), fi._floats)):
+        raise _line_too_far(wp, "H overflows at the origin, an equilibrium of every member")
     return fi
 
 

@@ -23,7 +23,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from .field import FirstIntegral, _taylor_shift
+from .field import FirstIntegral
 
 __all__ = [
     "LevelBranch",
@@ -183,46 +183,21 @@ def branch_period(y2, branch: LevelBranch) -> float | None:
 
 def saddle_level_fn(fi: FirstIntegral, phi0: float, on_line: bool = False, h: float = None):
     """phi -> y^2 on the level H = h (default: the level through phi0, on the
-    axis or, `on_line`, on the line), without the cancellation of h - B next
-    to phi0.  Plain arithmetic on whatever it is given: a float, or an array
-    of phi.
-
-    Through phi0, h = B(phi0) for an axis equilibrium (y = 0), and for the
-    singular-line pair (`on_line`, m >= 0: A vanishes on the line), so
-    y^2 = -(B(phi) - B(phi0))/A(phi).  The difference is taken term by term
-    about phi0: the polynomial part Taylor-shifted to u = phi - phi0 with
-    its constant dropped, the logarithm as log1p(u/w0), each pole's
-    difference w^-j - w0^-j with its factor u taken out.  On the line the
-    quotient is the polynomial -(sum_(i > m) b_i w^(i-m-1))/a, which passes
-    through the line with the pair's own y*^2.  Another level h adds
-    (h - B(phi0))/A(phi).  Nothing guards the line itself, where a float
-    divides by zero: `walk_level` stops 1e-12 (1 + |line|) short of it.
+    axis or, `on_line`, on the line), -(B(phi) - B(phi0))/A(phi) plus
+    (h - B(phi0))/A(phi), with B's difference from `FirstIntegral.rise_from`:
+    no cancellation next to phi0, and on the line (m >= 0, where A vanishes)
+    the polynomial quotient, which passes through the line with the pair's
+    own y*^2.  A float and an array of phi give the same bits.  Nothing
+    guards the line itself, where a float divides by zero: `walk_level`
+    stops 1e-12 (1 + |line|) short of it.
     """
-    line, a, p = float(fi.line), float(fi.y2_coeff), fi.y2_power
-    poly = [float(c) for c in fi.poly_shifted]
-    if on_line:
-        if fi.singular_on_line:
-            raise ValueError("H has no finite level on the singular line")
-        phi0, d = line, poly[p:][::-1]     # no log, no pole: H is a polynomial
-    else:
-        d = _taylor_shift(poly, phi0 - line)[::-1]
-        d[-1] = 0.0
-    w0 = phi0 - line
-    dh = None if h is None else h - float(fi.eval(phi0, 0.0))
-    log_c = float(fi.log_coeff)
-    poles = [(j, float(c)) for j, c in fi.pole_coeffs]
+    rise, a = fi.rise_from(phi0, on_line), float(fi.y2_coeff)
+    dh = None if h is None else h - float(fi.eval(float(fi.line) if on_line else phi0, 0.0))
 
     def y2(phi):
-        u, w = phi - phi0, phi - line
-        dB = 0.0
-        for c in d:              # Horner, step for step as np.polyval
-            dB = dB * u + c
-        if log_c:
-            dB = dB + log_c * np.log1p(u / w0)
-        for j, c in poles:       # w^-j - w0^-j = -u sum(w^k w0^(j-1-k)) / (w w0)^j
-            dB = dB - c * u * sum(w**k * w0 ** (j - 1 - k) for k in range(j)) / (w * w0) ** j
-        out = -dB / a if on_line else -dB / (a * w**p)
-        return out if dh is None else out + dh / (a * w**p)
+        dB, A = rise(phi)
+        out = -dB / a if on_line else -dB / A
+        return out if dh is None else out + dh / A
 
     return y2
 

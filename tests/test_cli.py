@@ -75,12 +75,16 @@ def test_nonpositive_theta_and_underflowing_alpha_are_rejected(tmp_path, capsys)
 
 
 # lines too far out for floats: rounding in theta phi - C1 (theta = 1/3),
-# a probe on the log line (1/2), f's Taylor shift overflowing (1/4), and
-# past |C1/theta| = 1.3e154, where the census's scale of f(s) overflows
+# a probe on the log line (1/2), f's Taylor shift overflowing (1/4), past
+# |C1/theta| = 1.3e154, where the census's scale of f(s) overflows, and H
+# overflowing at the origin (theta = 1/5 and 1/3 at C1 = -1e49 and -1e70,
+# each of which once ended in an OverflowError)
 FAR_LINE_ARGS = [["--theta", "1/3", "--omega", "1.27264802", "--c", "1"],
                  ["--theta", "1/2", "--c1", "1e16", "--c2", "2", "--c3", "-1", "--k", "3"],
                  ["--theta", "1/4", "--c1", "1e80", "--c2", "2", "--c3", "-1", "--k", "3"],
-                 ["--theta", "1/4", "--c1", "1e200", "--c2", "2", "--c3", "-1", "--k", "3"]]
+                 ["--theta", "1/4", "--c1", "1e200", "--c2", "2", "--c3", "-1", "--k", "3"],
+                 ["--theta", "1/5", "--c1", "-1e49", "--c2", "2", "--c3", "-1", "--k", "3"],
+                 ["--theta", "1/3", "--c1", "-1e70", "--c2", "0", "--c3", "-1", "--k", "0"]]
 
 
 @pytest.mark.parametrize("args", FAR_LINE_ARGS, ids=lambda a: " ".join(a[:4]))
@@ -97,6 +101,14 @@ def test_far_line_sweep_is_invalid_parameters(capsys):
     assert main(["sweep", "--theta", "1/4", "--c1", "0", "--c2", "2", "--c3", "-1", "--k", "3",
                  "--c1-from", "1e200", "--c1-to", "-1e200", "--samples", "3"]) == 2
     assert "invalid parameters: C1 = 1e+200" in capsys.readouterr().err
+
+
+def test_far_line_polynomial_sweep_is_invalid_parameters(capsys):
+    # once brentq's RuntimeError: with C2 = C3 = 0, H is a polynomial on the
+    # line, so every self-check probe passes, but H overflows at the origin
+    assert main(["sweep", "--theta", "1/4", "--c1", "0", "--c2", "0", "--c3", "0", "--k", "1",
+                 "--c1-from", "1e91", "--c1-to", "5e90", "--samples", "2"]) == 2
+    assert "invalid parameters: C1 = 1e+91" in capsys.readouterr().err
 
 
 def test_far_line_that_floats_hold_still_draws(tmp_path):

@@ -7,12 +7,13 @@ rounding; the published theta=1/2 and theta=1 forms must NOT.
 """
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rotheta.field import (SingularLineError, _conservation_spot_check,
                            build_first_integral, conservation_defect, eval_f,
@@ -130,7 +131,7 @@ def test_quarter_theta_polynomial_matches_printed_form_exactly():
     assert fi.y2_coeff == Fraction(-1, 8)
     assert fi.y2_power == 2
     assert fi.line == 4 * C1
-    assert fi.log_coeff == 0 and fi.pole_coeffs == ()
+    assert not fi.singular_on_line          # every power j + 2 > 0: no log, no pole
 
 
 def test_quarter_theta_H_zero_at_origin():
@@ -148,14 +149,14 @@ def test_quarter_theta_H_zero_at_origin():
 def test_half_theta_log_coefficient_vanishes_with_c1():
     fi = build_first_integral(wp_of(T12, Fraction(0), Fraction(9, 10),
                                     Fraction(-1), Fraction(-1, 20)))
-    assert fi.log_coeff == 0
-    assert fi.pole_coeffs == ()
+    assert fi.y2_power == 0 and fi.terms[0] == 0   # the log's slot, f(s) = f(0)
+    assert not fi.singular_on_line                 # powers j >= 0: no pole
 
 
 def test_half_theta_eval_raises_on_line():
     wp = wp_of(T12, 0.3, 0.5, -1.0, 0.2)
     fi = build_first_integral(wp)
-    assert fi.log_coeff != 0
+    assert fi.y2_power == 0 and fi.terms[0] != 0   # the log's slot
     with pytest.raises(SingularLineError):
         fi.eval(0.6, 1.0)                  # phi = 2 C1
 
@@ -163,7 +164,30 @@ def test_half_theta_eval_raises_on_line():
 def test_full_theta_carries_pole():
     fi = build_first_integral(wp_of(T11, 0.5, 0.3, -1.0, 0.7))
     assert fi.y2_power == -1
-    assert any(j == 1 for j, _ in fi.pole_coeffs)
+    assert fi.terms[0] != 0                 # c w^-1, a simple pole
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_terms_integrate_f_times_the_integrating_factor_exactly(n):
+    # at theta = 1/n the terms c w^k (L ln|w| where k = 0) differentiate to
+    # f(s + w) w^m, exactly in Fractions: each exponent and the log's slot
+    rng = random.Random(n)
+
+    def q():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    for _ in range(4):
+        C1, C2, C3, K = q(), q(), q(), q()
+        wp = wp_of(Fraction(1, n), C1, C2, C3, K)
+        fi = build_first_integral(wp)
+        assert len(fi.terms) == 5 and fi.y2_power == wp.m + 1
+        for _ in range(4):
+            w = q() or Fraction(1, 3)
+            slope = sum(k * c * w ** (k - 1) if k else c / w
+                        for k, c in enumerate(fi.terms, start=fi.y2_power))
+            phi = fi.line + w
+            f = C3 * phi**4 + C2 * phi**3 + phi**2 / 2 + K * phi
+            assert slope == f * w**wp.m
 
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -237,7 +261,7 @@ def test_partials_match_finite_differences(dphi, y):
 def test_spot_check_rejects_nan_residual():
     wp = wp_of(T14, 0.3, 2.0, -1.0, 3.0)
     fi = build_first_integral(wp)
-    broken = replace(fi, poly_shifted=fi.poly_shifted[:-1] + (math.nan,))
+    broken = replace(fi, terms=fi.terms[:-1] + (math.nan,))
     with pytest.raises(RuntimeError):
         _conservation_spot_check(broken, wp)
 
@@ -246,12 +270,14 @@ def test_spot_check_rejects_nan_residual():
 
 # theta, |C1| and how the self-check tells rounding from a defect: theta phi
 # - C1 rounds to the residual (1/3 has no exact binary form), a probe rounds
-# onto a log (1/2) or pole (1) line, or f's Taylor shift overflows (1/4)
+# onto a log (1/2) or pole (1) line, f's Taylor shift overflows (1/4), or B
+# does at the origin, an equilibrium of every member (1/5)
 FAR_LINES = [(Fraction(1, 3), 2e7, "is rounding in theta phi - C1"),
              (T12, 1e16, "rounds onto the line, where H is undefined"),
              (T11, 6e15, "rounds onto the line, where H is undefined"),
              (T14, 1e80, "Taylor shift to the line overflows"),
-             (T14, 1e200, "Taylor shift to the line overflows")]
+             (T14, 1e200, "Taylor shift to the line overflows"),
+             (Fraction(1, 5), 1e49, "H overflows at the origin")]
 
 
 @pytest.mark.parametrize("theta, c1, why", FAR_LINES)
@@ -268,9 +294,9 @@ def test_spot_check_tells_a_defect_from_rounding_far_out():
     # off by 1e-6 is still a defect
     wp = wp_of(Fraction(1, 3), 1e5, 2.0, -1.0, 3.0)
     fi = build_first_integral(wp)
-    poly = list(fi.poly_shifted)
-    poly[1] *= 1.0 + 1e-6
-    broken = replace(fi, poly_shifted=tuple(poly))
+    terms = list(fi.terms)
+    terms[0] *= 1.0 + 1e-6                  # the power j + y2_power = 1
+    broken = replace(fi, terms=tuple(terms))
     with pytest.raises(RuntimeError):
         _conservation_spot_check(broken, wp)
 
@@ -287,6 +313,9 @@ off_line = st.tuples(st.floats(min_value=0.05, max_value=3.0),
 @given(st.sampled_from(ARRAY_THETAS), coeff, coeff, coeff, coeff,
        st.lists(off_line, min_size=1, max_size=12),
        st.floats(min_value=-5.0, max_value=5.0))
+# next to the line h - B cancels, so one ulp of y^2's w^2 (libm's pow on a
+# float, numpy's on an array) once came out 3e-12 relative apart
+@example(T14, 0.0, 0.0, 0.0, 0.5, [(2.0, -1.0, 0.0), (0.06239934255746372, -1.0, 0.0)], 0.0)
 def test_array_calls_match_scalar_calls(theta, C1, C2, C3, K, points, h):
     fi = build_first_integral(wp_of(theta, C1, C2, C3, K))
     s = float(fi.line)
